@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 from fractions import Fraction
 
@@ -19,7 +18,6 @@ from .core import (
     Partition,
     StageGame,
     aggregative_game,
-    check_assumptions,
     full_context,
     least_ne,
     mask_of,
@@ -88,7 +86,8 @@ def _int_vector(doc, key, n, path):
 
 
 def parse_game(doc, path="$"):
-    """Build a StageGame from a document dict; attaches the assumption report."""
+    """Build a StageGame from a document dict.  Its assumption report is
+    computed on first read of `game.report`."""
     if not isinstance(doc, dict):
         raise ParseError(path, "document must be an object")
     n = doc.get("players")
@@ -146,8 +145,17 @@ def parse_game(doc, path="$"):
             raise ParseError(path, str(exc)) from None
     else:
         raise ParseError(path + ".kind", f"unknown kind {kind!r}")
-    game.report = check_assumptions(game)
     return game
+
+
+def parse_graph(doc, path="$"):
+    """Build a Digraph from a `{"n": int, "edges": [[i, j], ...]}` document."""
+    if not isinstance(doc, dict):
+        raise ParseError(path, "document must be an object")
+    n = doc.get("n")
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise ParseError(path + ".n", "non-negative vertex count required")
+    return Digraph(n, _edges(doc, n, path))
 
 
 def emit_game(game):
@@ -168,15 +176,22 @@ def emit_game(game):
     return doc
 
 
-def load_game(path):
+def _load_json(path):
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ParseError(path, str(exc)) from None
     except json.JSONDecodeError as exc:
         raise ParseError(path, f"invalid JSON: {exc}") from None
-    return parse_game(doc)
+
+
+def load_game(path):
+    return parse_game(_load_json(path))
+
+
+def load_graph(path):
+    return parse_graph(_load_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -296,11 +311,7 @@ def _cmd_outcomes(args):
 
 
 def _cmd_treedepth(args):
-    with open(args.graph) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict) or not isinstance(doc.get("n"), int):
-        raise ParseError(args.graph, "expected {\"n\": int, \"edges\": [[i,j],...]}")
-    g = Digraph(doc["n"], [tuple(e) for e in doc.get("edges", [])])
+    g = load_graph(args.graph)
     value, cert = tree_depth(g)
     p = partition_from_treedepth(g, max(value, 1))
     lines = [f"tree-depth: {value}"]
@@ -474,8 +485,6 @@ def build_parser():
                        help="use equilibrium candidates in the recursion (default)")
         p.add_argument("--sss", dest="sss", action="store_true",
                        help="use raw strictly sufficient sets instead")
-        p.add_argument("--seed", type=int, default=None,
-                       help="seed for any randomized ordering (reserved)")
         return p
 
     common(sub.add_parser("check", help="verify the stage-game conditions"))
@@ -533,8 +542,6 @@ def main(argv=None):
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 1
-    if getattr(args, "seed", None) is not None:
-        random.seed(args.seed)
     try:
         _HANDLERS[args.command](args)
     except ParseError as exc:

@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import Context, bits, check_assumptions, members, ne_set
+from .core import Context, bits, ne_set
 from .sync import SyncSolver
 
 
@@ -101,8 +101,7 @@ def intervention(game, subsidized, T, solver=None, verify_bounds=None):
     gain = boosted & ~baseline
 
     if verify_bounds is None:
-        report = game.report or check_assumptions(game)
-        verify_bounds = report.satisfies_assumptions and not solver.dropped
+        verify_bounds = game.report.satisfies_assumptions and not solver.dropped
     if verify_bounds:
         whole = solver.min_horizon(full)
         for i in range(n):

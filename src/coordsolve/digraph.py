@@ -41,9 +41,6 @@ class Digraph:
         """In-neighborhood E_i = {j : (j,i) in E}."""
         return self._pred[i]
 
-    def restricted_in_mask(self, i, vertices):
-        return self._pred[i] & vertices
-
     def __repr__(self):
         return f"Digraph(n={self.n}, edges={sorted(self.edges)})"
 

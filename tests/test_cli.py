@@ -49,6 +49,13 @@ def test_parse_table_document_attaches_report():
     assert not game.report.deviation_proof
 
 
+def test_parse_game_defers_report():
+    game = parse_game(triangles_doc())
+    assert "report" not in game.__dict__
+    assert game.report.satisfies_assumptions
+    assert "report" in game.__dict__
+
+
 def test_parse_weakest_link_star():
     doc = {
         "players": 7,
@@ -185,6 +192,19 @@ def test_treedepth_subcommand(tmp_path, capsys):
     assert code == 0
     assert payload["tree_depth"] == 4
     assert sorted(len(level) for level in payload["levels"]) == [1, 1, 1, 1]
+
+
+def test_treedepth_malformed_graph_exit_code(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"n": 2, "edges": 5}))
+    assert main(["treedepth", "--graph", str(path)]) == 1
+    assert "$.edges" in capsys.readouterr().err
+
+
+def test_treedepth_missing_graph_exit_code(tmp_path, capsys):
+    path = tmp_path / "absent.json"
+    assert main(["treedepth", "--graph", str(path)]) == 1
+    assert str(path) in capsys.readouterr().err
 
 
 def test_design_json_schema(tmp_path, capsys):

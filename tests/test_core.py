@@ -1,10 +1,13 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coordsolve import (
     Context,
     PreconditionError,
+    Violation,
     aggregative_game,
     check_assumptions,
     full_context,
@@ -20,6 +23,7 @@ from coordsolve import (
 from coordsolve.core import bits
 
 from util import (
+    check_assumptions_reference,
     cross_pairs_game,
     cycle_graph,
     mixed_two_player_game,
@@ -128,6 +132,49 @@ def test_witnesses_replay_as_violations():
         assert rep.witnesses
         for w in rep.witnesses:
             assert _replay_violation(game, w), w
+
+
+# Small ranges so that ties, which the checks treat apart from strict
+# inequalities, are common.
+_payoffs = st.sampled_from(
+    [-2, -1, 0, 1, 2, Fraction(-3, 2), Fraction(-1, 2), Fraction(1, 2), Fraction(1), Fraction(4, 3)]
+)
+
+
+@st.composite
+def _tables_with_contexts(draw):
+    n = draw(st.integers(1, 5))
+    rows = [draw(st.lists(_payoffs, min_size=1 << n, max_size=1 << n)) for _ in range(n)]
+    active = draw(st.integers(0, (1 << n) - 1))
+    ones = draw(st.integers(0, (1 << n) - 1)) & ~active
+    ctx = draw(st.sampled_from([None, Context(active, ones)]))
+    return table_game(rows), ctx
+
+
+def _flags(rep):
+    return (rep.single_crossing, rep.common_interests, rep.deviation_proof, rep.nondegenerate)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tables_with_contexts())
+def test_check_assumptions_matches_all_pairs_reference(case):
+    game, ctx = case
+    fast = check_assumptions(game, ctx)
+    ref = check_assumptions_reference(game, ctx)
+    assert _flags(fast) == _flags(ref)
+    assert {(w.check, w.player, w.high) for w in fast.witnesses} == {
+        (w.check, w.player, w.high) for w in ref.witnesses
+    }
+    pairwise = [w for w in fast.witnesses if w.check != "nondegenerate"]
+    assert len({(w.check, w.player, w.high) for w in pairwise}) == len(pairwise)
+    ones = ctx.ones if ctx else 0
+    ref_pairs = set(ref.witnesses)
+    for w in fast.witnesses:
+        assert w in ref_pairs, w
+    for w in pairwise:
+        assert _replay_violation(
+            game, Violation(w.check, w.player, w.low | ones, w.high | ones)
+        ), w
 
 
 # -- least_ne / ne_set --------------------------------------------------------

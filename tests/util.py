@@ -4,7 +4,17 @@ implementations used to cross-check the solvers."""
 
 from fractions import Fraction
 
-from coordsolve import Digraph, aggregative_game, mask_of, table_game, weakest_link_game
+from coordsolve import (
+    AssumptionReport,
+    Digraph,
+    Violation,
+    aggregative_game,
+    full_context,
+    mask_of,
+    table_game,
+    weakest_link_game,
+)
+from coordsolve.core import bits, submasks
 
 
 def bit(X, i):
@@ -215,6 +225,61 @@ def random_aggregative(rng, n):
 
 # ---------------------------------------------------------------------------
 # independent reference recursions
+
+
+def check_assumptions_reference(game, ctx=None):
+    """All-pairs stage-condition check: every player, every low < high pair
+    of opponents' coalitions, straight from the payoff oracle.  Lists every
+    violating pair, where check_assumptions keeps one per high set."""
+    if ctx is None:
+        ctx = full_context(game)
+    pay = game.payoff
+    rep = AssumptionReport()
+    wit = rep.witnesses
+
+    for i in bits(ctx.active):
+        b = 1 << i
+        others = ctx.active & ~b
+        u0 = {}
+        u1 = {}
+        for m in submasks(others):
+            u0[m] = pay(i, m | ctx.ones)
+            u1[m] = pay(i, m | ctx.ones | b)
+
+        if not u1[others] > u0[others]:
+            rep.nondegenerate = False
+            wit.append(Violation("nondegenerate", i, others, others))
+        if not u0[0] > u1[0]:
+            rep.nondegenerate = False
+            wit.append(Violation("nondegenerate", i, 0, 0))
+
+        for high in submasks(others):
+            low = (high - 1) & high
+            while True:
+                if low == high:  # only proper submasks
+                    break
+                d_lo = u1[low] - u0[low]
+                d_hi = u1[high] - u0[high]
+                if (d_lo >= 0 and d_hi < 0) or (d_lo > 0 and d_hi <= 0):
+                    rep.single_crossing = False
+                    wit.append(Violation("single_crossing", i, low, high))
+                m_lo = max(u0[low], u1[low])
+                m_hi = max(u0[high], u1[high])
+                if m_hi < m_lo:
+                    rep.common_interests = False
+                    wit.append(Violation("common_interests", i, low, high))
+                elif u1[high] >= u0[high] and u0[low] >= u1[low] and not m_hi > m_lo:
+                    rep.common_interests = False
+                    wit.append(Violation("tie-break (interpreted)", i, low, high))
+                if (u1[high] >= u0[low] and u1[high] < u0[high]) or (
+                    u1[high] > u0[low] and u1[high] <= u0[high]
+                ):
+                    rep.deviation_proof = False
+                    wit.append(Violation("deviation_proof", i, low, high))
+                if low == 0:
+                    break
+                low = (low - 1) & high
+    return rep
 
 
 def _kosaraju(nodes, succ):
