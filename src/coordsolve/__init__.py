@@ -39,7 +39,7 @@ from .graphical import (
     weakest_link_game,
     weakest_link_horizon,
 )
-from .sync import PolicyNode, SyncSolver, least_outcome, min_horizon, outcome_set
+from .sync import PolicyNode, SyncSolver
 from .asyncgame import (
     IesedsTable,
     best_achievable,

@@ -6,14 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (
-    Context,
-    Partition,
-    bits,
-    iterated_strict_elimination,
-    members,
-    submasks,
-)
+from .core import Partition, bits, iterated_strict_elimination
 from .digraph import check_feasible_partition, partition_from_treedepth, reach
 from .errors import ResourceLimitError
 from .graphical import reduce_to_weakest_link
@@ -80,15 +73,10 @@ def ieseds(game, p, budget=DEFAULT_BUDGET):
         got = memo.get(key)
         if got is not None:
             return got
-        cell = cells[t]
-        base = 0
-        for m in h:
-            base |= m
-
         def aux_pay(i, X):
             return pay(i, least_from(t + 1, h + (X,)))
 
-        least, _ = iterated_strict_elimination(cell, aux_pay)
+        least, _ = iterated_strict_elimination(cells[t], aux_pay)
         tables[t][h] = least
         out = least_from(t + 1, h + (least,))
         memo[key] = out

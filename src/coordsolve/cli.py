@@ -16,13 +16,12 @@ from fractions import Fraction
 from . import asyncgame, design, ordered, oracle
 from .core import (
     Partition,
-    StageGame,
     aggregative_game,
-    full_context,
     least_ne,
     mask_of,
     members,
     ne_set,
+    sorted_coalitions,
     table_game,
 )
 from .digraph import Digraph, partition_from_treedepth, tree_depth
@@ -449,7 +448,7 @@ def _cmd_oracle(args):
     outs = oracle.enumerate_equilibria(
         game, schedule, mode=args.mode, budget=args.budget
     )
-    ordered_outs = sorted(outs, key=lambda m: (m.bit_count(), members(m)))
+    ordered_outs = sorted_coalitions(outs)
     lines = [f"{args.mode} outcomes ({len(ordered_outs)}):"]
     lines += [f"  {_disp(m)}" for m in ordered_outs]
     _emit(
@@ -471,7 +470,7 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command")
 
-    def common(p, game=True):
+    def common(p, game=True, sse=False):
         if game:
             p.add_argument("--game", required=True, help="game document (JSON)")
         p.add_argument("--json", action="store_true", help="machine-readable output")
@@ -481,19 +480,20 @@ def build_parser():
             default=int(os.environ.get(ENV_BUDGET, 10**7)),
             help="evaluation budget for heavy enumerations",
         )
-        p.add_argument("--sse", dest="sss", action="store_false", default=False,
-                       help="use equilibrium candidates in the recursion (default)")
-        p.add_argument("--sss", dest="sss", action="store_true",
-                       help="use raw strictly sufficient sets instead")
+        if sse:
+            p.add_argument("--sse", dest="sss", action="store_false", default=False,
+                           help="use equilibrium candidates in the recursion (default)")
+            p.add_argument("--sss", dest="sss", action="store_true",
+                           help="use raw strictly sufficient sets instead")
         return p
 
     common(sub.add_parser("check", help="verify the stage-game conditions"))
     common(sub.add_parser("ne", help="pure Nash equilibria and the least one"))
-    p = common(sub.add_parser("tau", help="minimum horizon guaranteeing a target"))
+    p = common(sub.add_parser("tau", help="minimum horizon guaranteeing a target"), sse=True)
     p.add_argument("--target", required=True, help="1-based players, e.g. 5,6,7")
-    p = common(sub.add_parser("phi", help="least equilibrium outcome at a horizon"))
+    p = common(sub.add_parser("phi", help="least equilibrium outcome at a horizon"), sse=True)
     p.add_argument("--t", type=int, required=True)
-    p = common(sub.add_parser("outcomes", help="all equilibrium outcomes at a horizon"))
+    p = common(sub.add_parser("outcomes", help="all equilibrium outcomes at a horizon"), sse=True)
     p.add_argument("--t", type=int, required=True)
     p = common(sub.add_parser("treedepth", help="directed tree-depth of a graph"), game=False)
     p.add_argument("--graph", required=True, help="graph document (JSON)")

@@ -45,6 +45,11 @@ def bits(mask):
         mask ^= low
 
 
+def sorted_coalitions(masks):
+    """Coalition masks in (cardinality, lexicographic) order."""
+    return sorted(masks, key=lambda m: (m.bit_count(), members(m)))
+
+
 def submasks(mask):
     """All submasks of `mask`, including 0 and mask itself (descending)."""
     sub = mask
@@ -353,8 +358,7 @@ def ne_set(game, ctx=None):
     """
     if ctx is None:
         ctx = full_context(game)
-    out = [X for X in submasks(ctx.active) if is_ne(game, ctx, X)]
-    return sorted(out, key=lambda m: (m.bit_count(), members(m)))
+    return sorted_coalitions(X for X in submasks(ctx.active) if is_ne(game, ctx, X))
 
 
 def iterated_strict_elimination(players_mask, pay):
@@ -425,7 +429,7 @@ def sss_set(game, ctx=None, require_ne=False):
                 break
         if ok and (not require_ne or is_ne(game, ctx, X)):
             out.append(X)
-    return sorted(out, key=lambda m: (m.bit_count(), members(m)))
+    return sorted_coalitions(out)
 
 
 # ---------------------------------------------------------------------------

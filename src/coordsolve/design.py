@@ -27,19 +27,12 @@ class HorizonLedger:
 def candidate_horizons(game, solver=None):
     """Every horizon whose least outcome strictly exceeds the previous one's
     (the empty set at horizon 0), i.e. the horizons a cost-sensitive principal
-    could ever pick.  The count never exceeds the square-root bound."""
+    could ever pick: the distinct player horizons.  The count never exceeds
+    the square-root bound."""
     solver = solver or SyncSolver(game)
     bound = horizon_count_bound(game.n)
-    cands = []
-    prev = 0
-    top = solver.forced_one | solver.base.active
-    for T in range(1, game.n + 1):
-        cur = solver.least_outcome(T)
-        if cur & ~prev:
-            cands.append((T, cur))
-        prev = cur
-        if cur == top:
-            break
+    growth = sorted({tau for tau in solver.horizons().values() if tau is not None})
+    cands = [(T, solver.least_outcome(T)) for T in growth]
     if len(cands) > bound:
         raise RuntimeError(
             f"ledger bound violated: {len(cands)} growth points exceed {bound}; "
@@ -56,13 +49,8 @@ def weak_centrality(game, solver=None):
     class."""
     solver = solver or SyncSolver(game)
     groups = {}
-    for i in range(game.n):
-        bit = 1 << i
-        if bit & solver.dropped:
-            key = None
-        else:
-            key = solver.min_horizon(bit)
-        groups[key] = groups.get(key, 0) | bit
+    for i, tau in solver.horizons().items():
+        groups[tau] = groups.get(tau, 0) | 1 << i
     ranked = sorted((k, v) for k, v in groups.items() if k is not None)
     if None in groups:
         ranked.append((None, groups[None]))
@@ -83,13 +71,13 @@ def strong_centrality(game):
     return matrix
 
 
-def intervention(game, subsidized, T, solver=None, verify_bounds=None):
+def intervention(game, subsidized, T, solver=None):
     """Players newly guaranteed at horizon T when `subsidized` are paid to
     play 1 outright: the subsidised game's least outcome minus the original's.
 
-    When the game satisfies the stage assumptions (or verify_bounds is forced
-    on), also re-derives the single-subsidy sandwich: forcing any one player
-    saves at most one stage toward full participation."""
+    When the game satisfies the stage assumptions and no player's action 1 is
+    iteratively dominated, also re-derives the single-subsidy sandwich:
+    forcing any one player saves at most one stage toward full participation."""
     solver = solver or SyncSolver(game)
     n = game.n
     full = game.all_players
@@ -100,9 +88,7 @@ def intervention(game, subsidized, T, solver=None, verify_bounds=None):
         boosted = solver.least_outcome(T, ctx=Context(full & ~subsidized, subsidized))
     gain = boosted & ~baseline
 
-    if verify_bounds is None:
-        verify_bounds = game.report.satisfies_assumptions and not solver.dropped
-    if verify_bounds:
+    if game.report.satisfies_assumptions and not solver.dropped:
         whole = solver.min_horizon(full)
         for i in range(n):
             rest = full & ~(1 << i)

@@ -221,10 +221,7 @@ def check_feasible_partition(g, p, M=None):
     (cells t..T) intersected with M."""
     if M is None:
         M = g.all_vertices
-    union = 0
-    for c in p.cells:
-        union |= c
-    suffix = union & M
+    suffix = p.union() & M
     for cell in p.cells:
         focus = cell & M
         if focus.bit_count() > 1:

@@ -205,30 +205,32 @@ def _mspne_async(game, p, budget):
 # independent, so a deviation is deterred iff SOME continuation punishes it)
 
 
-def _spne_sync(game, T):
+def _spne(game, T, movers):
+    """SPNE outcomes of a T-stage game.  movers(t, state) is the set of players
+    who choose at stage t (0-based) given the committed profile `state`; the
+    stage moves to state | sub for any sub of it."""
     pay = game._payoff
-    full = game.all_players
     memo = {}
 
-    def vs(t, last):
-        key = (t, last)
+    def vs(t, state):
+        key = (t, state)
         got = memo.get(key)
         if got is not None:
             return got
-        if t == T + 1:
-            got = frozenset((last,))
+        if t == T:
+            got = frozenset((state,))
             memo[key] = got
             return got
         res = set()
-        free_all = full & ~last
-        for sub in submasks(free_all):
-            a = last | sub
+        free = movers(t, state)
+        for sub in submasks(free):
+            a = state | sub
             succ = vs(t + 1, a)
             if not succ:
                 continue
             deterred = True
             floors = {}
-            for i in bits(free_all):
+            for i in bits(free):
                 alt = vs(t + 1, a ^ (1 << i))
                 if not alt:
                     deterred = False
@@ -243,60 +245,14 @@ def _spne_sync(game, T):
         memo[key] = got
         return got
 
-    root = vs(1, 0)
+    root = vs(0, 0)
     # A pure SPNE must induce one on every subgame, including those reached
     # only by multi-player deviations; if any is empty, none exists at all.
-    for t in range(2, T + 1):
-        for last in range(full + 1):
-            if not vs(t, last):
-                return set()
-    return set(root)
-
-
-def _spne_async(game, p):
-    pay = game._payoff
-    cells = p.cells
-    T = len(cells)
-    memo = {}
-
-    def vs(t, committed):
-        key = (t, committed)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        if t == T:
-            got = frozenset((committed,))
-            memo[key] = got
-            return got
-        res = set()
-        for a in submasks(cells[t]):
-            succ = vs(t + 1, committed | a)
-            if not succ:
-                continue
-            ok = True
-            floors = {}
-            for i in bits(cells[t]):
-                alt = vs(t + 1, committed | (a ^ (1 << i)))
-                if not alt:
-                    ok = False
-                    break
-                floors[i] = min(pay(i, w) for w in alt)
-            if not ok:
-                continue
-            for v in succ:
-                if all(pay(i, v) >= floors[i] for i in floors):
-                    res.add(v)
-        got = frozenset(res)
-        memo[key] = got
-        return got
-
-    root = vs(0, 0)
-    prefix = 0
+    states = {0}
     for t in range(1, T):
-        prefix |= cells[t - 1]
-        for committed in submasks(prefix):
-            if not vs(t, committed):
-                return set()
+        states = {s | sub for s in states for sub in submasks(movers(t - 1, s))}
+        if not all(vs(t, s) for s in states):
+            return set()
     return set(root)
 
 
@@ -319,14 +275,15 @@ def enumerate_equilibria(game, schedule, mode="mspne", budget=DEFAULT_BUDGET):
         if mode == "mspne":
             return _mspne_sync(game, schedule.T, _Budget(budget))
         if mode == "spne":
-            return _spne_sync(game, schedule.T)
+            full = game.all_players
+            return _spne(game, schedule.T, lambda t, state: full & ~state)
     elif isinstance(schedule, Async):
         p = schedule.partition
         p.validate_cover(game.n)
         if mode == "mspne":
             return _mspne_async(game, p, _Budget(budget))
         if mode == "spne":
-            return _spne_async(game, p)
+            return _spne(game, p.horizon, lambda t, state: p.cells[t])
     else:
         raise ValueError("schedule must be Sync(T) or Async(partition)")
     raise ValueError(f"unknown mode {mode!r}")

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 from .core import (
     Context,
-    StageGame,
     aggregative_game,
     bits,
     is_ne,

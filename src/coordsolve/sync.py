@@ -12,17 +12,17 @@ stage (delete), or split off a strictly sufficient set (divide).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .core import (
     Context,
     bits,
     full_context,
-    is_ne,
     iterated_strict_elimination,
     members,
     ne_set,
+    sorted_coalitions,
     sss_set,
-    submasks,
 )
 from .errors import PreconditionError
 
@@ -41,6 +41,18 @@ class PolicyNode:
     value: int
 
 
+@dataclass
+class _Reduction:
+    """One context after iterated strict dominance: the reduced context, the
+    players forced to 1 and those forced to 0, and the context's per-player
+    horizons once `SyncSolver.horizons` has computed them."""
+
+    reduced: Context
+    forced: int
+    dropped: int
+    taus: MappingProxyType | None = None
+
+
 class SyncSolver:
     """Solver instance for one stage game; caches subgame values.
 
@@ -53,18 +65,18 @@ class SyncSolver:
     def __init__(self, game, use_sse=True):
         self.game = game
         self.use_sse = use_sse
-        least, greatest = iterated_strict_elimination(game.all_players, game._payoff)
-        self.forced_one = least
-        self.dropped = game.all_players & ~greatest
-        self.base = Context(greatest & ~least, least)
         self._memo = {}
         self._sss_cache = {}
         self._reduce_cache = {}
+        top = self._reduce()
+        self.base, self.forced_one, self.dropped = top.reduced, top.forced, top.dropped
 
     # -- context plumbing ---------------------------------------------------
 
-    def _reduce(self, ctx):
-        """Strip iterated strictly dominant actions from a context."""
+    def _reduce(self, ctx=None):
+        """Strip iterated strictly dominant actions from a context (the full
+        game by default); one cached _Reduction per context."""
+        ctx = ctx or full_context(self.game)
         key = (ctx.active, ctx.ones)
         got = self._reduce_cache.get(key)
         if got is None:
@@ -73,8 +85,7 @@ class SyncSolver:
                 ctx.active, lambda i, X: pay(i, X | ctx.ones)
             )
             reduced = Context(ctx.active & greatest & ~least, ctx.ones | least)
-            dropped = ctx.active & ~greatest
-            got = (reduced, least, dropped)
+            got = _Reduction(reduced, least, ctx.active & ~greatest)
             self._reduce_cache[key] = got
         return got
 
@@ -145,17 +156,14 @@ class SyncSolver:
     def min_horizon(self, targets, ctx=None):
         """Smallest horizon T such that every monotone-SPNE outcome of the
         T-stage game (in the given context) contains `targets`."""
-        if ctx is None:
-            reduced, forced, dropped = self.base, self.forced_one, self.dropped
-        else:
-            reduced, forced, dropped = self._reduce(ctx)
-        if targets & dropped:
-            bad = members(targets & dropped)
+        r = self._reduce(ctx)
+        if targets & r.dropped:
+            bad = members(targets & r.dropped)
             raise PreconditionError(
                 f"players {bad} have a strictly dominated action 1; "
                 "no horizon brings them in"
             )
-        return self._min_horizon_reduced(targets, reduced)
+        return self._min_horizon_reduced(targets, r.reduced)
 
     def _min_horizon_reduced(self, targets, reduced):
         want = targets & reduced.active
@@ -174,18 +182,27 @@ class SyncSolver:
             )
         return best
 
+    def horizons(self, ctx=None):
+        """{i: tau_i} over the context's active players (the full game by
+        default): the singleton horizon of each, 1 for a player forced in by
+        iterated dominance, None for one whose action 1 is iteratively
+        dominated.  Computed once per context; the mapping is read-only."""
+        r = self._reduce(ctx)
+        if r.taus is None:
+            r.taus = MappingProxyType({
+                i: None
+                if r.dropped >> i & 1
+                else self._min_horizon_reduced(1 << i, r.reduced)
+                for i in bits(r.reduced.active | r.forced | r.dropped)
+            })
+        return r.taus
+
     def least_outcome(self, T, ctx=None):
         """Players taking action 1 in every monotone-SPNE of the T-stage game:
-        the least equilibrium outcome."""
-        if ctx is None:
-            reduced, forced = self.base, self.forced_one
-            scope = self.game.all_players
-        else:
-            reduced, forced, _ = self._reduce(ctx)
-            scope = ctx.active
-        out = forced & scope
-        for i in bits(reduced.active):
-            if self._min_horizon_reduced(1 << i, reduced) <= T:
+        the least equilibrium outcome, forced | {i : tau_i <= T}."""
+        out = self._reduce(ctx).forced
+        for i, tau in self.horizons(ctx).items():
+            if tau is not None and tau <= T:
                 out |= 1 << i
         return out
 
@@ -198,19 +215,4 @@ class SyncSolver:
             residual = Context(S & ~X, O | X)
             if self.least_outcome(T, ctx=residual) == 0:
                 res.append(O | X)
-        return sorted(res, key=lambda m: (m.bit_count(), members(m)))
-
-
-# -- module-level conveniences ----------------------------------------------
-
-
-def min_horizon(game, targets, use_sse=True):
-    return SyncSolver(game, use_sse=use_sse).min_horizon(targets)
-
-
-def least_outcome(game, T, use_sse=True):
-    return SyncSolver(game, use_sse=use_sse).least_outcome(T)
-
-
-def outcome_set(game, T, use_sse=True):
-    return SyncSolver(game, use_sse=use_sse).outcome_set(T)
+        return sorted_coalitions(res)

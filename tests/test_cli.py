@@ -164,6 +164,23 @@ def test_phi_degenerate_all_dominant(tmp_path, capsys):
     assert payload == {"t": 1, "phi": [1, 2]}
 
 
+def test_tau_sss_matches_sse(tmp_path, capsys):
+    path = write_game(tmp_path, triangles_doc())
+    for target in ("1,2,3", "7", "1,2,3,4,5,6,7,8"):
+        argv = ["tau", "--game", path, "--target", target]
+        assert main(argv) == 0
+        sse = capsys.readouterr().out
+        assert main(argv + ["--sss"]) == 0
+        assert capsys.readouterr().out == sse
+
+
+def test_candidate_flags_only_where_read(tmp_path, capsys):
+    path = write_game(tmp_path, triangles_doc())
+    assert main(["check", "--game", path, "--sss"]) == 1
+    assert main(["horizons", "--game", path, "--sse"]) == 1
+    assert main(["phi", "--game", path, "--t", "2", "--sss"]) == 0
+
+
 def test_check_json_schema(tmp_path, capsys):
     path = write_game(
         tmp_path,

@@ -20,6 +20,8 @@ from util import (
     clique_edges,
     cross_pairs_game,
     hub_intervention_graph,
+    planted_game,
+    random_digraph,
     random_game,
     two_triangles_game,
 )
@@ -81,6 +83,32 @@ def test_clique_family_attains_growth_bound():
         assert len(ledger.candidates) == horizon_count_bound(game.n) - 1
 
 
+def degenerate_and_graph_games():
+    """Games with players forced in or out by iterated dominance, and
+    weakest-link games on random digraphs (sources are forced in)."""
+    rng = random.Random(188)
+    for _ in range(15):
+        yield planted_game(rng, rng.randint(1, 4))
+    for _ in range(15):
+        yield weakest_link_game(random_digraph(rng, rng.randint(2, 7), 0.3))
+
+
+def test_ledger_is_the_growth_loop():
+    forced = dropped = 0
+    for game in degenerate_and_graph_games():
+        solver = SyncSolver(game)
+        forced += solver.forced_one != 0
+        dropped += solver.dropped != 0
+        grown, prev = [], 0
+        for T in range(1, game.n + 1):
+            cur = solver.least_outcome(T)
+            if cur & ~prev:
+                grown.append((T, cur))
+            prev = cur
+        assert candidate_horizons(game).candidates == grown
+    assert forced >= 15 and dropped >= 15
+
+
 # -- centrality -----------------------------------------------------------------
 
 
@@ -117,6 +145,20 @@ def test_two_triangles_strong_centrality():
     for i in (0, 1, 2, 3, 4, 5):
         assert M[i][6] and M[i][7]
         assert not M[6][i]
+
+
+def test_weak_centrality_groups_singleton_horizons():
+    for game in degenerate_and_graph_games():
+        solver = SyncSolver(game)
+        groups = {}
+        for i in range(game.n):
+            if not (solver.dropped >> i) & 1:
+                tau = solver.min_horizon(1 << i)
+                groups[tau] = groups.get(tau, 0) | 1 << i
+        want = sorted(groups.items())
+        if solver.dropped:
+            want.append((None, solver.dropped))
+        assert weak_centrality(game) == want
 
 
 def test_strong_implies_weak():

@@ -23,6 +23,7 @@ from util import (
     free_rider_game,
     mixed_two_player_game,
     random_game,
+    random_partition,
     spillover_pair_games,
     two_triangles_game,
 )
@@ -114,12 +115,28 @@ def test_bad_schedule_arguments():
 
 def test_mspne_within_spne():
     rng = random.Random(2)
+    cell_rng = random.Random(22)
     for _ in range(10):
         game = random_game(rng, 3)
         for T in (1, 2):
             spne = enumerate_equilibria(game, Sync(T), mode="spne")
             mspne = enumerate_equilibria(game, Sync(T), mode="mspne")
             assert mspne <= spne
+        for _ in range(2):
+            p = Async(random_partition(cell_rng, 3))
+            assert enumerate_equilibria(game, p, mode="mspne") <= enumerate_equilibria(
+                game, p, mode="spne"
+            )
+
+
+def test_spne_empty_without_pure_subgame_equilibrium():
+    # matching pennies: player 0 matches, player 1 mismatches
+    game = table_game([[1, 0, 0, 1], [0, 1, 1, 0]])
+    for T in (1, 2, 3):
+        assert enumerate_equilibria(game, Sync(T), mode="spne") == set()
+    assert enumerate_equilibria(game, Async(Partition([3])), mode="spne") == set()
+    assert enumerate_equilibria(game, Async(Partition([1, 2])), mode="spne") == {1, 2}
+    assert enumerate_equilibria(game, Async(Partition([2, 1])), mode="spne") == {0, 3}
 
 
 def test_spne_outcomes_survive_iterated_dominance():

@@ -7,12 +7,14 @@ from coordsolve import (
     Digraph,
     PreconditionError,
     aggregative_game,
+    iesds,
     mask_of,
     members,
     ne_set,
     table_game,
     weakest_link_game,
 )
+from coordsolve.core import bits
 from coordsolve.graphical import threshold_game
 from coordsolve.sync import SyncSolver
 
@@ -20,6 +22,7 @@ from util import (
     cross_pairs_game,
     cycle_graph,
     hub_intervention_graph,
+    planted_game,
     random_game,
     random_rooted_digraph,
     random_threshold_vector,
@@ -227,6 +230,29 @@ def test_degenerate_reduction_matches_oracle():
             assert set(solver.outcome_set(T)) == enumerate_equilibria(
                 game, Sync(T), mode="mspne"
             )
+
+
+def test_horizons_match_singleton_min_horizon():
+    rng = random.Random(902)
+    for _ in range(20):
+        game = planted_game(rng, rng.randint(1, 4))
+        full = game.all_players
+        ones = rng.randrange(1 << game.n) & rng.randrange(1 << game.n)
+        for ctx in (None, Context(full & ~ones, ones)):
+            solver = SyncSolver(game)
+            forced, greatest = iesds(game, ctx)
+            scope = full if ctx is None else ctx.active
+            want = {
+                i: solver.min_horizon(1 << i, ctx=ctx) if (greatest >> i) & 1 else None
+                for i in bits(scope)
+            }
+            assert solver.horizons(ctx) == want
+            for T in range(game.n + 1):
+                least = forced
+                for i, tau in want.items():
+                    if tau is not None and tau <= T:
+                        least |= 1 << i
+                assert solver.least_outcome(T, ctx=ctx) == least
 
 
 def test_policy_tree_replays_its_value():

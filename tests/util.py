@@ -7,6 +7,7 @@ from fractions import Fraction
 from coordsolve import (
     AssumptionReport,
     Digraph,
+    Partition,
     Violation,
     aggregative_game,
     full_context,
@@ -211,6 +212,26 @@ def random_game(rng, n, spillovers=True):
             base = gamma * (Z & spill).bit_count()
             row.append(base + bit(X, i) * gain)
         rows.append(row)
+    return table_game(rows)
+
+
+def random_partition(rng, n):
+    """Random ordered partition of the n players into nonempty cells."""
+    order = rng.sample(range(n), n)
+    cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+    bounds = [0] + cuts + [n]
+    return Partition([mask_of(order[a:b]) for a, b in zip(bounds, bounds[1:])])
+
+
+def planted_game(rng, k):
+    """A random_game on k + 1 players whose last player is made to take action
+    1 unconditionally (the others may hinge on it), plus one appended player
+    whose action 1 is strictly dominated."""
+    base = random_game(rng, k + 1)
+    n, low = k + 2, (1 << (k + 1)) - 1
+    rows = [[base.payoff(i, X & low) for X in range(1 << n)] for i in range(k)]
+    rows.append([1 if (X >> k) & 1 else 0 for X in range(1 << n)])  # dominant 1
+    rows.append([-1 if (X >> (k + 1)) & 1 else 0 for X in range(1 << n)])  # dominant 0
     return table_game(rows)
 
 
