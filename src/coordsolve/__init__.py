@@ -13,6 +13,7 @@ from .core import (
     check_assumptions,
     full_context,
     iesds,
+    incentive_table,
     least_ne,
     mask_of,
     members,

@@ -462,6 +462,17 @@ def _cmd_oracle(args):
 # driver
 
 
+def _horizon(text):
+    """argparse type of every --t: a positive integer number of stages."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"horizon must be a positive integer, got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="coordsolve",
@@ -492,25 +503,25 @@ def build_parser():
     p = common(sub.add_parser("tau", help="minimum horizon guaranteeing a target"), sse=True)
     p.add_argument("--target", required=True, help="1-based players, e.g. 5,6,7")
     p = common(sub.add_parser("phi", help="least equilibrium outcome at a horizon"), sse=True)
-    p.add_argument("--t", type=int, required=True)
+    p.add_argument("--t", type=_horizon, required=True)
     p = common(sub.add_parser("outcomes", help="all equilibrium outcomes at a horizon"), sse=True)
-    p.add_argument("--t", type=int, required=True)
+    p.add_argument("--t", type=_horizon, required=True)
     p = common(sub.add_parser("treedepth", help="directed tree-depth of a graph"), game=False)
     p.add_argument("--graph", required=True, help="graph document (JSON)")
     p = common(sub.add_parser("design", help="optimal asynchronous schedule"))
-    p.add_argument("--t", type=int, required=True)
+    p.add_argument("--t", type=_horizon, required=True)
     p = common(sub.add_parser("async-solve", help="backward elimination on a schedule"))
     p.add_argument("--partition", required=True, help="JSON cells or file path")
     common(sub.add_parser("centrality", help="weak and strong centrality"))
     common(sub.add_parser("horizons", help="candidate horizons for a principal"))
     p = common(sub.add_parser("intervene", help="marginal gain from subsidising players"))
     p.add_argument("--subsidized", required=True, help="1-based players")
-    p.add_argument("--t", type=int, required=True)
+    p.add_argument("--t", type=_horizon, required=True)
     p = common(sub.add_parser("ordered", help="order classification and fast horizon"))
     p.add_argument("--target", default=None, help="1-based players (optional)")
     p = common(sub.add_parser("oracle", help="brute-force equilibrium outcomes"))
     p.add_argument("--mode", choices=["spne", "mspne"], default="mspne")
-    p.add_argument("--t", type=int, default=None, help="synchronous horizon")
+    p.add_argument("--t", type=_horizon, default=None, help="synchronous horizon")
     p.add_argument("--partition", default=None, help="asynchronous cells")
     return parser
 

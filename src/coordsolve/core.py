@@ -305,6 +305,79 @@ def _equal_top_subset(t, m, r0, r1):
 
 
 # ---------------------------------------------------------------------------
+# incentive table: who strictly gains from action 1, coalition by coalition
+
+
+def incentive_table(game, ctx=None):
+    """Every strict preference between the two actions, in one pass of
+    k 2^(k-1) payoff comparisons for the k active players of the context
+    (the full game by default).
+
+    Returns (gainers, losers), two lists indexed by coalition mask C:
+    gainers[C] holds the players i who strictly prefer action 1 when exactly
+    C minus i plays 1, losers[C] those who strictly prefer action 0.  Whether
+    i itself belongs to C makes no difference, so a context (S, O) reads
+    profile X <= S at index X | O.  Only the context's coalitions are filled;
+    every other entry is 0.
+    """
+    if ctx is None:
+        ctx = full_context(game)
+    pay = game._payoff
+    gainers = [0] * (1 << game.n)
+    losers = [0] * (1 << game.n)
+    for i in bits(ctx.active):
+        bit = 1 << i
+        for X in submasks(ctx.active & ~bit):
+            low = X | ctx.ones
+            high = low | bit
+            a0 = pay(i, low)
+            a1 = pay(i, high)
+            if a1 > a0:
+                gainers[low] |= bit
+                gainers[high] |= bit
+            elif a0 > a1:
+                losers[low] |= bit
+                losers[high] |= bit
+    return gainers, losers
+
+
+def sss_scan(gainers, S, O, require_ne=False):
+    """Strictly sufficient sets of the context (S, O), read off an incentive
+    table: nonempty X <= S whose members all gain at X | O, and, when
+    require_ne, no other member of S does (then X is also a Nash profile:
+    a gainer never strictly prefers action 0).  Ordered by (cardinality,
+    lexicographic)."""
+    out = []
+    X = S
+    if require_ne:
+        while X:
+            if gainers[X | O] & S == X:
+                out.append(X)
+            X = (X - 1) & S
+    else:
+        while X:
+            if gainers[X | O] & X == X:
+                out.append(X)
+            X = (X - 1) & S
+    return sorted_coalitions(out)
+
+
+def ne_scan(gainers, losers, S, O):
+    """Pure Nash profiles X <= S of the context (S, O), read off an incentive
+    table: no member of X strictly prefers action 0 and no other member of S
+    strictly prefers action 1.  Ordered by (cardinality, lexicographic)."""
+    out = []
+    X = S
+    while True:
+        C = X | O
+        if not (X & losers[C] or S & ~X & gainers[C]):
+            out.append(X)
+        if X == 0:
+            return sorted_coalitions(out)
+        X = (X - 1) & S
+
+
+# ---------------------------------------------------------------------------
 # Nash machinery
 
 
@@ -352,13 +425,15 @@ def is_ne(game, ctx, X):
 
 
 def ne_set(game, ctx=None):
-    """All pure Nash equilibria of the contextual game, by brute force.
+    """All pure Nash equilibria of the contextual game, by brute force over
+    the context's incentive table (see ne_scan).
 
     Returned in (cardinality, lexicographic) order.
     """
     if ctx is None:
         ctx = full_context(game)
-    return sorted_coalitions(X for X in submasks(ctx.active) if is_ne(game, ctx, X))
+    gainers, losers = incentive_table(game, ctx)
+    return ne_scan(gainers, losers, ctx.active, ctx.ones)
 
 
 def iterated_strict_elimination(players_mask, pay):
@@ -414,22 +489,12 @@ def sss_set(game, ctx=None, require_ne=False):
     Nonempty X <= S whose members all strictly prefer joint action 1 over
     unilaterally staying out; intersected with the Nash set when require_ne
     (the equilibrium variant).  Ordered by (cardinality, lexicographic).
+    Scans the context's incentive table; see sss_scan.
     """
     if ctx is None:
         ctx = full_context(game)
-    pay = _ctx_pay(game, ctx)
-    out = []
-    for X in submasks(ctx.active):
-        if X == 0:
-            continue
-        ok = True
-        for i in bits(X):
-            if not pay(i, X) > pay(i, X & ~(1 << i)):
-                ok = False
-                break
-        if ok and (not require_ne or is_ne(game, ctx, X)):
-            out.append(X)
-    return sorted_coalitions(out)
+    gainers, _ = incentive_table(game, ctx)
+    return sss_scan(gainers, ctx.active, ctx.ones, require_ne)
 
 
 # ---------------------------------------------------------------------------

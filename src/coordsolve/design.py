@@ -88,7 +88,7 @@ def intervention(game, subsidized, T, solver=None):
         boosted = solver.least_outcome(T, ctx=Context(full & ~subsidized, subsidized))
     gain = boosted & ~baseline
 
-    if game.report.satisfies_assumptions and not solver.dropped:
+    if not solver.dropped and game.report.satisfies_assumptions:
         whole = solver.min_horizon(full)
         for i in range(n):
             rest = full & ~(1 << i)

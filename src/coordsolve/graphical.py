@@ -150,12 +150,9 @@ def reduce_to_weakest_link(game, solver=None):
     remaining = game.all_players
     done = 0
     while done != solver.forced_one:
-        step = None
-        for i in bits(solver.forced_one & ~done):
-            if game._payoff(i, done | (1 << i)) > game._payoff(i, done):
-                step = i
-                break
-        assert step is not None, "forced-one cascade stalled"
+        willing = solver.forced_one & ~done & solver.gainers[done]
+        assert willing, "forced-one cascade stalled"
+        step = (willing & -willing).bit_length() - 1
         remaining &= ~(1 << step)
         for j in bits(remaining):
             edges.add((step, j))

@@ -18,11 +18,12 @@ from .core import (
     Context,
     bits,
     full_context,
-    iterated_strict_elimination,
+    iesds,
+    incentive_table,
     members,
-    ne_set,
+    ne_scan,
     sorted_coalitions,
-    sss_set,
+    sss_scan,
 )
 from .errors import PreconditionError
 
@@ -56,15 +57,18 @@ class _Reduction:
 class SyncSolver:
     """Solver instance for one stage game; caches subgame values.
 
-    Degenerate players (strictly dominant actions, iterated) are stripped
-    first and folded into the base context: forced ones join the forced set,
-    forced zeros leave the game.  A solver instance is not thread-safe, but
-    distinct instances are independent.
+    The game is compiled once into its incentive table (`gainers`, `losers`;
+    see core.incentive_table), and the candidate, dominance and Nash scans
+    read only that.  Degenerate players (strictly dominant actions, iterated)
+    are stripped first and folded into the base context: forced ones join
+    the forced set, forced zeros leave the game.  A solver instance is not
+    thread-safe, but distinct instances are independent.
     """
 
     def __init__(self, game, use_sse=True):
         self.game = game
         self.use_sse = use_sse
+        self.gainers, self.losers = incentive_table(game)
         self._memo = {}
         self._sss_cache = {}
         self._reduce_cache = {}
@@ -80,10 +84,7 @@ class SyncSolver:
         key = (ctx.active, ctx.ones)
         got = self._reduce_cache.get(key)
         if got is None:
-            pay = self.game._payoff
-            least, greatest = iterated_strict_elimination(
-                ctx.active, lambda i, X: pay(i, X | ctx.ones)
-            )
+            least, greatest = iesds(self.game, ctx)
             reduced = Context(ctx.active & greatest & ~least, ctx.ones | least)
             got = _Reduction(reduced, least, ctx.active & ~greatest)
             self._reduce_cache[key] = got
@@ -93,7 +94,7 @@ class SyncSolver:
         key = (S, O)
         got = self._sss_cache.get(key)
         if got is None:
-            got = sss_set(self.game, Context(S, O), require_ne=self.use_sse)
+            got = sss_scan(self.gainers, S, O, self.use_sse)
             self._sss_cache[key] = got
         return got
 
@@ -109,21 +110,16 @@ class SyncSolver:
         if node is not None:
             return node
 
-        pay = self.game._payoff
+        # dominate, for free, the lowest active player who strictly gains
+        # already when just O2 plays 1; repeat
+        gainers = self.gainers
         chain = []
         S2, O2 = S, O
-        while True:
-            dom = None
-            for i in bits(S2):
-                bit = 1 << i
-                if pay(i, O2 | bit) > pay(i, O2):
-                    dom = i
-                    break
-            if dom is None:
-                break
-            chain.append(dom)
-            S2 &= ~(1 << dom)
-            O2 |= 1 << dom
+        while willing := S2 & gainers[O2]:
+            low = willing & -willing
+            chain.append(low.bit_length() - 1)
+            S2 ^= low
+            O2 |= low
 
         if S2 == 0:
             node = PolicyNode("stop", None, None, (), 1)
@@ -211,7 +207,7 @@ class SyncSolver:
         residual game forces nobody in within the remaining T stages."""
         res = []
         S, O = self.base.active, self.base.ones
-        for X in ne_set(self.game, self.base):
+        for X in ne_scan(self.gainers, self.losers, S, O):
             residual = Context(S & ~X, O | X)
             if self.least_outcome(T, ctx=residual) == 0:
                 res.append(O | X)

@@ -297,6 +297,30 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert main(["ne", "--game", str(path)]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["phi"],
+        ["outcomes"],
+        ["design"],
+        ["intervene", "--subsidized", "1"],
+        ["oracle", "--mode", "spne"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_horizon_must_be_positive(tmp_path, capsys, argv):
+    # every player has action 1 strictly dominant, so only the horizon is wrong
+    path = write_game(
+        tmp_path, {"players": 2, "kind": "table", "payoffs": [[0, 1, 0, 2], [0, 0, 1, 2]]}
+    )
+    for t in ("0", "-2"):
+        assert main(argv + ["--game", path, "--t", t, "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"horizon must be a positive integer, got {t}" in captured.err
+    assert main(argv + ["--game", path, "--t", "1", "--json"]) == 0
+
+
 def test_precondition_exit_code(tmp_path, capsys):
     # player 2's action 1 strictly dominated: tau on it must fail with code 2
     doc = {

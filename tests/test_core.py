@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +11,7 @@ from coordsolve import (
     check_assumptions,
     full_context,
     iesds,
+    incentive_table,
     least_ne,
     mask_of,
     members,
@@ -20,16 +20,20 @@ from coordsolve import (
     table_game,
     weakest_link_game,
 )
-from coordsolve.core import bits
+from coordsolve.core import bits, ne_scan, sss_scan
 
 from util import (
+    EXACT_PAYOFFS,
     check_assumptions_reference,
     cross_pairs_game,
     cycle_graph,
     mixed_two_player_game,
+    ne_set_reference,
     random_game,
     random_rooted_digraph,
+    sss_set_reference,
     star_graph,
+    tables_with_contexts,
     tie_break_violation_game,
     two_triangles_game,
 )
@@ -136,9 +140,7 @@ def test_witnesses_replay_as_violations():
 
 # Small ranges so that ties, which the checks treat apart from strict
 # inequalities, are common.
-_payoffs = st.sampled_from(
-    [-2, -1, 0, 1, 2, Fraction(-3, 2), Fraction(-1, 2), Fraction(1, 2), Fraction(1), Fraction(4, 3)]
-)
+_payoffs = EXACT_PAYOFFS
 
 
 @st.composite
@@ -297,3 +299,47 @@ def test_sss_excludes_empty_and_orders_by_size():
     assert 0 not in out
     sizes = [m.bit_count() for m in out]
     assert sizes == sorted(sizes)
+
+
+# -- the incentive table and the scans that read it ---------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables_with_contexts())
+def test_incentive_table_matches_payoffs_cell_by_cell(case):
+    game, ctx = case
+    full = incentive_table(game)
+    part = incentive_table(game, ctx)
+    for C in range(1 << game.n):
+        in_ctx = C & ~ctx.active == ctx.ones
+        for i in range(game.n):
+            bit = 1 << i
+            a0, a1 = game.payoff(i, C & ~bit), game.payoff(i, C | bit)
+            assert bool(full[0][C] & bit) == (a1 > a0)
+            assert bool(full[1][C] & bit) == (a0 > a1)
+            live = in_ctx and ctx.active & bit
+            assert bool(part[0][C] & bit) == bool(live and a1 > a0)
+            assert bool(part[1][C] & bit) == bool(live and a0 > a1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables_with_contexts(), st.booleans())
+def test_sss_set_matches_raw_payoff_reference(case, require_ne):
+    game, ctx = case
+    want = sss_set_reference(game, ctx, require_ne)
+    assert sss_set(game, ctx, require_ne) == want
+    gainers, _ = incentive_table(game)
+    assert sss_scan(gainers, ctx.active, ctx.ones, require_ne) == want
+    if ctx.active == game.all_players:
+        assert sss_set(game, require_ne=require_ne) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables_with_contexts())
+def test_ne_set_matches_raw_payoff_reference(case):
+    game, ctx = case
+    want = ne_set_reference(game, ctx)
+    assert ne_set(game, ctx) == want
+    assert ne_scan(*incentive_table(game), ctx.active, ctx.ones) == want
+    if ctx.active == game.all_players:
+        assert ne_set(game) == want

@@ -213,3 +213,13 @@ def test_single_subsidy_sandwich_random():
         game = random_game(rng, rng.randint(2, 6))
         # intervention re-derives the bounds internally and raises on failure
         intervention(game, 1 << rng.randrange(game.n), rng.randint(1, 3))
+
+
+def test_dominated_player_skips_the_assumption_report():
+    # the sandwich check never runs with a dominated player, so its report
+    # must not be computed either
+    game = planted_game(random.Random(3), 3)
+    solver = SyncSolver(game)
+    assert solver.dropped
+    intervention(game, 1, 1, solver=solver)
+    assert "report" not in game.__dict__

@@ -134,6 +134,20 @@ def test_single_player_reduction():
     assert tree_depth(sg.graph)[0] == 1
 
 
+def test_forced_one_cascade_runs_lowest_player_first():
+    # player 2 plays 1 outright; players 0 and 1 each want 1 once anyone else
+    # does, so both join at the second step of the cascade.  Taking 0 before 1
+    # gives 0 the edge from 2 and 1 the edge from 0.
+    rows = [
+        [((X >> i) & 1) * (2 * bool(X & ~(1 << i)) - 1) for X in range(8)]
+        for i in (0, 1)
+    ]
+    game = table_game(rows + [[(X >> 2) & 1 for X in range(8)]])
+    solver = SyncSolver(game)
+    assert solver.forced_one == game.all_players
+    assert sorted(reduce_to_weakest_link(game, solver=solver).graph.edges) == [(0, 1), (2, 0)]
+
+
 def test_reduction_idempotent_on_weakest_link():
     rng = random.Random(2024)
     for _ in range(15):

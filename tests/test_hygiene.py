@@ -1,6 +1,6 @@
 """Static checks on the package sources that need no linter: every module
 uses each name it imports (the package `__init__` re-exports, so it is
-exempt)."""
+exempt), and the layers above the incentive table never read raw payoffs."""
 
 import ast
 from pathlib import Path
@@ -37,3 +37,26 @@ def test_detector_finds_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# Modules whose stage-game facts all come from the solver's incentive table.
+TABLE_READERS = ("sync.py", "design.py")
+
+
+def payoff_reads(source):
+    """Line numbers of every `._payoff` attribute access."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "_payoff"
+    ]
+
+
+def test_detector_finds_payoff_reads():
+    source = "pay = game._payoff\nx = game.payoff(0, 1)\ny = f(g)._payoff(0, 1)\n"
+    assert payoff_reads(source) == [1, 3]
+
+
+@pytest.mark.parametrize("name", TABLE_READERS)
+def test_no_raw_payoff_reads(name):
+    assert payoff_reads((SRC / name).read_text()) == []

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coordsolve import (
     Context,
@@ -21,12 +22,14 @@ from coordsolve.sync import SyncSolver
 from util import (
     cross_pairs_game,
     cycle_graph,
+    dominate_chain_reference,
     hub_intervention_graph,
     planted_game,
     random_game,
     random_rooted_digraph,
     random_threshold_vector,
     star_graph,
+    tables_with_contexts,
     two_triangles_game,
 )
 
@@ -274,3 +277,18 @@ def test_policy_tree_replays_its_value():
         solver = SyncSolver(game)
         node = solver.policy()
         assert replay(node) == node.value
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables_with_contexts(), st.booleans())
+def test_dominate_chain_matches_raw_payoff_reference(case, use_sse):
+    """The free dominate steps at the head of value(S, O), read off the
+    incentive table, are the raw-payoff cascade, on games that need not
+    satisfy any assumption."""
+    game, ctx = case
+    node = SyncSolver(game, use_sse=use_sse).value(ctx.active, ctx.ones)
+    chain = []
+    while node.op == "dominate":
+        chain.append(node.player)
+        node = node.children[0]
+    assert chain == dominate_chain_reference(game, ctx.active, ctx.ones)

@@ -4,8 +4,11 @@ implementations used to cross-check the solvers."""
 
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from coordsolve import (
     AssumptionReport,
+    Context,
     Digraph,
     Partition,
     Violation,
@@ -15,7 +18,7 @@ from coordsolve import (
     table_game,
     weakest_link_game,
 )
-from coordsolve.core import bits, submasks
+from coordsolve.core import bits, sorted_coalitions, submasks
 
 
 def bit(X, i):
@@ -301,6 +304,76 @@ def check_assumptions_reference(game, ctx=None):
                     break
                 low = (low - 1) & high
     return rep
+
+
+# Small ranges so that ties, which strict preferences skip, are common.
+EXACT_PAYOFFS = st.sampled_from(
+    [-2, -1, 0, 1, 2, Fraction(-3, 2), Fraction(-1, 2), Fraction(1, 2), Fraction(1), Fraction(4, 3)]
+)
+
+
+@st.composite
+def tables_with_contexts(draw):
+    """An unconstrained exact table game on 1..6 players (ties and
+    Fractions, no stage assumption enforced) and a random Context of it."""
+    n = draw(st.integers(1, 6))
+    rows = [draw(st.lists(EXACT_PAYOFFS, min_size=1 << n, max_size=1 << n)) for _ in range(n)]
+    active = draw(st.integers(0, (1 << n) - 1))
+    ones = draw(st.integers(0, (1 << n) - 1)) & ~active
+    return table_game(rows), Context(active, ones)
+
+
+def _gains(game, ones, i, X):
+    """Does i strictly gain from action 1 when exactly X | ones (less i)
+    plays 1?"""
+    others = (X | ones) & ~(1 << i)
+    return game.payoff(i, others | 1 << i) > game.payoff(i, others)
+
+
+def is_ne_reference(game, ctx, X):
+    """Nobody active gains by a unilateral flip from X | ctx.ones."""
+    for i in bits(ctx.active):
+        here = game.payoff(i, X | ctx.ones)
+        if game.payoff(i, (X ^ 1 << i) | ctx.ones) > here:
+            return False
+    return True
+
+
+def ne_set_reference(game, ctx=None):
+    """Pure Nash profiles of the contextual game, straight from payoffs."""
+    if ctx is None:
+        ctx = full_context(game)
+    return sorted_coalitions(X for X in submasks(ctx.active) if is_ne_reference(game, ctx, X))
+
+
+def sss_set_reference(game, ctx=None, require_ne=False):
+    """Strictly sufficient sets of the contextual game, straight from
+    payoffs: nonempty X whose members all gain at X, Nash ones only when
+    require_ne."""
+    if ctx is None:
+        ctx = full_context(game)
+    out = []
+    for X in submasks(ctx.active):
+        if X == 0:
+            continue
+        if all(_gains(game, ctx.ones, i, X) for i in bits(X)):
+            if not require_ne or is_ne_reference(game, ctx, X):
+                out.append(X)
+    return sorted_coalitions(out)
+
+
+def dominate_chain_reference(game, S, O):
+    """The players SyncSolver.value folds in for free from context (S, O),
+    in order: repeatedly the lowest active player who strictly gains when
+    only the forced ones play 1."""
+    chain = []
+    while True:
+        dom = next((i for i in bits(S) if _gains(game, O, i, 0)), None)
+        if dom is None:
+            return chain
+        chain.append(dom)
+        S &= ~(1 << dom)
+        O |= 1 << dom
 
 
 def _kosaraju(nodes, succ):
