@@ -308,27 +308,22 @@ def _equal_top_subset(t, m, r0, r1):
 # incentive table: who strictly gains from action 1, coalition by coalition
 
 
-def incentive_table(game, ctx=None):
+def incentive_table(game):
     """Every strict preference between the two actions, in one pass of
-    k 2^(k-1) payoff comparisons for the k active players of the context
-    (the full game by default).
+    n 2^(n-1) payoff comparisons.
 
     Returns (gainers, losers), two lists indexed by coalition mask C:
     gainers[C] holds the players i who strictly prefer action 1 when exactly
     C minus i plays 1, losers[C] those who strictly prefer action 0.  Whether
     i itself belongs to C makes no difference, so a context (S, O) reads
-    profile X <= S at index X | O.  Only the context's coalitions are filled;
-    every other entry is 0.
+    profile X <= S at index X | O.
     """
-    if ctx is None:
-        ctx = full_context(game)
     pay = game._payoff
     gainers = [0] * (1 << game.n)
     losers = [0] * (1 << game.n)
-    for i in bits(ctx.active):
+    for i in range(game.n):
         bit = 1 << i
-        for X in submasks(ctx.active & ~bit):
-            low = X | ctx.ones
+        for low in submasks(game.all_players & ~bit):
             high = low | bit
             a0 = pay(i, low)
             a1 = pay(i, high)
@@ -348,17 +343,12 @@ def sss_scan(gainers, S, O, require_ne=False):
     a gainer never strictly prefers action 0).  Ordered by (cardinality,
     lexicographic)."""
     out = []
+    rest = S if require_ne else 0
     X = S
-    if require_ne:
-        while X:
-            if gainers[X | O] & S == X:
-                out.append(X)
-            X = (X - 1) & S
-    else:
-        while X:
-            if gainers[X | O] & X == X:
-                out.append(X)
-            X = (X - 1) & S
+    while X:
+        if gainers[X | O] & (X | rest) == X:
+            out.append(X)
+        X = (X - 1) & S
     return sorted_coalitions(out)
 
 
@@ -426,13 +416,13 @@ def is_ne(game, ctx, X):
 
 def ne_set(game, ctx=None):
     """All pure Nash equilibria of the contextual game, by brute force over
-    the context's incentive table (see ne_scan).
+    the game's incentive table (see ne_scan).
 
     Returned in (cardinality, lexicographic) order.
     """
     if ctx is None:
         ctx = full_context(game)
-    gainers, losers = incentive_table(game, ctx)
+    gainers, losers = incentive_table(game)
     return ne_scan(gainers, losers, ctx.active, ctx.ones)
 
 
@@ -489,11 +479,11 @@ def sss_set(game, ctx=None, require_ne=False):
     Nonempty X <= S whose members all strictly prefer joint action 1 over
     unilaterally staying out; intersected with the Nash set when require_ne
     (the equilibrium variant).  Ordered by (cardinality, lexicographic).
-    Scans the context's incentive table; see sss_scan.
+    Scans the game's incentive table; see sss_scan.
     """
     if ctx is None:
         ctx = full_context(game)
-    gainers, _ = incentive_table(game, ctx)
+    gainers, _ = incentive_table(game)
     return sss_scan(gainers, ctx.active, ctx.ones, require_ne)
 
 

@@ -18,7 +18,7 @@ from coordsolve import (
     table_game,
     weakest_link_game,
 )
-from coordsolve.core import bits, sorted_coalitions, submasks
+from coordsolve.core import bits, is_ne, sorted_coalitions, submasks
 
 
 def bit(X, i):
@@ -330,20 +330,11 @@ def _gains(game, ones, i, X):
     return game.payoff(i, others | 1 << i) > game.payoff(i, others)
 
 
-def is_ne_reference(game, ctx, X):
-    """Nobody active gains by a unilateral flip from X | ctx.ones."""
-    for i in bits(ctx.active):
-        here = game.payoff(i, X | ctx.ones)
-        if game.payoff(i, (X ^ 1 << i) | ctx.ones) > here:
-            return False
-    return True
-
-
 def ne_set_reference(game, ctx=None):
     """Pure Nash profiles of the contextual game, straight from payoffs."""
     if ctx is None:
         ctx = full_context(game)
-    return sorted_coalitions(X for X in submasks(ctx.active) if is_ne_reference(game, ctx, X))
+    return sorted_coalitions(X for X in submasks(ctx.active) if is_ne(game, ctx, X))
 
 
 def sss_set_reference(game, ctx=None, require_ne=False):
@@ -357,7 +348,7 @@ def sss_set_reference(game, ctx=None, require_ne=False):
         if X == 0:
             continue
         if all(_gains(game, ctx.ones, i, X) for i in bits(X)):
-            if not require_ne or is_ne_reference(game, ctx, X):
+            if not require_ne or is_ne(game, ctx, X):
                 out.append(X)
     return sorted_coalitions(out)
 
