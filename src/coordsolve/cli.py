@@ -24,7 +24,7 @@ from .core import (
     sorted_coalitions,
     table_game,
 )
-from .digraph import Digraph, partition_from_treedepth, tree_depth
+from .digraph import Digraph, partition_from_certificate, tree_depth
 from .errors import PreconditionError, ResourceLimitError
 from .graphical import threshold_game, weakest_link_game
 from .sync import SyncSolver
@@ -312,7 +312,7 @@ def _cmd_outcomes(args):
 def _cmd_treedepth(args):
     g = load_graph(args.graph)
     value, cert = tree_depth(g)
-    p = partition_from_treedepth(g, max(value, 1))
+    p = partition_from_certificate(cert, max(value, 1))
     lines = [f"tree-depth: {value}"]
     lines += [f"  level {t + 1}: {_disp(c)}" for t, c in enumerate(p.cells)]
     _emit(

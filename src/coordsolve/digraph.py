@@ -45,12 +45,25 @@ class Digraph:
         return f"Digraph(n={self.n}, edges={sorted(self.edges)})"
 
 
+def _check_mask(g, mask, name):
+    """Reject a vertex mask with bits beyond g's vertices 0..n-1."""
+    if mask < 0:
+        raise ValueError(f"{name} mask {mask} is negative")
+    stray = mask >> g.n << g.n
+    if stray:
+        raise ValueError(
+            f"{name} mask has bits {list(members(stray))} outside the "
+            f"graph's vertices 0..{g.n - 1}"
+        )
+
+
 def scc(g, vertices=None):
     """Strongly connected components of the induced subgraph, as masks in a
     topological order of the condensation (sources first).  Singletons count
     as strongly connected."""
     if vertices is None:
         vertices = g.all_vertices
+    _check_mask(g, vertices, "vertices")
     index = {}
     low = {}
     on_stack = 0
@@ -107,6 +120,8 @@ def reach(g, targets, vertices=None):
     included, so R(X) contains X).  Predecessor closure."""
     if vertices is None:
         vertices = g.all_vertices
+    _check_mask(g, targets, "targets")
+    _check_mask(g, vertices, "vertices")
     seen = targets & vertices
     frontier = seen
     pred = g._pred
@@ -144,46 +159,96 @@ class EliminationTree:
         return max(c.depth for c in self.children)
 
 
+def _closure(adj, start, within):
+    """Vertices of `within` reachable from `start` along `adj` (start
+    included, which must lie in `within`)."""
+    seen = frontier = start
+    while frontier:
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            nxt |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = nxt & within & ~seen
+        seen |= frontier
+    return seen
+
+
+def _components(succ, pred, mask):
+    """SCC masks of the subgraph induced on `mask`, in no particular order."""
+    comps = []
+    while mask:
+        start = mask & -mask
+        # A vertex reachable from `start` that also reaches it has every path
+        # back inside the forward closure, so the backward pass stays there.
+        comp = _closure(pred, start, _closure(succ, start, mask))
+        comps.append(comp)
+        mask &= ~comp
+    return comps
+
+
 def tree_depth(g, vertices=None):
     """Exact directed tree-depth of the induced subgraph, with certificate.
 
     td(empty)=0, td(singleton)=1; a strongly connected block with >=2 vertices
     costs 1 plus the best vertex removal; otherwise the value is the max over
-    SCC subgraphs.  Memoized exhaustive search over vertex subsets; removal
-    candidates are scanned in ascending index so certificates are
-    deterministic.
+    SCC subgraphs.  The search keeps one int memo, mask -> depth, over every
+    induced subgraph it reaches, so each is split into SCCs (by bitset
+    closures) once; for each strongly connected block it records the removed
+    vertex: the first, in ascending index, of strictly least depth, stopping
+    at depth 2, the least a non-singleton block can have.  The certificate is
+    then built once along the recorded vertices, with split nodes listing
+    their blocks in the topological order of `scc`.
     """
     if vertices is None:
         vertices = g.all_vertices
-    memo = {}
+    _check_mask(g, vertices, "vertices")
+    succ, pred = g._succ, g._pred
+    memo = {0: 0}
+    removed = {}
 
-    def solve(mask):
+    def depth(mask):
+        value = memo.get(mask)
+        if value is None:
+            value = max(block_depth(c) for c in _components(succ, pred, mask))
+            memo[mask] = value
+        return value
+
+    def block_depth(block):
+        if block.bit_count() == 1:
+            return 1
+        best = memo.get(block)
+        if best is not None:
+            return best
+        rest = block
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            cand = 1 + depth(block ^ low)
+            if best is None or cand < best:
+                best = cand
+                removed[block] = low.bit_length() - 1
+                if best == 2:
+                    break
+        memo[block] = best
+        return best
+
+    def certificate(mask):
         if mask == 0:
             return EliminationTree(0, None, ())
         comps = scc(g, mask)
         if len(comps) == 1:
-            return solve_scc(comps[0])
-        return EliminationTree(mask, None, tuple(solve_scc(c) for c in comps))
+            return block_certificate(mask)
+        return EliminationTree(mask, None, tuple(block_certificate(c) for c in comps))
 
-    def solve_scc(mask):
-        if mask.bit_count() == 1:
-            return EliminationTree(mask, mask.bit_length() - 1, ())
-        node = memo.get(mask)
-        if node is not None:
-            return node
-        best = None
-        for v in bits(mask):
-            child = solve(mask & ~(1 << v))
-            cand = EliminationTree(mask, v, (child,))
-            if best is None or cand.depth < best.depth:
-                best = cand
-                if best.depth == 2:  # minimum possible for a non-singleton SCC
-                    break
-        memo[mask] = best
-        return best
+    def block_certificate(block):
+        if block.bit_count() == 1:
+            return EliminationTree(block, block.bit_length() - 1, ())
+        v = removed[block]
+        return EliminationTree(block, v, (certificate(block & ~(1 << v)),))
 
-    cert = solve(vertices)
-    return cert.depth, cert
+    value = depth(vertices)
+    return value, certificate(vertices)
 
 
 def _levels(tree):
@@ -202,17 +267,22 @@ def _levels(tree):
     return merged
 
 
-def partition_from_treedepth(g, T, vertices=None):
-    """A T-cell schedule certified by the elimination tree: the removed vertex
+def partition_from_certificate(cert, T):
+    """The T-cell schedule an elimination tree certifies: the removed vertex
     goes to the earliest free slot, SCC siblings are merged slot-wise.  Cells
     beyond the tree's depth are left empty (trailing padding).  No two
     same-cell vertices are strongly connected in the suffix subgraph."""
-    value, cert = tree_depth(g, vertices)
-    if value > T:
-        raise PreconditionError(f"tree-depth {value} exceeds requested horizon {T}")
     cells = _levels(cert)
+    if len(cells) > T:
+        raise PreconditionError(f"tree-depth {len(cells)} exceeds requested horizon {T}")
     cells += [0] * (T - len(cells))
     return Partition(cells)
+
+
+def partition_from_treedepth(g, T, vertices=None):
+    """`partition_from_certificate` of the tree-depth certificate of the
+    subgraph induced on `vertices`."""
+    return partition_from_certificate(tree_depth(g, vertices)[1], T)
 
 
 def check_feasible_partition(g, p, M=None):

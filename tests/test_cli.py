@@ -211,6 +211,34 @@ def test_treedepth_subcommand(tmp_path, capsys):
     assert sorted(len(level) for level in payload["levels"]) == [1, 1, 1, 1]
 
 
+def test_treedepth_searches_once(tmp_path, capsys, monkeypatch):
+    from coordsolve import cli, digraph
+
+    searches = []
+    search = digraph.tree_depth
+
+    def counting(*args):
+        searches.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(cli, "tree_depth", counting)
+    monkeypatch.setattr(digraph, "tree_depth", counting)
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"n": 4, "edges": clique_edges(4)}))
+    assert main(["treedepth", "--graph", str(path)]) == 0
+    assert len(searches) == 1
+    assert capsys.readouterr().out.startswith("tree-depth: 4\n")
+
+
+def test_treedepth_empty_graph(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"n": 0, "edges": []}))
+    assert main(["treedepth", "--graph", str(path)]) == 0
+    assert capsys.readouterr().out == "tree-depth: 0\n  level 1: []\n"
+    code, payload = run_json(capsys, ["treedepth", "--graph", str(path), "--json"])
+    assert (code, payload) == (0, {"levels": [[]], "tree_depth": 0})
+
+
 def test_treedepth_malformed_graph_exit_code(tmp_path, capsys):
     path = tmp_path / "g.json"
     path.write_text(json.dumps({"n": 2, "edges": 5}))

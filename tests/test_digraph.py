@@ -1,6 +1,9 @@
 import random
+import re
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coordsolve import (
     Digraph,
@@ -13,6 +16,7 @@ from coordsolve import (
     scc,
     tree_depth,
 )
+from coordsolve import digraph
 from coordsolve.core import Partition, bits
 
 from util import (
@@ -21,6 +25,7 @@ from util import (
     cycle_rank,
     hub_intervention_graph,
     random_digraph,
+    tree_depth_reference,
     two_triangles_graph,
 )
 
@@ -194,6 +199,55 @@ def test_tree_depth_monotone_in_edges():
         extra = rng.choice(candidates)
         bigger = Digraph(n, set(g.edges) | {extra})
         assert tree_depth(bigger)[0] >= base
+
+
+@st.composite
+def digraphs_with_vertices(draw):
+    """A digraph on at most 8 vertices, and either None (every vertex) or a
+    random vertex subset."""
+    n = draw(st.integers(0, 8))
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    vertices = draw(st.none() | st.integers(0, (1 << n) - 1))
+    return Digraph(n, edges), vertices
+
+
+@settings(max_examples=400, deadline=None)
+@given(digraphs_with_vertices())
+def test_tree_depth_matches_reference(case):
+    g, vertices = case
+    split = []
+    components = digraph._components
+
+    def recording(succ, pred, mask):
+        split.append(mask)
+        return components(succ, pred, mask)
+
+    with patch.object(digraph, "_components", recording):
+        value, cert = tree_depth(g, vertices)
+    assert len(split) == len(set(split))  # every induced subgraph split once
+    ref_value, ref_cert = tree_depth_reference(g, vertices)
+    assert value == ref_value
+    assert cert == ref_cert
+    assert cert.depth == value
+    for T in (max(value, 1), value + 2):
+        p = partition_from_treedepth(g, T, vertices)
+        assert p.cells == digraph.partition_from_certificate(ref_cert, T).cells
+
+
+def test_out_of_range_masks_name_the_stray_bits():
+    g = Digraph(3, [(0, 1), (1, 2), (2, 0)])
+    cases = [
+        (lambda: tree_depth(g, 0b1000), "[3]"),
+        (lambda: scc(g, 0b11000), "[3, 4]"),
+        (lambda: reach(g, 0b1000), "[3]"),
+        (lambda: reach(g, 1, 0b10001), "[4]"),
+        (lambda: partition_from_treedepth(g, 3, 0b1001), "[3]"),
+        (lambda: scc(g, -1), "negative"),
+    ]
+    for call, stray in cases:
+        with pytest.raises(ValueError, match=re.escape(stray)):
+            call()
 
 
 # -- partition_from_treedepth -------------------------------------------------

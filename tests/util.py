@@ -10,11 +10,13 @@ from coordsolve import (
     AssumptionReport,
     Context,
     Digraph,
+    EliminationTree,
     Partition,
     Violation,
     aggregative_game,
     full_context,
     mask_of,
+    scc,
     table_game,
     weakest_link_game,
 )
@@ -365,6 +367,49 @@ def dominate_chain_reference(game, S, O):
         chain.append(dom)
         S &= ~(1 << dom)
         O |= 1 << dom
+
+
+def tree_depth_reference(g, vertices=None):
+    """Exact directed tree-depth of the induced subgraph, with certificate:
+    the memo-per-SCC search `digraph.tree_depth` replaced, kept verbatim.
+
+    td(empty)=0, td(singleton)=1; a strongly connected block with >=2 vertices
+    costs 1 plus the best vertex removal; otherwise the value is the max over
+    SCC subgraphs.  Memoized exhaustive search over vertex subsets; removal
+    candidates are scanned in ascending index so certificates are
+    deterministic.
+    """
+    if vertices is None:
+        vertices = g.all_vertices
+    memo = {}
+
+    def solve(mask):
+        if mask == 0:
+            return EliminationTree(0, None, ())
+        comps = scc(g, mask)
+        if len(comps) == 1:
+            return solve_scc(comps[0])
+        return EliminationTree(mask, None, tuple(solve_scc(c) for c in comps))
+
+    def solve_scc(mask):
+        if mask.bit_count() == 1:
+            return EliminationTree(mask, mask.bit_length() - 1, ())
+        node = memo.get(mask)
+        if node is not None:
+            return node
+        best = None
+        for v in bits(mask):
+            child = solve(mask & ~(1 << v))
+            cand = EliminationTree(mask, v, (child,))
+            if best is None or cand.depth < best.depth:
+                best = cand
+                if best.depth == 2:  # minimum possible for a non-singleton SCC
+                    break
+        memo[mask] = best
+        return best
+
+    cert = solve(vertices)
+    return cert.depth, cert
 
 
 def _kosaraju(nodes, succ):
