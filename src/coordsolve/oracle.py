@@ -4,9 +4,13 @@ Outcome sets are computed from first principles, independent of the solver
 recursions: MSPNE enumeration walks every monotone, irreversibility-respecting
 strategy profile stage-by-stage from the back (joint stage maps assembled over
 the history poset, one-shot deviations rejected as soon as a stage map is
-fixed); SPNE outcome sets use the exact subgame value-set recursion, where a
-candidate stage profile is supportable iff each unilateral deviation can be
-punished by some equilibrium value of the deviation subgame.
+fixed).  A stage's maps depend on the later stages only through the
+continuation, the final outcome each next-stage history leads to, so each
+stage is enumerated once per distinct continuation and its outcome set is
+memoised on it; raw payoffs are still read for every such enumeration.  SPNE
+outcome sets use the exact subgame value-set recursion, where a candidate
+stage profile is supportable iff each unilateral deviation can be punished by
+some equilibrium value of the deviation subgame.
 """
 
 from __future__ import annotations
@@ -96,76 +100,106 @@ class _Budget:
 # MSPNE: literal enumeration of monotone profiles, stage-layered
 
 
-def _monotone_selections(order, preds, options, budget):
-    """All monotone assignments history -> action profile, option lists given
-    per history in `order`; yields dicts."""
-    chosen = [None] * len(order)
-
-    def rec(idx):
-        if idx == len(order):
-            yield dict(zip(order, chosen))
-            return
-        for a in options[idx]:
-            budget.spend()
-            if all(chosen[j] & ~a == 0 for j in preds[idx]):
-                chosen[idx] = a
-                yield from rec(idx + 1)
-        chosen[idx] = None
-
-    yield from rec(0)
+def _monotone_selections(preds, options, budget):
+    """All monotone assignments history -> action profile, as tuples over the
+    histories in linear-extension order.  options[idx] lists history idx's
+    admissible profiles and preds[idx] the earlier histories it dominates; a
+    profile is allowed iff it contains every profile chosen below it.  Each
+    node of the search spends one budget step per option it examines."""
+    n = len(options)
+    chosen = [0] * n
+    pending = [None] * n
+    spend = budget.spend
+    idx = 0
+    while idx >= 0:
+        if pending[idx] is None:
+            opts = options[idx]
+            spend(len(opts))
+            floor = 0
+            for j in preds[idx]:
+                floor |= chosen[j]
+            pending[idx] = iter([a for a in opts if floor & ~a == 0])
+        a = next(pending[idx], None)
+        if a is None:
+            pending[idx] = None
+            idx -= 1
+        elif idx == n - 1:
+            chosen[idx] = a
+            yield tuple(chosen)
+        else:
+            chosen[idx] = a
+            idx += 1
 
 
 def _mspne_outcomes(game, stages, moves_of, value_terminal, budget):
     """Common MSPNE engine over precomputed history stages.
 
-    moves_of(t, h) yields legal stage-t action profiles at history h;
-    value_terminal(h, a) is the final outcome of choosing a at the last stage.
+    moves_of(t, h) yields legal stage-t action profiles at history h, with the
+    players who move there; value_terminal(h, a) is the final outcome of
+    choosing a at the last stage.  A continuation is the tuple of final
+    outcomes, one per stage-(t+1) history in linear-extension order (per
+    last-stage move for t = T-1); the outcome set of stage t under a
+    continuation is solved once per call and memoised on (t, continuation).
     """
     pay = game._payoff
     T = len(stages)
-    outcomes = set()
 
-    layers = [_sorted_with_predecessors(stages[t]) for t in range(T)]
-
-    def stage_options(t, h, value):
-        opts = []
-        for a, movers in moves_of(t, h):
-            v = value(h, a)
-            ok = True
-            for i in bits(movers):
-                flip = a ^ (1 << i)
-                if pay(i, v) < pay(i, value(h, flip)):
-                    ok = False
-                    break
-            if ok:
-                opts.append((a, v))
-        return opts
-
-    def run(t, w_next):
-        order, preds = layers[t]
-        if t == T - 1:
-            value = value_terminal
-        else:
-            value = lambda h, a: w_next[h + (a,)]
-        per_hist = []
+    # layers[t] = (preds, moves): moves[idx] lists (a, src, deviations) for
+    # history idx, where src and each deviation's index pick the outcome of
+    # playing a (resp. a with one mover's bit flipped) out of the continuation.
+    layers = [None] * T
+    terminal = []  # the last stage's continuation, one outcome per move
+    nxt_pos = None
+    for t in reversed(range(T)):
+        order, preds = _sorted_with_predecessors(stages[t])
+        moves = []
         for h in order:
-            opts = stage_options(t, h, value)
-            if not opts:
-                return  # no admissible stage map under this continuation
-            per_hist.append(opts)
-        actions = [[a for a, _ in opts] for opts in per_hist]
-        values = [dict(opts) for opts in per_hist]
-        for sel in _monotone_selections(order, preds, actions, budget):
-            if t == 0:
-                outcomes.add(values[0][sel[()]])
+            legal = list(moves_of(t, h))
+            if t == T - 1:
+                src = {}
+                for a, _ in legal:
+                    src[a] = len(terminal)
+                    terminal.append(value_terminal(h, a))
             else:
-                w = {}
-                for idx, h in enumerate(order):
-                    w[h] = values[idx][sel[h]]
-                run(t - 1, w)
+                src = {a: nxt_pos[h + (a,)] for a, _ in legal}
+            moves.append(
+                [(a, src[a], [(i, src[a ^ (1 << i)]) for i in bits(movers)])
+                 for a, movers in legal]
+            )
+        layers[t] = (preds, moves)
+        nxt_pos = {h: idx for idx, h in enumerate(order)}
 
-    run(T - 1, None)
-    return outcomes
+    memo = {}
+
+    def run(t, w):
+        preds, moves = layers[t]
+        actions = []
+        values = []
+        for hist in moves:
+            acts = []
+            vals = {}
+            for a, src, devs in hist:
+                v = w[src]
+                if all(pay(i, v) >= pay(i, w[d]) for i, d in devs):
+                    acts.append(a)
+                    vals[a] = v
+            if not acts:
+                return frozenset()  # no admissible stage map here
+            actions.append(acts)
+            values.append(vals)
+        selections = _monotone_selections(preds, actions, budget)
+        if t == 0:
+            return frozenset(values[0][sel[0]] for sel in selections)
+        out = set()
+        for sel in selections:
+            key = (t - 1, tuple([vals[a] for vals, a in zip(values, sel)]))
+            got = memo.get(key)
+            if got is None:
+                got = memo[key] = run(t - 1, key[1])
+            out |= got
+        return frozenset(out)
+
+    return set(run(T - 1, tuple(terminal)))
 
 
 def _mspne_sync(game, T, budget):
@@ -205,10 +239,11 @@ def _mspne_async(game, p, budget):
 # independent, so a deviation is deterred iff SOME continuation punishes it)
 
 
-def _spne(game, T, movers):
+def _spne(game, T, movers, budget):
     """SPNE outcomes of a T-stage game.  movers(t, state) is the set of players
     who choose at stage t (0-based) given the committed profile `state`; the
-    stage moves to state | sub for any sub of it."""
+    stage moves to state | sub for any sub of it.  Each candidate stage
+    profile of each distinct subgame spends one budget step."""
     pay = game._payoff
     memo = {}
 
@@ -224,6 +259,7 @@ def _spne(game, T, movers):
         res = set()
         free = movers(t, state)
         for sub in submasks(free):
+            budget.spend()
             a = state | sub
             succ = vs(t + 1, a)
             if not succ:
@@ -264,26 +300,35 @@ def enumerate_equilibria(game, schedule, mode="mspne", budget=DEFAULT_BUDGET):
     """Exhaustively enumerate pure-strategy equilibrium outcomes.
 
     mode "mspne" walks every monotone profile (one-shot deviations checked at
-    every history, on-path or not); mode "spne" drops the monotonicity
-    restriction and computes the outcome set by the value-set recursion.
-    Returns the set of terminal coalition masks.
+    every history, on-path or not), stage by stage from the back; the profiles
+    of a stage are enumerated once per distinct continuation (the final
+    outcome each history of the next stage leads to), not once per later
+    profile that yields it.  mode "spne" drops the monotonicity restriction and computes the
+    outcome set by the value-set recursion.  Returns the set of terminal
+    coalition masks.
+
+    `budget` caps the steps spent: for "mspne", every option examined at a
+    node of a stage's monotone-selection search, at each distinct
+    continuation; for "spne", every candidate stage profile of each distinct
+    subgame.  Exceeding it raises ResourceLimitError.
     """
     mode = mode.lower()
+    steps = _Budget(budget)
     if isinstance(schedule, Sync):
         if schedule.T < 1:
             raise ValueError("horizon must be positive")
         if mode == "mspne":
-            return _mspne_sync(game, schedule.T, _Budget(budget))
+            return _mspne_sync(game, schedule.T, steps)
         if mode == "spne":
             full = game.all_players
-            return _spne(game, schedule.T, lambda t, state: full & ~state)
+            return _spne(game, schedule.T, lambda t, state: full & ~state, steps)
     elif isinstance(schedule, Async):
         p = schedule.partition
         p.validate_cover(game.n)
         if mode == "mspne":
-            return _mspne_async(game, p, _Budget(budget))
+            return _mspne_async(game, p, steps)
         if mode == "spne":
-            return _spne(game, p.horizon, lambda t, state: p.cells[t])
+            return _spne(game, p.horizon, lambda t, state: p.cells[t], steps)
     else:
         raise ValueError("schedule must be Sync(T) or Async(partition)")
     raise ValueError(f"unknown mode {mode!r}")

@@ -367,3 +367,10 @@ def test_resource_exit_code(tmp_path, capsys):
         ["async-solve", "--game", path, "--partition", cells, "--budget", "5"]
     )
     assert code == 3
+
+
+def test_spne_oracle_budget_exit_code(tmp_path, capsys):
+    path = write_game(tmp_path, triangles_doc())
+    argv = ["oracle", "--game", path, "--mode", "spne", "--t", "2"]
+    assert main(argv + ["--budget", "5"]) == 3
+    assert main(argv + ["--budget", "100000"]) == 0

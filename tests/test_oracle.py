@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coordsolve import (
     Async,
@@ -14,14 +15,19 @@ from coordsolve import (
     members,
     support_strategy,
     table_game,
+    weakest_link_game,
 )
 from coordsolve.oracle import _sync_histories, _verify_mspne
 from coordsolve.sync import SyncSolver
 
 from util import (
+    EXACT_PAYOFFS,
     cross_pairs_game,
+    cycle_graph,
     free_rider_game,
     mixed_two_player_game,
+    mspne_reference,
+    random_digraph,
     random_game,
     random_partition,
     spillover_pair_games,
@@ -100,6 +106,23 @@ def test_budget_cap_raises():
         enumerate_equilibria(game, Sync(3), budget=50)
 
 
+@pytest.mark.parametrize(
+    "schedule",
+    [Sync(2), Async(Partition([mask_of((0, 1)), mask_of((2, 3))]))],
+    ids=["sync", "async"],
+)
+def test_spne_budget_cap_raises(schedule):
+    game = random_game(random.Random(1), 4)
+    with pytest.raises(ResourceLimitError):
+        enumerate_equilibria(game, schedule, mode="spne", budget=5)
+
+
+def test_four_player_three_stage_reach():
+    # enumerated once per distinct continuation, this fits the default budget
+    game = weakest_link_game(cycle_graph(4))
+    assert enumerate_equilibria(game, Sync(3)) == {0b1111}
+
+
 def test_bad_schedule_arguments():
     game = mixed_two_player_game()
     with pytest.raises(ValueError):
@@ -108,6 +131,48 @@ def test_bad_schedule_arguments():
         enumerate_equilibria(game, "later", mode="mspne")
     with pytest.raises(ValueError):
         enumerate_equilibria(game, Sync(2), mode="trembling")
+
+
+# -- the memoised engine against the one that reruns every continuation ----------
+
+
+# (players, stages); stages None means a random Async partition
+ORACLE_SHAPES = [(n, T) for n in (2, 3, 4) for T in (1, 2, 3, None) if (n, T) != (4, 3)]
+
+
+@st.composite
+def oracle_games(draw, n, T):
+    """An assumption-satisfying table, a weakest-link game, or (where the
+    reference engine can afford it) an unconstrained exact table with ties,
+    which can leave a history with no admissible stage map."""
+    families = ["table", "weakest_link"]
+    if n <= 3 and T != 3:  # indifference multiplies the monotone profiles
+        families.append("unconstrained")
+    family = draw(st.sampled_from(families))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if family == "table":
+        return random_game(rng, n)
+    if family == "weakest_link":
+        return weakest_link_game(random_digraph(rng, n))
+    size = 1 << n
+    return table_game(
+        [draw(st.lists(EXACT_PAYOFFS, min_size=size, max_size=size)) for _ in range(n)]
+    )
+
+
+@pytest.mark.parametrize("n, T", ORACLE_SHAPES, ids=lambda v: "async" if v is None else str(v))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_mspne_matches_reference_engine(n, T, data):
+    game = data.draw(oracle_games(n, T))
+    if T is None:
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+        schedule = Async(random_partition(rng, n))
+    else:
+        schedule = Sync(T)
+    assert enumerate_equilibria(game, schedule, mode="mspne") == mspne_reference(
+        game, schedule
+    )
 
 
 # -- invariants -------------------------------------------------------------------

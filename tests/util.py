@@ -12,6 +12,7 @@ from coordsolve import (
     Digraph,
     EliminationTree,
     Partition,
+    Sync,
     Violation,
     aggregative_game,
     full_context,
@@ -21,6 +22,12 @@ from coordsolve import (
     weakest_link_game,
 )
 from coordsolve.core import bits, is_ne, sorted_coalitions, submasks
+from coordsolve.oracle import (
+    _Budget,
+    _async_histories,
+    _sorted_with_predecessors,
+    _sync_histories,
+)
 
 
 def bit(X, i):
@@ -467,3 +474,112 @@ def cycle_rank(nodes, edge_set):
         )
         best = max(best, 1 + inner)
     return best
+
+
+# ---------------------------------------------------------------------------
+# MSPNE oracle engine that runs every continuation anew (kept verbatim as the
+# reference for the memoised `oracle._mspne_outcomes`)
+
+
+def _monotone_selections(order, preds, options, budget):
+    """All monotone assignments history -> action profile, option lists given
+    per history in `order`; yields dicts."""
+    chosen = [None] * len(order)
+
+    def rec(idx):
+        if idx == len(order):
+            yield dict(zip(order, chosen))
+            return
+        for a in options[idx]:
+            budget.spend()
+            if all(chosen[j] & ~a == 0 for j in preds[idx]):
+                chosen[idx] = a
+                yield from rec(idx + 1)
+        chosen[idx] = None
+
+    yield from rec(0)
+
+
+def _mspne_outcomes(game, stages, moves_of, value_terminal, budget):
+    """Common MSPNE engine over precomputed history stages.
+
+    moves_of(t, h) yields legal stage-t action profiles at history h;
+    value_terminal(h, a) is the final outcome of choosing a at the last stage.
+    """
+    pay = game._payoff
+    T = len(stages)
+    outcomes = set()
+
+    layers = [_sorted_with_predecessors(stages[t]) for t in range(T)]
+
+    def stage_options(t, h, value):
+        opts = []
+        for a, movers in moves_of(t, h):
+            v = value(h, a)
+            ok = True
+            for i in bits(movers):
+                flip = a ^ (1 << i)
+                if pay(i, v) < pay(i, value(h, flip)):
+                    ok = False
+                    break
+            if ok:
+                opts.append((a, v))
+        return opts
+
+    def run(t, w_next):
+        order, preds = layers[t]
+        if t == T - 1:
+            value = value_terminal
+        else:
+            value = lambda h, a: w_next[h + (a,)]
+        per_hist = []
+        for h in order:
+            opts = stage_options(t, h, value)
+            if not opts:
+                return  # no admissible stage map under this continuation
+            per_hist.append(opts)
+        actions = [[a for a, _ in opts] for opts in per_hist]
+        values = [dict(opts) for opts in per_hist]
+        for sel in _monotone_selections(order, preds, actions, budget):
+            if t == 0:
+                outcomes.add(values[0][sel[()]])
+            else:
+                w = {}
+                for idx, h in enumerate(order):
+                    w[h] = values[idx][sel[h]]
+                run(t - 1, w)
+
+    run(T - 1, None)
+    return outcomes
+
+
+def mspne_reference(game, schedule, budget=10**9):
+    """MSPNE outcomes of a Sync or Async schedule through the reference
+    engine, with the stage moves `oracle._mspne_sync`/`_mspne_async` use."""
+    full = game.all_players
+    if isinstance(schedule, Sync):
+        stages = _sync_histories(game.n, schedule.T)
+
+        def moves_of(t, h):
+            last = h[-1] if h else 0
+            for sub in submasks(full & ~last):
+                yield last | sub, full & ~last
+
+        def terminal(h, a):
+            return a
+
+    else:
+        cells = schedule.partition.cells
+        stages = _async_histories(cells)
+
+        def moves_of(t, h):
+            for sub in submasks(cells[t]):
+                yield sub, cells[t]
+
+        def terminal(h, a):
+            out = a
+            for m in h:
+                out |= m
+            return out
+
+    return _mspne_outcomes(game, stages, moves_of, terminal, _Budget(budget))
