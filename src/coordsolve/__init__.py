@@ -12,7 +12,6 @@ from .core import (
     aggregative_game,
     check_assumptions,
     full_context,
-    iesds,
     incentive_table,
     least_ne,
     mask_of,

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Partition, bits, iterated_strict_elimination
+from .core import Partition, bits, gains, iterated_strict_elimination
 from .digraph import check_feasible_partition, partition_from_treedepth, reach
 from .errors import ResourceLimitError
 from .graphical import reduce_to_weakest_link
@@ -129,9 +129,7 @@ def check_sufficient_feasible(game, g, p, M=None):
     """
     if M is None:
         M = game.all_players
-    pay = game._payoff
     for i in bits(M):
-        E = g.in_mask(i) & M & ~(1 << i)
-        if not pay(i, E | (1 << i)) > pay(i, E):
+        if not gains(game, i, g.in_mask(i) & M & ~(1 << i)):
             return False
     return check_feasible_partition(g, p, M)

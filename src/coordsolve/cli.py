@@ -205,13 +205,17 @@ def _disp_sets(masks):
     return [_disp(m) for m in masks]
 
 
-def _parse_players(text, n):
+def _parse_players(text, n, flag):
+    """Mask of the 1-based player list `text`; errors name its option, `flag`."""
     out = 0
     if text.strip():
         for tok in text.split(","):
-            v = int(tok)
+            try:
+                v = int(tok)
+            except ValueError:
+                raise ParseError(flag, f"expected a 1-based player, got {tok!r}") from None
             if not 1 <= v <= n:
-                raise ParseError("--target", f"player {v} outside 1..{n}")
+                raise ParseError(flag, f"player {v} outside 1..{n}")
             out |= 1 << (v - 1)
     return out
 
@@ -287,7 +291,7 @@ def _cmd_ne(args):
 
 def _cmd_tau(args):
     game = load_game(args.game)
-    target = _parse_players(args.target, game.n)
+    target = _parse_players(args.target, game.n, "--target")
     solver = SyncSolver(game, use_sse=not args.sss)
     value = solver.min_horizon(target)
     _emit(args, [str(value)], {"target": _disp(target), "tau": value})
@@ -404,7 +408,7 @@ def _cmd_horizons(args):
 
 def _cmd_intervene(args):
     game = load_game(args.game)
-    subsidized = _parse_players(args.subsidized, game.n)
+    subsidized = _parse_players(args.subsidized, game.n, "--subsidized")
     gain = design.intervention(game, subsidized, args.t)
     _emit(
         args,
@@ -429,7 +433,7 @@ def _cmd_ordered(args):
         "contribution_natural": flags.contribution_natural,
     }
     if args.target is not None:
-        target = _parse_players(args.target, game.n)
+        target = _parse_players(args.target, game.n, "--target")
         value = ordered.ordered_min_horizon(game, target, flags=flags)
         lines.append(f"tau: {value}")
         payload["target"] = _disp(target)
@@ -462,15 +466,25 @@ def _cmd_oracle(args):
 # driver
 
 
-def _horizon(text):
-    """argparse type of every --t: a positive integer number of stages."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"horizon must be a positive integer, got {value}")
-    return value
+def _int_at_least(low, rule):
+    """argparse type: an integer >= low; a bad value is reported as
+    breaking `rule`."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{rule}, got {text}")
+        return value
+
+    return parse
+
+
+# every --t; --budget and its default, the environment's COORDSOLVE_BUDGET
+_horizon = _int_at_least(1, "horizon must be a positive integer")
+_budget = _int_at_least(0, f"--budget or {ENV_BUDGET} must be a non-negative integer")
 
 
 def build_parser():
@@ -487,8 +501,8 @@ def build_parser():
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument(
             "--budget",
-            type=int,
-            default=int(os.environ.get(ENV_BUDGET, 10**7)),
+            type=_budget,
+            default=os.environ.get(ENV_BUDGET, str(10**7)),
             help="evaluation budget for heavy enumerations",
         )
         if sse:
@@ -555,10 +569,7 @@ def main(argv=None):
         return 1
     try:
         _HANDLERS[args.command](args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, IndexError) as exc:
+    except (ParseError, ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except PreconditionError as exc:

@@ -308,6 +308,13 @@ def _equal_top_subset(t, m, r0, r1):
 # incentive table: who strictly gains from action 1, coalition by coalition
 
 
+def gains(game, i, X):
+    """Does player i strictly gain from action 1 when exactly X (other
+    players, not i) plays 1?  One cell of incentive_table, read raw."""
+    bit = 1 << i
+    return game._payoff(i, X | bit) > game._payoff(i, X)
+
+
 def incentive_table(game):
     """Every strict preference between the two actions, in one pass of
     n 2^(n-1) payoff comparisons.
@@ -352,6 +359,30 @@ def sss_scan(gainers, S, O, require_ne=False):
     return sorted_coalitions(out)
 
 
+def iesds_scan(gainers, losers, S, O):
+    """iterated_strict_elimination on the context (S, O), read off an
+    incentive table.  Each round drops at once, for every undecided player,
+    action 1 if it loses at every profile of the undecided players, action 0
+    if it gains at every one; in finite games the survivors do not depend on
+    the order (Gilboa, Kalai and Zemel 1990).  Returns (least, greatest)."""
+    can0 = can1 = S
+    while free := can0 & can1:
+        fixed = (can1 & ~can0) | O
+        worse1 = worse0 = free
+        sub = free
+        while worse1 | worse0:
+            worse1 &= losers[sub | fixed]
+            worse0 &= gainers[sub | fixed]
+            if sub == 0:
+                break
+            sub = (sub - 1) & free
+        if not worse1 | worse0:
+            break
+        can1 &= ~worse1
+        can0 &= ~worse0
+    return can1 & ~can0, can1
+
+
 def ne_scan(gainers, losers, S, O):
     """Pure Nash profiles X <= S of the context (S, O), read off an incentive
     table: no member of X strictly prefers action 0 and no other member of S
@@ -381,15 +412,12 @@ def least_ne(game, ctx=None):
     """
     if ctx is None:
         ctx = full_context(game)
-    pay = _ctx_pay(game, ctx)
     cur = 0
     for _ in range(ctx.active.bit_count() + 1):
         nxt = 0
         for i in bits(ctx.active):
-            bit = 1 << i
-            rest = cur & ~bit
-            if pay(i, rest | bit) > pay(i, rest):
-                nxt |= bit
+            if gains(game, i, (cur | ctx.ones) & ~(1 << i)):
+                nxt |= 1 << i
         if nxt == cur:
             return cur
         if nxt & cur != cur:
@@ -463,14 +491,6 @@ def iterated_strict_elimination(players_mask, pay):
                 can0 &= ~bit
                 changed = True
     return can1 & ~can0, can1
-
-
-def iesds(game, ctx=None):
-    """Iterated strict dominance on the contextual game; see
-    iterated_strict_elimination.  Works without Assumption 1."""
-    if ctx is None:
-        ctx = full_context(game)
-    return iterated_strict_elimination(ctx.active, _ctx_pay(game, ctx))
 
 
 def sss_set(game, ctx=None, require_ne=False):

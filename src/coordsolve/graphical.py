@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .core import StageGame, bits, mask_of, members
+from .core import StageGame, bits, gains, mask_of, members
 from .digraph import Digraph, reach, tree_depth
 from .errors import PreconditionError, ResourceLimitError
 from .sync import SyncSolver
@@ -68,30 +68,25 @@ def weakest_link_horizon(g, targets):
     return tree_depth(g, scope)[0]
 
 
-def _satisfies(game, i, others):
-    bit = 1 << i
-    return game._payoff(i, others | bit) > game._payoff(i, others)
-
-
-def _first_minimal_satisfying(game, i, pool):
+def _first_minimal_satisfying(gainers, i, pool):
     """Smallest-cardinality (then lexicographic) subset of `pool` whose joint
-    action 1 makes i strictly willing; None if even `pool` does not.  Pools
-    too large to enumerate fall back to a greedy drop from the highest index,
-    which is still inclusion-minimal and deterministic."""
-    if not _satisfies(game, i, pool):
+    action 1 makes i strictly willing, by the table `gainers`; None if even
+    `pool` does not.  Pools too large to enumerate fall back to a greedy drop
+    from the highest index, which is still inclusion-minimal and deterministic."""
+    if not gainers[pool] >> i & 1:
         return None
     elems = members(pool)
     if len(elems) > 16:
         kept = pool
         for v in reversed(elems):
             trial = kept & ~(1 << v)
-            if _satisfies(game, i, trial):
+            if gainers[trial] >> i & 1:
                 kept = trial
         return kept
     for size in range(len(elems) + 1):
         for combo in combinations(elems, size):
             E = mask_of(combo)
-            if _satisfies(game, i, E):
+            if gainers[E] >> i & 1:
                 return E
     return pool  # unreachable: pool itself satisfies
 
@@ -103,7 +98,7 @@ def minimal_satisfying_sets(game, i):
     skipped; the full complement must qualify (otherwise i's action 1 is
     dominated and no sufficient graph exists for it)."""
     pool = game.all_players & ~(1 << i)
-    if not _satisfies(game, i, pool):
+    if not gains(game, i, pool):
         raise PreconditionError(
             f"player {i} never strictly gains from action 1; "
             "no satisfying set exists"
@@ -115,7 +110,7 @@ def minimal_satisfying_sets(game, i):
             E = mask_of(combo)
             if any(prev & E == prev for prev in found):
                 continue
-            if _satisfies(game, i, E):
+            if gains(game, i, E):
                 found.append(E)
     return found
 
@@ -182,7 +177,7 @@ def reduce_to_weakest_link(game, solver=None):
     raw = Digraph(n, edges)
     pruned = set()
     for i in range(n):
-        E = _first_minimal_satisfying(game, i, raw.in_mask(i))
+        E = _first_minimal_satisfying(solver.gainers, i, raw.in_mask(i))
         if E is None:
             raise PreconditionError(
                 f"constructed in-neighborhood of player {i} is not satisfying; "

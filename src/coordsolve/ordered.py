@@ -15,6 +15,7 @@ from .core import (
     Context,
     aggregative_game,
     bits,
+    gains,
     is_ne,
     iterated_strict_elimination,
     mask_of,
@@ -37,12 +38,6 @@ class OrderedFlags:
     witnesses: dict = field(default_factory=dict)
 
 
-def _gain(game, k, X):
-    """Does k strictly prefer joining when exactly X (others) play 1?"""
-    bit = 1 << k
-    return game._payoff(k, X | bit) > game._payoff(k, X)
-
-
 def _chain_reaches(game, target, seed, base):
     """Closure reachability: starting from {seed} on top of `base`, repeatedly
     admit any player strictly preferring to join the current coalition; does
@@ -56,36 +51,18 @@ def _chain_reaches(game, target, seed, base):
             return True
         grew = False
         for p in bits(pool):
-            if _gain(game, p, coalition):
+            if gains(game, p, coalition):
                 coalition |= 1 << p
                 pool &= ~(1 << p)
                 grew = True
     return (coalition >> target) & 1 == 1
 
 
-def _chain_sequence(game, target, seed, base):
-    """Literal finite-sequence search for the chain condition (cross-check
-    path); equivalent to the closure on single-crossing games."""
-    full = game.all_players
-
-    def extend(coalition):
-        if (coalition >> target) & 1:
-            return True
-        for p in bits(full & ~coalition & ~base):
-            if _gain(game, p, (coalition | base) & ~(1 << p)):
-                if extend(coalition | (1 << p)):
-                    return True
-        return False
-
-    return extend(1 << seed)
-
-
-def classify(game, budget=DEFAULT_CHECK_BUDGET, chain="closure"):
+def classify(game, budget=DEFAULT_CHECK_BUDGET):
     """Exhaustive quantifier checks for the four order properties.
 
-    `chain` selects how the cost-order chain clause is evaluated: "closure"
-    (strict-improvement closure reachability, the default reading) or
-    "sequence" (explicit chain search).  First witnesses are recorded per
+    The cost-order chain clause is read as strict-improvement closure
+    reachability (see _chain_reaches).  First witnesses are recorded per
     failed flag.
     """
     n = game.n
@@ -97,17 +74,16 @@ def classify(game, budget=DEFAULT_CHECK_BUDGET, chain="closure"):
         )
     flags = OrderedFlags()
     wit = flags.witnesses
-    reach_chain = _chain_reaches if chain == "closure" else _chain_sequence
 
     for j in range(n):
         for i in range(j):
             pool = full & ~(1 << i) & ~(1 << j)
             for X in submasks(pool):
-                if _gain(game, j, X):
-                    if flags.strongly_cost_ordered and not _gain(game, i, X):
+                if gains(game, j, X):
+                    if flags.strongly_cost_ordered and not gains(game, i, X):
                         flags.strongly_cost_ordered = False
                         wit.setdefault("strongly_cost_ordered", (i, j, X))
-                    if flags.cost_ordered and not reach_chain(game, i, j, X):
+                    if flags.cost_ordered and not _chain_reaches(game, i, j, X):
                         flags.cost_ordered = False
                         wit.setdefault("cost_ordered", (i, j, X))
 
@@ -118,7 +94,7 @@ def classify(game, budget=DEFAULT_CHECK_BUDGET, chain="closure"):
                     continue
                 pool = full & ~mask_of((i, j, k))
                 for X in submasks(pool):
-                    if _gain(game, k, X | (1 << i)) and not _gain(game, k, X | (1 << j)):
+                    if gains(game, k, X | (1 << i)) and not gains(game, k, X | (1 << j)):
                         if i < j and flags.contribution_ordered:
                             flags.contribution_ordered = False
                             wit.setdefault("contribution_ordered", (i, j, k, X))
@@ -147,8 +123,7 @@ def ordered_min_horizon(game, targets, flags=None):
         raise PreconditionError(
             "fast path needs a cost-ordered and contribution-ordered game"
         )
-    pay = game._payoff
-    least, greatest = iterated_strict_elimination(game.all_players, pay)
+    least, greatest = iterated_strict_elimination(game.all_players, game._payoff)
     dropped = game.all_players & ~greatest
     if targets & dropped:
         raise PreconditionError(
@@ -165,7 +140,7 @@ def ordered_min_horizon(game, targets, flags=None):
         while grew:
             grew = False
             for i in bits(S):
-                if _gain(game, i, O):
+                if gains(game, i, O):
                     S &= ~(1 << i)
                     O |= 1 << i
                     grew = True
@@ -185,7 +160,7 @@ def ordered_min_horizon(game, targets, flags=None):
         prefix = mask_of(order[:k])
         if prefix & want != want:
             continue
-        if all(_gain(game, i, (prefix | O0) & ~(1 << i)) for i in bits(prefix)):
+        if all(gains(game, i, (prefix | O0) & ~(1 << i)) for i in bits(prefix)):
             if is_ne(game, ctx, prefix):
                 v = solve(prefix, O0)
                 if best is None or v < best:

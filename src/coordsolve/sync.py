@@ -18,7 +18,7 @@ from .core import (
     Context,
     bits,
     full_context,
-    iesds,
+    iesds_scan,
     incentive_table,
     members,
     ne_scan,
@@ -84,7 +84,7 @@ class SyncSolver:
         key = (ctx.active, ctx.ones)
         got = self._reduce_cache.get(key)
         if got is None:
-            least, greatest = iesds(self.game, ctx)
+            least, greatest = iesds_scan(self.gainers, self.losers, ctx.active, ctx.ones)
             reduced = Context(ctx.active & greatest & ~least, ctx.ones | least)
             got = _Reduction(reduced, least, ctx.active & ~greatest)
             self._reduce_cache[key] = got

@@ -374,3 +374,58 @@ def test_spne_oracle_budget_exit_code(tmp_path, capsys):
     argv = ["oracle", "--game", path, "--mode", "spne", "--t", "2"]
     assert main(argv + ["--budget", "5"]) == 3
     assert main(argv + ["--budget", "100000"]) == 0
+
+
+SUBCOMMANDS = (
+    ["check"],
+    ["ne"],
+    ["tau", "--target", "1"],
+    ["phi", "--t", "1"],
+    ["outcomes", "--t", "1"],
+    ["design", "--t", "1"],
+    ["async-solve", "--partition", '{"cells": [[0, 1]]}'],
+    ["centrality"],
+    ["horizons"],
+    ["intervene", "--subsidized", "1", "--t", "1"],
+    ["ordered"],
+    ["oracle", "--t", "1"],
+)
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "1.5"])
+def test_malformed_budget_from_environment_names_it(tmp_path, capsys, monkeypatch, value):
+    path = write_game(tmp_path, {"players": 2, "kind": "aggregative", "c": [1, 1]})
+    monkeypatch.setenv("COORDSOLVE_BUDGET", value)
+    for argv in SUBCOMMANDS:
+        assert main(argv + ["--game", path]) == 1
+        err = capsys.readouterr().err
+        assert "--budget or COORDSOLVE_BUDGET must be a non-negative integer" in err
+        assert err.rstrip().endswith(f"got {value}")
+    assert main(["treedepth", "--graph", path]) == 1
+    # an explicit flag overrides the environment
+    assert main(["check", "--game", path, "--budget", "5"]) == 0
+
+
+@pytest.mark.parametrize("value", ["abc", "-1"])
+def test_malformed_budget_flag_names_it(tmp_path, capsys, value):
+    path = write_game(tmp_path, {"players": 2, "kind": "aggregative", "c": [1, 1]})
+    assert main(["check", "--game", path, "--budget", value]) == 1
+    assert "--budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["tau", "--target", "1,x"], "--target"),
+        (["tau", "--target", "3"], "--target"),
+        (["ordered", "--target", "0"], "--target"),
+        (["intervene", "--t", "1", "--subsidized", "3"], "--subsidized"),
+        (["intervene", "--t", "1", "--subsidized", "x"], "--subsidized"),
+    ],
+)
+def test_player_list_errors_name_their_flag(tmp_path, capsys, argv, flag):
+    path = write_game(tmp_path, {"players": 2, "kind": "aggregative", "c": [1, 1]})
+    assert main(argv + ["--game", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}: ")
+    assert "invalid literal" not in err

@@ -10,7 +10,6 @@ from coordsolve import (
     aggregative_game,
     check_assumptions,
     full_context,
-    iesds,
     incentive_table,
     least_ne,
     mask_of,
@@ -20,12 +19,14 @@ from coordsolve import (
     table_game,
     weakest_link_game,
 )
+from coordsolve.core import iesds_scan
 
 from util import (
     EXACT_PAYOFFS,
     check_assumptions_reference,
     cross_pairs_game,
     cycle_graph,
+    iesds_reference,
     mixed_two_player_game,
     ne_set_reference,
     random_game,
@@ -236,7 +237,12 @@ def test_ne_lattice_and_pareto_rank():
                         assert game.payoff(i, a) <= game.payoff(i, bmask)
 
 
-# -- iesds --------------------------------------------------------------------
+# -- iesds_scan ---------------------------------------------------------------
+
+
+def iesds(game):
+    """Iterated strict dominance on the full game, read off its table."""
+    return iesds_scan(*incentive_table(game), game.all_players, 0)
 
 
 def test_iesds_dominant_one_player():
@@ -265,6 +271,17 @@ def test_iesds_matches_extreme_ne():
         least, greatest = iesds(game)
         assert least == eqs[0]
         assert greatest == max(eqs, key=lambda m: (m.bit_count(), m))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables_with_contexts())
+def test_iesds_scan_matches_raw_payoff_reference(case):
+    """All undecided players eliminated per round off the table survive to
+    the same sets as the one-at-a-time raw-payoff loop, on games that need
+    not satisfy any assumption."""
+    game, ctx = case
+    got = iesds_scan(*incentive_table(game), ctx.active, ctx.ones)
+    assert got == iesds_reference(game, ctx)
 
 
 # -- strictly sufficient sets -------------------------------------------------

@@ -20,6 +20,7 @@ from coordsolve import (
     weakest_link_game,
     weakest_link_horizon,
 )
+from coordsolve.core import gains, submasks
 from coordsolve.sync import SyncSolver
 
 from util import (
@@ -182,6 +183,9 @@ def test_reduction_graph_is_sufficient():
         for i in range(game.n):
             E = sg.graph.in_mask(i)
             assert game.payoff(i, E | (1 << i)) > game.payoff(i, E)
+            # pruned off the incentive table, minimal by raw payoffs
+            assert gains(game, i, E)
+            assert not any(gains(game, i, sub) for sub in submasks(E) if sub != E)
 
 
 def test_sandwich_bound_over_sufficient_supergraphs():

@@ -1,13 +1,16 @@
 """Static checks on the package sources that need no linter: every module
 uses each name it imports (the package `__init__` re-exports, so it is
-exempt), and the layers above the incentive table never read raw payoffs."""
+exempt), the layers above the incentive table never read raw payoffs, and
+every library function the benchmark tracer wraps still exists."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "coordsolve"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "coordsolve"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -60,3 +63,63 @@ def test_detector_finds_payoff_reads():
 @pytest.mark.parametrize("name", TABLE_READERS)
 def test_no_raw_payoff_reads(name):
     assert payoff_reads((SRC / name).read_text()) == []
+
+
+# Functions of other modules that read only the solver's incentive table.
+TABLE_FUNCTIONS = (
+    ("graphical.py", "reduce_to_weakest_link"),
+    ("graphical.py", "_first_minimal_satisfying"),
+)
+# The raw-payoff routes to a strict-gain or equilibrium fact.
+RAW_ROUTES = {"gains", "is_ne", "least_ne", "iterated_strict_elimination"}
+
+
+def function_source(path, name):
+    """Source of the module-level function `name` in `path`."""
+    source = path.read_text()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and node.name == name:
+            return ast.get_source_segment(source, node)
+    raise LookupError(f"{path.name} defines no function {name}")
+
+
+def raw_route_calls(source):
+    """Names of RAW_ROUTES functions called, bare or as an attribute."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name in RAW_ROUTES:
+                out.add(name)
+    return sorted(out)
+
+
+def test_detector_finds_raw_route_calls():
+    source = "gains(g, 0, 1)\ncore.least_ne(g)\nx = is_ne\ngainers[1]\n"
+    assert raw_route_calls(source) == ["gains", "least_ne"]
+
+
+@pytest.mark.parametrize("path, name", TABLE_FUNCTIONS, ids=lambda v: v)
+def test_table_functions_read_no_payoffs(path, name):
+    source = function_source(SRC / path, name)
+    assert payoff_reads(source) == []
+    assert raw_route_calls(source) == []
+
+
+@pytest.mark.parametrize("name", TABLE_READERS)
+def test_table_readers_take_no_raw_route(name):
+    assert raw_route_calls((SRC / name).read_text()) == []
+
+
+def test_benchmark_tracer_targets_resolve():
+    """Each function the benchmark wraps (SPANNED) and counts (core.is_ne)
+    still resolves, so deleting one fails here and not only in the
+    benchmark's own self-test."""
+    path = ROOT / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    targets = [(module, path) for _, module, path in tracer.SPANNED]
+    targets.append(("coordsolve.core", "is_ne"))
+    assert [t for t in targets if tracer._resolve(*t) is None] == []

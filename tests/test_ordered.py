@@ -11,9 +11,11 @@ from coordsolve import (
     mask_of,
     ordered_min_horizon,
 )
+from coordsolve.core import gains, submasks
+from coordsolve.ordered import _chain_reaches
 from coordsolve.sync import SyncSolver
 
-from util import cross_pairs_game
+from util import chain_sequence_reference, cross_pairs_game
 
 
 # -- classify -------------------------------------------------------------------
@@ -57,14 +59,25 @@ def test_cross_pairs_not_contribution_ordered():
 
 
 def test_chain_readings_agree_on_ordered_games():
+    """The closure reading of the cost-order chain clause agrees with the
+    literal sequence search at every (i, j, X) of classify's cost-order loop:
+    those where j gains at X, which classify checks, and the rest too, so
+    that a closure admitting non-gainers cannot pass on cost-ordered games."""
     for game in (
         aggregative_game((1, 1, 2)),
         generate("aligned_nsg", in_starts=(2, 2, 4, 4, 5, 4), nested=False),
         cross_pairs_game(),
     ):
-        a = classify(game, chain="closure")
-        b = classify(game, chain="sequence")
-        assert a.cost_ordered == b.cost_ordered
+        visited = 0
+        for j in range(game.n):
+            for i in range(j):
+                pool = game.all_players & ~(1 << i) & ~(1 << j)
+                for X in submasks(pool):
+                    visited += gains(game, j, X)
+                    assert _chain_reaches(game, i, j, X) == chain_sequence_reference(
+                        game, i, j, X
+                    )
+        assert visited
 
 
 # -- fast recursion ---------------------------------------------------------------

@@ -8,7 +8,6 @@ from coordsolve import (
     Digraph,
     PreconditionError,
     aggregative_game,
-    iesds,
     mask_of,
     members,
     ne_set,
@@ -24,6 +23,7 @@ from util import (
     cycle_graph,
     dominate_chain_reference,
     hub_intervention_graph,
+    iesds_reference,
     planted_game,
     random_game,
     random_rooted_digraph,
@@ -243,7 +243,7 @@ def test_horizons_match_singleton_min_horizon():
         ones = rng.randrange(1 << game.n) & rng.randrange(1 << game.n)
         for ctx in (None, Context(full & ~ones, ones)):
             solver = SyncSolver(game)
-            forced, greatest = iesds(game, ctx)
+            forced, greatest = iesds_reference(game, ctx)
             scope = full if ctx is None else ctx.active
             want = {
                 i: solver.min_horizon(1 << i, ctx=ctx) if (greatest >> i) & 1 else None

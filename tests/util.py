@@ -21,7 +21,15 @@ from coordsolve import (
     table_game,
     weakest_link_game,
 )
-from coordsolve.core import bits, is_ne, sorted_coalitions, submasks
+from coordsolve.core import (
+    _ctx_pay,
+    bits,
+    gains,
+    is_ne,
+    iterated_strict_elimination,
+    sorted_coalitions,
+    submasks,
+)
 from coordsolve.oracle import (
     _Budget,
     _async_histories,
@@ -374,6 +382,34 @@ def dominate_chain_reference(game, S, O):
         chain.append(dom)
         S &= ~(1 << dom)
         O |= 1 << dom
+
+
+def iesds_reference(game, ctx=None):
+    """Iterated strict dominance on the contextual game, straight from
+    payoffs: the core.iesds that SyncSolver called before it read dominance
+    off the incentive table (core.iesds_scan), kept verbatim."""
+    if ctx is None:
+        ctx = full_context(game)
+    return iterated_strict_elimination(ctx.active, _ctx_pay(game, ctx))
+
+
+def chain_sequence_reference(game, target, seed, base):
+    """Literal finite-sequence search for the cost-order chain condition:
+    the "sequence" reading that ordered.classify once offered beside its
+    closure (ordered._chain_reaches), kept verbatim; equivalent to the
+    closure on single-crossing games."""
+    full = game.all_players
+
+    def extend(coalition):
+        if (coalition >> target) & 1:
+            return True
+        for p in bits(full & ~coalition & ~base):
+            if gains(game, p, (coalition | base) & ~(1 << p)):
+                if extend(coalition | (1 << p)):
+                    return True
+        return False
+
+    return extend(1 << seed)
 
 
 def tree_depth_reference(g, vertices=None):
