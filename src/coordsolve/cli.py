@@ -90,7 +90,7 @@ def parse_game(doc, path="$"):
     if not isinstance(doc, dict):
         raise ParseError(path, "document must be an object")
     n = doc.get("players")
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ParseError(path + ".players", "positive player count required")
     kind = doc.get("kind")
     if kind == "table":
@@ -121,6 +121,9 @@ def parse_game(doc, path="$"):
         except ValueError as exc:
             raise ParseError(path + ".c", str(exc)) from None
     elif kind in ("aligned_nsg", "opposed_nsg"):
+        nested = doc.get("nested", True)
+        if not isinstance(nested, bool):
+            raise ParseError(path + ".nested", "expected a boolean")
         in_starts = _int_vector(doc, "in_starts", n, path)
         out_ends = doc.get("out_ends")
         if out_ends is not None:
@@ -131,7 +134,7 @@ def parse_game(doc, path="$"):
                     "aligned_nsg",
                     in_starts=in_starts,
                     out_ends=out_ends,
-                    nested=doc.get("nested", True),
+                    nested=nested,
                 )
             else:
                 game = ordered.generate(

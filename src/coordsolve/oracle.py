@@ -187,16 +187,22 @@ def _mspne_outcomes(game, stages, moves_of, value_terminal, budget):
                 return frozenset()  # no admissible stage map here
             actions.append(acts)
             values.append(vals)
-        selections = _monotone_selections(preds, actions, budget)
-        if t == 0:
-            return frozenset(values[0][sel[0]] for sel in selections)
+        # Every outcome is one of the stage's admissible values (a stage-t
+        # outcome set lies within its continuation), so once all of them are
+        # found no further selection can add one.
+        ceiling = len(set().union(*(vals.values() for vals in values)))
         out = set()
-        for sel in selections:
-            key = (t - 1, tuple([vals[a] for vals, a in zip(values, sel)]))
-            got = memo.get(key)
-            if got is None:
-                got = memo[key] = run(t - 1, key[1])
-            out |= got
+        for sel in _monotone_selections(preds, actions, budget):
+            if t == 0:
+                out.add(values[0][sel[0]])
+            else:
+                key = (t - 1, tuple([vals[a] for vals, a in zip(values, sel)]))
+                got = memo.get(key)
+                if got is None:
+                    got = memo[key] = run(t - 1, key[1])
+                out |= got
+            if len(out) == ceiling:
+                break
         return frozenset(out)
 
     return set(run(T - 1, tuple(terminal)))

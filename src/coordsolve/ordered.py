@@ -12,12 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import (
-    Context,
     aggregative_game,
     bits,
-    gains,
-    is_ne,
-    iterated_strict_elimination,
+    iesds_scan,
+    incentive_table,
     mask_of,
     members,
     submasks,
@@ -38,20 +36,20 @@ class OrderedFlags:
     witnesses: dict = field(default_factory=dict)
 
 
-def _chain_reaches(game, target, seed, base):
-    """Closure reachability: starting from {seed} on top of `base`, repeatedly
-    admit any player strictly preferring to join the current coalition; does
-    `target` ever join?  Complete for the chain condition under single
-    crossing."""
+def _chain_reaches(gainers, full, target, seed, base):
+    """Closure reachability on the incentive table of a game on players
+    `full`: starting from {seed} on top of `base`, repeatedly admit any
+    player strictly preferring to join the current coalition; does `target`
+    ever join?  Complete for the chain condition under single crossing."""
     coalition = base | (1 << seed)
-    pool = game.all_players & ~coalition
+    pool = full & ~coalition
     grew = True
     while grew:
         if (coalition >> target) & 1:
             return True
         grew = False
         for p in bits(pool):
-            if gains(game, p, coalition):
+            if gainers[coalition] >> p & 1:
                 coalition |= 1 << p
                 pool &= ~(1 << p)
                 grew = True
@@ -59,11 +57,14 @@ def _chain_reaches(game, target, seed, base):
 
 
 def classify(game, budget=DEFAULT_CHECK_BUDGET):
-    """Exhaustive quantifier checks for the four order properties.
+    """Exhaustive quantifier checks for the four order properties, read off
+    the game's incentive table.
 
     The cost-order chain clause is read as strict-improvement closure
-    reachability (see _chain_reaches).  First witnesses are recorded per
-    failed flag.
+    reachability (see _chain_reaches).  Each flag is its own check: strong
+    cost order implies the weak one under single crossing, but a game
+    without it can be strongly and not weakly cost-ordered.  First witnesses
+    are recorded per failed flag.
     """
     n = game.n
     full = game.all_players
@@ -72,6 +73,7 @@ def classify(game, budget=DEFAULT_CHECK_BUDGET):
         raise ResourceLimitError(
             f"classification needs ~{steps} checks (budget {budget})", size=steps
         )
+    gainers, _ = incentive_table(game)
     flags = OrderedFlags()
     wit = flags.witnesses
 
@@ -79,11 +81,11 @@ def classify(game, budget=DEFAULT_CHECK_BUDGET):
         for i in range(j):
             pool = full & ~(1 << i) & ~(1 << j)
             for X in submasks(pool):
-                if gains(game, j, X):
-                    if flags.strongly_cost_ordered and not gains(game, i, X):
+                if gainers[X] >> j & 1:
+                    if flags.strongly_cost_ordered and not gainers[X] >> i & 1:
                         flags.strongly_cost_ordered = False
                         wit.setdefault("strongly_cost_ordered", (i, j, X))
-                    if flags.cost_ordered and not _chain_reaches(game, i, j, X):
+                    if flags.cost_ordered and not _chain_reaches(gainers, full, i, j, X):
                         flags.cost_ordered = False
                         wit.setdefault("cost_ordered", (i, j, X))
 
@@ -94,15 +96,13 @@ def classify(game, budget=DEFAULT_CHECK_BUDGET):
                     continue
                 pool = full & ~mask_of((i, j, k))
                 for X in submasks(pool):
-                    if gains(game, k, X | (1 << i)) and not gains(game, k, X | (1 << j)):
+                    if gainers[X | 1 << i] >> k & 1 and not gainers[X | 1 << j] >> k & 1:
                         if i < j and flags.contribution_ordered:
                             flags.contribution_ordered = False
                             wit.setdefault("contribution_ordered", (i, j, k, X))
                         if flags.contribution_natural:
                             flags.contribution_natural = False
                             wit.setdefault("contribution_natural", (i, j, k, X))
-    if flags.strongly_cost_ordered:
-        assert flags.cost_ordered, "strong cost order must imply the weak one"
     return flags
 
 
@@ -123,7 +123,8 @@ def ordered_min_horizon(game, targets, flags=None):
         raise PreconditionError(
             "fast path needs a cost-ordered and contribution-ordered game"
         )
-    least, greatest = iterated_strict_elimination(game.all_players, game._payoff)
+    gainers, losers = incentive_table(game)
+    least, greatest = iesds_scan(gainers, losers, game.all_players, 0)
     dropped = game.all_players & ~greatest
     if targets & dropped:
         raise PreconditionError(
@@ -140,7 +141,7 @@ def ordered_min_horizon(game, targets, flags=None):
         while grew:
             grew = False
             for i in bits(S):
-                if gains(game, i, O):
+                if gainers[O] >> i & 1:
                     S &= ~(1 << i)
                     O |= 1 << i
                     grew = True
@@ -154,17 +155,16 @@ def ordered_min_horizon(game, targets, flags=None):
         return 1 + solve(S & ~(1 << top), O | (1 << top))
 
     order = members(S0)
-    ctx = Context(S0, O0)
     best = None
     for k in range(1, len(order) + 1):
         prefix = mask_of(order[:k])
         if prefix & want != want:
             continue
-        if all(gains(game, i, (prefix | O0) & ~(1 << i)) for i in bits(prefix)):
-            if is_ne(game, ctx, prefix):
-                v = solve(prefix, O0)
-                if best is None or v < best:
-                    best = v
+        # a strictly sufficient Nash prefix: exactly its members gain in S0
+        if gainers[prefix | O0] & S0 == prefix:
+            v = solve(prefix, O0)
+            if best is None or v < best:
+                best = v
     if best is None:
         raise PreconditionError("no sufficient prefix covers the target")
     return best

@@ -97,6 +97,22 @@ def test_parse_errors_carry_paths():
         parse_game({"players": 2, "kind": "sudoku"})
 
 
+@pytest.mark.parametrize(
+    "doc, where",
+    [
+        ({"players": True, "kind": "table", "payoffs": [[0, 1]]}, "$.players:"),
+        (
+            {"players": 3, "kind": "aligned_nsg", "in_starts": [2, 1, 0], "nested": "no"},
+            "$.nested: expected a boolean",
+        ),
+    ],
+    ids=["players", "nested"],
+)
+def test_mistyped_scalars_name_their_path(tmp_path, capsys, doc, where):
+    assert main(["ordered", "--game", write_game(tmp_path, doc)]) == 1
+    assert where in capsys.readouterr().err
+
+
 def test_emit_round_trip():
     docs = [
         {"players": 2, "kind": "table", "payoffs": [[1, 0, 3, 2], [1, 2, 0, 3]]},
@@ -293,6 +309,18 @@ def test_ordered_subcommand(tmp_path, capsys):
     assert code == 0
     assert payload["strongly_cost_ordered"] is True
     assert payload["tau"] == 3
+
+
+def test_ordered_reports_strong_without_weak_cost_order(tmp_path, capsys):
+    # no single crossing: strongly cost-ordered, yet not cost-ordered
+    path = write_game(
+        tmp_path,
+        {"players": 2, "kind": "table", "payoffs": [[-2, 1, 1, -1], [-2, 0, 0, 1]]},
+    )
+    assert main(["ordered", "--game", path]) == 0
+    out = capsys.readouterr().out
+    assert "cost-ordered:          False" in out
+    assert "strongly cost-ordered: True" in out
 
 
 def test_oracle_subcommand(tmp_path, capsys):

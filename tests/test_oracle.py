@@ -123,6 +123,13 @@ def test_four_player_three_stage_reach():
     assert enumerate_equilibria(game, Sync(3)) == {0b1111}
 
 
+def test_all_ties_reach_every_outcome():
+    # every stage map is admissible; the search stops once all eight values
+    # are found instead of exhausting the default budget
+    game = table_game([[0] * 8] * 3)
+    assert enumerate_equilibria(game, Sync(3)) == set(range(8))
+
+
 def test_bad_schedule_arguments():
     game = mixed_two_player_game()
     with pytest.raises(ValueError):

@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from coordsolve import (
+    Digraph,
     PreconditionError,
     aggregative_game,
     aggregative_min_horizon,
@@ -10,12 +12,22 @@ from coordsolve import (
     generate,
     mask_of,
     ordered_min_horizon,
+    table_game,
+    weakest_link_game,
 )
-from coordsolve.core import gains, submasks
+from coordsolve.core import gains, incentive_table, submasks
 from coordsolve.ordered import _chain_reaches
 from coordsolve.sync import SyncSolver
 
-from util import chain_sequence_reference, cross_pairs_game
+from util import (
+    chain_sequence_reference,
+    classify_reference,
+    cross_pairs_game,
+    ordered_min_horizon_reference,
+    random_aggregative,
+    random_digraph,
+    random_game,
+)
 
 
 # -- classify -------------------------------------------------------------------
@@ -68,16 +80,96 @@ def test_chain_readings_agree_on_ordered_games():
         generate("aligned_nsg", in_starts=(2, 2, 4, 4, 5, 4), nested=False),
         cross_pairs_game(),
     ):
+        gainers, _ = incentive_table(game)
         visited = 0
         for j in range(game.n):
             for i in range(j):
                 pool = game.all_players & ~(1 << i) & ~(1 << j)
                 for X in submasks(pool):
                     visited += gains(game, j, X)
-                    assert _chain_reaches(game, i, j, X) == chain_sequence_reference(
-                        game, i, j, X
-                    )
+                    assert _chain_reaches(
+                        gainers, game.all_players, i, j, X
+                    ) == chain_sequence_reference(game, i, j, X)
         assert visited
+
+
+# Families that satisfy single crossing by construction.  The interval one,
+# weakest-link games on upward in-interval digraphs (nested or not), is mostly
+# cost- and contribution-ordered, so it reaches the fast path.
+COMPLIANT = ("table", "weakest_link", "aggregative", "interval")
+
+
+@st.composite
+def compliant_games(draw, family):
+    """A game of one COMPLIANT family on 2..7 players."""
+    n = draw(st.integers(2, 7))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if family == "table":
+        return random_game(rng, n)
+    if family == "weakest_link":
+        return weakest_link_game(random_digraph(rng, n))
+    if family == "aggregative":
+        return random_aggregative(rng, n)[0]
+    starts = [rng.randint(0, n) for _ in range(n)]
+    edges = [(j, i) for i, s in enumerate(starts) for j in range(s, n) if j != i]
+    return weakest_link_game(Digraph(n, edges))
+
+
+@st.composite
+def raw_tables(draw):
+    """Integer payoff tables on 2..5 players, no assumption enforced; the
+    small range makes ties common."""
+    n = draw(st.integers(2, 5))
+    cells = st.lists(st.integers(-2, 2), min_size=1 << n, max_size=1 << n)
+    return table_game([draw(cells) for _ in range(n)])
+
+
+def _horizon_or_error(horizon, game, targets, flags):
+    try:
+        return horizon(game, targets, flags=flags)
+    except PreconditionError as exc:
+        return f"PreconditionError: {exc}"
+
+
+def _assert_matches_raw_payoff_reference(game, extra_target):
+    """Same flags and witnesses as the raw-payoff classify, and the same
+    horizon or PreconditionError for every target."""
+    flags = classify(game)
+    ref = classify_reference(game)
+    assert flags == ref
+    targets = [game.all_players, extra_target & game.all_players]
+    targets += [1 << i for i in range(game.n)]
+    for X in targets:
+        assert _horizon_or_error(
+            ordered_min_horizon, game, X, flags
+        ) == _horizon_or_error(ordered_min_horizon_reference, game, X, ref)
+
+
+@pytest.mark.parametrize("family", COMPLIANT)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_table_reading_matches_raw_payoffs_on_compliant_games(family, data):
+    game = data.draw(compliant_games(family))
+    _assert_matches_raw_payoff_reference(game, data.draw(st.integers(0, 127)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(game=raw_tables(), target=st.integers(0, 31))
+# a prefix whose members all gain but is no Nash profile: player 1 gains too
+@example(game=table_game([[1, 2, -2, -2], [2, -2, -1, -1]]), target=1)
+def test_table_reading_matches_raw_payoffs_on_raw_tables(game, target):
+    _assert_matches_raw_payoff_reference(game, target)
+
+
+@pytest.mark.parametrize("family", COMPLIANT)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_strong_cost_order_implies_weak_under_single_crossing(family, data):
+    game = data.draw(compliant_games(family))
+    assert game.report.single_crossing
+    flags = classify(game)
+    if flags.strongly_cost_ordered:
+        assert flags.cost_ordered
 
 
 # -- fast recursion ---------------------------------------------------------------

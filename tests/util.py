@@ -12,6 +12,8 @@ from coordsolve import (
     Digraph,
     EliminationTree,
     Partition,
+    PreconditionError,
+    ResourceLimitError,
     Sync,
     Violation,
     aggregative_game,
@@ -27,9 +29,11 @@ from coordsolve.core import (
     gains,
     is_ne,
     iterated_strict_elimination,
+    members,
     sorted_coalitions,
     submasks,
 )
+from coordsolve.ordered import DEFAULT_CHECK_BUDGET, OrderedFlags
 from coordsolve.oracle import (
     _Budget,
     _async_histories,
@@ -410,6 +414,123 @@ def chain_sequence_reference(game, target, seed, base):
         return False
 
     return extend(1 << seed)
+
+
+def chain_reaches_reference(game, target, seed, base):
+    """ordered._chain_reaches as it read raw payoffs before it read the
+    incentive table, kept verbatim."""
+    coalition = base | (1 << seed)
+    pool = game.all_players & ~coalition
+    grew = True
+    while grew:
+        if (coalition >> target) & 1:
+            return True
+        grew = False
+        for p in bits(pool):
+            if gains(game, p, coalition):
+                coalition |= 1 << p
+                pool &= ~(1 << p)
+                grew = True
+    return (coalition >> target) & 1 == 1
+
+
+def classify_reference(game, budget=DEFAULT_CHECK_BUDGET):
+    """ordered.classify as it read raw payoffs before it read the incentive
+    table, kept verbatim but for its closing assert that strong cost order
+    implies the weak one (which needs single crossing; see test_ordered)."""
+    n = game.n
+    full = game.all_players
+    steps = n * n * (n + 2) * (1 << max(n - 2, 0))
+    if steps > budget:
+        raise ResourceLimitError(
+            f"classification needs ~{steps} checks (budget {budget})", size=steps
+        )
+    flags = OrderedFlags()
+    wit = flags.witnesses
+
+    for j in range(n):
+        for i in range(j):
+            pool = full & ~(1 << i) & ~(1 << j)
+            for X in submasks(pool):
+                if gains(game, j, X):
+                    if flags.strongly_cost_ordered and not gains(game, i, X):
+                        flags.strongly_cost_ordered = False
+                        wit.setdefault("strongly_cost_ordered", (i, j, X))
+                    if flags.cost_ordered and not chain_reaches_reference(game, i, j, X):
+                        flags.cost_ordered = False
+                        wit.setdefault("cost_ordered", (i, j, X))
+
+    for k in range(n):
+        for j in range(n):
+            for i in range(n):
+                if k in (i, j) or i == j:
+                    continue
+                pool = full & ~mask_of((i, j, k))
+                for X in submasks(pool):
+                    if gains(game, k, X | (1 << i)) and not gains(game, k, X | (1 << j)):
+                        if i < j and flags.contribution_ordered:
+                            flags.contribution_ordered = False
+                            wit.setdefault("contribution_ordered", (i, j, k, X))
+                        if flags.contribution_natural:
+                            flags.contribution_natural = False
+                            wit.setdefault("contribution_natural", (i, j, k, X))
+    return flags
+
+
+def ordered_min_horizon_reference(game, targets, flags=None):
+    """ordered.ordered_min_horizon as it read raw payoffs (strict gains,
+    iterated strict elimination and a Nash check) before it read the
+    incentive table, kept verbatim."""
+    flags = flags or classify_reference(game)
+    if not (flags.cost_ordered and flags.contribution_ordered):
+        raise PreconditionError(
+            "fast path needs a cost-ordered and contribution-ordered game"
+        )
+    least, greatest = iterated_strict_elimination(game.all_players, game._payoff)
+    dropped = game.all_players & ~greatest
+    if targets & dropped:
+        raise PreconditionError(
+            f"players {members(targets & dropped)} never activate"
+        )
+    S0 = greatest & ~least
+    O0 = least
+    want = targets & S0
+    if want == 0:
+        return 1
+
+    def cascade(S, O):
+        grew = True
+        while grew:
+            grew = False
+            for i in bits(S):
+                if gains(game, i, O):
+                    S &= ~(1 << i)
+                    O |= 1 << i
+                    grew = True
+        return S, O
+
+    def solve(S, O):
+        S, O = cascade(S, O)
+        if S == 0:
+            return 1
+        top = max(members(S))
+        return 1 + solve(S & ~(1 << top), O | (1 << top))
+
+    order = members(S0)
+    ctx = Context(S0, O0)
+    best = None
+    for k in range(1, len(order) + 1):
+        prefix = mask_of(order[:k])
+        if prefix & want != want:
+            continue
+        if all(gains(game, i, (prefix | O0) & ~(1 << i)) for i in bits(prefix)):
+            if is_ne(game, ctx, prefix):
+                v = solve(prefix, O0)
+                if best is None or v < best:
+                    best = v
+    if best is None:
+        raise PreconditionError("no sufficient prefix covers the target")
+    return best
 
 
 def tree_depth_reference(g, vertices=None):
