@@ -8,6 +8,7 @@ output use 1-based labels.  Exact rationals are integers or "p/q" strings.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -30,6 +31,7 @@ from .graphical import threshold_game, weakest_link_game
 from .sync import SyncSolver
 
 ENV_BUDGET = "COORDSOLVE_BUDGET"
+DEFAULT_BUDGET = 10**7
 
 
 class ParseError(Exception):
@@ -485,7 +487,7 @@ def _int_at_least(low, rule):
     return parse
 
 
-# every --t; --budget and its default, the environment's COORDSOLVE_BUDGET
+# every --t; --budget, or the environment's COORDSOLVE_BUDGET in its place
 _horizon = _int_at_least(1, "horizon must be a positive integer")
 _budget = _int_at_least(0, f"--budget or {ENV_BUDGET} must be a non-negative integer")
 
@@ -505,9 +507,11 @@ def build_parser():
         p.add_argument(
             "--budget",
             type=_budget,
-            default=os.environ.get(ENV_BUDGET, str(10**7)),
-            help="evaluation budget for heavy enumerations",
+            default=None,
+            help=f"evaluation budget for heavy enumerations (default: "
+            f"${ENV_BUDGET}, else {DEFAULT_BUDGET})",
         )
+        p.set_defaults(subparser=p)
         if sse:
             p.add_argument("--sse", dest="sss", action="store_false", default=False,
                            help="use equilibrium candidates in the recursion (default)")
@@ -560,10 +564,23 @@ _HANDLERS = {
 }
 
 
+@functools.cache
+def _parser():
+    """The argparse parser, built once per process."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
+        if args.command is not None and args.budget is None:
+            # read on every call, so the environment may change in between
+            text = os.environ.get(ENV_BUDGET, str(DEFAULT_BUDGET))
+            try:
+                args.budget = _budget(text)
+            except argparse.ArgumentTypeError as exc:
+                args.subparser.error(f"argument --budget: {exc}")
     except SystemExit as exc:
         # argparse exits 2 on usage errors; the contract is exit 1 (0 for -h)
         return 0 if exc.code in (0, None) else 1

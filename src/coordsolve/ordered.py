@@ -66,14 +66,24 @@ def classify(game, budget=DEFAULT_CHECK_BUDGET):
     without it can be strongly and not weakly cost-ordered.  First witnesses
     are recorded per failed flag.
     """
-    n = game.n
-    full = game.all_players
+    _check_classify_budget(game.n, budget)
+    gainers, _ = incentive_table(game)
+    return _classify_table(gainers, game.n)
+
+
+def _check_classify_budget(n, budget):
+    """Refuse, before any table is built, a classification whose estimated
+    check count exceeds the budget."""
     steps = n * n * (n + 2) * (1 << max(n - 2, 0))
     if steps > budget:
         raise ResourceLimitError(
             f"classification needs ~{steps} checks (budget {budget})", size=steps
         )
-    gainers, _ = incentive_table(game)
+
+
+def _classify_table(gainers, n):
+    """The four order flags of classify, read off a game's `gainers` table."""
+    full = (1 << n) - 1
     flags = OrderedFlags()
     wit = flags.witnesses
 
@@ -118,12 +128,17 @@ def ordered_min_horizon(game, targets, flags=None):
     cost-ordered games outside that class can make delete-highest suboptimal
     (see the 3-player interval counterexample in the test suite), so treat the
     value as an upper bound there."""
-    flags = flags or classify(game)
+    table = None
+    if flags is None:
+        # classify(game), sharing its table with the recursion below
+        _check_classify_budget(game.n, DEFAULT_CHECK_BUDGET)
+        table = incentive_table(game)
+        flags = _classify_table(table[0], game.n)
     if not (flags.cost_ordered and flags.contribution_ordered):
         raise PreconditionError(
             "fast path needs a cost-ordered and contribution-ordered game"
         )
-    gainers, losers = incentive_table(game)
+    gainers, losers = table or incentive_table(game)
     least, greatest = iesds_scan(gainers, losers, game.all_players, 0)
     dropped = game.all_players & ~greatest
     if targets & dropped:

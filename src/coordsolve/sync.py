@@ -7,6 +7,11 @@ horizon (`least_outcome`), the full outcome set per horizon (`outcome_set`),
 and a replayable policy tree over three operations: dominate a player whose
 action 1 became strictly dominant (free), force a player in at the cost of a
 stage (delete), or split off a strictly sufficient set (divide).
+
+The recursion memoises only each context's value, an int.  Policy trees are
+rebuilt on demand from those values: each node reruns its own scan and
+recurses into the children it chose, so a `policy()` call costs O(n) node
+scans.
 """
 
 from __future__ import annotations
@@ -61,7 +66,9 @@ class SyncSolver:
     see core.incentive_table), and the candidate, dominance and Nash scans
     read only that.  Degenerate players (strictly dominant actions, iterated)
     are stripped first and folded into the base context: forced ones join
-    the forced set, forced zeros leave the game.  A solver instance is not
+    the forced set, forced zeros leave the game.  Subgame values live in an
+    int memo (`_memo`, keyed by context); policy trees are not stored but
+    rebuilt on demand by `value` and `policy`.  A solver instance is not
     thread-safe, but distinct instances are independent.
     """
 
@@ -100,51 +107,91 @@ class SyncSolver:
 
     # -- the recursion ------------------------------------------------------
 
-    def value(self, S, O):
+    def _tau(self, S, O):
         """Minimum number of stages to reach all-ones in the auxiliary game
-        (S active, O forced to 1), as a PolicyNode.  Every reachable context
-        keeps all active players strictly willing at the top profile, so the
-        recursion never meets a strictly dominated action 0."""
+        (S active, O forced to 1), memoised as an int per context.  Every
+        reachable context keeps all active players strictly willing at the
+        top profile, so the recursion never meets a strictly dominated
+        action 0."""
         key = (S, O)
-        node = self._memo.get(key)
-        if node is not None:
-            return node
+        got = self._memo.get(key)
+        if got is None:
+            # dominate, for free, the lowest active player who strictly
+            # gains already when just O plays 1; repeat
+            gainers = self.gainers
+            while willing := S & gainers[O]:
+                low = willing & -willing
+                S ^= low
+                O |= low
+            got = self._scan(S, O)[0] if S else 1
+            self._memo[key] = got
+        return got
 
-        # dominate, for free, the lowest active player who strictly gains
-        # already when just O2 plays 1; repeat
+    def _scan(self, S, O):
+        """(value, op, arg) of the first strict minimum over the divides,
+        then the deletes, of a context with S nonempty and no player left to
+        dominate; arg is the split set of a divide, the player of a delete.
+
+        Every value here is at least 2: a delete costs 1 more than its
+        child, and a divide's left child (X, O) again has no one to dominate,
+        so by induction on |X| it is at least 2 too.  Hence the scan returns
+        at the first 2 and skips a divide's right child once its left value
+        is no better than the best so far; no skipped branch could be
+        strictly better."""
+        tau = self._tau
+        best = op = arg = None
+        for X in self._candidates(S, O):
+            if X == S:
+                continue
+            left = tau(X, O)
+            if best is not None and left >= best:
+                continue
+            v = max(left, tau(S & ~X, O | X))
+            if best is None or v < best:
+                best, op, arg = v, "divide", X
+                if best == 2:
+                    return best, op, arg
+        for i in bits(S):
+            b = 1 << i
+            v = 1 + tau(S & ~b, O | b)
+            if best is None or v < best:
+                best, op, arg = v, "delete", i
+                if best == 2:
+                    break
+        return best, op, arg
+
+    def value(self, S, O):
+        """The solved policy of context (S, O) as a PolicyNode tree; its
+        root value is `_tau(S, O)`.  Only the int values are memoised: each
+        call rebuilds the tree, rerunning each node's scan over the memo and
+        recursing into the children it chose, so it costs one scan per node
+        (O(n) nodes, as every step removes a player or splits the set)."""
+        # the free dominate steps, as in _tau
         gainers = self.gainers
         chain = []
-        S2, O2 = S, O
-        while willing := S2 & gainers[O2]:
+        while willing := S & gainers[O]:
             low = willing & -willing
             chain.append(low.bit_length() - 1)
-            S2 ^= low
-            O2 |= low
+            S ^= low
+            O |= low
 
-        if S2 == 0:
+        if S == 0:
             node = PolicyNode("stop", None, None, (), 1)
         else:
-            best = None
-            for X in self._candidates(S2, O2):
-                if X == S2:
-                    continue
-                left = self.value(X, O2)
-                right = self.value(S2 & ~X, O2 | X)
-                v = max(left.value, right.value)
-                if best is None or v < best.value:
-                    best = PolicyNode("divide", None, X, (left, right), v)
-            for i in bits(S2):
-                child = self.value(S2 & ~(1 << i), O2 | (1 << i))
-                if best is None or 1 + child.value < best.value:
-                    best = PolicyNode("delete", i, None, (child,), 1 + child.value)
-            node = best
+            v, op, arg = self._scan(S, O)
+            if op == "divide":
+                children = (self.value(arg, O), self.value(S & ~arg, O | arg))
+                node = PolicyNode("divide", None, arg, children, v)
+            else:
+                b = 1 << arg
+                node = PolicyNode("delete", arg, None, (self.value(S & ~b, O | b),), v)
         for i in reversed(chain):
             node = PolicyNode("dominate", i, None, (node,), node.value)
-        self._memo[key] = node
         return node
 
     def policy(self):
-        """Policy tree for the (reduced) full game."""
+        """Policy tree for the (reduced) full game, rebuilt from the int
+        memo on each call (see value)."""
         return self.value(self.base.active, self.base.ones)
 
     # -- public operators ---------------------------------------------------
@@ -168,9 +215,11 @@ class SyncSolver:
         best = None
         for Y in self._candidates(reduced.active, reduced.ones):
             if Y & want == want:
-                v = self.value(Y, reduced.ones).value
+                v = self._tau(Y, reduced.ones)
                 if best is None or v < best:
                     best = v
+                    if best == 1:
+                        break
         if best is None:
             raise PreconditionError(
                 "no strictly sufficient candidate covers the target; "

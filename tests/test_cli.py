@@ -434,6 +434,21 @@ def test_malformed_budget_from_environment_names_it(tmp_path, capsys, monkeypatc
     assert main(["check", "--game", path, "--budget", "5"]) == 0
 
 
+def test_budget_from_environment_is_read_on_every_call(tmp_path, capsys, monkeypatch):
+    # the parser is built once per process; the environment is not frozen in it
+    path = write_game(tmp_path, triangles_doc())
+    argv = ["oracle", "--game", path, "--mode", "spne", "--t", "2"]
+    monkeypatch.setenv("COORDSOLVE_BUDGET", "5")
+    assert main(argv) == 3
+    monkeypatch.setenv("COORDSOLVE_BUDGET", "100000")
+    assert main(argv) == 0
+    monkeypatch.setenv("COORDSOLVE_BUDGET", "5")
+    assert main(argv) == 3
+    assert main(argv + ["--budget", "100000"]) == 0
+    monkeypatch.delenv("COORDSOLVE_BUDGET")
+    assert main(argv) == 0
+
+
 @pytest.mark.parametrize("value", ["abc", "-1"])
 def test_malformed_budget_flag_names_it(tmp_path, capsys, value):
     path = write_game(tmp_path, {"players": 2, "kind": "aggregative", "c": [1, 1]})

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from coordsolve import (
     Digraph,
     PreconditionError,
+    ResourceLimitError,
     aggregative_game,
     aggregative_min_horizon,
     classify,
@@ -16,6 +17,7 @@ from coordsolve import (
     weakest_link_game,
 )
 from coordsolve.core import gains, incentive_table, submasks
+from coordsolve import ordered
 from coordsolve.ordered import _chain_reaches
 from coordsolve.sync import SyncSolver
 
@@ -189,6 +191,40 @@ def test_heterogeneous_small_case():
 def test_fast_path_needs_order_flags():
     with pytest.raises(PreconditionError):
         ordered_min_horizon(cross_pairs_game(), mask_of((0, 1)))
+
+
+def test_fast_path_builds_one_table_without_flags(monkeypatch):
+    built = []
+
+    def counted(game):
+        built.append(game)
+        return incentive_table(game)
+
+    monkeypatch.setattr(ordered, "incentive_table", counted)
+    rng = random.Random(314)
+    for _ in range(10):
+        game, _ = random_aggregative(rng, rng.randint(2, 6))
+        target = rng.randrange(1 << game.n)
+        built.clear()
+        got = ordered_min_horizon(game, target)
+        assert len(built) == 1
+        assert got == ordered_min_horizon(game, target, classify(game))
+    built.clear()
+    with pytest.raises(PreconditionError):
+        ordered_min_horizon(cross_pairs_game(), mask_of((0, 1)))
+    assert len(built) == 1
+
+
+def test_fast_path_refuses_an_unaffordable_classification_before_any_table(monkeypatch):
+    def refuse(game):
+        raise AssertionError("table built before the budget check")
+
+    monkeypatch.setattr(ordered, "incentive_table", refuse)
+    game = aggregative_game((1,) * 14)
+    with pytest.raises(ResourceLimitError):
+        ordered_min_horizon(game, game.all_players)
+    with pytest.raises(ResourceLimitError):
+        classify(game)
 
 
 def test_fast_path_matches_recursion_on_aggregatives():

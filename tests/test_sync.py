@@ -1,13 +1,15 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from coordsolve import (
     Context,
     Digraph,
     PreconditionError,
+    Sync,
     aggregative_game,
+    enumerate_equilibria,
     mask_of,
     members,
     ne_set,
@@ -19,6 +21,7 @@ from coordsolve.graphical import threshold_game
 from coordsolve.sync import SyncSolver
 
 from util import (
+    PolicyNodeSolverReference,
     cross_pairs_game,
     cycle_graph,
     dominate_chain_reference,
@@ -215,8 +218,6 @@ def test_degenerate_players_folded_into_context():
 def test_degenerate_reduction_matches_oracle():
     """Games with planted dominant players: strip them, solve, re-extend; the
     result must agree with brute-force enumeration of the full game."""
-    from coordsolve import Sync, enumerate_equilibria
-
     rng = random.Random(901)
     for _ in range(5):
         base = random_game(rng, 3, spillovers=False)
@@ -292,3 +293,57 @@ def test_dominate_chain_matches_raw_payoff_reference(case, use_sse):
         chain.append(node.player)
         node = node.children[0]
     assert chain == dominate_chain_reference(game, ctx.active, ctx.ones)
+
+
+def _horizon_or_error(solver, targets):
+    try:
+        return solver.min_horizon(targets)
+    except PreconditionError as exc:
+        return str(exc)
+
+
+# a 5-player table whose best policy costs 2 through a delete found after
+# a divide of 3: a scan that stopped at 3, or skipped deletes there, gets 3
+CUTOFF_TABLE = [
+    [0, -2, 1, -2, 2, -2, 0, 1, -1, 2, 0, 1, 0, -1, 0, 1, 1, 1, 1, 2, -1, -2, 0, 0, 1, 1, -2, 2, 2, 2, 0, 0],
+    [2, -2, -2, 0, -1, -2, 1, 0, -1, 1, 0, 1, 1, -1, -1, -1, -2, -2, -2, 2, 1, -2, 2, 1, -2, 0, -2, -1, 1, -2, 2, 1],
+    [0, 1, -1, 1, -1, 2, 2, -1, 1, -1, 2, -2, -2, 0, 0, -1, 0, -2, 1, 2, 0, 0, 1, 0, 1, 1, -1, 1, -1, 1, 0, 1],
+    [-1, -2, 1, 1, 0, 1, -2, 1, -2, 1, 1, 0, 2, 2, 2, -2, 2, -2, -2, 2, -2, 1, 0, -1, -1, -1, 1, 2, 0, 0, -2, -2],
+    [1, 1, -1, 1, -2, -2, -2, -2, -2, 2, 1, 0, -2, -2, -1, -2, -2, 1, 0, 2, 0, -1, 1, -1, 1, 2, 0, -1, -1, 1, -2, -2],
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables_with_contexts(), st.booleans())
+@example((table_game(CUTOFF_TABLE), Context(0b11111, 0)), True)
+def test_int_memo_recursion_matches_policy_node_reference(case, use_sse):
+    """The int-memo recursion with its cutoffs, and the trees rebuilt from
+    it, equal the PolicyNode recursion that scans every branch, on games
+    that need not satisfy any assumption: cold, and again once the memo is
+    warm from the horizon queries."""
+    game, ctx = case
+    solver = SyncSolver(game, use_sse=use_sse)
+    ref = PolicyNodeSolverReference(game, use_sse=use_sse)
+    want = ref.value(ctx.active, ctx.ones)
+    got = solver.value(ctx.active, ctx.ones)
+    assert got == want and got.value == want.value
+    for targets in [game.all_players] + [1 << i for i in range(game.n)]:
+        assert _horizon_or_error(solver, targets) == _horizon_or_error(ref, targets)
+    assert solver.value(ctx.active, ctx.ones) == want
+    assert solver.policy() == ref.policy()
+    assert all(type(v) is int for v in solver._memo.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 4), st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+def test_outcome_sets_match_oracle(n, seed, spillovers, use_sse):
+    """outcome_set(T) is the brute-force MSPNE outcome set of the T-stage
+    game, and least_outcome(T) its least element (T = 3 only up to three
+    players, where the oracle stays fast)."""
+    game = random_game(random.Random(seed), n, spillovers=spillovers)
+    solver = SyncSolver(game, use_sse=use_sse)
+    for T in (1, 2, 3) if n <= 3 else (1, 2):
+        want = enumerate_equilibria(game, Sync(T), mode="mspne")
+        assert set(solver.outcome_set(T)) == want
+        least = solver.least_outcome(T)
+        assert least in want and all(least & ~X == 0 for X in want)

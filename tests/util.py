@@ -34,6 +34,7 @@ from coordsolve.core import (
     submasks,
 )
 from coordsolve.ordered import DEFAULT_CHECK_BUDGET, OrderedFlags
+from coordsolve.sync import PolicyNode, SyncSolver
 from coordsolve.oracle import (
     _Budget,
     _async_histories,
@@ -395,6 +396,73 @@ def iesds_reference(game, ctx=None):
     if ctx is None:
         ctx = full_context(game)
     return iterated_strict_elimination(ctx.active, _ctx_pay(game, ctx))
+
+
+class PolicyNodeSolverReference(SyncSolver):
+    """SyncSolver with the value recursion it had before the int memo: a
+    PolicyNode memoised per context, every divide and delete scanned in
+    full.  `value` and `_min_horizon_reduced` are kept verbatim; the
+    reduction, candidate cache and public operators are inherited."""
+
+    def value(self, S, O):
+        """Minimum number of stages to reach all-ones in the auxiliary game
+        (S active, O forced to 1), as a PolicyNode.  Every reachable context
+        keeps all active players strictly willing at the top profile, so the
+        recursion never meets a strictly dominated action 0."""
+        key = (S, O)
+        node = self._memo.get(key)
+        if node is not None:
+            return node
+
+        # dominate, for free, the lowest active player who strictly gains
+        # already when just O2 plays 1; repeat
+        gainers = self.gainers
+        chain = []
+        S2, O2 = S, O
+        while willing := S2 & gainers[O2]:
+            low = willing & -willing
+            chain.append(low.bit_length() - 1)
+            S2 ^= low
+            O2 |= low
+
+        if S2 == 0:
+            node = PolicyNode("stop", None, None, (), 1)
+        else:
+            best = None
+            for X in self._candidates(S2, O2):
+                if X == S2:
+                    continue
+                left = self.value(X, O2)
+                right = self.value(S2 & ~X, O2 | X)
+                v = max(left.value, right.value)
+                if best is None or v < best.value:
+                    best = PolicyNode("divide", None, X, (left, right), v)
+            for i in bits(S2):
+                child = self.value(S2 & ~(1 << i), O2 | (1 << i))
+                if best is None or 1 + child.value < best.value:
+                    best = PolicyNode("delete", i, None, (child,), 1 + child.value)
+            node = best
+        for i in reversed(chain):
+            node = PolicyNode("dominate", i, None, (node,), node.value)
+        self._memo[key] = node
+        return node
+
+    def _min_horizon_reduced(self, targets, reduced):
+        want = targets & reduced.active
+        if want == 0:
+            return 1
+        best = None
+        for Y in self._candidates(reduced.active, reduced.ones):
+            if Y & want == want:
+                v = self.value(Y, reduced.ones).value
+                if best is None or v < best:
+                    best = v
+        if best is None:
+            raise PreconditionError(
+                "no strictly sufficient candidate covers the target; "
+                "the game is degenerate beyond repair"
+            )
+        return best
 
 
 def chain_sequence_reference(game, target, seed, base):
