@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Partition, bits, gains, iterated_strict_elimination
+from .core import Partition, bits, gains, iterated_strict_elimination, submasks
 from .digraph import check_feasible_partition, partition_from_treedepth, reach
 from .errors import ResourceLimitError
 from .graphical import reduce_to_weakest_link
@@ -19,10 +19,13 @@ DEFAULT_BUDGET = 10**7
 class IesedsTable:
     """Backward-elimination record for one schedule.
 
-    stage_actions[t] maps each history (tuple of earlier cells' action masks)
-    to the least action vector of cell t surviving iterated strict elimination
-    in the induced auxiliary game; on_path replays those choices from the
-    empty history and outcome is their union."""
+    stage_actions[t] maps each history of stage t to the least action vector
+    of cell t surviving iterated strict elimination in the induced auxiliary
+    game.  A history is keyed by the union of the earlier cells' action
+    masks (an int); the cells are disjoint, so the union fixes each earlier
+    cell's move, and the keys are exactly the submasks of cells[0] | ... |
+    cells[t-1].  on_path replays those choices from the empty history and
+    outcome is their union."""
 
     partition: Partition
     stage_actions: list
@@ -43,10 +46,19 @@ def ieseds(game, p, budget=DEFAULT_BUDGET):
     """Least action profile surviving iterated elimination of strictly
     extensively dominated strategies, stage by stage from the back.
 
-    For every stage t and history h, the cell plays an auxiliary simultaneous
+    For every stage t and history H, the cell plays an auxiliary simultaneous
     game whose payoffs plug in the least-path continuation of later stages;
     the literal per-player strict-dominance loop runs on it (no best-response
     shortcut), and its least survivor is recorded.
+
+    One bottom-up sweep solves the stages last to first.  A history is the
+    int H, the union of the earlier cells' moves, and stage t solves every
+    H within the earlier cells: with nxt[M] the final outcome reached from
+    stage t + 1 under history M (the identity after the last stage), the
+    auxiliary payoff of X is pay(i, nxt[H | X]), and the history's own final
+    outcome is nxt[H | least].  A history's answer depends only on the
+    stages after it, so the sweep gives every history the answer a lazy
+    recursion from the empty history would reach it with.
     """
     p.validate_cover(game.n)
     cells = p.cells
@@ -58,40 +70,44 @@ def ieseds(game, p, budget=DEFAULT_BUDGET):
         )
 
     pay = game._payoff
-    tables = [dict() for _ in range(T)]
-    memo = {}
+    tables = [None] * T
+    prefix = p.union()
+    nxt = None  # final outcome per history of the stage after t; None: identity
+    for t in range(T - 1, -1, -1):
+        cell = cells[t]
+        prefix &= ~cell
+        tables[t], nxt = _solve_stage(pay, cell, prefix, nxt)
 
-    def least_from(t, h):
-        """Final outcome reached from stage t under history h when every stage
-        plays its least surviving vector."""
-        if t == T:
-            out = 0
-            for m in h:
-                out |= m
-            return out
-        key = (t, h)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        def aux_pay(i, X):
-            return pay(i, least_from(t + 1, h + (X,)))
-
-        least, _ = iterated_strict_elimination(cells[t], aux_pay)
-        tables[t][h] = least
-        out = least_from(t + 1, h + (least,))
-        memo[key] = out
-        return out
-
-    outcome = least_from(0, ())
     on_path = []
-    h = ()
+    h = 0
     for t in range(T):
         a = tables[t][h]
         on_path.append(a)
-        h = h + (a,)
+        h |= a
     return IesedsTable(
-        partition=p, stage_actions=tables, on_path=tuple(on_path), outcome=outcome
+        partition=p, stage_actions=tables, on_path=tuple(on_path), outcome=nxt[0]
     )
+
+
+def _solve_stage(pay, cell, prefix, nxt):
+    """Solve one stage for every history H within `prefix`.
+
+    Returns (least, out): least[H] is the cell's least surviving move and
+    out[H] the final outcome it leads to, given nxt (None after the last
+    stage, where the outcome is the profile itself)."""
+    least = {}
+    out = {}
+    if nxt is None:
+        def aux_pay(i, X):
+            return pay(i, h | X)  # h: the history the loop below is solving
+    else:
+        def aux_pay(i, X):
+            return pay(i, nxt[h | X])
+    for h in submasks(prefix):
+        a, _ = iterated_strict_elimination(cell, aux_pay)
+        least[h] = a
+        out[h] = h | a if nxt is None else nxt[h | a]
+    return least, out
 
 
 def best_achievable(game, T, solver=None):

@@ -19,7 +19,6 @@ from .core import (
     Partition,
     aggregative_game,
     least_ne,
-    mask_of,
     members,
     ne_set,
     sorted_coalitions,
@@ -235,12 +234,26 @@ def _parse_partition(text, n):
     if not isinstance(doc, list):
         raise ParseError("partition", "expected {\"cells\": [[...], ...]}")
     cells = []
+    seen = 0
     for idx, cell in enumerate(doc):
-        if not isinstance(cell, list) or not all(
-            isinstance(v, int) and 0 <= v < n for v in cell
-        ):
-            raise ParseError(f"partition.cells[{idx}]", "expected 0-based player list")
-        cells.append(mask_of(cell))
+        path = f"partition.cells[{idx}]"
+        if not isinstance(cell, list):
+            raise ParseError(path, "expected 0-based player list")
+        mask = 0
+        for v in cell:
+            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
+                got = json.dumps(v)
+                raise ParseError(path, f"expected a 0-based player below {n}, got {got}")
+            if mask >> v & 1:
+                raise ParseError(path, f"lists player {v} twice")
+            mask |= 1 << v
+        if mask & seen:
+            raise ParseError(path, f"players {list(members(mask & seen))} are in an earlier cell")
+        seen |= mask
+        cells.append(mask)
+    missing = ((1 << n) - 1) & ~seen
+    if missing:
+        raise ParseError("partition.cells", f"players {list(members(missing))} are in no cell")
     return Partition(cells)
 
 
@@ -367,9 +380,7 @@ def _load_partition_arg(args, n):
     if text and os.path.exists(text):
         with open(text) as fh:
             text = fh.read()
-    p = _parse_partition(text, n)
-    p.validate_cover(n)
-    return p
+    return _parse_partition(text, n)
 
 
 def _cmd_centrality(args):

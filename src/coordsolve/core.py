@@ -462,19 +462,27 @@ def iterated_strict_elimination(players_mask, pay):
     so the result is order-independent and correct without any assumptions.
     Returns (least, greatest): per-player minimum and maximum surviving action
     encoded as coalition masks.
+
+    Each round visits the undecided players in ascending order and each
+    player's free opponent profiles as descending submasks, stopping at the
+    first profile that rules out both dominances.
     """
     can0 = players_mask  # players for whom action 0 still survives
     can1 = players_mask
     changed = True
     while changed:
         changed = False
-        for i in bits(can0 & can1):
-            bit = 1 << i
+        todo = can0 & can1
+        while todo:
+            bit = todo & -todo
+            todo ^= bit
+            i = bit.bit_length() - 1
             forced1 = can1 & ~can0
             free = can0 & can1 & ~bit
             worse1 = True  # action 1 strictly dominated by 0
             worse0 = True
-            for sub in submasks(free):
+            sub = free
+            while True:
                 prof = sub | forced1
                 a1 = pay(i, prof | bit)
                 a0 = pay(i, prof)
@@ -482,8 +490,9 @@ def iterated_strict_elimination(players_mask, pay):
                     worse1 = False
                 if a0 >= a1:
                     worse0 = False
-                if not worse0 and not worse1:
+                if (not worse0 and not worse1) or sub == 0:
                     break
+                sub = (sub - 1) & free
             if worse1:
                 can1 &= ~bit
                 changed = True

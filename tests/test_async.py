@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from coordsolve import (
     Digraph,
@@ -15,14 +16,20 @@ from coordsolve import (
     members,
     ne_set,
     reduce_to_weakest_link,
+    table_game,
     weakest_link_game,
 )
 from coordsolve import oracle
+from coordsolve.asyncgame import _history_cost
+from coordsolve.core import submasks
 from coordsolve.sync import SyncSolver
 
 from util import (
+    EXACT_PAYOFFS,
     cross_pairs_game,
+    ieseds_reference,
     random_game,
+    random_partition,
     seven_player_design_game,
     star_graph,
     two_triangles_game,
@@ -58,12 +65,16 @@ def test_on_path_replays_from_table():
     game = two_triangles_game()
     p, _ = design_schedule(game, 3)
     table = ieseds(game, p)
-    h = ()
+    h = 0  # union of the moves played so far
+    prefix = 0
     for t, cell in enumerate(p.cells):
+        assert sorted(table.stage_actions[t]) == sorted(submasks(prefix))
         played = table.stage_actions[t][h]
         assert played == table.on_path[t]
         assert played & ~cell == 0
-        h = h + (played,)
+        h |= played
+        prefix |= cell
+    assert h == table.outcome
 
 
 def test_history_budget_enforced():
@@ -71,6 +82,71 @@ def test_history_budget_enforced():
     p = Partition([1 << i for i in range(6)])
     with pytest.raises(ResourceLimitError):
         ieseds(game, p, budget=10)
+
+
+def test_history_budget_boundary():
+    game = random_game(random.Random(0), 6)
+    p = Partition([mask_of((2, 4)), 1 << 0, 0, mask_of((1, 3, 5))])
+    cost = _history_cost(p.cells)
+    assert ieseds(game, p, budget=cost).outcome == ieseds(game, p).outcome
+    with pytest.raises(ResourceLimitError) as info:
+        ieseds(game, p, budget=cost - 1)
+    assert info.value.size == cost
+
+
+# Player 0 moves first and alone, and its least move is 1; players 1 and 2
+# then share a cell, where player 1 is indifferent whenever player 2 plays 1.
+IESEDS_TIES = [
+    [-1, 0, 1, 1, 0, 1, 0, 0],
+    [0, -1, -1, 1, 0, 0, 0, 0],
+    [0, 0, 0, 0, 1, 1, 0, -1],
+]
+
+
+@st.composite
+def games_with_schedules(draw):
+    """An assumption-satisfying or an unconstrained exact table (ties and
+    Fractions) on a singleton, random or single-cell schedule, sometimes
+    with an empty cell inserted."""
+    n = draw(st.integers(1, 5))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if n >= 2 and draw(st.booleans()):
+        game = random_game(rng, n)
+    else:
+        size = 1 << n
+        game = table_game(
+            [draw(st.lists(EXACT_PAYOFFS, min_size=size, max_size=size)) for _ in range(n)]
+        )
+    shape = draw(st.sampled_from(["singleton", "random", "single"]))
+    if shape == "singleton":
+        cells = [1 << i for i in rng.sample(range(n), n)]
+    elif shape == "random":
+        cells = list(random_partition(rng, n).cells)
+    else:
+        cells = [game.all_players]
+    if draw(st.booleans()):
+        cells.insert(draw(st.integers(0, len(cells))), 0)
+    return game, Partition(cells)
+
+
+@settings(max_examples=300, deadline=None)
+@given(games_with_schedules())
+@example((table_game(IESEDS_TIES), Partition([1 << 0, mask_of((1, 2))])))
+def test_sweep_matches_lazy_recursion_reference(case):
+    """The bottom-up sweep over union-mask histories gives the lazy tuple
+    recursion's outcome and path, and the same least move at every history
+    the recursion reached."""
+    game, p = case
+    got = ieseds(game, p)
+    want = ieseds_reference(game, p)
+    assert got.outcome == want.outcome
+    assert got.on_path == want.on_path
+    for t, reached in enumerate(want.stage_actions):
+        for h, least in reached.items():
+            union = 0
+            for m in h:
+                union |= m
+            assert got.stage_actions[t][union] == least
 
 
 def test_partition_must_cover():

@@ -286,6 +286,25 @@ def test_async_solve_subcommand(tmp_path, capsys):
     assert payload["outcome"] == [1, 2, 3, 4, 5, 6, 7, 8]
 
 
+@pytest.mark.parametrize(
+    "cells, where",
+    [
+        ([[True], [0, 2]], "partition.cells[0]: expected a 0-based player below 3, got true"),
+        ([[0, 0], [1, 2]], "partition.cells[0]: lists player 0 twice"),
+        ([[0, 1], [1, 2]], "partition.cells[1]: players [1] are in an earlier cell"),
+        ([[0], [2]], "partition.cells: players [1] are in no cell"),
+    ],
+    ids=["boolean", "duplicate", "overlap", "cover"],
+)
+def test_malformed_partition_names_its_cell(tmp_path, capsys, cells, where):
+    path = write_game(tmp_path, {"players": 3, "kind": "aggregative", "c": [1, 1, 2]})
+    partition = json.dumps({"cells": cells})
+    assert main(["async-solve", "--game", path, "--partition", partition, "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == f"error: {where}"
+
+
 def test_centrality_horizons_intervene(tmp_path, capsys):
     path = write_game(tmp_path, hub_doc())
     code, payload = run_json(capsys, ["centrality", "--game", path, "--json"])

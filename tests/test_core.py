@@ -19,7 +19,7 @@ from coordsolve import (
     table_game,
     weakest_link_game,
 )
-from coordsolve.core import iesds_scan
+from coordsolve.core import _ctx_pay, iesds_scan, iterated_strict_elimination
 
 from util import (
     EXACT_PAYOFFS,
@@ -27,6 +27,7 @@ from util import (
     cross_pairs_game,
     cycle_graph,
     iesds_reference,
+    iterated_strict_elimination_reference,
     mixed_two_player_game,
     ne_set_reference,
     random_game,
@@ -282,6 +283,27 @@ def test_iesds_scan_matches_raw_payoff_reference(case):
     game, ctx = case
     got = iesds_scan(*incentive_table(game), ctx.active, ctx.ones)
     assert got == iesds_reference(game, ctx)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables_with_contexts())
+def test_bit_loop_elimination_matches_generator_reference(case):
+    """The while-loop elimination reads the same payoffs in the same order
+    and stops at the same profile as the bits()/submasks() loop."""
+    game, ctx = case
+    pay = _ctx_pay(game, ctx)
+    got_reads, want_reads = [], []
+
+    def logged(reads):
+        def read(i, X):
+            reads.append((i, X))
+            return pay(i, X)
+        return read
+
+    got = iterated_strict_elimination(ctx.active, logged(got_reads))
+    want = iterated_strict_elimination_reference(ctx.active, logged(want_reads))
+    assert got == want
+    assert got_reads == want_reads
 
 
 # -- strictly sufficient sets -------------------------------------------------

@@ -33,6 +33,7 @@ from coordsolve.core import (
     sorted_coalitions,
     submasks,
 )
+from coordsolve.asyncgame import DEFAULT_BUDGET, IesedsTable, _history_cost
 from coordsolve.ordered import DEFAULT_CHECK_BUDGET, OrderedFlags
 from coordsolve.sync import PolicyNode, SyncSolver
 from coordsolve.oracle import (
@@ -808,3 +809,104 @@ def mspne_reference(game, schedule, budget=10**9):
             return out
 
     return _mspne_outcomes(game, stages, moves_of, terminal, _Budget(budget))
+
+
+# ---------------------------------------------------------------------------
+# IESEDS as a lazy recursion over tuple histories, on the generator-based
+# elimination loop (both kept verbatim as the reference for the bottom-up
+# sweep of `asyncgame.ieseds` and the bit-loop `iterated_strict_elimination`)
+
+
+def iterated_strict_elimination_reference(players_mask, pay):
+    """Iterated elimination of strictly dominated actions in a binary game.
+
+    `pay(i, X)` gives i's payoff when exactly X (a submask of players_mask)
+    plays 1.  Dominance is checked against every surviving opponent profile,
+    so the result is order-independent and correct without any assumptions.
+    Returns (least, greatest): per-player minimum and maximum surviving action
+    encoded as coalition masks.
+    """
+    can0 = players_mask  # players for whom action 0 still survives
+    can1 = players_mask
+    changed = True
+    while changed:
+        changed = False
+        for i in bits(can0 & can1):
+            bit = 1 << i
+            forced1 = can1 & ~can0
+            free = can0 & can1 & ~bit
+            worse1 = True  # action 1 strictly dominated by 0
+            worse0 = True
+            for sub in submasks(free):
+                prof = sub | forced1
+                a1 = pay(i, prof | bit)
+                a0 = pay(i, prof)
+                if a1 >= a0:
+                    worse1 = False
+                if a0 >= a1:
+                    worse0 = False
+                if not worse0 and not worse1:
+                    break
+            if worse1:
+                can1 &= ~bit
+                changed = True
+            elif worse0:
+                can0 &= ~bit
+                changed = True
+    return can1 & ~can0, can1
+
+
+def ieseds_reference(game, p, budget=DEFAULT_BUDGET):
+    """Least action profile surviving iterated elimination of strictly
+    extensively dominated strategies, stage by stage from the back.
+
+    For every stage t and history h, the cell plays an auxiliary simultaneous
+    game whose payoffs plug in the least-path continuation of later stages;
+    the literal per-player strict-dominance loop runs on it (no best-response
+    shortcut), and its least survivor is recorded.  Histories are tuples of
+    the earlier cells' action masks, reached lazily from the empty one.
+    """
+    p.validate_cover(game.n)
+    cells = p.cells
+    T = len(cells)
+    cost = _history_cost(cells)
+    if cost > budget:
+        raise ResourceLimitError(
+            f"schedule needs ~{cost} payoff evaluations (budget {budget})", size=cost
+        )
+
+    pay = game._payoff
+    tables = [dict() for _ in range(T)]
+    memo = {}
+
+    def least_from(t, h):
+        """Final outcome reached from stage t under history h when every stage
+        plays its least surviving vector."""
+        if t == T:
+            out = 0
+            for m in h:
+                out |= m
+            return out
+        key = (t, h)
+        got = memo.get(key)
+        if got is not None:
+            return got
+        def aux_pay(i, X):
+            return pay(i, least_from(t + 1, h + (X,)))
+
+        least, _ = iterated_strict_elimination_reference(cells[t], aux_pay)
+        tables[t][h] = least
+        out = least_from(t + 1, h + (least,))
+        memo[key] = out
+        return out
+
+    outcome = least_from(0, ())
+    on_path = []
+    h = ()
+    for t in range(T):
+        a = tables[t][h]
+        on_path.append(a)
+        h = h + (a,)
+    return IesedsTable(
+        partition=p, stage_actions=tables, on_path=tuple(on_path), outcome=outcome
+    )
