@@ -385,8 +385,9 @@ def _load_partition_arg(args, n):
 
 def _cmd_centrality(args):
     game = load_game(args.game)
-    weak = design.weak_centrality(game)
-    strong = design.strong_centrality(game)
+    solver = SyncSolver(game)
+    weak = design.weak_centrality(game, solver)
+    strong = design.strong_centrality(game, solver)
     lines = ["weak centrality classes (ascending horizon):"]
     for value, mask in weak:
         label = "never" if value is None else str(value)
@@ -435,7 +436,7 @@ def _cmd_intervene(args):
 
 def _cmd_ordered(args):
     game = load_game(args.game)
-    flags = ordered.classify(game, budget=args.budget)
+    flags, table = ordered._classified(game, args.budget)
     lines = [
         f"cost-ordered:          {flags.cost_ordered}",
         f"strongly cost-ordered: {flags.strongly_cost_ordered}",
@@ -450,7 +451,7 @@ def _cmd_ordered(args):
     }
     if args.target is not None:
         target = _parse_players(args.target, game.n, "--target")
-        value = ordered.ordered_min_horizon(game, target, flags=flags)
+        value = ordered._ordered_min_horizon(game, target, flags, table)
         lines.append(f"tau: {value}")
         payload["target"] = _disp(target)
         payload["tau"] = value

@@ -8,6 +8,7 @@ ties from strict inequalities, so floats are rejected outright.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -73,16 +74,21 @@ class StageGame:
     `payoff(i, X)` returns player i's utility when exactly the members of X
     play action 1 (i's own action is read from membership).  `kind` is one of
     "table", "weakest_link", "threshold", "aggregative"; `params` keeps the
-    construction data so documents can be re-emitted.
+    construction data so documents can be re-emitted.  `table`, when given,
+    is a zero-argument callable returning the game's incentive table
+    (gainers, losers), built from the family's own data; the constructors of
+    each family pass one.  A game built from a bare payoff function has
+    none, and incentive_table compares its payoffs.
     """
 
-    def __init__(self, n, payoff_fn, kind="table", params=None):
+    def __init__(self, n, payoff_fn, kind="table", params=None, table=None):
         if n <= 0:
             raise ValueError("need at least one player")
         self.n = n
         self._payoff = payoff_fn
         self.kind = kind
         self.params = params or {}
+        self._build_table = table
 
     @property
     def all_players(self):
@@ -118,7 +124,13 @@ def table_game(rows):
                 raise TypeError(f"player {i}: payoff {v!r} is not an exact rational")
             vals.append(v)
         table.append(tuple(vals))
-    return StageGame(n, lambda i, X: table[i][X], kind="table", params={"rows": table})
+    return StageGame(
+        n,
+        lambda i, X: table[i][X],
+        kind="table",
+        params={"rows": table},
+        table=lambda: _rows_table(table),
+    )
 
 
 def aggregative_game(c):
@@ -134,7 +146,9 @@ def aggregative_game(c):
             return 0
         return 1 if (X & ~(1 << i)).bit_count() >= c[i] else -1
 
-    return StageGame(n, pay, kind="aggregative", params={"c": c})
+    return StageGame(
+        n, pay, kind="aggregative", params={"c": c}, table=lambda: _aggregative_table(c)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -316,15 +330,20 @@ def gains(game, i, X):
 
 
 def incentive_table(game):
-    """Every strict preference between the two actions, in one pass of
-    n 2^(n-1) payoff comparisons.
+    """Every strict preference between the two actions.
 
     Returns (gainers, losers), two lists indexed by coalition mask C:
     gainers[C] holds the players i who strictly prefer action 1 when exactly
     C minus i plays 1, losers[C] those who strictly prefer action 0.  Whether
     i itself belongs to C makes no difference, so a context (S, O) reads
     profile X <= S at index X | O.
+
+    A game from a family constructor builds its table from the family's data
+    (see StageGame); any other game pays one pass of n 2^(n-1) payoff
+    comparisons.  Nothing is cached: each call builds a fresh table.
     """
+    if game._build_table is not None:
+        return game._build_table()
     pay = game._payoff
     gainers = [0] * (1 << game.n)
     losers = [0] * (1 << game.n)
@@ -341,6 +360,51 @@ def incentive_table(game):
                 losers[low] |= bit
                 losers[high] |= bit
     return gainers, losers
+
+
+def _rows_table(rows):
+    """Incentive table of a table game, compared on int rows: each row is
+    scaled by the least common denominator of its entries, which keeps every
+    comparison exact.  n 2^(n-1) int comparisons."""
+    full = (1 << len(rows)) - 1
+    gainers = [0] * (full + 1)
+    losers = [0] * (full + 1)
+    for i, row in enumerate(rows):
+        ratios = [v.as_integer_ratio() for v in row]
+        lcd = math.lcm(*{q for _, q in ratios})
+        scaled = [p * (lcd // q) for p, q in ratios]
+        bit = 1 << i
+        rest = full & ~bit
+        low = rest
+        while True:
+            high = low | bit
+            a0 = scaled[low]
+            a1 = scaled[high]
+            if a1 > a0:
+                gainers[low] |= bit
+                gainers[high] |= bit
+            elif a0 > a1:
+                losers[low] |= bit
+                losers[high] |= bit
+            if low == 0:
+                break
+            low = (low - 1) & rest
+    return gainers, losers
+
+
+def _aggregative_table(c):
+    """Incentive table of aggregative_game(c) in O(2^n): i gains at C when
+    at least c_i others play 1, that is c_i <= |C| - 1 if i is in C and
+    c_i <= |C| otherwise; every other player loses (+-1 against 0 never
+    ties)."""
+    n = len(c)
+    full = (1 << n) - 1
+    # le[k]: the players with c_i <= k.  At C = 0, le[-1] is masked out by C.
+    le = [sum(1 << i for i in range(n) if c[i] <= k) for k in range(n + 1)]
+    gainers = [
+        (C & le[C.bit_count() - 1]) | (~C & le[C.bit_count()]) for C in range(full + 1)
+    ]
+    return gainers, [full ^ g for g in gainers]
 
 
 def sss_scan(gainers, S, O, require_ne=False):

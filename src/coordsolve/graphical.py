@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .core import StageGame, bits, gains, mask_of, members
+from .core import StageGame, bits, gains, mask_of, members, submasks
 from .digraph import Digraph, reach, tree_depth
 from .errors import PreconditionError, ResourceLimitError
 from .sync import SyncSolver
@@ -28,8 +28,13 @@ def weakest_link_game(g):
             return 0
         return 1 if in_masks[i] & ~X == 0 else -1
 
+    degrees = tuple(m.bit_count() for m in in_masks)
     return StageGame(
-        g.n, pay, kind="weakest_link", params={"edges": tuple(sorted(g.edges))}
+        g.n,
+        pay,
+        kind="weakest_link",
+        params={"edges": tuple(sorted(g.edges))},
+        table=lambda: _neighbour_table(in_masks, degrees),
     )
 
 
@@ -55,7 +60,26 @@ def threshold_game(g, k):
         pay,
         kind="threshold",
         params={"edges": tuple(sorted(g.edges)), "k": k},
+        table=lambda: _neighbour_table(in_masks, k),
     )
+
+
+def _neighbour_table(in_masks, k):
+    """Incentive table of a game where i gains from action 1 exactly when at
+    least k[i] of its in-neighbours play 1, and loses otherwise (+-1 against
+    0 never ties): i joins gainers[A | F] for each A <= in_masks[i] with
+    |A| >= k[i] and each F outside in_masks[i].  With k[i] = deg(i) that is
+    2^(n-deg(i)) writes for player i."""
+    full = (1 << len(in_masks)) - 1
+    gainers = [0] * (full + 1)
+    for i, (need, ki) in enumerate(zip(in_masks, k)):
+        bit = 1 << i
+        outside = list(submasks(full & ~need))
+        for A in submasks(need):
+            if A.bit_count() >= ki:
+                for F in outside:
+                    gainers[A | F] |= bit
+    return gainers, [full ^ g for g in gainers]
 
 
 def weakest_link_horizon(g, targets):

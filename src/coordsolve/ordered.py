@@ -66,9 +66,15 @@ def classify(game, budget=DEFAULT_CHECK_BUDGET):
     without it can be strongly and not weakly cost-ordered.  First witnesses
     are recorded per failed flag.
     """
+    return _classified(game, budget)[0]
+
+
+def _classified(game, budget):
+    """classify(game, budget) and the incentive table it read, for callers
+    that go on to the fast path without building the table again."""
     _check_classify_budget(game.n, budget)
-    gainers, _ = incentive_table(game)
-    return _classify_table(gainers, game.n)
+    table = incentive_table(game)
+    return _classify_table(table[0], game.n), table
 
 
 def _check_classify_budget(n, budget):
@@ -130,10 +136,13 @@ def ordered_min_horizon(game, targets, flags=None):
     value as an upper bound there."""
     table = None
     if flags is None:
-        # classify(game), sharing its table with the recursion below
-        _check_classify_budget(game.n, DEFAULT_CHECK_BUDGET)
-        table = incentive_table(game)
-        flags = _classify_table(table[0], game.n)
+        flags, table = _classified(game, DEFAULT_CHECK_BUDGET)
+    return _ordered_min_horizon(game, targets, flags, table)
+
+
+def _ordered_min_horizon(game, targets, flags, table=None):
+    """ordered_min_horizon on a given incentive table of the game, or on a
+    fresh one built after the order-flag check when `table` is None."""
     if not (flags.cost_ordered and flags.contribution_ordered):
         raise PreconditionError(
             "fast path needs a cost-ordered and contribution-ordered game"

@@ -1,10 +1,19 @@
 import json
+import random
 
 import pytest
 
 from coordsolve.cli import ParseError, emit_game, main, parse_game
+from coordsolve.ordered import classify, ordered_min_horizon
 
-from util import clique_edges, hub_intervention_graph, two_triangles_graph
+from util import (
+    clique_edges,
+    count_table_builds,
+    hub_intervention_graph,
+    ne_set_reference,
+    random_game,
+    two_triangles_graph,
+)
 
 
 def write_game(tmp_path, doc, name="game.json"):
@@ -320,6 +329,32 @@ def test_centrality_horizons_intervene(tmp_path, capsys):
     assert payload == {"subsidized": [1], "t": 1, "gain": [5, 6, 7, 8, 9]}
 
 
+def centrality_docs():
+    threshold = dict(triangles_doc(), kind="threshold", k=[1, 2, 1, 2, 1, 2, 1, 1])
+    return [
+        hub_doc(),
+        threshold,
+        {"players": 5, "kind": "aggregative", "c": [1, 2, 2, 3, 4]},
+        emit_game(random_game(random.Random(8), 4)),
+    ]
+
+
+@pytest.mark.parametrize("doc", centrality_docs(), ids=lambda d: d["kind"])
+def test_centrality_builds_one_table(tmp_path, capsys, monkeypatch, doc):
+    game = parse_game(doc)
+    equilibria = ne_set_reference(game)
+    want = [
+        [all(X >> i & 1 for X in equilibria if X >> j & 1) for j in range(game.n)]
+        for i in range(game.n)
+    ]
+    path = write_game(tmp_path, doc)
+    built = count_table_builds(monkeypatch)
+    code, payload = run_json(capsys, ["centrality", "--game", path, "--json"])
+    assert code == 0
+    assert len(built) == 1
+    assert payload["strong"] == want
+
+
 def test_ordered_subcommand(tmp_path, capsys):
     path = write_game(tmp_path, {"players": 4, "kind": "aggregative", "c": [2, 2, 2, 2]})
     code, payload = run_json(
@@ -328,6 +363,25 @@ def test_ordered_subcommand(tmp_path, capsys):
     assert code == 0
     assert payload["strongly_cost_ordered"] is True
     assert payload["tau"] == 3
+
+
+@pytest.mark.parametrize("target", [None, "1,2,3,4", "2"])
+def test_ordered_subcommand_builds_one_table(tmp_path, capsys, monkeypatch, target):
+    doc = {"players": 4, "kind": "aggregative", "c": [1, 2, 2, 3]}
+    game = parse_game(doc)
+    flags = classify(game)
+    argv = ["ordered", "--game", write_game(tmp_path, doc), "--json"]
+    if target is not None:
+        argv += ["--target", target]
+    built = count_table_builds(monkeypatch)
+    code, payload = run_json(capsys, argv)
+    assert code == 0
+    assert len(built) == 1
+    assert payload["cost_ordered"] == flags.cost_ordered
+    assert payload["contribution_natural"] == flags.contribution_natural
+    if target is not None:
+        mask = sum(1 << (int(p) - 1) for p in target.split(","))
+        assert payload["tau"] == ordered_min_horizon(game, mask, flags)
 
 
 def test_ordered_reports_strong_without_weak_cost_order(tmp_path, capsys):

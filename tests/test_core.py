@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from coordsolve import (
     Context,
     PreconditionError,
+    StageGame,
     Violation,
     aggregative_game,
     check_assumptions,
@@ -26,7 +28,9 @@ from util import (
     check_assumptions_reference,
     cross_pairs_game,
     cycle_graph,
+    family_games,
     iesds_reference,
+    incentive_table_reference,
     iterated_strict_elimination_reference,
     mixed_two_player_game,
     ne_set_reference,
@@ -343,9 +347,8 @@ def test_sss_excludes_empty_and_orders_by_size():
 
 
 @settings(max_examples=200, deadline=None)
-@given(tables_with_contexts())
-def test_incentive_table_matches_payoffs_cell_by_cell(case):
-    game, _ = case
+@given(tables_with_contexts().map(lambda case: case[0]) | family_games())
+def test_incentive_table_matches_payoffs_cell_by_cell(game):
     gainers, losers = incentive_table(game)
     for C in range(1 << game.n):
         for i in range(game.n):
@@ -353,6 +356,40 @@ def test_incentive_table_matches_payoffs_cell_by_cell(case):
             a0, a1 = game.payoff(i, C & ~bit), game.payoff(i, C | bit)
             assert bool(gainers[C] & bit) == (a1 > a0)
             assert bool(losers[C] & bit) == (a0 > a1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(family_games())
+def test_family_builders_match_the_payoff_comparison_reference(game):
+    assert game._build_table is not None
+    assert incentive_table(game) == incentive_table_reference(game)
+
+
+# A 3-player payoff that belongs to no family (everyone's action 1 is
+# strictly dominant except player 2's, who ties at every coalition), and for
+# each family label, construction data under which that family's builder
+# would give another table.
+_UNLABELLED_ROWS = (
+    [0, 1, 0, 1, 0, 1, 0, 1],
+    [0, 0, 2, 2, 0, 0, 2, 2],
+    [Fraction(1, 2)] * 8,
+)
+_FOREIGN_PARAMS = {
+    "weakest_link": {"edges": ((0, 1), (1, 2), (2, 0))},
+    "threshold": {"edges": ((0, 1), (1, 2), (2, 0)), "k": (1, 1, 1)},
+    "aggregative": {"c": (1, 1, 1)},
+    "table": {"rows": (tuple(range(8)),) * 3},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_FOREIGN_PARAMS))
+def test_bare_payoff_game_keeps_the_generic_table_whatever_its_kind(kind):
+    game = StageGame(
+        3, lambda i, X: _UNLABELLED_ROWS[i][X], kind=kind, params=_FOREIGN_PARAMS[kind]
+    )
+    want = incentive_table_reference(game)
+    assert want == ([3, 3, 3, 3, 3, 3, 3, 3], [0] * 8)
+    assert incentive_table(game) == want
 
 
 @settings(max_examples=200, deadline=None)

@@ -18,8 +18,10 @@ from coordsolve.sync import SyncSolver
 
 from util import (
     clique_edges,
+    count_table_builds,
     cross_pairs_game,
     hub_intervention_graph,
+    ne_set_reference,
     planted_game,
     random_digraph,
     random_game,
@@ -178,6 +180,23 @@ def test_strong_implies_weak():
                 if M[i][j] and horizon[j] is not None:
                     assert horizon[i] is not None
                     assert horizon[i] <= horizon[j]
+
+
+def test_strong_centrality_reads_a_given_solver_table(monkeypatch):
+    rng = random.Random(177)
+    built = count_table_builds(monkeypatch)
+    for _ in range(20):
+        game = random_game(rng, rng.randint(2, 5))
+        solver = SyncSolver(game)
+        built.clear()
+        M = strong_centrality(game, solver)
+        assert built == []
+        equilibria = ne_set_reference(game)
+        for i in range(game.n):
+            for j in range(game.n):
+                assert M[i][j] == all(X >> i & 1 for X in equilibria if X >> j & 1)
+        assert strong_centrality(game) == M
+        assert len(built) == 1
 
 
 def test_weak_class_count_within_bound():

@@ -1,7 +1,8 @@
 """Static checks on the package sources that need no linter: every module
 uses each name it imports (the package `__init__` re-exports, so it is
-exempt), the layers above the incentive table never read raw payoffs, and
-every library function the benchmark tracer wraps still exists."""
+exempt), the layers above the incentive table never read raw payoffs, the
+oracle and the assumption report never read the table, and every library
+function the benchmark tracer wraps still exists."""
 
 import ast
 import importlib.util
@@ -110,6 +111,44 @@ def test_table_functions_read_no_payoffs(path, name):
 @pytest.mark.parametrize("name", TABLE_READERS)
 def test_table_readers_take_no_raw_route(name):
     assert raw_route_calls((SRC / name).read_text()) == []
+
+
+# Independent ground truth: these read raw payoffs only, so that a wrong
+# family table builder cannot also mislead the checks against it.
+GROUND_TRUTH = (
+    ("oracle.py", None),
+    ("core.py", "check_assumptions"),
+    ("core.py", "_check_pairs"),
+    ("core.py", "_equal_top_subset"),
+)
+TABLE_ROUTES = {"incentive_table", "_build_table"}
+
+
+def table_references(source):
+    """Line numbers of every reference to incentive_table or a game's table
+    builder, bare or as an attribute (a call, or a read that could alias it)."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if isinstance(node, (ast.Name, ast.Attribute)) and name in TABLE_ROUTES:
+            out.append(node.lineno)
+    return sorted(out)
+
+
+def test_detector_finds_table_references():
+    source = (
+        "g, l = incentive_table(game)\n"
+        "f = core.incentive_table\n"
+        "t = game._build_table()\n"
+        "x = game.table\n"
+    )
+    assert table_references(source) == [1, 2, 3]
+
+
+@pytest.mark.parametrize("path, name", GROUND_TRUTH, ids=lambda v: v)
+def test_ground_truth_reads_no_incentive_table(path, name):
+    source = (SRC / path).read_text() if name is None else function_source(SRC / path, name)
+    assert table_references(source) == []
 
 
 def test_benchmark_tracer_targets_resolve():

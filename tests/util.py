@@ -2,6 +2,7 @@
 provably satisfy the stage assumptions, and independent reference
 implementations used to cross-check the solvers."""
 
+import sys
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -21,8 +22,10 @@ from coordsolve import (
     mask_of,
     scc,
     table_game,
+    threshold_game,
     weakest_link_game,
 )
+from coordsolve import core
 from coordsolve.core import (
     _ctx_pay,
     bits,
@@ -344,6 +347,85 @@ def tables_with_contexts(draw):
     active = draw(st.integers(0, (1 << n) - 1))
     ones = draw(st.integers(0, (1 << n) - 1)) & ~active
     return table_game(rows), Context(active, ones)
+
+
+def incentive_table_reference(game):
+    """Every strict preference between the two actions, in one pass of
+    n 2^(n-1) payoff comparisons: core.incentive_table as every game built
+    it before the family constructors passed their own builders, kept
+    verbatim.
+
+    Returns (gainers, losers), two lists indexed by coalition mask C:
+    gainers[C] holds the players i who strictly prefer action 1 when exactly
+    C minus i plays 1, losers[C] those who strictly prefer action 0.  Whether
+    i itself belongs to C makes no difference, so a context (S, O) reads
+    profile X <= S at index X | O.
+    """
+    pay = game._payoff
+    gainers = [0] * (1 << game.n)
+    losers = [0] * (1 << game.n)
+    for i in range(game.n):
+        bit = 1 << i
+        for low in submasks(game.all_players & ~bit):
+            high = low | bit
+            a0 = pay(i, low)
+            a1 = pay(i, high)
+            if a1 > a0:
+                gainers[low] |= bit
+                gainers[high] |= bit
+            elif a0 > a1:
+                losers[low] |= bit
+                losers[high] |= bit
+    return gainers, losers
+
+
+# Table entries for family_games: ties, negatives, and ints mixed with
+# Fractions of pairwise coprime denominators.
+MIXED_PAYOFFS = st.one_of(
+    st.integers(-3, 3), st.builds(Fraction, st.integers(-7, 7), st.sampled_from((2, 3, 5, 7)))
+)
+
+
+@st.composite
+def family_games(draw):
+    """A game from one of the four family constructors, unconstrained by the
+    stage assumptions, with each family builder's edge cases in reach:
+    weakest-link players of in-degree 0, thresholds k_i = deg(i), aggregative
+    thresholds 1 and n - 1, and table rows mixing ints and Fractions."""
+    kind = draw(st.sampled_from(("weakest_link", "threshold", "aggregative", "table")))
+    n = draw(st.integers(1 if kind in ("weakest_link", "table") else 2, 6))
+    if kind == "aggregative":
+        c = [draw(st.sampled_from((1, n - 1)) | st.integers(1, n - 1)) for _ in range(n)]
+        return aggregative_game(c)
+    if kind == "table":
+        rows = [draw(st.lists(MIXED_PAYOFFS, min_size=1 << n, max_size=1 << n)) for _ in range(n)]
+        return table_game(rows)
+    pairs = [(j, i) for i in range(n) for j in range(n) if i != j]
+    edges = {e for e in pairs if draw(st.booleans())}
+    if kind == "weakest_link":
+        sources = draw(st.integers(0, (1 << n) - 1))  # players left without in-edges
+        return weakest_link_game(Digraph(n, [(j, i) for j, i in edges if not sources >> i & 1]))
+    edges |= {((i + 1) % n, i) for i in range(n)}  # every threshold needs an in-neighbour
+    g = Digraph(n, edges)
+    degrees = [g.in_mask(i).bit_count() for i in range(n)]
+    k = [draw(st.just(d) | st.integers(1, d)) for d in degrees]
+    return threshold_game(g, k)
+
+
+def count_table_builds(monkeypatch):
+    """Route every coordsolve module's incentive_table through a counter;
+    returns the list of games a table was built for, in call order."""
+    built = []
+    original = core.incentive_table
+
+    def counted(game):
+        built.append(game)
+        return original(game)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "coordsolve" and hasattr(module, "incentive_table"):
+            monkeypatch.setattr(module, "incentive_table", counted)
+    return built
 
 
 def _gains(game, ones, i, X):
