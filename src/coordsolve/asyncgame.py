@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Partition, bits, gains, iterated_strict_elimination, submasks
+from .core import Partition, bits, compare_rows, gains, iesds_scan
 from .digraph import check_feasible_partition, partition_from_treedepth, reach
 from .errors import ResourceLimitError
 from .graphical import reduce_to_weakest_link
@@ -25,7 +25,8 @@ class IesedsTable:
     masks (an int); the cells are disjoint, so the union fixes each earlier
     cell's move, and the keys are exactly the submasks of cells[0] | ... |
     cells[t-1].  on_path replays those choices from the empty history and
-    outcome is their union."""
+    outcome is their union.  Keys and moves are in the game's own player
+    labels."""
 
     partition: Partition
     stage_actions: list
@@ -34,11 +35,16 @@ class IesedsTable:
 
 
 def _history_cost(cells):
+    """The payoff reads of ieseds on this schedule: stage t reads each cell
+    member's payoff at every profile of its cell and the cells before it,
+    |cell| 2^(|prefix| + |cell|) reads.  An empty cell reads none and is
+    charged one unit per history."""
     total = 0
     prefix = 0
     for c in cells:
-        total += (1 << prefix) * max(c.bit_count(), 1)
-        prefix += c.bit_count()
+        k = c.bit_count()
+        total += max(k, 1) << (prefix + k)
+        prefix += k
     return total
 
 
@@ -48,66 +54,67 @@ def ieseds(game, p, budget=DEFAULT_BUDGET):
 
     For every stage t and history H, the cell plays an auxiliary simultaneous
     game whose payoffs plug in the least-path continuation of later stages;
-    the literal per-player strict-dominance loop runs on it (no best-response
-    shortcut), and its least survivor is recorded.
+    iterated strict dominance runs on it (no best-response shortcut), and
+    its least survivor is recorded.
 
-    One bottom-up sweep solves the stages last to first.  A history is the
-    int H, the union of the earlier cells' moves, and stage t solves every
-    H within the earlier cells: with nxt[M] the final outcome reached from
-    stage t + 1 under history M (the identity after the last stage), the
-    auxiliary payoff of X is pay(i, nxt[H | X]), and the history's own final
-    outcome is nxt[H | least].  A history's answer depends only on the
-    stages after it, so the sweep gives every history the answer a lazy
-    recursion from the empty history would reach it with.
+    One bottom-up sweep solves the stages last to first.  The players are
+    relabelled into move order, so that stage t's profiles, a history H of
+    the earlier cells joined with a move X of cell t, are the ints below
+    2^(|prefix| + |cell|).  With nxt[M] the final outcome reached from stage
+    t + 1 under history M (the relabelling itself after the last stage),
+    member i of the cell pays pay(i, nxt[M]) at profile M; compare_rows turns
+    these rows into one incentive table for the stage, and each history's
+    least survivor is iesds_scan(gainers, losers, cell, H), or, for a cell of
+    at most one player, gainers[H] & cell.  The history's own final outcome
+    is nxt[H | least].  A history's answer depends only on the stages after
+    it, so the sweep gives every history the answer a lazy recursion from
+    the empty history would reach it with.
+
+    The budget is charged up front with the exact number of payoff reads
+    (_history_cost); a schedule over it raises ResourceLimitError before any
+    read.
     """
     p.validate_cover(game.n)
     cells = p.cells
-    T = len(cells)
     cost = _history_cost(cells)
     if cost > budget:
         raise ResourceLimitError(
-            f"schedule needs ~{cost} payoff evaluations (budget {budget})", size=cost
+            f"schedule needs {cost} payoff evaluations (budget {budget})", size=cost
         )
 
+    # label[M]: the relabelled profile M in the game's player labels
+    label = [0]
+    for c in cells:
+        for i in bits(c):
+            label += [m | 1 << i for m in label]
     pay = game._payoff
-    tables = [None] * T
-    prefix = p.union()
-    nxt = None  # final outcome per history of the stage after t; None: identity
-    for t in range(T - 1, -1, -1):
-        cell = cells[t]
-        prefix &= ~cell
-        tables[t], nxt = _solve_stage(pay, cell, prefix, nxt)
+    tables = [None] * len(cells)
+    nxt = label  # after the last stage, a profile is its own outcome
+    width = game.n  # |prefix| + |cell| of the stage being solved
+    for t in range(len(cells) - 1, -1, -1):
+        k = cells[t].bit_count()
+        width -= k
+        cell = ((1 << k) - 1) << width
+        rows = (
+            (width + r, [pay(i, M) for M in nxt]) for r, i in enumerate(bits(cells[t]))
+        )
+        gainers, losers = compare_rows(rows, (1 << (width + k)) - 1)
+        if k <= 1:
+            least = [g & cell for g in gainers[: 1 << width]]
+        else:
+            least = [iesds_scan(gainers, losers, cell, H)[0] for H in range(1 << width)]
+        tables[t] = dict(zip(label, map(label.__getitem__, least)))
+        nxt = [nxt[H | a] for H, a in enumerate(least)]
 
     on_path = []
     h = 0
-    for t in range(T):
-        a = tables[t][h]
+    for stage in tables:
+        a = stage[h]
         on_path.append(a)
         h |= a
     return IesedsTable(
         partition=p, stage_actions=tables, on_path=tuple(on_path), outcome=nxt[0]
     )
-
-
-def _solve_stage(pay, cell, prefix, nxt):
-    """Solve one stage for every history H within `prefix`.
-
-    Returns (least, out): least[H] is the cell's least surviving move and
-    out[H] the final outcome it leads to, given nxt (None after the last
-    stage, where the outcome is the profile itself)."""
-    least = {}
-    out = {}
-    if nxt is None:
-        def aux_pay(i, X):
-            return pay(i, h | X)  # h: the history the loop below is solving
-    else:
-        def aux_pay(i, X):
-            return pay(i, nxt[h | X])
-    for h in submasks(prefix):
-        a, _ = iterated_strict_elimination(cell, aux_pay)
-        least[h] = a
-        out[h] = h | a if nxt is None else nxt[h | a]
-    return least, out
 
 
 def best_achievable(game, T, solver=None):

@@ -49,6 +49,9 @@ def _rational(value, path):
     if isinstance(value, int):
         return value
     if isinstance(value, str):
+        if "e" in value or "E" in value:
+            # Fraction would read an exponent and build 10**exponent
+            raise ParseError(path, f"not an int or 'p/q' string: {value!r}")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -179,14 +182,27 @@ def emit_game(game):
     return doc
 
 
-def _load_json(path):
+def _read_text(path):
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
     except OSError as exc:
         raise ParseError(path, str(exc)) from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(path, f"invalid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(path, f"not UTF-8 text ({exc})") from None
+
+
+def _parse_json(text, source):
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ParseError(source, "invalid JSON: nested too deeply") from None
+    except ValueError as exc:
+        raise ParseError(source, f"invalid JSON: {exc}") from None
+
+
+def _load_json(path):
+    return _parse_json(_read_text(path), path)
 
 
 def load_game(path):
@@ -225,10 +241,7 @@ def _parse_players(text, n, flag):
 
 
 def _parse_partition(text, n):
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError("partition", f"invalid JSON: {exc}") from None
+    doc = _parse_json(text, "partition")
     if isinstance(doc, dict):
         doc = doc.get("cells")
     if not isinstance(doc, list):
@@ -378,8 +391,7 @@ def _cmd_async_solve(args):
 def _load_partition_arg(args, n):
     text = args.partition
     if text and os.path.exists(text):
-        with open(text) as fh:
-            text = fh.read()
+        text = _read_text(text)
     return _parse_partition(text, n)
 
 

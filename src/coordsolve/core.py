@@ -339,47 +339,34 @@ def incentive_table(game):
     profile X <= S at index X | O.
 
     A game from a family constructor builds its table from the family's data
-    (see StageGame); any other game pays one pass of n 2^(n-1) payoff
-    comparisons.  Nothing is cached: each call builds a fresh table.
+    (see StageGame); any other game reads its n 2^n payoffs once and
+    compares them (compare_rows).  Nothing is cached: each call builds a
+    fresh table.
     """
     if game._build_table is not None:
         return game._build_table()
     pay = game._payoff
-    gainers = [0] * (1 << game.n)
-    losers = [0] * (1 << game.n)
-    for i in range(game.n):
-        bit = 1 << i
-        for low in submasks(game.all_players & ~bit):
-            high = low | bit
-            a0 = pay(i, low)
-            a1 = pay(i, high)
-            if a1 > a0:
-                gainers[low] |= bit
-                gainers[high] |= bit
-            elif a0 > a1:
-                losers[low] |= bit
-                losers[high] |= bit
-    return gainers, losers
+    size = 1 << game.n
+    rows = ((i, [pay(i, C) for C in range(size)]) for i in range(game.n))
+    return compare_rows(rows, size - 1)
 
 
-def _rows_table(rows):
-    """Incentive table of a table game, compared on int rows: each row is
-    scaled by the least common denominator of its entries, which keeps every
-    comparison exact.  n 2^(n-1) int comparisons."""
-    full = (1 << len(rows)) - 1
-    gainers = [0] * (full + 1)
-    losers = [0] * (full + 1)
-    for i, row in enumerate(rows):
-        ratios = [v.as_integer_ratio() for v in row]
-        lcd = math.lcm(*{q for _, q in ratios})
-        scaled = [p * (lcd // q) for p, q in ratios]
+def compare_rows(rows, within):
+    """The incentive table of payoff rows: `rows` yields pairs (i, row), where
+    row[C] is player i's payoff at each coalition C <= within, and the result
+    is (gainers, losers) as in incentive_table, indexed by the submasks of
+    `within`.  One comparison per player and pair of coalitions that differ
+    in that player only; each row is read once and may be dropped after."""
+    gainers = [0] * (within + 1)
+    losers = [0] * (within + 1)
+    for i, row in rows:
         bit = 1 << i
-        rest = full & ~bit
+        rest = within & ~bit
         low = rest
         while True:
             high = low | bit
-            a0 = scaled[low]
-            a1 = scaled[high]
+            a0 = row[low]
+            a1 = row[high]
             if a1 > a0:
                 gainers[low] |= bit
                 gainers[high] |= bit
@@ -390,6 +377,20 @@ def _rows_table(rows):
                 break
             low = (low - 1) & rest
     return gainers, losers
+
+
+def _rows_table(rows):
+    """Incentive table of a table game, compared on int rows: each row is
+    scaled by the least common denominator of its entries, which keeps every
+    comparison exact."""
+
+    def scaled(row):
+        ratios = [v.as_integer_ratio() for v in row]
+        lcd = math.lcm(*{q for _, q in ratios})
+        return [p * (lcd // q) for p, q in ratios]
+
+    full = (1 << len(rows)) - 1
+    return compare_rows(((i, scaled(row)) for i, row in enumerate(rows)), full)
 
 
 def _aggregative_table(c):
@@ -424,11 +425,12 @@ def sss_scan(gainers, S, O, require_ne=False):
 
 
 def iesds_scan(gainers, losers, S, O):
-    """iterated_strict_elimination on the context (S, O), read off an
-    incentive table.  Each round drops at once, for every undecided player,
-    action 1 if it loses at every profile of the undecided players, action 0
-    if it gains at every one; in finite games the survivors do not depend on
-    the order (Gilboa, Kalai and Zemel 1990).  Returns (least, greatest)."""
+    """Iterated elimination of strictly dominated actions on the context
+    (S, O), read off an incentive table.  Each round drops at once, for
+    every undecided player, action 1 if it loses at every profile of the
+    undecided players, action 0 if it gains at every one; in finite games
+    the survivors do not depend on the order (Gilboa, Kalai and Zemel 1990).
+    Returns (least, greatest)."""
     can0 = can1 = S
     while free := can0 & can1:
         fixed = (can1 & ~can0) | O
@@ -522,48 +524,15 @@ def iterated_strict_elimination(players_mask, pay):
     """Iterated elimination of strictly dominated actions in a binary game.
 
     `pay(i, X)` gives i's payoff when exactly X (a submask of players_mask)
-    plays 1.  Dominance is checked against every surviving opponent profile,
-    so the result is order-independent and correct without any assumptions.
-    Returns (least, greatest): per-player minimum and maximum surviving action
-    encoded as coalition masks.
-
-    Each round visits the undecided players in ascending order and each
-    player's free opponent profiles as descending submasks, stopping at the
-    first profile that rules out both dominances.
+    plays 1.  Returns (least, greatest): per-player minimum and maximum
+    surviving action encoded as coalition masks.  Reads every pay(i, X)
+    once, compares the rows (compare_rows) and runs iesds_scan on the table.
     """
-    can0 = players_mask  # players for whom action 0 still survives
-    can1 = players_mask
-    changed = True
-    while changed:
-        changed = False
-        todo = can0 & can1
-        while todo:
-            bit = todo & -todo
-            todo ^= bit
-            i = bit.bit_length() - 1
-            forced1 = can1 & ~can0
-            free = can0 & can1 & ~bit
-            worse1 = True  # action 1 strictly dominated by 0
-            worse0 = True
-            sub = free
-            while True:
-                prof = sub | forced1
-                a1 = pay(i, prof | bit)
-                a0 = pay(i, prof)
-                if a1 >= a0:
-                    worse1 = False
-                if a0 >= a1:
-                    worse0 = False
-                if (not worse0 and not worse1) or sub == 0:
-                    break
-                sub = (sub - 1) & free
-            if worse1:
-                can1 &= ~bit
-                changed = True
-            elif worse0:
-                can0 &= ~bit
-                changed = True
-    return can1 & ~can0, can1
+    rows = (
+        (i, {X: pay(i, X) for X in submasks(players_mask)}) for i in bits(players_mask)
+    )
+    gainers, losers = compare_rows(rows, players_mask)
+    return iesds_scan(gainers, losers, players_mask, 0)
 
 
 def sss_set(game, ctx=None, require_ne=False):

@@ -7,6 +7,7 @@ from coordsolve import (
     Digraph,
     Partition,
     ResourceLimitError,
+    StageGame,
     best_achievable,
     check_sufficient_feasible,
     design_schedule,
@@ -92,6 +93,38 @@ def test_history_budget_boundary():
     with pytest.raises(ResourceLimitError) as info:
         ieseds(game, p, budget=cost - 1)
     assert info.value.size == cost
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 7), st.integers(0, 2**32 - 1))
+def test_history_cost_counts_every_payoff_read(n, seed):
+    rng = random.Random(seed)
+    game = random_game(rng, n) if n >= 2 else table_game([[0, 1]])
+    reads = []
+
+    def pay(i, X):
+        reads.append((i, X))
+        return game.payoff(i, X)
+
+    counted = StageGame(n, pay)
+    p = random_partition(rng, n)
+    assert ieseds(counted, p) == ieseds(game, p)
+    assert len(reads) == _history_cost(p.cells)
+
+
+def test_large_cell_refused_before_any_read():
+    # everyone's action 1 is strictly dominant, in one 18-player cell
+    reads = []
+
+    def pay(i, X):
+        reads.append((i, X))
+        return X >> i & 1
+
+    game = StageGame(18, pay)
+    with pytest.raises(ResourceLimitError) as info:
+        ieseds(game, Partition([game.all_players]), budget=100)
+    assert info.value.size == 18 * 2**18 == 4_718_592
+    assert reads == []
 
 
 # Player 0 moves first and alone, and its least move is 1; players 1 and 2

@@ -1,5 +1,7 @@
 import json
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -394,6 +396,60 @@ def test_ordered_reports_strong_without_weak_cost_order(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "cost-ordered:          False" in out
     assert "strongly cost-ordered: True" in out
+
+
+@pytest.mark.parametrize("command", ["async-solve", "oracle"])
+def test_partition_directory_names_it(tmp_path, capsys, command):
+    path = write_game(tmp_path, {"players": 2, "kind": "aggregative", "c": [1, 1]})
+    folder = tmp_path / "cells"
+    folder.mkdir()
+    assert main([command, "--game", path, "--partition", str(folder)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {folder}: ")
+
+
+def test_deeply_nested_partition_names_it(tmp_path, capsys):
+    path = write_game(tmp_path, {"players": 2, "kind": "aggregative", "c": [1, 1]})
+    assert main(["async-solve", "--game", path, "--partition", "[" * 100_000]) == 1
+    err = capsys.readouterr().err
+    assert err.strip() == "error: partition: invalid JSON: nested too deeply"
+
+
+def test_deeply_nested_game_names_its_file(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    assert main(["check", "--game", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.strip() == f"error: {path}: invalid JSON: nested too deeply"
+
+
+def test_game_file_not_utf8_names_it(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"players": 1, "kind": "café"}'.encode("latin-1"))
+    assert main(["check", "--game", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not UTF-8 text")
+
+
+@pytest.mark.parametrize("value", ["1e5", "1E-5", "1.e5", ".5e2"])
+def test_exponent_payoffs_are_refused(value):
+    with pytest.raises(ParseError) as info:
+        parse_game({"players": 1, "kind": "table", "payoffs": [["0", value]]})
+    assert str(info.value).startswith("$.payoffs[0][1]: ")
+
+
+def test_huge_exponent_payoff_exits_promptly(tmp_path):
+    # Fraction("1e999999999") would build 10**999999999 before any check
+    doc = {"players": 1, "kind": "table", "payoffs": [["1e999999999", 0]]}
+    argv = ["check", "--game", write_game(tmp_path, doc)]
+    done = subprocess.run(
+        [sys.executable, "-m", "coordsolve.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: $.payoffs[0][0]: not an int or 'p/q' string")
 
 
 def test_oracle_subcommand(tmp_path, capsys):

@@ -21,7 +21,13 @@ from coordsolve import (
     table_game,
     weakest_link_game,
 )
-from coordsolve.core import _ctx_pay, iesds_scan, iterated_strict_elimination
+from coordsolve.core import (
+    _ctx_pay,
+    bits,
+    iesds_scan,
+    iterated_strict_elimination,
+    submasks,
+)
 
 from util import (
     EXACT_PAYOFFS,
@@ -292,22 +298,23 @@ def test_iesds_scan_matches_raw_payoff_reference(case):
 @settings(max_examples=300, deadline=None)
 @given(tables_with_contexts())
 def test_bit_loop_elimination_matches_generator_reference(case):
-    """The while-loop elimination reads the same payoffs in the same order
-    and stops at the same profile as the bits()/submasks() loop."""
+    """The table-scan elimination survives to the same sets as the
+    generator-based per-player loop, and reads each payoff pay(i, X) of
+    i in P and X <= P exactly once: |P| 2^|P| reads in all."""
     game, ctx = case
     pay = _ctx_pay(game, ctx)
-    got_reads, want_reads = [], []
+    got_reads = []
 
-    def logged(reads):
-        def read(i, X):
-            reads.append((i, X))
-            return pay(i, X)
-        return read
+    def logged(i, X):
+        got_reads.append((i, X))
+        return pay(i, X)
 
-    got = iterated_strict_elimination(ctx.active, logged(got_reads))
-    want = iterated_strict_elimination_reference(ctx.active, logged(want_reads))
+    got = iterated_strict_elimination(ctx.active, logged)
+    want = iterated_strict_elimination_reference(ctx.active, pay)
     assert got == want
-    assert got_reads == want_reads
+    P = ctx.active
+    assert sorted(got_reads) == [(i, X) for i in bits(P) for X in sorted(submasks(P))]
+    assert len(got_reads) == P.bit_count() << P.bit_count()
 
 
 # -- strictly sufficient sets -------------------------------------------------

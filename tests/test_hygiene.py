@@ -113,6 +113,14 @@ def test_table_readers_take_no_raw_route(name):
     assert raw_route_calls((SRC / name).read_text()) == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_calls_the_payoff_elimination_adapter(path):
+    """Dominance in the package runs on iesds_scan over a table; the adapter
+    from a payoff function, iterated_strict_elimination, is for callers
+    outside it."""
+    assert "iterated_strict_elimination" not in raw_route_calls(path.read_text())
+
+
 # Independent ground truth: these read raw payoffs only, so that a wrong
 # family table builder cannot also mislead the checks against it.
 GROUND_TRUTH = (

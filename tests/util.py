@@ -31,7 +31,6 @@ from coordsolve.core import (
     bits,
     gains,
     is_ne,
-    iterated_strict_elimination,
     members,
     sorted_coalitions,
     submasks,
@@ -475,10 +474,11 @@ def dominate_chain_reference(game, S, O):
 def iesds_reference(game, ctx=None):
     """Iterated strict dominance on the contextual game, straight from
     payoffs: the core.iesds that SyncSolver called before it read dominance
-    off the incentive table (core.iesds_scan), kept verbatim."""
+    off the incentive table (core.iesds_scan), on the per-player loop
+    iterated_strict_elimination ran before it became a table scan."""
     if ctx is None:
         ctx = full_context(game)
-    return iterated_strict_elimination(ctx.active, _ctx_pay(game, ctx))
+    return iterated_strict_elimination_reference(ctx.active, _ctx_pay(game, ctx))
 
 
 class PolicyNodeSolverReference(SyncSolver):
@@ -637,7 +637,7 @@ def ordered_min_horizon_reference(game, targets, flags=None):
         raise PreconditionError(
             "fast path needs a cost-ordered and contribution-ordered game"
         )
-    least, greatest = iterated_strict_elimination(game.all_players, game._payoff)
+    least, greatest = iterated_strict_elimination_reference(game.all_players, game._payoff)
     dropped = game.all_players & ~greatest
     if targets & dropped:
         raise PreconditionError(
@@ -896,7 +896,7 @@ def mspne_reference(game, schedule, budget=10**9):
 # ---------------------------------------------------------------------------
 # IESEDS as a lazy recursion over tuple histories, on the generator-based
 # elimination loop (both kept verbatim as the reference for the bottom-up
-# sweep of `asyncgame.ieseds` and the bit-loop `iterated_strict_elimination`)
+# sweep of `asyncgame.ieseds` and the table-scan `iterated_strict_elimination`)
 
 
 def iterated_strict_elimination_reference(players_mask, pay):
