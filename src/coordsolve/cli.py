@@ -285,6 +285,13 @@ def _emit(args, human_lines, payload):
 
 def _cmd_check(args):
     game = load_game(args.game)
+    # the report reads every player's payoff at every profile once
+    reads = game.n << game.n
+    if reads > args.budget:
+        raise ResourceLimitError(
+            f"assumption check needs {reads} payoff evaluations (budget {args.budget})",
+            size=reads,
+        )
     rep = game.report
     lines = [
         f"single-crossing:  {'ok' if rep.single_crossing else 'VIOLATED'}",

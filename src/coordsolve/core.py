@@ -9,6 +9,7 @@ ties from strict inequalities, so floats are rejected outright.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -422,6 +423,65 @@ def sss_scan(gainers, S, O, require_ne=False):
             out.append(X)
         X = (X - 1) & S
     return sorted_coalitions(out)
+
+
+def fixed_point_scan(gainers, S, O):
+    """sss_scan(gainers, S, O, True) on a monotone table (see is_monotone),
+    without visiting every submask of S.
+
+    The candidates are the nonempty fixed points of f(Y) = gainers[Y | O] & S,
+    which is monotone when the table is.  Any fixed point Y of f in an
+    interval [L, U] satisfies f(L) <= f(Y) = Y <= f(U), so L grows to
+    L | f(L) and U shrinks to U & f(U) until both settle (Tarski 1955); an
+    interval with L not inside U holds none, one with L == U holds L, and
+    any other splits on the lowest player of U minus L.  On a table that is
+    not monotone this misses candidates: on [0, 3, 2, 1] with S = 3, O = 0
+    it returns [] where sss_scan returns [2]."""
+    out = []
+    stack = [(0, S)]
+    while stack:
+        L, U = stack.pop()
+        while True:
+            up = L | gainers[L | O] & S
+            down = U & gainers[U | O]
+            if up & ~down:
+                break
+            if up == L and down == U:
+                free = U & ~L
+                if free:
+                    low = free & -free
+                    stack.append((L | low, U))
+                    stack.append((L, U ^ low))
+                elif L:
+                    out.append(L)
+                break
+            L, U = up, down
+    return sorted_coalitions(out)
+
+
+def is_monotone(gainers):
+    """Does the table only grow along inclusion: gainers[X] <= gainers[Y]
+    whenever X <= Y?  Games with strategic complementarities have such
+    tables.  Reads only the table, one bit b at a time, comparing each
+    coalition without b with the same coalition plus b: as 2^b strided
+    slices when b is low, as contiguous blocks of 2^b entries when b is
+    high, whichever gives fewer, longer slices."""
+    size = len(gainers)
+    step = 1
+    while step < size:
+        span = 2 * step
+        if step * span <= size:
+            pairs = ((gainers[r::span], gainers[r + step :: span]) for r in range(step))
+        else:
+            pairs = (
+                (gainers[k : k + step], gainers[k + step : k + span])
+                for k in range(0, size, span)
+            )
+        for low, high in pairs:
+            if list(map(operator.or_, low, high)) != high:
+                return False
+        step = span
+    return True
 
 
 def iesds_scan(gainers, losers, S, O):

@@ -12,6 +12,14 @@ The recursion memoises only each context's value, an int.  Policy trees are
 rebuilt on demand from those values: each node reruns its own scan and
 recurses into the children it chose, so a `policy()` call costs O(n) node
 scans.
+
+A divide splits off a candidate: a strictly sufficient set that is also a
+Nash profile (SSE, the default), or any strictly sufficient set (SSS,
+`use_sse=False`).  On a game with strategic complementarities the
+incentive table is monotone, and the SSE candidates of a context are the
+nonempty fixed points of a monotone map, found by branching on intervals
+(core.fixed_point_scan); otherwise every submask is scanned
+(core.sss_scan).
 """
 
 from __future__ import annotations
@@ -22,9 +30,11 @@ from types import MappingProxyType
 from .core import (
     Context,
     bits,
+    fixed_point_scan,
     full_context,
     iesds_scan,
     incentive_table,
+    is_monotone,
     members,
     ne_scan,
     sorted_coalitions,
@@ -64,9 +74,12 @@ class SyncSolver:
 
     The game is compiled once into its incentive table (`gainers`, `losers`;
     see core.incentive_table), and the candidate, dominance and Nash scans
-    read only that.  Degenerate players (strictly dominant actions, iterated)
-    are stripped first and folded into the base context: forced ones join
-    the forced set, forced zeros leave the game.  Subgame values live in an
+    read only that.  The table is checked once for monotonicity
+    (core.is_monotone); SSE candidates of a monotone table come from
+    core.fixed_point_scan, all others from core.sss_scan, with equal lists.
+    Degenerate players (strictly dominant actions, iterated) are stripped
+    first and folded into the base context: forced ones join the forced
+    set, forced zeros leave the game.  Subgame values live in an
     int memo (`_memo`, keyed by context); policy trees are not stored but
     rebuilt on demand by `value` and `policy`.  A solver instance is not
     thread-safe, but distinct instances are independent.
@@ -76,6 +89,7 @@ class SyncSolver:
         self.game = game
         self.use_sse = use_sse
         self.gainers, self.losers = incentive_table(game)
+        self._branch = use_sse and is_monotone(self.gainers)
         self._memo = {}
         self._sss_cache = {}
         self._reduce_cache = {}
@@ -101,7 +115,10 @@ class SyncSolver:
         key = (S, O)
         got = self._sss_cache.get(key)
         if got is None:
-            got = sss_scan(self.gainers, S, O, self.use_sse)
+            if self._branch:
+                got = fixed_point_scan(self.gainers, S, O)
+            else:
+                got = sss_scan(self.gainers, S, O, self.use_sse)
             self._sss_cache[key] = got
         return got
 

@@ -526,6 +526,28 @@ def test_resource_exit_code(tmp_path, capsys):
     assert code == 3
 
 
+def test_check_charges_its_payoff_reads_to_the_budget(tmp_path, capsys):
+    # the assumption report reads n 2^n payoffs: 9 * 512 for the hub game
+    path = write_game(tmp_path, hub_doc())
+    assert main(["check", "--game", path, "--budget", str(9 << 9)]) == 0
+    capsys.readouterr()
+    assert main(["check", "--game", path, "--budget", str((9 << 9) - 1)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"resource error: assumption check needs {9 << 9} payoff evaluations (budget {(9 << 9) - 1})\n"
+
+
+def test_large_check_refused_before_any_read(tmp_path, capsys, monkeypatch):
+    # a 2^39-entry report list used to die with a MemoryError traceback
+    monkeypatch.delenv("COORDSOLVE_BUDGET", raising=False)
+    path = write_game(tmp_path, {"players": 40, "kind": "weakest_link", "edges": [[0, 1]]})
+    assert main(["check", "--game", path]) == 3
+    assert main(["check", "--game", path, "--json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.count(f"needs {40 << 40} payoff evaluations") == 2
+
+
 def test_spne_oracle_budget_exit_code(tmp_path, capsys):
     path = write_game(tmp_path, triangles_doc())
     argv = ["oracle", "--game", path, "--mode", "spne", "--t", "2"]
@@ -559,8 +581,8 @@ def test_malformed_budget_from_environment_names_it(tmp_path, capsys, monkeypatc
         assert "--budget or COORDSOLVE_BUDGET must be a non-negative integer" in err
         assert err.rstrip().endswith(f"got {value}")
     assert main(["treedepth", "--graph", path]) == 1
-    # an explicit flag overrides the environment
-    assert main(["check", "--game", path, "--budget", "5"]) == 0
+    # an explicit flag overrides the environment (check reads 2 * 2^2 payoffs)
+    assert main(["check", "--game", path, "--budget", "8"]) == 0
 
 
 def test_budget_from_environment_is_read_on_every_call(tmp_path, capsys, monkeypatch):

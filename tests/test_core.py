@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from coordsolve import (
     Context,
@@ -24,8 +24,11 @@ from coordsolve import (
 from coordsolve.core import (
     _ctx_pay,
     bits,
+    fixed_point_scan,
     iesds_scan,
+    is_monotone,
     iterated_strict_elimination,
+    sss_scan,
     submasks,
 )
 
@@ -35,10 +38,13 @@ from util import (
     cross_pairs_game,
     cycle_graph,
     family_games,
+    flipped_tables,
     iesds_reference,
     incentive_table_reference,
+    is_monotone_reference,
     iterated_strict_elimination_reference,
     mixed_two_player_game,
+    monotone_tables,
     ne_set_reference,
     random_game,
     random_rooted_digraph,
@@ -348,6 +354,32 @@ def test_sss_excludes_empty_and_orders_by_size():
     assert 0 not in out
     sizes = [m.bit_count() for m in out]
     assert sizes == sorted(sizes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gainers=monotone_tables(), S=st.integers(0, 127), O=st.integers(0, 127))
+@example(gainers=[0, 3, 2, 1], S=3, O=0)
+def test_fixed_point_scan_matches_sss_scan_on_monotone_tables(gainers, S, O):
+    """On a monotone table the fixed-point branching finds exactly the
+    scan's Nash candidates, whether or not someone in S already gains at O.
+    On [0, 3, 2, 1] it would miss [2]; SyncSolver does not branch there,
+    because is_monotone refuses the table."""
+    full = len(gainers) - 1
+    S &= full
+    O &= full & ~S
+    if is_monotone_reference(gainers):
+        assert fixed_point_scan(gainers, S, O) == sss_scan(gainers, S, O, True)
+    else:
+        assert not is_monotone(gainers)
+
+
+@settings(max_examples=300, deadline=None)
+@given(monotone_tables() | flipped_tables())
+@example([0, 3, 2, 1])
+@example([0, 1, 0, 0])  # out of order across the top bit only
+@example([0, 0, 1, 0])  # out of order across the low bit only
+def test_is_monotone_matches_double_loop(gainers):
+    assert is_monotone(gainers) == is_monotone_reference(gainers)
 
 
 # -- the incentive table and the scans that read it ---------------------------

@@ -7,6 +7,7 @@ from coordsolve import (
     Context,
     Digraph,
     PreconditionError,
+    StageGame,
     Sync,
     aggregative_game,
     enumerate_equilibria,
@@ -16,7 +17,7 @@ from coordsolve import (
     table_game,
     weakest_link_game,
 )
-from coordsolve.core import bits
+from coordsolve.core import bits, sss_scan, submasks
 from coordsolve.graphical import threshold_game
 from coordsolve.sync import SyncSolver
 
@@ -27,6 +28,7 @@ from util import (
     dominate_chain_reference,
     hub_intervention_graph,
     iesds_reference,
+    monotone_games_with_contexts,
     planted_game,
     random_game,
     random_rooted_digraph,
@@ -314,13 +316,15 @@ CUTOFF_TABLE = [
 
 
 @settings(max_examples=300, deadline=None)
-@given(tables_with_contexts(), st.booleans())
+@given(tables_with_contexts() | monotone_games_with_contexts(), st.booleans())
 @example((table_game(CUTOFF_TABLE), Context(0b11111, 0)), True)
 def test_int_memo_recursion_matches_policy_node_reference(case, use_sse):
     """The int-memo recursion with its cutoffs, and the trees rebuilt from
-    it, equal the PolicyNode recursion that scans every branch, on games
-    that need not satisfy any assumption: cold, and again once the memo is
-    warm from the horizon queries."""
+    it, equal the PolicyNode recursion that scans every branch and every
+    submask for candidates, on games that need not satisfy any assumption
+    and on games with monotone tables (where SyncSolver branches on fixed
+    points): cold, and again once the memo is warm from the horizon
+    queries."""
     game, ctx = case
     solver = SyncSolver(game, use_sse=use_sse)
     ref = PolicyNodeSolverReference(game, use_sse=use_sse)
@@ -332,6 +336,30 @@ def test_int_memo_recursion_matches_policy_node_reference(case, use_sse):
     assert solver.value(ctx.active, ctx.ones) == want
     assert solver.policy() == ref.policy()
     assert all(type(v) is int for v in solver._memo.values())
+
+
+# Tables that are not monotone, where fixed-point branching misses
+# candidates: at (S, O) = (3, 0) it returns [] on both, where the scan finds
+# [2] and [1, 2].  The first is a bare table (the solver reads nothing
+# else); the second is a 2-player anti-coordination game, gainers [3, 1, 2, 0].
+NON_MONOTONE_GAMES = [
+    StageGame(2, lambda i, X: 0, table=lambda: ([0, 3, 2, 1], [3, 0, 1, 2])),
+    table_game([[0, 1, 0, -1], [0, 0, 1, -1]]),
+]
+
+
+@pytest.mark.parametrize("game", NON_MONOTONE_GAMES)
+@pytest.mark.parametrize("use_sse", [True, False])
+def test_non_monotone_tables_keep_the_scan(game, use_sse):
+    solver = SyncSolver(game, use_sse=use_sse)
+    ref = PolicyNodeSolverReference(game, use_sse=use_sse)
+    for S in range(4):
+        for O in submasks(3 & ~S):
+            want = sss_scan(solver.gainers, S, O, use_sse)
+            assert solver._candidates(S, O) == want
+            assert solver.value(S, O) == ref.value(S, O)
+    for targets in (1, 2, 3):
+        assert _horizon_or_error(solver, targets) == _horizon_or_error(ref, targets)
 
 
 @settings(max_examples=150, deadline=None)

@@ -2,6 +2,7 @@
 provably satisfy the stage assumptions, and independent reference
 implementations used to cross-check the solvers."""
 
+import random
 import sys
 from fractions import Fraction
 
@@ -348,6 +349,21 @@ def tables_with_contexts(draw):
     return table_game(rows), Context(active, ones)
 
 
+@st.composite
+def monotone_games_with_contexts(draw):
+    """A game with a monotone incentive table (a random_game on 2..5 players,
+    or a weakest-link, threshold or aggregative family_games game) and a
+    random Context of it."""
+    seed = st.integers(0, 2**32 - 1).map(random.Random)
+    game = draw(
+        st.builds(random_game, seed, st.integers(2, 5))
+        | family_games().filter(lambda game: game.kind != "table")
+    )
+    active = draw(st.integers(0, game.all_players))
+    ones = draw(st.integers(0, game.all_players)) & ~active
+    return game, Context(active, ones)
+
+
 def incentive_table_reference(game):
     """Every strict preference between the two actions, in one pass of
     n 2^(n-1) payoff comparisons: core.incentive_table as every game built
@@ -409,6 +425,52 @@ def family_games(draw):
     degrees = [g.in_mask(i).bit_count() for i in range(n)]
     k = [draw(st.just(d) | st.integers(1, d)) for d in degrees]
     return threshold_game(g, k)
+
+
+def is_monotone_reference(gainers):
+    """Does gainers[X] <= gainers[Y] hold for every pair X <= Y?  A double
+    loop over all pairs of coalitions."""
+    size = len(gainers)
+    return all(
+        gainers[X] & ~gainers[Y] == 0 for X in range(size) for Y in range(size) if X & ~Y == 0
+    )
+
+
+@st.composite
+def upward_closed_tables(draw):
+    """The gainers table of a game with strategic complementarities on 1..7
+    players: player i gains at C exactly when C holds one of a few random
+    seed coalitions of i's opponents (none: i never gains; the empty one:
+    i always does)."""
+    n = draw(st.integers(1, 7))
+    size = 1 << n
+    gainers = [0] * size
+    for i in range(n):
+        seeds = draw(st.lists(st.integers(0, size - 1), max_size=3))
+        seeds = [s & ~(1 << i) for s in seeds]
+        for C in range(size):
+            if any(s & ~C == 0 for s in seeds):
+                gainers[C] |= 1 << i
+    return gainers
+
+
+def monotone_tables():
+    """Monotone gainers tables: upward closures, and the tables of
+    family_games that are monotone (every weakest-link, threshold and
+    aggregative one, and the few table games that happen to be)."""
+    family = family_games().map(lambda game: incentive_table_reference(game)[0])
+    return upward_closed_tables() | family.filter(is_monotone_reference)
+
+
+@st.composite
+def flipped_tables(draw):
+    """A monotone table with one bit of one entry flipped: monotone again
+    only when the flip keeps every pair of coalitions in order."""
+    gainers = list(draw(monotone_tables()))
+    C = draw(st.integers(0, len(gainers) - 1))
+    i = draw(st.integers(0, len(gainers).bit_length() - 2))
+    gainers[C] ^= 1 << i
+    return gainers
 
 
 def count_table_builds(monkeypatch):
@@ -484,8 +546,13 @@ def iesds_reference(game, ctx=None):
 class PolicyNodeSolverReference(SyncSolver):
     """SyncSolver with the value recursion it had before the int memo: a
     PolicyNode memoised per context, every divide and delete scanned in
-    full.  `value` and `_min_horizon_reduced` are kept verbatim; the
-    reduction, candidate cache and public operators are inherited."""
+    full.  `value` and `_min_horizon_reduced` are kept verbatim, and the
+    candidates always come from the full submask scan (core.sss_scan), as
+    before monotone tables were branched on; the reduction and public
+    operators are inherited."""
+
+    def _candidates(self, S, O):
+        return core.sss_scan(self.gainers, S, O, self.use_sse)
 
     def value(self, S, O):
         """Minimum number of stages to reach all-ones in the auxiliary game
