@@ -205,12 +205,25 @@ def _load_json(path):
     return _parse_json(_read_text(path), path)
 
 
-def load_game(path):
-    return parse_game(_load_json(path))
+def _charge_size(doc, key, noun, budget):
+    """Charge a document's player or vertex count against the budget before
+    anything is built from it: `Digraph` alone holds two lists of that
+    length.  A count that is not an int is left to the parser to report."""
+    n = doc.get(key) if isinstance(doc, dict) else None
+    if isinstance(n, int) and not isinstance(n, bool) and n > budget:
+        raise ResourceLimitError(f"{n} {noun} exceed the budget {budget}", size=n)
 
 
-def load_graph(path):
-    return parse_graph(_load_json(path))
+def load_game(path, budget):
+    doc = _load_json(path)
+    _charge_size(doc, "players", "players", budget)
+    return parse_game(doc)
+
+
+def load_graph(path, budget):
+    doc = _load_json(path)
+    _charge_size(doc, "n", "vertices", budget)
+    return parse_graph(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +297,7 @@ def _emit(args, human_lines, payload):
 
 
 def _cmd_check(args):
-    game = load_game(args.game)
+    game = load_game(args.game, args.budget)
     # the report reads every player's payoff at every profile once
     reads = game.n << game.n
     if reads > args.budget:
@@ -318,7 +331,7 @@ def _cmd_check(args):
 
 
 def _cmd_ne(args):
-    game = load_game(args.game)
+    game = load_game(args.game, args.budget)
     eqs = ne_set(game)
     least = least_ne(game)
     lines = [f"equilibria ({len(eqs)}):"]
@@ -328,7 +341,7 @@ def _cmd_ne(args):
 
 
 def _cmd_tau(args):
-    game = load_game(args.game)
+    game = load_game(args.game, args.budget)
     target = _parse_players(args.target, game.n, "--target")
     solver = SyncSolver(game, use_sse=not args.sss)
     value = solver.min_horizon(target)
@@ -336,14 +349,14 @@ def _cmd_tau(args):
 
 
 def _cmd_phi(args):
-    game = load_game(args.game)
+    game = load_game(args.game, args.budget)
     solver = SyncSolver(game, use_sse=not args.sss)
     out = solver.least_outcome(args.t)
     _emit(args, [f"{_disp(out)}"], {"t": args.t, "phi": _disp(out)})
 
 
 def _cmd_outcomes(args):
-    game = load_game(args.game)
+    game = load_game(args.game, args.budget)
     solver = SyncSolver(game, use_sse=not args.sss)
     outs = solver.outcome_set(args.t)
     lines = [f"outcomes at T={args.t} ({len(outs)}):"]
@@ -352,7 +365,7 @@ def _cmd_outcomes(args):
 
 
 def _cmd_treedepth(args):
-    g = load_graph(args.graph)
+    g = load_graph(args.graph, args.budget)
     value, cert = tree_depth(g)
     p = partition_from_certificate(cert, max(value, 1))
     lines = [f"tree-depth: {value}"]
@@ -365,7 +378,7 @@ def _cmd_treedepth(args):
 
 
 def _cmd_design(args):
-    game = load_game(args.game)
+    game = load_game(args.game, args.budget)
     p, achieved = asyncgame.design(game, args.t)
     lines = [f"achieved: {_disp(achieved)}"]
     lines += [f"  cell {t + 1}: {_disp(c)}" for t, c in enumerate(p.cells)]
@@ -377,7 +390,7 @@ def _cmd_design(args):
 
 
 def _cmd_async_solve(args):
-    game = load_game(args.game)
+    game = load_game(args.game, args.budget)
     p = _load_partition_arg(args, game.n)
     table = asyncgame.ieseds(game, p, budget=args.budget)
     lines = [f"least outcome: {_disp(table.outcome)}"]
@@ -403,7 +416,7 @@ def _load_partition_arg(args, n):
 
 
 def _cmd_centrality(args):
-    game = load_game(args.game)
+    game = load_game(args.game, args.budget)
     solver = SyncSolver(game)
     weak = design.weak_centrality(game, solver)
     strong = design.strong_centrality(game, solver)
@@ -426,7 +439,7 @@ def _cmd_centrality(args):
 
 
 def _cmd_horizons(args):
-    game = load_game(args.game)
+    game = load_game(args.game, args.budget)
     ledger = design.candidate_horizons(game)
     lines = [f"bound: {ledger.bound}"]
     lines += [f"  T={t}: {_disp(m)}" for t, m in ledger.candidates]
@@ -443,7 +456,7 @@ def _cmd_horizons(args):
 
 
 def _cmd_intervene(args):
-    game = load_game(args.game)
+    game = load_game(args.game, args.budget)
     subsidized = _parse_players(args.subsidized, game.n, "--subsidized")
     gain = design.intervention(game, subsidized, args.t)
     _emit(
@@ -454,7 +467,7 @@ def _cmd_intervene(args):
 
 
 def _cmd_ordered(args):
-    game = load_game(args.game)
+    game = load_game(args.game, args.budget)
     flags, table = ordered._classified(game, args.budget)
     lines = [
         f"cost-ordered:          {flags.cost_ordered}",
@@ -478,7 +491,7 @@ def _cmd_ordered(args):
 
 
 def _cmd_oracle(args):
-    game = load_game(args.game)
+    game = load_game(args.game, args.budget)
     if (args.t is None) == (args.partition is None):
         raise ParseError("oracle", "give exactly one of --t or --partition")
     if args.t is not None:

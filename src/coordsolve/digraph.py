@@ -192,46 +192,81 @@ def tree_depth(g, vertices=None):
 
     td(empty)=0, td(singleton)=1; a strongly connected block with >=2 vertices
     costs 1 plus the best vertex removal; otherwise the value is the max over
-    SCC subgraphs.  The search keeps one int memo, mask -> depth, over every
-    induced subgraph it reaches, so each is split into SCCs (by bitset
-    closures) once; for each strongly connected block it records the removed
-    vertex: the first, in ascending index, of strictly least depth, stopping
-    at depth 2, the least a non-singleton block can have.  The certificate is
-    then built once along the recorded vertices, with split nodes listing
-    their blocks in the topological order of `scc`.
+    SCC subgraphs.  Directed tree-depth is cycle rank + 1 (Eggan 1963).
+
+    The search carries a limit: `depth(mask, limit)` and `block_depth(block,
+    limit)` return the exact value when it is below `limit`, and otherwise a
+    lower bound of at least `limit`.  Exact values go to one int memo; a
+    cut-off mask keeps its bound together with its SCC split in a second memo,
+    so a later call with a higher limit reuses the split and every induced
+    subgraph is split (by bitset closures) at most once.  A mask's max over
+    its SCCs stops at the first SCC that reaches the limit.  A block's scan
+    tries each removal in ascending index under a cap that starts at the
+    caller's limit and drops to each new strict best, calling `depth(block -
+    v, cap - 1)`; it stops at depth 2, the least a non-singleton block can
+    have.  Cut-off candidates are at least the best so far, so the recorded
+    removal is still the first vertex of strictly least depth.  The top call
+    has limit n + 1, so its value is exact.  The certificate is then built
+    once along the recorded vertices, with split nodes listing their blocks
+    in the topological order of `scc`.
     """
     if vertices is None:
         vertices = g.all_vertices
     _check_mask(g, vertices, "vertices")
     succ, pred = g._succ, g._pred
     memo = {0: 0}
+    lower = {}  # mask -> (lower bound, SCC split) for masks cut off so far
     removed = {}
 
-    def depth(mask):
+    def depth(mask, limit):
         value = memo.get(mask)
-        if value is None:
-            value = max(block_depth(c) for c in _components(succ, pred, mask))
-            memo[mask] = value
+        if value is not None:
+            return value
+        cut = lower.get(mask)
+        if cut is None:
+            comps = _components(succ, pred, mask)
+        else:
+            bound, comps = cut
+            if bound >= limit:
+                return bound
+        value = 0
+        for c in comps:
+            d = block_depth(c, limit)
+            if d >= limit:
+                lower[mask] = d, comps
+                return d
+            if d > value:
+                value = d
+        memo[mask] = value
         return value
 
-    def block_depth(block):
+    def block_depth(block, limit):
         if block.bit_count() == 1:
             return 1
-        best = memo.get(block)
-        if best is not None:
-            return best
+        value = memo.get(block)
+        if value is not None:
+            return value
+        if limit <= 2:
+            return 2  # the least depth of a non-singleton block
+        cut = lower.get(block)
+        if cut is not None and cut[0] >= limit:
+            return cut[0]
+        cap = limit
         rest = block
         while rest:
             low = rest & -rest
             rest ^= low
-            cand = 1 + depth(block ^ low)
-            if best is None or cand < best:
-                best = cand
+            cand = 1 + depth(block ^ low, cap - 1)
+            if cand < cap:
+                cap = cand
                 removed[block] = low.bit_length() - 1
-                if best == 2:
+                if cap == 2:
                     break
-        memo[block] = best
-        return best
+        if cap < limit:
+            memo[block] = cap
+            return cap
+        lower[block] = limit, (block,)  # every candidate was >= limit
+        return limit
 
     def certificate(mask):
         if mask == 0:
@@ -247,7 +282,7 @@ def tree_depth(g, vertices=None):
         v = removed[block]
         return EliminationTree(block, v, (certificate(block & ~(1 << v)),))
 
-    value = depth(vertices)
+    value = depth(vertices, g.n + 1)
     return value, certificate(vertices)
 
 

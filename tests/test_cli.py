@@ -1,5 +1,6 @@
 import json
 import random
+import resource
 import subprocess
 import sys
 
@@ -450,6 +451,58 @@ def test_huge_exponent_payoff_exits_promptly(tmp_path):
     )
     assert done.returncode == 1
     assert done.stderr.startswith("error: $.payoffs[0][0]: not an int or 'p/q' string")
+
+
+def run_capped(argv, limit=1536 << 20):
+    """Run the CLI in a child process with its address space capped, so a
+    document that would fill memory fails fast instead."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    return subprocess.run(
+        [sys.executable, "-m", "coordsolve.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=cap,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, doc, noun",
+    [
+        (["check", "--game"], {"players": 10**12, "kind": "weakest_link", "edges": []}, "players"),
+        (["tau", "--target", "1", "--game"], {"players": 10**12, "kind": "aggregative", "c": []}, "players"),
+        (["treedepth", "--graph"], {"n": 10**12, "edges": []}, "vertices"),
+    ],
+)
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_huge_size_refused_before_anything_is_built(tmp_path, argv, doc, noun, flags):
+    # Digraph(10**12, ...) used to die with a MemoryError traceback
+    done = run_capped(argv + [write_game(tmp_path, doc), "--budget", "1000"] + flags)
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert done.stderr == f"resource error: {10**12} {noun} exceed the budget 1000\n"
+
+
+def test_size_charge_is_the_player_count(tmp_path, capsys):
+    # 8 players pass at --budget 8; the paths with budgets of their own
+    # then spend it (IESEDS and the SPNE oracle refuse), and tau, which has
+    # none, answers
+    path = write_game(tmp_path, triangles_doc())
+    cells = json.dumps({"cells": [[i] for i in range(8)]})
+    assert main(["async-solve", "--game", path, "--partition", cells, "--budget", "7"]) == 3
+    assert "8 players exceed the budget 7" in capsys.readouterr().err
+    assert main(["async-solve", "--game", path, "--partition", cells, "--budget", "8"]) == 3
+    assert "8 players" not in capsys.readouterr().err
+    argv = ["oracle", "--game", path, "--mode", "spne", "--t", "2", "--budget", "8"]
+    assert main(argv) == 3
+    assert "8 players" not in capsys.readouterr().err
+    assert main(["tau", "--game", path, "--target", "1", "--budget", "8"]) == 0
+    graph = write_game(tmp_path, {"n": 3, "edges": [[0, 1], [1, 0]]}, "graph.json")
+    assert main(["treedepth", "--graph", graph, "--budget", "2"]) == 3
+    assert main(["treedepth", "--graph", graph, "--budget", "3"]) == 0
 
 
 def test_oracle_subcommand(tmp_path, capsys):

@@ -3,7 +3,7 @@ import re
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from coordsolve import (
     Digraph,
@@ -19,13 +19,16 @@ from coordsolve import (
 from coordsolve import digraph
 from coordsolve.core import Partition, bits
 
+import util
 from util import (
     clique_edges,
     cycle_graph,
     cycle_rank,
+    cycle_union_digraph,
     hub_intervention_graph,
     random_digraph,
     tree_depth_reference,
+    tree_depth_uncut_reference,
     two_triangles_graph,
 )
 
@@ -212,19 +215,26 @@ def digraphs_with_vertices(draw):
     return Digraph(n, edges), vertices
 
 
-@settings(max_examples=400, deadline=None)
-@given(digraphs_with_vertices())
-def test_tree_depth_matches_reference(case):
-    g, vertices = case
+def recorded_splits(module, search, g, vertices=None):
+    """Run `search(g, vertices)` and list the masks it hands to `module`'s
+    `_components`, in call order."""
     split = []
-    components = digraph._components
+    components = module._components
 
     def recording(succ, pred, mask):
         split.append(mask)
         return components(succ, pred, mask)
 
-    with patch.object(digraph, "_components", recording):
-        value, cert = tree_depth(g, vertices)
+    with patch.object(module, "_components", recording):
+        result = search(g, vertices)
+    return result, split
+
+
+@settings(max_examples=400, deadline=None)
+@given(digraphs_with_vertices())
+def test_tree_depth_matches_reference(case):
+    g, vertices = case
+    (value, cert), split = recorded_splits(digraph, tree_depth, g, vertices)
     assert len(split) == len(set(split))  # every induced subgraph split once
     ref_value, ref_cert = tree_depth_reference(g, vertices)
     assert value == ref_value
@@ -233,6 +243,57 @@ def test_tree_depth_matches_reference(case):
     for T in (max(value, 1), value + 2):
         p = partition_from_treedepth(g, T, vertices)
         assert p.cells == digraph.partition_from_certificate(ref_cert, T).cells
+
+
+@st.composite
+def cutoff_digraphs_with_vertices(draw):
+    """Graphs whose blocks have many removals of unequal depth, so the
+    search's cutoffs fire: unions of 2-3 random Hamiltonian cycles, or
+    Bernoulli digraphs, on at most 10 vertices; with either None (every
+    vertex) or a random vertex subset."""
+    n = draw(st.integers(2, 10))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        g = cycle_union_digraph(rng, n, draw(st.integers(2, 3)))
+    else:
+        g = random_digraph(rng, n, draw(st.sampled_from((0.35, 0.5, 0.65))))
+    vertices = draw(st.none() | st.integers(0, (1 << n) - 1))
+    return g, vertices
+
+
+# a dense 6-vertex graph on which a cut-off bound taken for an exact value,
+# a scan capped one lower, or a scan stopped at its first candidate below
+# the limit each gives a wrong value or no certificate
+DENSE_SIX = Digraph(6, [
+    (0, 2), (0, 3), (0, 5), (1, 0), (1, 3), (1, 4), (2, 0), (2, 1), (2, 3), (2, 5),
+    (3, 2), (3, 4), (3, 5), (4, 0), (4, 2), (4, 3), (4, 5), (5, 2), (5, 3), (5, 4),
+])
+
+
+@settings(max_examples=300, deadline=None)
+@given(cutoff_digraphs_with_vertices())
+@example((DENSE_SIX, None))
+def test_tree_depth_with_cutoffs_matches_reference(case):
+    g, vertices = case
+    (value, cert), split = recorded_splits(digraph, tree_depth, g, vertices)
+    assert len(split) == len(set(split))  # every induced subgraph split once
+    assert (value, cert) == tree_depth_reference(g, vertices)
+    assert cert.depth == value
+
+
+def test_cutoffs_split_fewer_subgraphs_than_the_uncut_search():
+    # A cut-off search can split a mask the uncut one only met as a memoised
+    # block, so fewer splits hold in total, not on every graph.
+    rng = random.Random(14)
+    ours = uncut = 0
+    for n in (9, 10, 11) * 4:
+        g = cycle_union_digraph(rng, n, 3)
+        got, split = recorded_splits(digraph, tree_depth, g)
+        want, uncut_split = recorded_splits(util, tree_depth_uncut_reference, g)
+        assert got == want
+        ours += len(split)
+        uncut += len(uncut_split)
+    assert ours < uncut
 
 
 def test_out_of_range_masks_name_the_stray_bits():

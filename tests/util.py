@@ -37,6 +37,7 @@ from coordsolve.core import (
     submasks,
 )
 from coordsolve.asyncgame import DEFAULT_BUDGET, IesedsTable, _history_cost
+from coordsolve.digraph import _check_mask, _components
 from coordsolve.ordered import DEFAULT_CHECK_BUDGET, OrderedFlags
 from coordsolve.sync import PolicyNode, SyncSolver
 from coordsolve.oracle import (
@@ -198,6 +199,17 @@ def random_digraph(rng, n, p=0.35):
     edges = [
         (i, j) for i in range(n) for j in range(n) if i != j and rng.random() < p
     ]
+    return Digraph(n, edges)
+
+
+def cycle_union_digraph(rng, n, count):
+    """Union of `count` random Hamiltonian cycles on n vertices (n >= 2):
+    strongly connected, every in- and out-degree at most `count`."""
+    edges = set()
+    for _ in range(count):
+        order = list(range(n))
+        rng.shuffle(order)
+        edges.update((order[k], order[(k + 1) % n]) for k in range(n))
     return Digraph(n, edges)
 
 
@@ -792,6 +804,73 @@ def tree_depth_reference(g, vertices=None):
 
     cert = solve(vertices)
     return cert.depth, cert
+
+
+def tree_depth_uncut_reference(g, vertices=None):
+    """Exact directed tree-depth of the induced subgraph, with certificate:
+    the int-memo search without cutoffs that `digraph.tree_depth` replaced,
+    kept verbatim.  It splits subgraphs through this module's `_components`,
+    so a test can count its splits.
+
+    td(empty)=0, td(singleton)=1; a strongly connected block with >=2 vertices
+    costs 1 plus the best vertex removal; otherwise the value is the max over
+    SCC subgraphs.  The search keeps one int memo, mask -> depth, over every
+    induced subgraph it reaches, so each is split into SCCs (by bitset
+    closures) once; for each strongly connected block it records the removed
+    vertex: the first, in ascending index, of strictly least depth, stopping
+    at depth 2, the least a non-singleton block can have.  The certificate is
+    then built once along the recorded vertices, with split nodes listing
+    their blocks in the topological order of `scc`.
+    """
+    if vertices is None:
+        vertices = g.all_vertices
+    _check_mask(g, vertices, "vertices")
+    succ, pred = g._succ, g._pred
+    memo = {0: 0}
+    removed = {}
+
+    def depth(mask):
+        value = memo.get(mask)
+        if value is None:
+            value = max(block_depth(c) for c in _components(succ, pred, mask))
+            memo[mask] = value
+        return value
+
+    def block_depth(block):
+        if block.bit_count() == 1:
+            return 1
+        best = memo.get(block)
+        if best is not None:
+            return best
+        rest = block
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            cand = 1 + depth(block ^ low)
+            if best is None or cand < best:
+                best = cand
+                removed[block] = low.bit_length() - 1
+                if best == 2:
+                    break
+        memo[block] = best
+        return best
+
+    def certificate(mask):
+        if mask == 0:
+            return EliminationTree(0, None, ())
+        comps = scc(g, mask)
+        if len(comps) == 1:
+            return block_certificate(mask)
+        return EliminationTree(mask, None, tuple(block_certificate(c) for c in comps))
+
+    def block_certificate(block):
+        if block.bit_count() == 1:
+            return EliminationTree(block, block.bit_length() - 1, ())
+        v = removed[block]
+        return EliminationTree(block, v, (certificate(block & ~(1 << v)),))
+
+    value = depth(vertices)
+    return value, certificate(vertices)
 
 
 def _kosaraju(nodes, succ):
