@@ -88,9 +88,42 @@ def _int_vector(doc, key, n, path):
     return vec
 
 
+def _payoff_rows(rows, n, path):
+    """The exact payoff rows of a table document, in row-major order.
+
+    A table repeats a few payoff strings many times, so each distinct string
+    is parsed once per call, in a dict local to it; ints are taken as they
+    are.  An entry's path is built only when it is parsed for the first time
+    or rejected, and the first bad entry in row-major order is the one named.
+    """
+    memo = {}
+    parsed = []
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != 1 << n:
+            raise ParseError(
+                f"{path}.payoffs[{i}]", f"expected {1 << n} entries (2^n)"
+            )
+        out = []
+        for m, v in enumerate(row):
+            kind = type(v)
+            if kind is int:
+                out.append(v)
+            elif kind is str:
+                value = memo.get(v)
+                if value is None:
+                    value = memo[v] = _rational(v, f"{path}.payoffs[{i}][{m}]")
+                out.append(value)
+            else:
+                # a bool, a float or anything else: rejected, or an int subclass
+                out.append(_rational(v, f"{path}.payoffs[{i}][{m}]"))
+        parsed.append(out)
+    return parsed
+
+
 def parse_game(doc, path="$"):
     """Build a StageGame from a document dict.  Its assumption report is
-    computed on first read of `game.report`."""
+    computed on first read of `game.report`.  A table document parses each
+    distinct payoff string once (see _payoff_rows)."""
     if not isinstance(doc, dict):
         raise ParseError(path, "document must be an object")
     n = doc.get("players")
@@ -101,16 +134,7 @@ def parse_game(doc, path="$"):
         rows = doc.get("payoffs")
         if not isinstance(rows, list) or len(rows) != n:
             raise ParseError(path + ".payoffs", f"expected {n} payoff rows")
-        parsed = []
-        for i, row in enumerate(rows):
-            if not isinstance(row, list) or len(row) != 1 << n:
-                raise ParseError(
-                    f"{path}.payoffs[{i}]", f"expected {1 << n} entries (2^n)"
-                )
-            parsed.append(
-                [_rational(v, f"{path}.payoffs[{i}][{m}]") for m, v in enumerate(row)]
-            )
-        game = table_game(parsed)
+        game = table_game(_payoff_rows(rows, n, path))
     elif kind == "weakest_link":
         game = weakest_link_game(Digraph(n, _edges(doc, n, path)))
     elif kind == "threshold":
@@ -218,6 +242,20 @@ def load_game(path, budget):
     doc = _load_json(path)
     _charge_size(doc, "players", "players", budget)
     return parse_game(doc)
+
+
+def load_table_game(path, budget):
+    """load_game for a command that builds the game's 2^n incentive table
+    (directly or in a SyncSolver): its cells are charged against the budget
+    before it is built.  The count is compared by bit length, so that a huge
+    n never builds 2^n to print it."""
+    game = load_game(path, budget)
+    if game.n >= budget.bit_length():
+        raise ResourceLimitError(
+            f"incentive table needs 2^{game.n} cells (budget {budget})",
+            size=1 << game.n,
+        )
+    return game
 
 
 def load_graph(path, budget):
@@ -331,7 +369,7 @@ def _cmd_check(args):
 
 
 def _cmd_ne(args):
-    game = load_game(args.game, args.budget)
+    game = load_table_game(args.game, args.budget)
     eqs = ne_set(game)
     least = least_ne(game)
     lines = [f"equilibria ({len(eqs)}):"]
@@ -341,7 +379,7 @@ def _cmd_ne(args):
 
 
 def _cmd_tau(args):
-    game = load_game(args.game, args.budget)
+    game = load_table_game(args.game, args.budget)
     target = _parse_players(args.target, game.n, "--target")
     solver = SyncSolver(game, use_sse=not args.sss)
     value = solver.min_horizon(target)
@@ -349,14 +387,14 @@ def _cmd_tau(args):
 
 
 def _cmd_phi(args):
-    game = load_game(args.game, args.budget)
+    game = load_table_game(args.game, args.budget)
     solver = SyncSolver(game, use_sse=not args.sss)
     out = solver.least_outcome(args.t)
     _emit(args, [f"{_disp(out)}"], {"t": args.t, "phi": _disp(out)})
 
 
 def _cmd_outcomes(args):
-    game = load_game(args.game, args.budget)
+    game = load_table_game(args.game, args.budget)
     solver = SyncSolver(game, use_sse=not args.sss)
     outs = solver.outcome_set(args.t)
     lines = [f"outcomes at T={args.t} ({len(outs)}):"]
@@ -378,7 +416,7 @@ def _cmd_treedepth(args):
 
 
 def _cmd_design(args):
-    game = load_game(args.game, args.budget)
+    game = load_table_game(args.game, args.budget)
     p, achieved = asyncgame.design(game, args.t)
     lines = [f"achieved: {_disp(achieved)}"]
     lines += [f"  cell {t + 1}: {_disp(c)}" for t, c in enumerate(p.cells)]
@@ -416,7 +454,7 @@ def _load_partition_arg(args, n):
 
 
 def _cmd_centrality(args):
-    game = load_game(args.game, args.budget)
+    game = load_table_game(args.game, args.budget)
     solver = SyncSolver(game)
     weak = design.weak_centrality(game, solver)
     strong = design.strong_centrality(game, solver)
@@ -439,7 +477,7 @@ def _cmd_centrality(args):
 
 
 def _cmd_horizons(args):
-    game = load_game(args.game, args.budget)
+    game = load_table_game(args.game, args.budget)
     ledger = design.candidate_horizons(game)
     lines = [f"bound: {ledger.bound}"]
     lines += [f"  T={t}: {_disp(m)}" for t, m in ledger.candidates]
@@ -456,7 +494,7 @@ def _cmd_horizons(args):
 
 
 def _cmd_intervene(args):
-    game = load_game(args.game, args.budget)
+    game = load_table_game(args.game, args.budget)
     subsidized = _parse_players(args.subsidized, game.n, "--subsidized")
     gain = design.intervention(game, subsidized, args.t)
     _emit(

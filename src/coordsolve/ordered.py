@@ -10,6 +10,7 @@ aggregative-style games a linear two-pointer sweep suffices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .core import (
     aggregative_game,
@@ -18,7 +19,6 @@ from .core import (
     incentive_table,
     mask_of,
     members,
-    submasks,
 )
 from .digraph import Digraph
 from .errors import PreconditionError, ResourceLimitError
@@ -88,37 +88,77 @@ def _check_classify_budget(n, budget):
 
 
 def _classify_table(gainers, n):
-    """The four order flags of classify, read off a game's `gainers` table."""
-    full = (1 << n) - 1
+    """The four order flags of classify, read off a game's `gainers` table.
+
+    The quantifier checks run on bitsets over the 2^n coalitions: gain[k]
+    has bit C set when player k strictly gains at C, and one[b] (zero[b])
+    has bit C set when b is (is not) in C.  A check over the submasks X of a
+    pool is then one expression whose set bits are its violations, and the
+    first witness in descending submask order is the highest set bit.  The
+    chain clause of cost order alone still runs per X (_chain_reaches), over
+    the candidates in the same descending order.  Witnesses are recorded in
+    the order a per-X loop over pairs (j, i), then triples (k, j, i), would
+    meet them.
+    """
+    size = 1 << n
+    full = size - 1
+    every = (1 << size) - 1
+    one = []
+    for b in range(n):
+        pattern = ((1 << (1 << b)) - 1) << (1 << b)
+        period = 2 << b
+        while period < size:
+            pattern |= pattern << period
+            period <<= 1
+        one.append(pattern)
+    zero = [every ^ pattern for pattern in one]
+    # column c of the n-digit binary rows, last coalition first, is player n-1-c
+    columns = zip(*map(format, reversed(gainers), repeat(f"0{n}b")))
+    gain = [int("".join(column), 2) for column in columns][::-1]
     flags = OrderedFlags()
     wit = flags.witnesses
 
     for j in range(n):
         for i in range(j):
-            pool = full & ~(1 << i) & ~(1 << j)
-            for X in submasks(pool):
-                if gainers[X] >> j & 1:
-                    if flags.strongly_cost_ordered and not gainers[X] >> i & 1:
-                        flags.strongly_cost_ordered = False
-                        wit.setdefault("strongly_cost_ordered", (i, j, X))
-                    if flags.cost_ordered and not _chain_reaches(gainers, full, i, j, X):
-                        flags.cost_ordered = False
-                        wit.setdefault("cost_ordered", (i, j, X))
+            cand = gain[j] & zero[i] & zero[j]
+            found = []
+            if flags.strongly_cost_ordered and (bad := cand & ~gain[i]):
+                found.append((bad.bit_length() - 1, "strongly_cost_ordered"))
+            if flags.cost_ordered:
+                while cand:
+                    X = cand.bit_length() - 1
+                    if not _chain_reaches(gainers, full, i, j, X):
+                        found.append((X, "cost_ordered"))
+                        break
+                    cand ^= 1 << X
+            # descending X; at one X the strong check comes first (stable sort)
+            for X, name in sorted(found, key=lambda f: -f[0]):
+                setattr(flags, name, False)
+                wit[name] = (i, j, X)
 
     for k in range(n):
+        # shifted[b]: X without b and k such that k gains at X | b
+        row = gain[k] & zero[k]
+        shifted = [(row & one[b]) >> (1 << b) for b in range(n)]
         for j in range(n):
+            if j == k:
+                continue
+            lost = zero[j] & ~shifted[j]
             for i in range(n):
-                if k in (i, j) or i == j:
+                if k == i or i == j:
                     continue
-                pool = full & ~mask_of((i, j, k))
-                for X in submasks(pool):
-                    if gainers[X | 1 << i] >> k & 1 and not gainers[X | 1 << j] >> k & 1:
-                        if i < j and flags.contribution_ordered:
-                            flags.contribution_ordered = False
-                            wit.setdefault("contribution_ordered", (i, j, k, X))
-                        if flags.contribution_natural:
-                            flags.contribution_natural = False
-                            wit.setdefault("contribution_natural", (i, j, k, X))
+                strict = i < j and flags.contribution_ordered
+                if not (strict or flags.contribution_natural):
+                    continue
+                bad = shifted[i] & lost
+                if bad:
+                    X = bad.bit_length() - 1
+                    if strict:
+                        flags.contribution_ordered = False
+                        wit["contribution_ordered"] = (i, j, k, X)
+                    if flags.contribution_natural:
+                        flags.contribution_natural = False
+                        wit["contribution_natural"] = (i, j, k, X)
     return flags
 
 

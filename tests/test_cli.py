@@ -5,7 +5,9 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
 
+from coordsolve import table_game
 from coordsolve.cli import ParseError, emit_game, main, parse_game
 from coordsolve.ordered import classify, ordered_min_horizon
 
@@ -14,7 +16,9 @@ from util import (
     count_table_builds,
     hub_intervention_graph,
     ne_set_reference,
+    parse_payoff_rows_reference,
     random_game,
+    table_documents,
     two_triangles_graph,
 )
 
@@ -439,6 +443,27 @@ def test_exponent_payoffs_are_refused(value):
     assert str(info.value).startswith("$.payoffs[0][1]: ")
 
 
+@settings(max_examples=300, deadline=None)
+@given(doc=table_documents())
+def test_payoff_memo_matches_one_parse_per_entry(doc):
+    """Each distinct string parsed once gives the rows, value types, emitted
+    document and first ParseError of one parse per entry."""
+    try:
+        want = parse_payoff_rows_reference(doc["payoffs"], doc["players"])
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            parse_game(doc)
+        assert (got.value.path, str(got.value)) == (exc.path, str(exc))
+        return
+    game = parse_game(doc)
+
+    def typed(rows):
+        return [[(type(v), v) for v in row] for row in rows]
+
+    assert typed(game.params["rows"]) == typed(want)
+    assert emit_game(game) == emit_game(table_game(want))
+
+
 def test_huge_exponent_payoff_exits_promptly(tmp_path):
     # Fraction("1e999999999") would build 10**999999999 before any check
     doc = {"players": 1, "kind": "table", "payoffs": [["1e999999999", 0]]}
@@ -486,10 +511,35 @@ def test_huge_size_refused_before_anything_is_built(tmp_path, argv, doc, noun, f
     assert done.stderr == f"resource error: {10**12} {noun} exceed the budget 1000\n"
 
 
+TABLE_COMMANDS = (
+    ["ne"],
+    ["tau", "--target", "1"],
+    ["phi", "--t", "1"],
+    ["outcomes", "--t", "1"],
+    ["design", "--t", "1"],
+    ["centrality"],
+    ["horizons"],
+    ["intervene", "--subsidized", "1", "--t", "1"],
+)
+
+
+@pytest.mark.parametrize("argv", TABLE_COMMANDS)
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_huge_incentive_table_refused_before_it_is_built(tmp_path, argv, flags):
+    # 40 players pass the size charge; their 2^40-cell table used to die
+    # with a MemoryError traceback in core.incentive_table
+    doc = {"players": 40, "kind": "weakest_link", "edges": [[0, 1]]}
+    path = write_game(tmp_path, doc)
+    done = run_capped(argv + ["--game", path, "--budget", "10000000"] + flags)
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert done.stderr == "resource error: incentive table needs 2^40 cells (budget 10000000)\n"
+
+
 def test_size_charge_is_the_player_count(tmp_path, capsys):
     # 8 players pass at --budget 8; the paths with budgets of their own
-    # then spend it (IESEDS and the SPNE oracle refuse), and tau, which has
-    # none, answers
+    # then spend it (IESEDS and the SPNE oracle refuse), and tau, which
+    # charges its 2^8-cell table, answers at --budget 256
     path = write_game(tmp_path, triangles_doc())
     cells = json.dumps({"cells": [[i] for i in range(8)]})
     assert main(["async-solve", "--game", path, "--partition", cells, "--budget", "7"]) == 3
@@ -499,7 +549,9 @@ def test_size_charge_is_the_player_count(tmp_path, capsys):
     argv = ["oracle", "--game", path, "--mode", "spne", "--t", "2", "--budget", "8"]
     assert main(argv) == 3
     assert "8 players" not in capsys.readouterr().err
-    assert main(["tau", "--game", path, "--target", "1", "--budget", "8"]) == 0
+    assert main(["tau", "--game", path, "--target", "1", "--budget", "255"]) == 3
+    assert "incentive table needs 2^8 cells (budget 255)" in capsys.readouterr().err
+    assert main(["tau", "--game", path, "--target", "1", "--budget", "256"]) == 0
     graph = write_game(tmp_path, {"n": 3, "edges": [[0, 1], [1, 0]]}, "graph.json")
     assert main(["treedepth", "--graph", graph, "--budget", "2"]) == 3
     assert main(["treedepth", "--graph", graph, "--budget", "3"]) == 0

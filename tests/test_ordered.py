@@ -24,11 +24,13 @@ from coordsolve.sync import SyncSolver
 from util import (
     chain_sequence_reference,
     classify_reference,
+    classify_table_reference,
     cross_pairs_game,
     ordered_min_horizon_reference,
     random_aggregative,
     random_digraph,
     random_game,
+    raw_gainers_tables,
 )
 
 
@@ -145,6 +147,20 @@ def _assert_matches_raw_payoff_reference(game, extra_target):
         assert _horizon_or_error(
             ordered_min_horizon, game, X, flags
         ) == _horizon_or_error(ordered_min_horizon_reference, game, X, ref)
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=raw_gainers_tables())
+# cost order fails at X = 10 before strong cost order fails at X = 8
+@example(table=([3, 12, 11, 15, 7, 2, 1, 2, 4, 5, 5, 6, 8, 10, 8, 11], 4))
+def test_bitset_classification_matches_the_submask_loops(table):
+    """Same flags and witnesses as the per-X loops, inserted in the same
+    order."""
+    gainers, n = table
+    flags = ordered._classify_table(gainers, n)
+    ref = classify_table_reference(gainers, n)
+    assert flags == ref
+    assert list(flags.witnesses.items()) == list(ref.witnesses.items())
 
 
 @pytest.mark.parametrize("family", COMPLIANT)

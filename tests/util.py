@@ -37,8 +37,9 @@ from coordsolve.core import (
     submasks,
 )
 from coordsolve.asyncgame import DEFAULT_BUDGET, IesedsTable, _history_cost
+from coordsolve.cli import ParseError, _rational
 from coordsolve.digraph import _check_mask, _components
-from coordsolve.ordered import DEFAULT_CHECK_BUDGET, OrderedFlags
+from coordsolve.ordered import DEFAULT_CHECK_BUDGET, OrderedFlags, _chain_reaches
 from coordsolve.sync import PolicyNode, SyncSolver
 from coordsolve.oracle import (
     _Budget,
@@ -707,6 +708,52 @@ def classify_reference(game, budget=DEFAULT_CHECK_BUDGET):
     return flags
 
 
+def classify_table_reference(gainers, n):
+    """ordered._classify_table as a loop over every submask X of each pool
+    before it ran on bitsets, kept verbatim."""
+    full = (1 << n) - 1
+    flags = OrderedFlags()
+    wit = flags.witnesses
+
+    for j in range(n):
+        for i in range(j):
+            pool = full & ~(1 << i) & ~(1 << j)
+            for X in submasks(pool):
+                if gainers[X] >> j & 1:
+                    if flags.strongly_cost_ordered and not gainers[X] >> i & 1:
+                        flags.strongly_cost_ordered = False
+                        wit.setdefault("strongly_cost_ordered", (i, j, X))
+                    if flags.cost_ordered and not _chain_reaches(gainers, full, i, j, X):
+                        flags.cost_ordered = False
+                        wit.setdefault("cost_ordered", (i, j, X))
+
+    for k in range(n):
+        for j in range(n):
+            for i in range(n):
+                if k in (i, j) or i == j:
+                    continue
+                pool = full & ~mask_of((i, j, k))
+                for X in submasks(pool):
+                    if gainers[X | 1 << i] >> k & 1 and not gainers[X | 1 << j] >> k & 1:
+                        if i < j and flags.contribution_ordered:
+                            flags.contribution_ordered = False
+                            wit.setdefault("contribution_ordered", (i, j, k, X))
+                        if flags.contribution_natural:
+                            flags.contribution_natural = False
+                            wit.setdefault("contribution_natural", (i, j, k, X))
+    return flags
+
+
+@st.composite
+def raw_gainers_tables(draw):
+    """A gainers table on 1..7 players with no structure at all: each entry
+    is any set of players, with the empty and the full set made common."""
+    n = draw(st.integers(1, 7))
+    full = (1 << n) - 1
+    entry = st.integers(0, full) | st.sampled_from((0, full))
+    return draw(st.lists(entry, min_size=1 << n, max_size=1 << n)), n
+
+
 def ordered_min_horizon_reference(game, targets, flags=None):
     """ordered.ordered_min_horizon as it read raw payoffs (strict gains,
     iterated strict elimination and a Nash check) before it read the
@@ -1138,3 +1185,46 @@ def ieseds_reference(game, p, budget=DEFAULT_BUDGET):
     return IesedsTable(
         partition=p, stage_actions=tables, on_path=tuple(on_path), outcome=outcome
     )
+
+
+# ---------------------------------------------------------------------------
+# table documents
+
+
+def parse_payoff_rows_reference(rows, n, path="$"):
+    """The payoff rows of a table document as cli.parse_game built them
+    before it parsed each distinct string once: one _rational call per
+    entry, kept verbatim."""
+    parsed = []
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != 1 << n:
+            raise ParseError(
+                f"{path}.payoffs[{i}]", f"expected {1 << n} entries (2^n)"
+            )
+        parsed.append(
+            [_rational(v, f"{path}.payoffs[{i}][{m}]") for m, v in enumerate(row)]
+        )
+    return parsed
+
+
+# Good payoffs: ints, and strings Fraction reads (signs, padding, decimals,
+# whitespace); the strings "3" and "0" parse to Fractions, not ints.
+DOCUMENT_PAYOFFS = st.sampled_from(
+    [0, 1, -2, 7, "3", "0", "-1/2", "1/2", "2/4", " 3/4", "3/4\n", "+5/3", "007", "1.5", "-0"]
+)
+BAD_PAYOFFS = st.sampled_from([True, False, "1e5", "1E5", "1/0", "x", "", 1.5, None])
+
+
+@st.composite
+def table_documents(draw):
+    """A table document on 1..5 players whose rows repeat a few payoffs
+    heavily; half of them hold one or two bad entries at random positions."""
+    n = draw(st.integers(1, 5))
+    vocabulary = draw(st.lists(DOCUMENT_PAYOFFS, min_size=1, max_size=4))
+    entry = st.sampled_from(vocabulary)
+    rows = [draw(st.lists(entry, min_size=1 << n, max_size=1 << n)) for _ in range(n)]
+    if draw(st.booleans()):
+        for _ in range(draw(st.integers(1, 2))):
+            i = draw(st.integers(0, n - 1))
+            rows[i][draw(st.integers(0, (1 << n) - 1))] = draw(BAD_PAYOFFS)
+    return {"players": n, "kind": "table", "payoffs": rows}
