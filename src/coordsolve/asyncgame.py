@@ -7,7 +7,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import Partition, bits, compare_rows, gains, iesds_scan
-from .digraph import check_feasible_partition, partition_from_treedepth, reach
+from .digraph import (
+    check_feasible_partition,
+    partition_from_certificate,
+    partition_from_treedepth,
+    reach,
+)
 from .errors import ResourceLimitError
 from .graphical import reduce_to_weakest_link
 from .sync import SyncSolver
@@ -129,14 +134,18 @@ def design(game, T, solver=None):
 
     The achieved set is the synchronous least outcome at T; the schedule comes
     from the weakest-link reduction restricted to that (reach-closed) set,
-    levelled by tree-depth, with everyone else placed in the last cell.
+    levelled by tree-depth, with everyone else placed in the last cell.  On a
+    weakest-link game the reduction is the solver's own graph, and its
+    tree-depth memo, which the horizons already filled, certifies the levels.
     """
     solver = solver or SyncSolver(game)
     achieved = solver.least_outcome(T)
-    sg = reduce_to_weakest_link(game, solver=solver)
-    g = sg.graph
+    g = reduce_to_weakest_link(game, solver=solver).graph
     scope = reach(g, achieved)
-    part = partition_from_treedepth(g, T, vertices=scope)
+    if solver.depths is not None:
+        part = partition_from_certificate(solver.depths.certificate(scope), T)
+    else:
+        part = partition_from_treedepth(g, T, vertices=scope)
     rest = game.all_players & ~part.union()
     cells = list(part.cells)
     cells[-1] |= rest

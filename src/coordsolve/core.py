@@ -79,7 +79,9 @@ class StageGame:
     is a zero-argument callable returning the game's incentive table
     (gainers, losers), built from the family's own data; the constructors of
     each family pass one.  A game built from a bare payoff function has
-    none, and incentive_table compares its payoffs.
+    none, and incentive_table compares its payoffs.  Likewise `_graph` is
+    the digraph a weakest-link game's payoffs read, set only by
+    graphical.weakest_link_game; SyncSolver solves on it when present.
     """
 
     def __init__(self, n, payoff_fn, kind="table", params=None, table=None):
@@ -90,6 +92,7 @@ class StageGame:
         self.kind = kind
         self.params = params or {}
         self._build_table = table
+        self._graph = None
 
     @property
     def all_players(self):

@@ -75,30 +75,12 @@ def strong_centrality(game, solver=None):
 
 def intervention(game, subsidized, T, solver=None):
     """Players newly guaranteed at horizon T when `subsidized` are paid to
-    play 1 outright: the subsidised game's least outcome minus the original's.
-
-    When the game satisfies the stage assumptions and no player's action 1 is
-    iteratively dominated, also re-derives the single-subsidy sandwich:
-    forcing any one player saves at most one stage toward full participation."""
+    play 1 outright: the subsidised game's least outcome minus the original's."""
     solver = solver or SyncSolver(game)
-    n = game.n
     full = game.all_players
     baseline = solver.least_outcome(T)
     if subsidized == 0 or subsidized == full:
         boosted = 0  # nothing subsidised, or nobody left to react
     else:
         boosted = solver.least_outcome(T, ctx=Context(full & ~subsidized, subsidized))
-    gain = boosted & ~baseline
-
-    if not solver.dropped and game.report.satisfies_assumptions:
-        whole = solver.min_horizon(full)
-        for i in range(n):
-            rest = full & ~(1 << i)
-            ctx = Context(rest, 1 << i)
-            sub = solver.min_horizon(rest, ctx=ctx)
-            if not sub <= whole <= sub + 1:
-                raise RuntimeError(
-                    f"single-subsidy sandwich failed at player {i}: "
-                    f"{sub} <= {whole} <= {sub + 1} is false"
-                )
-    return gain
+    return boosted & ~baseline

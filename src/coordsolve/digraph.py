@@ -187,8 +187,9 @@ def _components(succ, pred, mask):
     return comps
 
 
-def tree_depth(g, vertices=None):
-    """Exact directed tree-depth of the induced subgraph, with certificate.
+class TreeDepth:
+    """Exact directed tree-depth of the subgraphs of one digraph, memoised
+    across queries.
 
     td(empty)=0, td(singleton)=1; a strongly connected block with >=2 vertices
     costs 1 plus the best vertex removal; otherwise the value is the max over
@@ -198,92 +199,125 @@ def tree_depth(g, vertices=None):
     limit)` return the exact value when it is below `limit`, and otherwise a
     lower bound of at least `limit`.  Exact values go to one int memo; a
     cut-off mask keeps its bound together with its SCC split in a second memo,
-    so a later call with a higher limit reuses the split and every induced
+    so a later search with a higher limit reuses the split and every induced
     subgraph is split (by bitset closures) at most once.  A mask's max over
     its SCCs stops at the first SCC that reaches the limit.  A block's scan
     tries each removal in ascending index under a cap that starts at the
     caller's limit and drops to each new strict best, calling `depth(block -
     v, cap - 1)`; it stops at depth 2, the least a non-singleton block can
     have.  Cut-off candidates are at least the best so far, so the recorded
-    removal is still the first vertex of strictly least depth.  The top call
-    has limit n + 1, so its value is exact.  The certificate is then built
-    once along the recorded vertices, with split nodes listing their blocks
-    in the topological order of `scc`.
+    removal is the first vertex of strictly least depth.
+
+    An exact value, a bound with its split and a recorded removal belong to
+    the induced subgraph alone, not to the query that found them, so the
+    three memos serve every later query on any vertex mask: `value` searches
+    with limit n + 1 and is exact, and `certificate` walks the recorded
+    removals, with split nodes listing their blocks in the topological order
+    of `scc`.  The memos live as long as the object; callers that want a
+    bounded footprint make one per query (see tree_depth).
     """
-    if vertices is None:
-        vertices = g.all_vertices
-    _check_mask(g, vertices, "vertices")
-    succ, pred = g._succ, g._pred
-    memo = {0: 0}
-    lower = {}  # mask -> (lower bound, SCC split) for masks cut off so far
-    removed = {}
 
-    def depth(mask, limit):
-        value = memo.get(mask)
-        if value is not None:
+    def __init__(self, g):
+        self.g = g
+        succ, pred = g._succ, g._pred
+        memo = {0: 0}
+        lower = {}  # mask -> (lower bound, SCC split) for masks cut off so far
+        removed = {}
+
+        def depth(mask, limit):
+            value = memo.get(mask)
+            if value is not None:
+                return value
+            cut = lower.get(mask)
+            if cut is None:
+                comps = _components(succ, pred, mask)
+            else:
+                bound, comps = cut
+                if bound >= limit:
+                    return bound
+            value = 0
+            for c in comps:
+                d = block_depth(c, limit)
+                if d >= limit:
+                    lower[mask] = d, comps
+                    return d
+                if d > value:
+                    value = d
+            memo[mask] = value
             return value
-        cut = lower.get(mask)
-        if cut is None:
-            comps = _components(succ, pred, mask)
-        else:
-            bound, comps = cut
-            if bound >= limit:
-                return bound
-        value = 0
-        for c in comps:
-            d = block_depth(c, limit)
-            if d >= limit:
-                lower[mask] = d, comps
-                return d
-            if d > value:
-                value = d
-        memo[mask] = value
-        return value
 
-    def block_depth(block, limit):
-        if block.bit_count() == 1:
-            return 1
-        value = memo.get(block)
-        if value is not None:
-            return value
-        if limit <= 2:
-            return 2  # the least depth of a non-singleton block
-        cut = lower.get(block)
-        if cut is not None and cut[0] >= limit:
-            return cut[0]
-        cap = limit
-        rest = block
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            cand = 1 + depth(block ^ low, cap - 1)
-            if cand < cap:
-                cap = cand
-                removed[block] = low.bit_length() - 1
-                if cap == 2:
-                    break
-        if cap < limit:
-            memo[block] = cap
-            return cap
-        lower[block] = limit, (block,)  # every candidate was >= limit
-        return limit
+        def block_depth(block, limit):
+            if block.bit_count() == 1:
+                return 1
+            value = memo.get(block)
+            if value is not None:
+                return value
+            if limit <= 2:
+                return 2  # the least depth of a non-singleton block
+            cut = lower.get(block)
+            if cut is not None and cut[0] >= limit:
+                return cut[0]
+            cap = limit
+            rest = block
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                cand = 1 + depth(block ^ low, cap - 1)
+                if cand < cap:
+                    cap = cand
+                    removed[block] = low.bit_length() - 1
+                    if cap == 2:
+                        break
+            if cap < limit:
+                memo[block] = cap
+                return cap
+            lower[block] = limit, (block,)  # every candidate was >= limit
+            return limit
 
-    def certificate(mask):
-        if mask == 0:
-            return EliminationTree(0, None, ())
-        comps = scc(g, mask)
-        if len(comps) == 1:
-            return block_certificate(mask)
-        return EliminationTree(mask, None, tuple(block_certificate(c) for c in comps))
+        self._depth = depth
+        self._removed = removed
 
-    def block_certificate(block):
-        if block.bit_count() == 1:
-            return EliminationTree(block, block.bit_length() - 1, ())
-        v = removed[block]
-        return EliminationTree(block, v, (certificate(block & ~(1 << v)),))
+    def value(self, vertices=None):
+        """Exact tree-depth of the subgraph induced on `vertices` (every
+        vertex by default)."""
+        if vertices is None:
+            vertices = self.g.all_vertices
+        _check_mask(self.g, vertices, "vertices")
+        return self._depth(vertices, self.g.n + 1)
 
-    value = depth(vertices, g.n + 1)
-    return value, certificate(vertices)
+    def certificate(self, vertices=None):
+        """EliminationTree certifying `value(vertices)`, built along the
+        recorded removals."""
+        if vertices is None:
+            vertices = self.g.all_vertices
+        self.value(vertices)
+        g, removed = self.g, self._removed
+
+        def certificate(mask):
+            if mask == 0:
+                return EliminationTree(0, None, ())
+            comps = scc(g, mask)
+            if len(comps) == 1:
+                return block_certificate(mask)
+            return EliminationTree(
+                mask, None, tuple(block_certificate(c) for c in comps)
+            )
+
+        def block_certificate(block):
+            if block.bit_count() == 1:
+                return EliminationTree(block, block.bit_length() - 1, ())
+            v = removed[block]
+            return EliminationTree(block, v, (certificate(block & ~(1 << v)),))
+
+        return certificate(vertices)
+
+
+def tree_depth(g, vertices=None):
+    """Exact directed tree-depth of the subgraph induced on `vertices` (every
+    vertex by default), with its elimination-tree certificate: one query on a
+    fresh TreeDepth, so nothing outlives the call."""
+    depths = TreeDepth(g)
+    return depths.value(vertices), depths.certificate(vertices)
 
 
 def _levels(tree):

@@ -29,13 +29,15 @@ def weakest_link_game(g):
         return 1 if in_masks[i] & ~X == 0 else -1
 
     degrees = tuple(m.bit_count() for m in in_masks)
-    return StageGame(
+    game = StageGame(
         g.n,
         pay,
         kind="weakest_link",
         params={"edges": tuple(sorted(g.edges))},
         table=lambda: _neighbour_table(in_masks, degrees),
     )
+    game._graph = g
+    return game
 
 
 def threshold_game(g, k):
@@ -154,7 +156,9 @@ def reduce_to_weakest_link(game, solver=None):
     Walks the solved policy tree adding edges per operation, prefixes the
     cascade of initially dominant players, then prunes each in-neighborhood
     to a minimal satisfying subset.  Requires that no player's action 1 is
-    iteratively strictly dominated.
+    iteratively strictly dominated.  A weakest-link game is its own
+    reduction: each in-neighbourhood is that player's unique minimal
+    satisfying set, so the solver's graph is returned without a walk.
     """
     solver = solver or SyncSolver(game)
     if solver.dropped:
@@ -162,6 +166,8 @@ def reduce_to_weakest_link(game, solver=None):
             f"players {members(solver.dropped)} are forced to action 0; "
             "no sufficient graph covers them"
         )
+    if solver.graph is not None:
+        return SufficientGraph(solver.graph, minimal=True)
     n = game.n
     edges = set()
 

@@ -306,6 +306,17 @@ def _check_out_intervals(g, out_ends):
             )
 
 
+def _classify_keeping_table(game):
+    """classify(game), leaving the incentive table it read with the game:
+    the game's first table request gets that table instead of a second
+    build, and later requests get fresh tables as before."""
+    flags, table = _classified(game, DEFAULT_CHECK_BUDGET)
+    held = [table]
+    build = game._build_table
+    game._build_table = lambda: held.pop() if held else build()
+    return flags
+
+
 def generate(kind, *, c=None, in_starts=None, out_ends=None, k=None, nested=True):
     """Structured ordered-game generators.
 
@@ -328,7 +339,7 @@ def generate(kind, *, c=None, in_starts=None, out_ends=None, k=None, nested=True
         if any(c[i] > c[i + 1] for i in range(len(c) - 1)):
             raise ValueError("aggregative thresholds must be nondecreasing")
         game = aggregative_game(c)
-        flags = classify(game)
+        flags = _classify_keeping_table(game)
         if not (flags.strongly_cost_ordered and flags.contribution_natural):
             raise ValueError("thresholds do not make an ordered aggregative game")
         return game
@@ -344,7 +355,7 @@ def generate(kind, *, c=None, in_starts=None, out_ends=None, k=None, nested=True
         if out_ends is not None:
             _check_out_intervals(g, out_ends)
         game = weakest_link_game(g)
-        flags = classify(game)
+        flags = _classify_keeping_table(game)
         if not (flags.cost_ordered and flags.contribution_ordered):
             raise ValueError("in-intervals do not make an ordered weakest-link game")
         return game
@@ -355,7 +366,7 @@ def generate(kind, *, c=None, in_starts=None, out_ends=None, k=None, nested=True
         if out_ends is not None:
             _check_out_intervals(g, out_ends)
         game = threshold_game(g, k)
-        flags = classify(game)
+        flags = _classify_keeping_table(game)
         if not (flags.strongly_cost_ordered and flags.contribution_ordered):
             raise ValueError("parameters do not make an ordered threshold game")
         return game

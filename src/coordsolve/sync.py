@@ -20,6 +20,11 @@ incentive table is monotone, and the SSE candidates of a context are the
 nonempty fixed points of a monotone map, found by branching on intervals
 (core.fixed_point_scan); otherwise every submask is scanned
 (core.sss_scan).
+
+A weakest-link game skips the recursion in the full context: there the
+horizon of a target set is the directed tree-depth of the subgraph induced
+on everything that reaches it, read from one digraph.TreeDepth memo per
+solver.  Residual contexts and policy trees still take the recursion.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from .core import (
     sorted_coalitions,
     sss_scan,
 )
+from .digraph import TreeDepth, reach
 from .errors import PreconditionError
 
 
@@ -81,8 +87,16 @@ class SyncSolver:
     first and folded into the base context: forced ones join the forced
     set, forced zeros leave the game.  Subgame values live in an
     int memo (`_memo`, keyed by context); policy trees are not stored but
-    rebuilt on demand by `value` and `policy`.  A solver instance is not
-    thread-safe, but distinct instances are independent.
+    rebuilt on demand by `value` and `policy`.
+
+    For a game built by graphical.weakest_link_game the solver also keeps
+    the game's `graph` and one TreeDepth memo on it (`depths`; both None for
+    any other game, whatever its `kind`).  Every full-context horizon is
+    then the tree-depth of the targets' reach set, read from that memo,
+    which `horizons`, `least_outcome` and asyncgame.design share; residual
+    contexts and `policy` use the recursion.  The memo lives as long as the solver.  A
+    solver instance is not thread-safe, but distinct instances are
+    independent.
     """
 
     def __init__(self, game, use_sse=True):
@@ -93,6 +107,8 @@ class SyncSolver:
         self._memo = {}
         self._sss_cache = {}
         self._reduce_cache = {}
+        self.graph = game._graph
+        self.depths = None if self.graph is None else TreeDepth(self.graph)
         top = self._reduce()
         self.base, self.forced_one, self.dropped = top.reduced, top.forced, top.dropped
 
@@ -229,6 +245,10 @@ class SyncSolver:
         want = targets & reduced.active
         if want == 0:
             return 1
+        if reduced is self.base and self.depths is not None:
+            # target players outside `want` are forced to 1 and lie on no
+            # cycle, so leaving them out keeps the reach set's tree-depth
+            return self.depths.value(reach(self.graph, want))
         best = None
         for Y in self._candidates(reduced.active, reduced.ones):
             if Y & want == want:

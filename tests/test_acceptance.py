@@ -93,8 +93,7 @@ def test_criterion_02_hub_regression():
         periphery = mask_of(range(4, 9))
         assert solver.min_horizon(periphery) == 4
         assert intervention(game, 1 << 0, 1, solver=solver) == periphery
-        # the sandwich bounds are re-derived inside intervention(); check one
-        # pair explicitly as well
+        # single-subsidy sandwich: forcing one player saves at most a stage
         from coordsolve import Context
 
         full = game.all_players

@@ -7,9 +7,10 @@ import sys
 import pytest
 from hypothesis import given, settings
 
-from coordsolve import table_game
+from coordsolve import Digraph, table_game, weakest_link_horizon
 from coordsolve.cli import ParseError, emit_game, main, parse_game
 from coordsolve.ordered import classify, ordered_min_horizon
+from coordsolve.sync import SyncSolver
 
 from util import (
     clique_edges,
@@ -389,6 +390,42 @@ def test_ordered_subcommand_builds_one_table(tmp_path, capsys, monkeypatch, targ
     if target is not None:
         mask = sum(1 << (int(p) - 1) for p in target.split(","))
         assert payload["tau"] == ordered_min_horizon(game, mask, flags)
+
+
+NSG_DOCS = [
+    {"players": 6, "kind": "aligned_nsg", "in_starts": [2, 2, 4, 4, 5, 4], "nested": False},
+    {"players": 4, "kind": "opposed_nsg", "in_starts": [0, 0, 0, 0], "k": [1, 1, 2, 2]},
+]
+
+
+@pytest.mark.parametrize("doc", NSG_DOCS, ids=lambda d: d["kind"])
+@pytest.mark.parametrize(
+    "argv",
+    [["centrality"], ["ordered", "--target", "1,2"], ["tau", "--target", "1,2"]],
+    ids=lambda a: a[0],
+)
+def test_nsg_document_builds_one_table(tmp_path, capsys, monkeypatch, doc, argv):
+    # the generator's order check hands its table on to the command
+    game = parse_game(doc)
+    path = write_game(tmp_path, doc)
+    built = count_table_builds(monkeypatch)
+    code, payload = run_json(capsys, [argv[0], "--game", path, *argv[1:], "--json"])
+    assert code == 0
+    assert len(built) == 1
+    if "tau" in payload:
+        assert payload["tau"] == SyncSolver(game).min_horizon(0b11)
+
+
+def test_tau_on_an_18_player_weakest_link_document(tmp_path, capsys):
+    rng = random.Random(18)
+    n = 18
+    edges = [
+        [j, i] for i in range(n) for j in rng.sample([v for v in range(n) if v != i], 3)
+    ]
+    path = write_game(tmp_path, {"players": n, "kind": "weakest_link", "edges": edges})
+    assert main(["tau", "--game", path, "--target", ",".join(map(str, range(1, n + 1)))]) == 0
+    want = weakest_link_horizon(Digraph(n, edges), (1 << n) - 1)
+    assert capsys.readouterr().out == f"{want}\n"
 
 
 def test_ordered_reports_strong_without_weak_cost_order(tmp_path, capsys):

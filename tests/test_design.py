@@ -1,6 +1,7 @@
 import random
 
 from coordsolve import (
+    Context,
     Digraph,
     aggregative_game,
     candidate_horizons,
@@ -227,16 +228,24 @@ def test_full_subsidy_leaves_no_followers():
 
 
 def test_single_subsidy_sandwich_random():
+    # forcing any one player in saves at most one stage toward everyone, on
+    # games that satisfy the assumptions with no player dominated out
     rng = random.Random(177)
     for _ in range(15):
         game = random_game(rng, rng.randint(2, 6))
-        # intervention re-derives the bounds internally and raises on failure
-        intervention(game, 1 << rng.randrange(game.n), rng.randint(1, 3))
+        solver = SyncSolver(game)
+        intervention(game, 1 << rng.randrange(game.n), rng.randint(1, 3), solver)
+        assert not solver.dropped and game.report.satisfies_assumptions
+        full = game.all_players
+        whole = solver.min_horizon(full)
+        for i in range(game.n):
+            rest = full & ~(1 << i)
+            sub = solver.min_horizon(rest, ctx=Context(rest, 1 << i))
+            assert sub <= whole <= sub + 1
 
 
 def test_dominated_player_skips_the_assumption_report():
-    # the sandwich check never runs with a dominated player, so its report
-    # must not be computed either
+    # intervention reads no assumption report, so none is computed
     game = planted_game(random.Random(3), 3)
     solver = SyncSolver(game)
     assert solver.dropped

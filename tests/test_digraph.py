@@ -246,6 +246,52 @@ def test_tree_depth_matches_reference(case):
 
 
 @st.composite
+def digraphs_with_query_lists(draw):
+    """A digraph on at most 8 vertices and a list of vertex masks to query
+    in order, each drawn mask preceded by one of its submasks."""
+    g, _ = draw(digraphs_with_vertices())
+    full = g.all_vertices
+    masks = []
+    for _ in range(draw(st.integers(1, 6))):
+        mask = draw(st.integers(0, full))
+        masks += [mask & draw(st.integers(0, full)), mask]
+    return g, masks
+
+
+def assert_queries_match_fresh_searches(g, masks):
+    """One TreeDepth queried on `masks` in order gives every value and whole
+    certificate a fresh tree_depth gives, and splits each induced subgraph
+    at most once over all the queries."""
+    depths = digraph.TreeDepth(g)
+
+    def queries(g, _):
+        return [(depths.value(m), depths.certificate(m)) for m in masks]
+
+    answers, split = recorded_splits(digraph, queries, g)
+    assert len(split) == len(set(split))
+    for mask, answer in zip(masks, answers):
+        assert answer == tree_depth(g, mask)
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraphs_with_query_lists())
+def test_tree_depth_memo_serves_many_queries(case):
+    assert_queries_match_fresh_searches(*case)
+
+
+@pytest.mark.parametrize("descending", [False, True])
+def test_tree_depth_memo_serves_every_mask(descending):
+    # descending order queries each superset first, so a subset queried
+    # later reuses, and raises, bounds its superset's cut-offs left behind
+    rng = random.Random(1616)
+    graphs = [complete_graph(4), cycle_graph(5), two_triangles_graph()]
+    graphs += [random_digraph(rng, 6, p) for p in (0.3, 0.5, 0.7)]
+    for g in graphs:
+        masks = list(range(1 << g.n))
+        assert_queries_match_fresh_searches(g, masks[::-1] if descending else masks)
+
+
+@st.composite
 def cutoff_digraphs_with_vertices(draw):
     """Graphs whose blocks have many removals of unequal depth, so the
     search's cutoffs fire: unions of 2-3 random Hamiltonian cycles, or

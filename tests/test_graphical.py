@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coordsolve import (
     Digraph,
@@ -30,6 +31,8 @@ from util import (
     random_digraph,
     random_game,
     random_rooted_digraph,
+    reduce_to_weakest_link_reference,
+    shaped_digraphs,
     star_graph,
     two_triangles_game,
     two_triangles_graph,
@@ -158,6 +161,16 @@ def test_reduction_idempotent_on_weakest_link():
         sg = reduce_to_weakest_link(game, solver=solver)
         for i in range(g.n):
             assert weakest_link_horizon(sg.graph, 1 << i) == solver.min_horizon(1 << i)
+
+
+@settings(max_examples=300, deadline=None)
+@given(shaped_digraphs(), st.booleans())
+def test_weakest_link_game_is_its_own_reduction(g, use_sse):
+    game = weakest_link_game(g)
+    solver = SyncSolver(game, use_sse)
+    sg = reduce_to_weakest_link(game, solver=solver)
+    assert sg.minimal and sg.graph.edges == g.edges
+    assert sg.graph.edges == reduce_to_weakest_link_reference(game, solver).graph.edges
 
 
 def test_reduction_matches_recursion_random():

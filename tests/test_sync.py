@@ -17,7 +17,9 @@ from coordsolve import (
     table_game,
     weakest_link_game,
 )
+from coordsolve.asyncgame import design
 from coordsolve.core import bits, sss_scan, submasks
+from coordsolve.design import candidate_horizons, weak_centrality
 from coordsolve.graphical import threshold_game
 from coordsolve.sync import SyncSolver
 
@@ -30,9 +32,11 @@ from util import (
     iesds_reference,
     monotone_games_with_contexts,
     planted_game,
+    random_digraph,
     random_game,
     random_rooted_digraph,
     random_threshold_vector,
+    shaped_digraphs,
     star_graph,
     tables_with_contexts,
     two_triangles_game,
@@ -375,3 +379,81 @@ def test_outcome_sets_match_oracle(n, seed, spillovers, use_sse):
         assert set(solver.outcome_set(T)) == want
         least = solver.least_outcome(T)
         assert least in want and all(least & ~X == 0 for X in want)
+
+
+# -- weakest-link games on their graph ------------------------------------------
+
+
+# a triangle feeding a 2-cycle: at T = 2 the triangle alone is no outcome,
+# since its residual 2-cycle follows it in; read on the whole graph, that
+# residual would need the triangle's three stages
+TRIANGLE_INTO_TWO_CYCLE = Digraph(5, [
+    (0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1), (3, 4), (4, 3), (0, 3),
+])
+
+
+@settings(max_examples=300, deadline=None)
+@given(shaped_digraphs(), st.booleans(), st.integers(0, 255), st.integers(0, 255))
+@example(TRIANGLE_INTO_TWO_CYCLE, True, 0b11000, 0b00100)
+def test_weakest_link_graph_path_matches_generic_recursion(g, use_sse, some, other):
+    game = weakest_link_game(g)
+    # the same payoffs under the default kind take the generic recursion
+    generic = StageGame(g.n, game._payoff)
+    fast, slow = SyncSolver(game, use_sse), SyncSolver(generic, use_sse)
+    assert fast.graph is not None and slow.graph is None
+    full = game.all_players
+    for targets in (full, some & full, other & full):
+        assert fast.min_horizon(targets) == slow.min_horizon(targets)
+    assert dict(fast.horizons()) == dict(slow.horizons())
+    tau = fast.min_horizon(full)
+    for T in range(1, tau + 1):
+        assert fast.least_outcome(T) == slow.least_outcome(T)
+        assert fast.outcome_set(T) == slow.outcome_set(T)  # residual contexts
+        assert design(game, T, fast) == design(generic, T, slow)
+
+
+def test_weakest_link_full_context_solves_no_generic_context():
+    rng = random.Random(1616)
+    for _ in range(30):
+        game = weakest_link_game(random_digraph(rng, rng.randint(1, 8), rng.uniform(0, 0.6)))
+        solver = SyncSolver(game)
+        tau = solver.min_horizon(game.all_players)
+        solver.horizons()
+        candidate_horizons(game, solver)
+        weak_centrality(game, solver)
+        design(game, tau, solver)
+        assert solver._memo == {} and solver._sss_cache == {}
+
+
+def _horizon_or_error(solver, targets):
+    try:
+        return solver.min_horizon(targets)
+    except PreconditionError as exc:
+        return str(exc)
+
+
+# the graph path is chosen by constructor, not by `kind`: a bare payoff
+# labelled "weakest_link", with no params or with a foreign 3-cycle, keeps
+# the generic recursion.  Rows: players 0 and 1 gain from action 1 always,
+# player 2 ties everywhere; then the payoffs of the DAG 0 -> 1 -> 2.
+_TIE_ROWS = ([0, 1, 0, 1, 0, 1, 0, 1], [0, 0, 2, 2, 0, 0, 2, 2], [0] * 8)
+_LABEL_PAYOFFS = [
+    lambda i, X: _TIE_ROWS[i][X],
+    weakest_link_game(Digraph(3, [(0, 1), (1, 2)]))._payoff,
+]
+
+
+@pytest.mark.parametrize(
+    "params", [None, {"edges": ((0, 1), (1, 2), (2, 0))}], ids=["bare", "cycle"]
+)
+@pytest.mark.parametrize("pay", _LABEL_PAYOFFS, ids=["ties", "dag"])
+def test_weakest_link_label_alone_keeps_the_generic_recursion(pay, params):
+    labelled = StageGame(3, pay, kind="weakest_link", params=params)
+    plain = StageGame(3, pay)
+    a, b = SyncSolver(labelled), SyncSolver(plain)
+    assert a.graph is None and a.depths is None
+    horizons = [_horizon_or_error(b, X) for X in range(8)]
+    assert [_horizon_or_error(a, X) for X in range(8)] == horizons
+    assert any(isinstance(h, str) for h in horizons) or horizons[7] == 1
+    if horizons[7] == 1:
+        assert design(labelled, 1, a) == design(plain, 1, b)

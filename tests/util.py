@@ -39,6 +39,7 @@ from coordsolve.core import (
 from coordsolve.asyncgame import DEFAULT_BUDGET, IesedsTable, _history_cost
 from coordsolve.cli import ParseError, _rational
 from coordsolve.digraph import _check_mask, _components
+from coordsolve.graphical import SufficientGraph, _first_minimal_satisfying
 from coordsolve.ordered import DEFAULT_CHECK_BUDGET, OrderedFlags, _chain_reaches
 from coordsolve.sync import PolicyNode, SyncSolver
 from coordsolve.oracle import (
@@ -488,13 +489,19 @@ def flipped_tables(draw):
 
 def count_table_builds(monkeypatch):
     """Route every coordsolve module's incentive_table through a counter;
-    returns the list of games a table was built for, in call order."""
+    returns the list of games a table was built for, in call order.  A call
+    that returns a table some earlier call returned (one handed over by a
+    generator, see ordered.generate) builds nothing and is not listed."""
     built = []
+    returned = []
     original = core.incentive_table
 
     def counted(game):
-        built.append(game)
-        return original(game)
+        table = original(game)
+        if not any(table is seen for seen in returned):
+            returned.append(table)
+            built.append(game)
+        return table
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "coordsolve" and hasattr(module, "incentive_table"):
@@ -626,6 +633,86 @@ class PolicyNodeSolverReference(SyncSolver):
                 "the game is degenerate beyond repair"
             )
         return best
+
+
+def reduce_to_weakest_link_reference(game, solver=None):
+    """The policy-walk reduction that graphical.reduce_to_weakest_link ran on
+    every game before weakest-link games returned their own graph, kept
+    verbatim.
+
+    Walks the solved policy tree adding edges per operation, prefixes the
+    cascade of initially dominant players, then prunes each in-neighborhood
+    to a minimal satisfying subset.  Requires that no player's action 1 is
+    iteratively strictly dominated.
+    """
+    solver = solver or SyncSolver(game)
+    if solver.dropped:
+        raise PreconditionError(
+            f"players {members(solver.dropped)} are forced to action 0; "
+            "no sufficient graph covers them"
+        )
+    n = game.n
+    edges = set()
+
+    # initially dominant players cascade first, in elimination order
+    remaining = game.all_players
+    done = 0
+    while done != solver.forced_one:
+        willing = solver.forced_one & ~done & solver.gainers[done]
+        assert willing, "forced-one cascade stalled"
+        step = (willing & -willing).bit_length() - 1
+        remaining &= ~(1 << step)
+        for j in bits(remaining):
+            edges.add((step, j))
+        done |= 1 << step
+
+    def walk(node, S):
+        while node.op == "dominate" or node.op == "delete":
+            i = node.player
+            rest = S & ~(1 << i)
+            for j in bits(rest):
+                edges.add((i, j))
+                if node.op == "delete":
+                    edges.add((j, i))
+            S = rest
+            node = node.children[0]
+        if node.op == "divide":
+            X = node.split
+            rest = S & ~X
+            for i in bits(X):
+                for j in bits(rest):
+                    edges.add((i, j))
+            walk(node.children[0], X)
+            walk(node.children[1], rest)
+
+    walk(solver.policy(), solver.base.active)
+
+    raw = Digraph(n, edges)
+    pruned = set()
+    for i in range(n):
+        E = _first_minimal_satisfying(solver.gainers, i, raw.in_mask(i))
+        if E is None:
+            raise PreconditionError(
+                f"constructed in-neighborhood of player {i} is not satisfying; "
+                "the game violates the solver assumptions"
+            )
+        for j in bits(E):
+            pruned.add((j, i))
+    return SufficientGraph(Digraph(n, pruned), minimal=True)
+
+
+@st.composite
+def shaped_digraphs(draw, max_n=8):
+    """A Bernoulli digraph on 1..max_n vertices in which some vertices are
+    made sources (in-edges dropped), sinks (out-edges dropped) or isolated
+    (both), so that every shape shows up among small examples."""
+    n = draw(st.integers(1, max_n))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    g = random_digraph(rng, n, draw(st.sampled_from((0.3, 0.5, 0.7))))
+    roles = [rng.choice(("plain",) * 4 + ("source", "sink", "isolated")) for _ in range(n)]
+    no_in = {v for v, r in enumerate(roles) if r in ("source", "isolated")}
+    no_out = {v for v, r in enumerate(roles) if r in ("sink", "isolated")}
+    return Digraph(n, [(i, j) for i, j in g.edges if i not in no_out and j not in no_in])
 
 
 def chain_sequence_reference(game, target, seed, base):
