@@ -67,13 +67,17 @@ def ieseds(game, p, budget=DEFAULT_BUDGET):
     the earlier cells joined with a move X of cell t, are the ints below
     2^(|prefix| + |cell|).  With nxt[M] the final outcome reached from stage
     t + 1 under history M (the relabelling itself after the last stage),
-    member i of the cell pays pay(i, nxt[M]) at profile M; compare_rows turns
-    these rows into one incentive table for the stage, and each history's
-    least survivor is iesds_scan(gainers, losers, cell, H), or, for a cell of
-    at most one player, gainers[H] & cell.  The history's own final outcome
-    is nxt[H | least].  A history's answer depends only on the stages after
-    it, so the sweep gives every history the answer a lazy recursion from
-    the empty history would reach it with.
+    member i of the cell pays u_i(nxt[M]) at profile M, and the stage reads
+    each member's payoffs as one row, game.payoff_row(i, nxt).  A cell of
+    one player has its bit on top, so its least survivor at history H is
+    the cell if row[H + 2^|prefix|] > row[H], and nothing otherwise: the
+    row's upper half compared against its lower half.  An empty cell plays
+    nothing and reads nothing.  A larger cell's rows become one incentive
+    table for the stage (compare_rows), and each history's least survivor
+    is iesds_scan(gainers, losers, cell, H).  The history's own final
+    outcome is nxt[H | least].  A history's answer depends only on the
+    stages after it, so the sweep gives every history the answer a lazy
+    recursion from the empty history would reach it with.
 
     The budget is charged up front with the exact number of payoff reads
     (_history_cost); a schedule over it raises ResourceLimitError before any
@@ -92,22 +96,25 @@ def ieseds(game, p, budget=DEFAULT_BUDGET):
     for c in cells:
         for i in bits(c):
             label += [m | 1 << i for m in label]
-    pay = game._payoff
+    row = game.payoff_row
     tables = [None] * len(cells)
     nxt = label  # after the last stage, a profile is its own outcome
     width = game.n  # |prefix| + |cell| of the stage being solved
     for t in range(len(cells) - 1, -1, -1):
         k = cells[t].bit_count()
         width -= k
+        half = 1 << width  # the stage's histories
         cell = ((1 << k) - 1) << width
-        rows = (
-            (width + r, [pay(i, M) for M in nxt]) for r, i in enumerate(bits(cells[t]))
-        )
-        gainers, losers = compare_rows(rows, (1 << (width + k)) - 1)
-        if k <= 1:
-            least = [g & cell for g in gainers[: 1 << width]]
+        if k == 0:
+            least = [0] * half
+        elif k == 1:
+            # the mover's bit is the top one: it plays 1 at H + half, 0 at H
+            u = row(cells[t].bit_length() - 1, nxt)
+            least = [cell if a1 > a0 else 0 for a0, a1 in zip(u, u[half:])]
         else:
-            least = [iesds_scan(gainers, losers, cell, H)[0] for H in range(1 << width)]
+            rows = ((width + r, row(i, nxt)) for r, i in enumerate(bits(cells[t])))
+            gainers, losers = compare_rows(rows, (1 << (width + k)) - 1)
+            least = [iesds_scan(gainers, losers, cell, H)[0] for H in range(half)]
         tables[t] = dict(zip(label, map(label.__getitem__, least)))
         nxt = [nxt[H | a] for H, a in enumerate(least)]
 

@@ -79,12 +79,15 @@ class StageGame:
     is a zero-argument callable returning the game's incentive table
     (gainers, losers), built from the family's own data; the constructors of
     each family pass one.  A game built from a bare payoff function has
-    none, and incentive_table compares its payoffs.  Likewise `_graph` is
-    the digraph a weakest-link game's payoffs read, set only by
+    none, and incentive_table compares its payoffs.  `row`, when given,
+    is a callable row(i, masks) returning payoff_row's list from the
+    family's own data, passed by the same constructors; without one,
+    payoff_row reads the payoff function once per mask.  Likewise `_graph`
+    is the digraph a weakest-link game's payoffs read, set only by
     graphical.weakest_link_game; SyncSolver solves on it when present.
     """
 
-    def __init__(self, n, payoff_fn, kind="table", params=None, table=None):
+    def __init__(self, n, payoff_fn, kind="table", params=None, table=None, row=None):
         if n <= 0:
             raise ValueError("need at least one player")
         self.n = n
@@ -92,6 +95,7 @@ class StageGame:
         self.kind = kind
         self.params = params or {}
         self._build_table = table
+        self._row = row
         self._graph = None
 
     @property
@@ -109,6 +113,16 @@ class StageGame:
         if coalition < 0 or coalition >> self.n:
             raise IndexError(f"coalition {coalition:#x} not within {self.n} players")
         return self._payoff(i, coalition)
+
+    def payoff_row(self, i, masks):
+        """Player i's payoffs at each coalition in `masks`, as a list in the
+        same order: [payoff(i, M) for M in masks], read in one call.  The
+        masks may repeat and come in any order; like _payoff, neither i nor
+        the masks are range-checked."""
+        if self._row is not None:
+            return self._row(i, masks)
+        pay = self._payoff
+        return [pay(i, M) for M in masks]
 
     def __repr__(self):
         return f"StageGame(n={self.n}, kind={self.kind!r})"
@@ -134,6 +148,7 @@ def table_game(rows):
         kind="table",
         params={"rows": table},
         table=lambda: _rows_table(table),
+        row=lambda i, masks: list(map(table[i].__getitem__, masks)),
     )
 
 
@@ -150,8 +165,18 @@ def aggregative_game(c):
             return 0
         return 1 if (X & ~(1 << i)).bit_count() >= c[i] else -1
 
+    def row(i, masks):
+        # i in M plays 1, and then c_i others play 1 iff |M| > c_i
+        bit, ci = 1 << i, c[i]
+        return [(1 if M.bit_count() > ci else -1) if M & bit else 0 for M in masks]
+
     return StageGame(
-        n, pay, kind="aggregative", params={"c": c}, table=lambda: _aggregative_table(c)
+        n,
+        pay,
+        kind="aggregative",
+        params={"c": c},
+        table=lambda: _aggregative_table(c),
+        row=row,
     )
 
 

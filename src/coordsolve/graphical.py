@@ -28,6 +28,10 @@ def weakest_link_game(g):
             return 0
         return 1 if in_masks[i] & ~X == 0 else -1
 
+    def row(i, masks):
+        bit, need = 1 << i, in_masks[i]
+        return [(1 if M & need == need else -1) if M & bit else 0 for M in masks]
+
     degrees = tuple(m.bit_count() for m in in_masks)
     game = StageGame(
         g.n,
@@ -35,6 +39,7 @@ def weakest_link_game(g):
         kind="weakest_link",
         params={"edges": tuple(sorted(g.edges))},
         table=lambda: _neighbour_table(in_masks, degrees),
+        row=row,
     )
     game._graph = g
     return game
@@ -57,12 +62,19 @@ def threshold_game(g, k):
             return 0
         return 1 if (in_masks[i] & X).bit_count() >= k[i] else -1
 
+    def row(i, masks):
+        bit, need, ki = 1 << i, in_masks[i], k[i]
+        return [
+            (1 if (M & need).bit_count() >= ki else -1) if M & bit else 0 for M in masks
+        ]
+
     return StageGame(
         g.n,
         pay,
         kind="threshold",
         params={"edges": tuple(sorted(g.edges)), "k": k},
         table=lambda: _neighbour_table(in_masks, k),
+        row=row,
     )
 
 

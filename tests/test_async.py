@@ -8,6 +8,7 @@ from coordsolve import (
     Partition,
     ResourceLimitError,
     StageGame,
+    aggregative_game,
     best_achievable,
     check_sufficient_feasible,
     design_schedule,
@@ -28,7 +29,10 @@ from coordsolve.sync import SyncSolver
 from util import (
     EXACT_PAYOFFS,
     cross_pairs_game,
+    family_games,
     ieseds_reference,
+    ieseds_sweep_reference,
+    random_digraph,
     random_game,
     random_partition,
     seven_player_design_game,
@@ -112,6 +116,39 @@ def test_history_cost_counts_every_payoff_read(n, seed):
     assert len(reads) == _history_cost(p.cells)
 
 
+@pytest.mark.parametrize(
+    "game",
+    [
+        weakest_link_game(random_digraph(random.Random(3), 6)),
+        aggregative_game((1, 5, 2, 3, 1, 4)),
+    ],
+    ids=lambda game: game.kind,
+)
+def test_history_cost_counts_every_row_mask_on_family_games(game):
+    p = Partition([1 << 3, mask_of((0, 5)), 1 << 1, mask_of((2, 4))])
+    cost = _history_cost(p.cells)
+    want = ieseds(game, p)
+    masks = []
+    row = game.payoff_row
+
+    def counted(i, ms):
+        masks.extend(ms)
+        return row(i, ms)
+
+    def no_raw_read(i, X):
+        raise AssertionError("a family game's stage read _payoff")
+
+    game.payoff_row = counted
+    game._payoff = no_raw_read
+    assert ieseds(game, p, budget=cost) == want
+    assert len(masks) == cost
+    masks.clear()
+    with pytest.raises(ResourceLimitError) as info:
+        ieseds(game, p, budget=cost - 1)
+    assert info.value.size == cost
+    assert masks == []
+
+
 def test_large_cell_refused_before_any_read():
     # everyone's action 1 is strictly dominant, in one 18-player cell
     reads = []
@@ -136,11 +173,25 @@ IESEDS_TIES = [
 ]
 
 
+def draw_schedule(draw, rng, n):
+    """A singleton, random or single-cell schedule of n players, sometimes
+    with an empty cell inserted."""
+    shape = draw(st.sampled_from(["singleton", "random", "single"]))
+    if shape == "singleton":
+        cells = [1 << i for i in rng.sample(range(n), n)]
+    elif shape == "random":
+        cells = list(random_partition(rng, n).cells)
+    else:
+        cells = [(1 << n) - 1]
+    if draw(st.booleans()):
+        cells.insert(draw(st.integers(0, len(cells))), 0)
+    return Partition(cells)
+
+
 @st.composite
 def games_with_schedules(draw):
     """An assumption-satisfying or an unconstrained exact table (ties and
-    Fractions) on a singleton, random or single-cell schedule, sometimes
-    with an empty cell inserted."""
+    Fractions) on a draw_schedule schedule."""
     n = draw(st.integers(1, 5))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     if n >= 2 and draw(st.booleans()):
@@ -150,16 +201,16 @@ def games_with_schedules(draw):
         game = table_game(
             [draw(st.lists(EXACT_PAYOFFS, min_size=size, max_size=size)) for _ in range(n)]
         )
-    shape = draw(st.sampled_from(["singleton", "random", "single"]))
-    if shape == "singleton":
-        cells = [1 << i for i in rng.sample(range(n), n)]
-    elif shape == "random":
-        cells = list(random_partition(rng, n).cells)
-    else:
-        cells = [game.all_players]
-    if draw(st.booleans()):
-        cells.insert(draw(st.integers(0, len(cells))), 0)
-    return game, Partition(cells)
+    return game, draw_schedule(draw, rng, n)
+
+
+@st.composite
+def family_games_with_schedules(draw):
+    """A family_games game, whose stages read the family's own payoff rows,
+    on a draw_schedule schedule."""
+    game = draw(family_games())
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return game, draw_schedule(draw, rng, game.n)
 
 
 @settings(max_examples=300, deadline=None)
@@ -171,6 +222,7 @@ def test_sweep_matches_lazy_recursion_reference(case):
     the recursion reached."""
     game, p = case
     got = ieseds(game, p)
+    assert got == ieseds_sweep_reference(game, p)
     want = ieseds_reference(game, p)
     assert got.outcome == want.outcome
     assert got.on_path == want.on_path
@@ -180,6 +232,20 @@ def test_sweep_matches_lazy_recursion_reference(case):
             for m in h:
                 union |= m
             assert got.stage_actions[t][union] == least
+
+
+@settings(max_examples=300, deadline=None)
+@given(family_games_with_schedules())
+def test_family_rows_give_the_payoff_read_sweep(case):
+    """On family games, where each stage reads the family's row primitive
+    and a one-player cell compares its row's halves, the table equals the
+    sweep that read _payoff into full stage tables, and the path and
+    outcome equal the lazy recursion's."""
+    game, p = case
+    got = ieseds(game, p)
+    assert got == ieseds_sweep_reference(game, p)
+    want = ieseds_reference(game, p)
+    assert (got.on_path, got.outcome) == (want.on_path, want.outcome)
 
 
 def test_partition_must_cover():

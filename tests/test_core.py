@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from coordsolve import (
     Context,
+    Digraph,
     PreconditionError,
     StageGame,
     Violation,
@@ -19,6 +20,7 @@ from coordsolve import (
     ne_set,
     sss_set,
     table_game,
+    threshold_game,
     weakest_link_game,
 )
 from coordsolve.core import (
@@ -89,6 +91,57 @@ def test_payoff_argument_errors():
 def test_table_game_rejects_floats():
     with pytest.raises(TypeError):
         table_game([[0.0, 1, 0, 1], [0, 1, 0, 1]])
+
+
+def bare(game):
+    """The same payoffs, kind and params behind a bare payoff function."""
+    return StageGame(game.n, game._payoff, game.kind, game.params)
+
+
+@st.composite
+def games_with_mask_lists(draw):
+    """A family game or a bare-payoff game, and a list of its coalitions
+    with repeats, in any order, possibly empty."""
+    game = draw(family_games() | family_games().map(bare))
+    everything = list(range(1 << game.n))
+    masks = draw(
+        st.lists(st.integers(0, game.all_players), max_size=40)
+        | st.permutations(everything)
+        | st.just(everything + everything[::-1])
+    )
+    return game, masks
+
+
+@settings(max_examples=300, deadline=None)
+@given(games_with_mask_lists())
+# weakest-link players 0 and 2 of in-degree 0
+@example((weakest_link_game(Digraph(3, [(0, 1)])), [7, 0, 2, 3, 3, 5, 1]))
+# thresholds k_i = deg(i)
+@example(
+    (
+        threshold_game(Digraph(3, [(0, 1), (2, 1), (1, 0), (1, 2)]), (1, 2, 1)),
+        [7, 6, 5, 2, 3],
+    )
+)
+# aggregative thresholds c_i = 1 and c_i = n - 1
+@example((aggregative_game((1, 2, 2, 1)), list(range(16))[::-1]))
+# table entries mixing ints and Fractions
+@example(
+    (
+        table_game([[0, Fraction(1, 2), -1, Fraction(4, 2)], [Fraction(-3, 7), 1, 1, 0]]),
+        [3, 1, 1, 0, 2],
+    )
+)
+@example((aggregative_game((1, 1)), []))
+def test_payoff_row_matches_payoff_reads(case):
+    game, masks = case
+    assert (game._row is None) == (game._build_table is None)
+    for i in range(game.n):
+        got = game.payoff_row(i, masks)
+        want = [game._payoff(i, M) for M in masks]
+        assert type(got) is list
+        assert got == want
+        assert list(map(type, got)) == list(map(type, want))
 
 
 # -- check_assumptions --------------------------------------------------------

@@ -1,8 +1,9 @@
 """Static checks on the package sources that need no linter: every module
 uses each name it imports (the package `__init__` re-exports, so it is
-exempt), the layers above the incentive table never read raw payoffs, the
-oracle and the assumption report never read the table, and every library
-function the benchmark tracer wraps still exists."""
+exempt), the layers above the incentive table never read raw payoffs or
+payoff rows, the oracle and the assumption report never read the table or
+a family's payoff rows, and every library function the benchmark tracer
+wraps still exists."""
 
 import ast
 import importlib.util
@@ -106,6 +107,7 @@ def test_table_functions_read_no_payoffs(path, name):
     source = function_source(SRC / path, name)
     assert payoff_reads(source) == []
     assert raw_route_calls(source) == []
+    assert references(source, ROW_ROUTES) == []
 
 
 @pytest.mark.parametrize("name", TABLE_READERS)
@@ -130,15 +132,17 @@ GROUND_TRUTH = (
     ("core.py", "_equal_top_subset"),
 )
 TABLE_ROUTES = {"incentive_table", "_build_table"}
+# The row primitive, and the family row function behind it.
+ROW_ROUTES = {"payoff_row", "_row"}
 
 
-def table_references(source):
-    """Line numbers of every reference to incentive_table or a game's table
-    builder, bare or as an attribute (a call, or a read that could alias it)."""
+def references(source, routes):
+    """Line numbers of every reference to a name in `routes`, bare or as an
+    attribute (a call, or a read that could alias it)."""
     out = []
     for node in ast.walk(ast.parse(source)):
         name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-        if isinstance(node, (ast.Name, ast.Attribute)) and name in TABLE_ROUTES:
+        if isinstance(node, (ast.Name, ast.Attribute)) and name in routes:
             out.append(node.lineno)
     return sorted(out)
 
@@ -150,13 +154,38 @@ def test_detector_finds_table_references():
         "t = game._build_table()\n"
         "x = game.table\n"
     )
-    assert table_references(source) == [1, 2, 3]
+    assert references(source, TABLE_ROUTES) == [1, 2, 3]
+
+
+def test_detector_finds_row_references():
+    source = (
+        "u = game.payoff_row(0, masks)\n"
+        "x = game.payoff(0, 1)\n"
+        "f = game._row\n"
+        "rows = game._rows\n"
+        "r = payoff_row\n"
+    )
+    assert references(source, ROW_ROUTES) == [1, 3, 5]
+
+
+def ground_truth_source(path, name):
+    return (SRC / path).read_text() if name is None else function_source(SRC / path, name)
 
 
 @pytest.mark.parametrize("path, name", GROUND_TRUTH, ids=lambda v: v)
 def test_ground_truth_reads_no_incentive_table(path, name):
-    source = (SRC / path).read_text() if name is None else function_source(SRC / path, name)
-    assert table_references(source) == []
+    assert references(ground_truth_source(path, name), TABLE_ROUTES) == []
+
+
+@pytest.mark.parametrize("path, name", GROUND_TRUTH, ids=lambda v: v)
+def test_ground_truth_reads_no_payoff_rows(path, name):
+    """A wrong family row must not mislead the checks against it either."""
+    assert references(ground_truth_source(path, name), ROW_ROUTES) == []
+
+
+@pytest.mark.parametrize("name", TABLE_READERS)
+def test_table_readers_read_no_payoff_rows(name):
+    assert references((SRC / name).read_text(), ROW_ROUTES) == []
 
 
 def test_benchmark_tracer_targets_resolve():

@@ -30,7 +30,9 @@ from coordsolve import core
 from coordsolve.core import (
     _ctx_pay,
     bits,
+    compare_rows,
     gains,
+    iesds_scan,
     is_ne,
     members,
     sorted_coalitions,
@@ -1271,6 +1273,55 @@ def ieseds_reference(game, p, budget=DEFAULT_BUDGET):
         h = h + (a,)
     return IesedsTable(
         partition=p, stage_actions=tables, on_path=tuple(on_path), outcome=outcome
+    )
+
+
+def ieseds_sweep_reference(game, p, budget=DEFAULT_BUDGET):
+    """asyncgame.ieseds as it was before stages read payoff rows through
+    game.payoff_row, kept verbatim: one bottom-up sweep over union-mask
+    histories in move-order labels, every member's row read one _payoff call
+    at a time, and every stage, one-player cells included, compared into a
+    full incentive table."""
+    p.validate_cover(game.n)
+    cells = p.cells
+    cost = _history_cost(cells)
+    if cost > budget:
+        raise ResourceLimitError(
+            f"schedule needs {cost} payoff evaluations (budget {budget})", size=cost
+        )
+
+    # label[M]: the relabelled profile M in the game's player labels
+    label = [0]
+    for c in cells:
+        for i in bits(c):
+            label += [m | 1 << i for m in label]
+    pay = game._payoff
+    tables = [None] * len(cells)
+    nxt = label  # after the last stage, a profile is its own outcome
+    width = game.n  # |prefix| + |cell| of the stage being solved
+    for t in range(len(cells) - 1, -1, -1):
+        k = cells[t].bit_count()
+        width -= k
+        cell = ((1 << k) - 1) << width
+        rows = (
+            (width + r, [pay(i, M) for M in nxt]) for r, i in enumerate(bits(cells[t]))
+        )
+        gainers, losers = compare_rows(rows, (1 << (width + k)) - 1)
+        if k <= 1:
+            least = [g & cell for g in gainers[: 1 << width]]
+        else:
+            least = [iesds_scan(gainers, losers, cell, H)[0] for H in range(1 << width)]
+        tables[t] = dict(zip(label, map(label.__getitem__, least)))
+        nxt = [nxt[H | a] for H, a in enumerate(least)]
+
+    on_path = []
+    h = 0
+    for stage in tables:
+        a = stage[h]
+        on_path.append(a)
+        h |= a
+    return IesedsTable(
+        partition=p, stage_actions=tables, on_path=tuple(on_path), outcome=nxt[0]
     )
 
 
