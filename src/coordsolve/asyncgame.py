@@ -8,9 +8,9 @@ from dataclasses import dataclass
 
 from .core import Partition, bits, compare_rows, gains, iesds_scan
 from .digraph import (
+    TreeDepth,
     check_feasible_partition,
     partition_from_certificate,
-    partition_from_treedepth,
     reach,
 )
 from .errors import ResourceLimitError
@@ -149,10 +149,8 @@ def design(game, T, solver=None):
     achieved = solver.least_outcome(T)
     g = reduce_to_weakest_link(game, solver=solver).graph
     scope = reach(g, achieved)
-    if solver.depths is not None:
-        part = partition_from_certificate(solver.depths.certificate(scope), T)
-    else:
-        part = partition_from_treedepth(g, T, vertices=scope)
+    depths = solver.depths or TreeDepth(g)
+    part = partition_from_certificate(depths.certificate(scope), T)
     rest = game.all_players & ~part.union()
     cells = list(part.cells)
     cells[-1] |= rest

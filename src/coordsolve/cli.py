@@ -120,10 +120,11 @@ def _payoff_rows(rows, n, path):
     return parsed
 
 
-def parse_game(doc, path="$"):
+def parse_game(doc, path="$", budget=ordered.DEFAULT_CHECK_BUDGET):
     """Build a StageGame from a document dict.  Its assumption report is
     computed on first read of `game.report`.  A table document parses each
-    distinct payoff string once (see _payoff_rows)."""
+    distinct payoff string once (see _payoff_rows).  An nsg document's
+    order classification runs under `budget` (see ordered.generate)."""
     if not isinstance(doc, dict):
         raise ParseError(path, "document must be an object")
     n = doc.get("players")
@@ -163,6 +164,7 @@ def parse_game(doc, path="$"):
                     in_starts=in_starts,
                     out_ends=out_ends,
                     nested=nested,
+                    budget=budget,
                 )
             else:
                 game = ordered.generate(
@@ -170,6 +172,7 @@ def parse_game(doc, path="$"):
                     in_starts=in_starts,
                     out_ends=out_ends,
                     k=_int_vector(doc, "k", n, path),
+                    budget=budget,
                 )
         except ValueError as exc:
             raise ParseError(path, str(exc)) from None
@@ -241,7 +244,7 @@ def _charge_size(doc, key, noun, budget):
 def load_game(path, budget):
     doc = _load_json(path)
     _charge_size(doc, "players", "players", budget)
-    return parse_game(doc)
+    return parse_game(doc, budget=budget)
 
 
 def load_table_game(path, budget):

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Partition, bits, members
+from .core import Partition, members
 from .errors import PreconditionError
 
 
@@ -55,83 +55,6 @@ def _check_mask(g, mask, name):
             f"{name} mask has bits {list(members(stray))} outside the "
             f"graph's vertices 0..{g.n - 1}"
         )
-
-
-def scc(g, vertices=None):
-    """Strongly connected components of the induced subgraph, as masks in a
-    topological order of the condensation (sources first).  Singletons count
-    as strongly connected."""
-    if vertices is None:
-        vertices = g.all_vertices
-    _check_mask(g, vertices, "vertices")
-    index = {}
-    low = {}
-    on_stack = 0
-    stack = []
-    comps = []
-    counter = [0]
-    succ = g._succ
-
-    for root in bits(vertices):
-        if root in index:
-            continue
-        work = [(root, iter(members(succ[root] & vertices)))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack |= 1 << root
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack |= 1 << w
-                    work.append((w, iter(members(succ[w] & vertices))))
-                    advanced = True
-                    break
-                elif (on_stack >> w) & 1:
-                    if index[w] < low[v]:
-                        low[v] = index[w]
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                if low[v] < low[parent]:
-                    low[parent] = low[v]
-            if low[v] == index[v]:
-                comp = 0
-                while True:
-                    w = stack.pop()
-                    on_stack &= ~(1 << w)
-                    comp |= 1 << w
-                    if w == v:
-                        break
-                comps.append(comp)
-    comps.reverse()  # Tarjan pops sinks first; reversed gives topological order
-    return comps
-
-
-def reach(g, targets, vertices=None):
-    """R(X): all vertices that can reach some member of X (length-0 paths
-    included, so R(X) contains X).  Predecessor closure."""
-    if vertices is None:
-        vertices = g.all_vertices
-    _check_mask(g, targets, "targets")
-    _check_mask(g, vertices, "vertices")
-    seen = targets & vertices
-    frontier = seen
-    pred = g._pred
-    while frontier:
-        nxt = 0
-        for i in bits(frontier):
-            nxt |= pred[i] & vertices
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen
 
 
 @dataclass(frozen=True)
@@ -187,6 +110,36 @@ def _components(succ, pred, mask):
     return comps
 
 
+def _sources_first(pred, comps, mask):
+    """The SCC masks `comps` of the subgraph induced on `mask`, in a
+    topological order of its condensation (sources first): by ascending
+    ancestor count, as an edge from one block into another gives the second
+    strictly more ancestors.  Ties keep the order of `comps`."""
+    if len(comps) > 1:
+        comps = sorted(comps, key=lambda c: _closure(pred, c, mask).bit_count())
+    return comps
+
+
+def scc(g, vertices=None):
+    """Strongly connected components of the induced subgraph, as masks in a
+    topological order of the condensation (sources first).  Singletons count
+    as strongly connected."""
+    if vertices is None:
+        vertices = g.all_vertices
+    _check_mask(g, vertices, "vertices")
+    return _sources_first(g._pred, _components(g._succ, g._pred, vertices), vertices)
+
+
+def reach(g, targets, vertices=None):
+    """R(X): all vertices that can reach some member of X (length-0 paths
+    included, so R(X) contains X).  Predecessor closure."""
+    if vertices is None:
+        vertices = g.all_vertices
+    _check_mask(g, targets, "targets")
+    _check_mask(g, vertices, "vertices")
+    return _closure(g._pred, targets & vertices, vertices)
+
+
 class TreeDepth:
     """Exact directed tree-depth of the subgraphs of one digraph, memoised
     across queries.
@@ -197,22 +150,23 @@ class TreeDepth:
 
     The search carries a limit: `depth(mask, limit)` and `block_depth(block,
     limit)` return the exact value when it is below `limit`, and otherwise a
-    lower bound of at least `limit`.  Exact values go to one int memo; a
-    cut-off mask keeps its bound together with its SCC split in a second memo,
-    so a later search with a higher limit reuses the split and every induced
-    subgraph is split (by bitset closures) at most once.  A mask's max over
-    its SCCs stops at the first SCC that reaches the limit.  A block's scan
-    tries each removal in ascending index under a cap that starts at the
-    caller's limit and drops to each new strict best, calling `depth(block -
-    v, cap - 1)`; it stops at depth 2, the least a non-singleton block can
-    have.  Cut-off candidates are at least the best so far, so the recorded
-    removal is the first vertex of strictly least depth.
+    lower bound of at least `limit`.  Exact values go to one int memo and
+    cut-off bounds to a second.  A mask split (by bitset closures) into two
+    or more SCCs keeps its split in a third memo, and a mask split into one
+    is a block, so a later search with a higher limit reuses the split and
+    every induced subgraph is split at most once.  A mask's max over its SCCs
+    stops at the first SCC that reaches the limit.  A block's scan tries each
+    removal in ascending index under a cap that starts at the caller's limit
+    and drops to each new strict best, calling `depth(block - v, cap - 1)`;
+    it stops at depth 2, the least a non-singleton block can have.  Cut-off
+    candidates are at least the best so far, so the recorded removal is the
+    first vertex of strictly least depth.
 
-    An exact value, a bound with its split and a recorded removal belong to
-    the induced subgraph alone, not to the query that found them, so the
-    three memos serve every later query on any vertex mask: `value` searches
-    with limit n + 1 and is exact, and `certificate` walks the recorded
-    removals, with split nodes listing their blocks in the topological order
+    An exact value, a bound, a split and a recorded removal belong to the
+    induced subgraph alone, not to the query that found them, so the memos
+    serve every later query on any vertex mask: `value` searches with limit
+    n + 1 and is exact, and `certificate` walks the recorded removals and
+    splits, with split nodes listing their blocks in the topological order
     of `scc`.  The memos live as long as the object; callers that want a
     bounded footprint make one per query (see tree_depth).
     """
@@ -221,25 +175,28 @@ class TreeDepth:
         self.g = g
         succ, pred = g._succ, g._pred
         memo = {0: 0}
-        lower = {}  # mask -> (lower bound, SCC split) for masks cut off so far
+        lower = {}  # mask -> lower bound, for masks cut off so far
+        splits = {}  # mask -> its SCC masks, for masks with two or more
         removed = {}
 
         def depth(mask, limit):
             value = memo.get(mask)
             if value is not None:
                 return value
-            cut = lower.get(mask)
-            if cut is None:
+            bound = lower.get(mask)
+            if bound is None:
                 comps = _components(succ, pred, mask)
+                if len(comps) > 1:
+                    splits[mask] = comps
+            elif bound >= limit:
+                return bound
             else:
-                bound, comps = cut
-                if bound >= limit:
-                    return bound
+                comps = splits.get(mask, (mask,))
             value = 0
             for c in comps:
                 d = block_depth(c, limit)
                 if d >= limit:
-                    lower[mask] = d, comps
+                    lower[mask] = d
                     return d
                 if d > value:
                     value = d
@@ -254,9 +211,9 @@ class TreeDepth:
                 return value
             if limit <= 2:
                 return 2  # the least depth of a non-singleton block
-            cut = lower.get(block)
-            if cut is not None and cut[0] >= limit:
-                return cut[0]
+            bound = lower.get(block)
+            if bound is not None and bound >= limit:
+                return bound
             cap = limit
             rest = block
             while rest:
@@ -271,10 +228,11 @@ class TreeDepth:
             if cap < limit:
                 memo[block] = cap
                 return cap
-            lower[block] = limit, (block,)  # every candidate was >= limit
+            lower[block] = limit  # every candidate was >= limit
             return limit
 
         self._depth = depth
+        self._splits = splits
         self._removed = removed
 
     def value(self, vertices=None):
@@ -287,20 +245,22 @@ class TreeDepth:
 
     def certificate(self, vertices=None):
         """EliminationTree certifying `value(vertices)`, built along the
-        recorded removals."""
+        recorded removals and splits."""
         if vertices is None:
             vertices = self.g.all_vertices
         self.value(vertices)
-        g, removed = self.g, self._removed
+        pred, splits, removed = self.g._pred, self._splits, self._removed
 
         def certificate(mask):
             if mask == 0:
                 return EliminationTree(0, None, ())
-            comps = scc(g, mask)
-            if len(comps) == 1:
+            comps = splits.get(mask)
+            if comps is None:  # a block's split is the block itself
                 return block_certificate(mask)
             return EliminationTree(
-                mask, None, tuple(block_certificate(c) for c in comps)
+                mask,
+                None,
+                tuple(block_certificate(c) for c in _sources_first(pred, comps, mask)),
             )
 
         def block_certificate(block):
@@ -360,11 +320,12 @@ def check_feasible_partition(g, p, M=None):
     (cells t..T) intersected with M."""
     if M is None:
         M = g.all_vertices
+    _check_mask(g, M, "M")
     suffix = p.union() & M
     for cell in p.cells:
         focus = cell & M
         if focus.bit_count() > 1:
-            for comp in scc(g, suffix):
+            for comp in _components(g._succ, g._pred, suffix):
                 if (comp & focus).bit_count() > 1:
                     return False
         suffix &= ~cell

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .core import StageGame, bits, gains, mask_of, members, submasks
-from .digraph import Digraph, reach, tree_depth
+from .digraph import Digraph, TreeDepth, reach
 from .errors import PreconditionError, ResourceLimitError
 from .sync import SyncSolver
 
@@ -103,7 +103,7 @@ def weakest_link_horizon(g, targets):
     scope = reach(g, targets)
     if scope == 0:
         return 1
-    return tree_depth(g, scope)[0]
+    return TreeDepth(g).value(scope)
 
 
 def _first_minimal_satisfying(gainers, i, pool):

@@ -354,9 +354,6 @@ class StrategyProfile:
     moves: dict
     outcome: int
 
-    def action(self, i, h):
-        return (self.moves[h] >> i) & 1
-
     def replay(self):
         h = ()
         for _ in range(self.T):

@@ -306,18 +306,21 @@ def _check_out_intervals(g, out_ends):
             )
 
 
-def _classify_keeping_table(game):
-    """classify(game), leaving the incentive table it read with the game:
-    the game's first table request gets that table instead of a second
-    build, and later requests get fresh tables as before."""
-    flags, table = _classified(game, DEFAULT_CHECK_BUDGET)
+def _classify_keeping_table(game, budget):
+    """classify(game, budget), leaving the incentive table it read with the
+    game: the game's first table request gets that table instead of a
+    second build, and later requests get fresh tables as before."""
+    flags, table = _classified(game, budget)
     held = [table]
     build = game._build_table
     game._build_table = lambda: held.pop() if held else build()
     return flags
 
 
-def generate(kind, *, c=None, in_starts=None, out_ends=None, k=None, nested=True):
+def generate(
+    kind, *, c=None, in_starts=None, out_ends=None, k=None, nested=True,
+    budget=DEFAULT_CHECK_BUDGET,
+):
     """Structured ordered-game generators.
 
     aggregative: nondecreasing thresholds c (strongly cost-ordered and
@@ -330,7 +333,8 @@ def generate(kind, *, c=None, in_starts=None, out_ends=None, k=None, nested=True
     Parameters that fail to produce the advertised order flags are rejected;
     aligned vectors must additionally satisfy the requirement-nesting side
     condition unless `nested=False` (the loose variant still classifies as
-    ordered but is no longer covered by the fast-path guarantee).
+    ordered but is no longer covered by the fast-path guarantee).  The
+    classification runs under `budget` (see classify).
     """
     if kind == "aggregative":
         if c is None:
@@ -339,7 +343,7 @@ def generate(kind, *, c=None, in_starts=None, out_ends=None, k=None, nested=True
         if any(c[i] > c[i + 1] for i in range(len(c) - 1)):
             raise ValueError("aggregative thresholds must be nondecreasing")
         game = aggregative_game(c)
-        flags = _classify_keeping_table(game)
+        flags = _classify_keeping_table(game, budget)
         if not (flags.strongly_cost_ordered and flags.contribution_natural):
             raise ValueError("thresholds do not make an ordered aggregative game")
         return game
@@ -355,7 +359,7 @@ def generate(kind, *, c=None, in_starts=None, out_ends=None, k=None, nested=True
         if out_ends is not None:
             _check_out_intervals(g, out_ends)
         game = weakest_link_game(g)
-        flags = _classify_keeping_table(game)
+        flags = _classify_keeping_table(game, budget)
         if not (flags.cost_ordered and flags.contribution_ordered):
             raise ValueError("in-intervals do not make an ordered weakest-link game")
         return game
@@ -366,7 +370,7 @@ def generate(kind, *, c=None, in_starts=None, out_ends=None, k=None, nested=True
         if out_ends is not None:
             _check_out_intervals(g, out_ends)
         game = threshold_game(g, k)
-        flags = _classify_keeping_table(game)
+        flags = _classify_keeping_table(game, budget)
         if not (flags.strongly_cost_ordered and flags.contribution_ordered):
             raise ValueError("parameters do not make an ordered threshold game")
         return game

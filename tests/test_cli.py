@@ -440,6 +440,18 @@ def test_ordered_reports_strong_without_weak_cost_order(tmp_path, capsys):
     assert "strongly cost-ordered: True" in out
 
 
+def test_nsg_document_classified_under_the_budget_flag(tmp_path, capsys):
+    # parsing an nsg document classifies it: ~12.8M checks at 14 players,
+    # over the 10^7 default, so --budget must reach that classification
+    doc = {"players": 14, "kind": "aligned_nsg", "in_starts": list(range(13, -1, -1))}
+    path = write_game(tmp_path, doc)
+    assert main(["ordered", "--game", path, "--budget", "100000000"]) == 0
+    assert "contribution-ordered:  True" in capsys.readouterr().out
+    assert main(["ordered", "--game", path, "--budget", "1000000"]) == 3
+    err = capsys.readouterr().err
+    assert err == "resource error: classification needs ~12845056 checks (budget 1000000)\n"
+
+
 @pytest.mark.parametrize("command", ["async-solve", "oracle"])
 def test_partition_directory_names_it(tmp_path, capsys, command):
     path = write_game(tmp_path, {"players": 2, "kind": "aggregative", "c": [1, 1]})

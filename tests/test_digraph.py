@@ -246,6 +246,51 @@ def test_tree_depth_matches_reference(case):
 
 
 @st.composite
+def digraphs_with_masks(draw):
+    """A digraph on at most 8 vertices with either None (every vertex) or a
+    random vertex subset, a random target mask, and a 3-cell schedule of a
+    random set of vertices."""
+    g, vertices = draw(digraphs_with_vertices())
+    targets = draw(st.integers(0, g.all_vertices))
+    cells = [0, 0, 0]
+    for v in range(g.n):
+        slot = draw(st.integers(0, 3))  # slot 3 leaves v out of the schedule
+        if slot < 3:
+            cells[slot] |= 1 << v
+    return g, vertices, targets, Partition(cells)
+
+
+def sibling_sorted(tree):
+    """`tree` with each split node's children sorted by vertex mask."""
+    children = tuple(sibling_sorted(c) for c in tree.children)
+    if tree.removed is None:
+        children = tuple(sorted(children, key=lambda c: c.vertices))
+    return digraph.EliminationTree(tree.vertices, tree.removed, children)
+
+
+@settings(max_examples=400, deadline=None)
+@given(digraphs_with_masks())
+def test_closures_match_the_tarjan_references(case):
+    g, vertices, targets, p = case
+    comps = scc(g, vertices)
+    assert sorted(comps) == sorted(util.scc_reference(g, vertices))
+    place = {v: k for k, c in enumerate(comps) for v in members(c)}
+    assert all(place[i] <= place[j] for i, j in g.edges if i in place and j in place)
+    assert reach(g, targets, vertices) == util.reach_reference(g, targets, vertices)
+    value, cert = tree_depth(g, vertices)
+    # the search as it was, splitting each certificate node by Tarjan's DFS
+    with patch.object(util, "scc", util.scc_reference):
+        ref_value, ref_cert = tree_depth_reference(g, vertices)
+    assert value == ref_value
+    assert sibling_sorted(cert) == sibling_sorted(ref_cert)
+    for T in (max(value, 1), value + 1):
+        cells = digraph.partition_from_certificate(cert, T).cells
+        assert cells == digraph.partition_from_certificate(ref_cert, T).cells
+    feasible = check_feasible_partition(g, p, vertices)
+    assert feasible == util.check_feasible_partition_reference(g, p, vertices)
+
+
+@st.composite
 def digraphs_with_query_lists(draw):
     """A digraph on at most 8 vertices and a list of vertex masks to query
     in order, each drawn mask preceded by one of its submasks."""
@@ -351,6 +396,7 @@ def test_out_of_range_masks_name_the_stray_bits():
         (lambda: reach(g, 1, 0b10001), "[4]"),
         (lambda: partition_from_treedepth(g, 3, 0b1001), "[3]"),
         (lambda: scc(g, -1), "negative"),
+        (lambda: check_feasible_partition(g, Partition([0b1001]), 0b1001), "[3]"),
     ]
     for call, stray in cases:
         with pytest.raises(ValueError, match=re.escape(stray)):

@@ -899,6 +899,99 @@ def ordered_min_horizon_reference(game, targets, flags=None):
     return best
 
 
+def scc_reference(g, vertices=None):
+    """Strongly connected components of the induced subgraph, as masks in a
+    topological order of the condensation (sources first): the Tarjan DFS
+    `digraph.scc` replaced, kept verbatim."""
+    if vertices is None:
+        vertices = g.all_vertices
+    _check_mask(g, vertices, "vertices")
+    index = {}
+    low = {}
+    on_stack = 0
+    stack = []
+    comps = []
+    counter = [0]
+    succ = g._succ
+
+    for root in bits(vertices):
+        if root in index:
+            continue
+        work = [(root, iter(members(succ[root] & vertices)))]
+        index[root] = low[root] = counter[0]
+        counter[0] += 1
+        stack.append(root)
+        on_stack |= 1 << root
+        while work:
+            v, it = work[-1]
+            advanced = False
+            for w in it:
+                if w not in index:
+                    index[w] = low[w] = counter[0]
+                    counter[0] += 1
+                    stack.append(w)
+                    on_stack |= 1 << w
+                    work.append((w, iter(members(succ[w] & vertices))))
+                    advanced = True
+                    break
+                elif (on_stack >> w) & 1:
+                    if index[w] < low[v]:
+                        low[v] = index[w]
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                if low[v] < low[parent]:
+                    low[parent] = low[v]
+            if low[v] == index[v]:
+                comp = 0
+                while True:
+                    w = stack.pop()
+                    on_stack &= ~(1 << w)
+                    comp |= 1 << w
+                    if w == v:
+                        break
+                comps.append(comp)
+    comps.reverse()  # Tarjan pops sinks first; reversed gives topological order
+    return comps
+
+
+def reach_reference(g, targets, vertices=None):
+    """R(X), the predecessor closure of X: the frontier loop `digraph.reach`
+    replaced, kept verbatim."""
+    if vertices is None:
+        vertices = g.all_vertices
+    _check_mask(g, targets, "targets")
+    _check_mask(g, vertices, "vertices")
+    seen = targets & vertices
+    frontier = seen
+    pred = g._pred
+    while frontier:
+        nxt = 0
+        for i in bits(frontier):
+            nxt |= pred[i] & vertices
+        frontier = nxt & ~seen
+        seen |= frontier
+    return seen
+
+
+def check_feasible_partition_reference(g, p, M=None):
+    """Does the schedule separate M?  `digraph.check_feasible_partition` as
+    it read its suffix SCCs off the Tarjan `scc_reference`."""
+    if M is None:
+        M = g.all_vertices
+    suffix = p.union() & M
+    for cell in p.cells:
+        focus = cell & M
+        if focus.bit_count() > 1:
+            for comp in scc_reference(g, suffix):
+                if (comp & focus).bit_count() > 1:
+                    return False
+        suffix &= ~cell
+    return True
+
+
 def tree_depth_reference(g, vertices=None):
     """Exact directed tree-depth of the induced subgraph, with certificate:
     the memo-per-SCC search `digraph.tree_depth` replaced, kept verbatim.
