@@ -13,11 +13,9 @@ from .digraph import (
     partition_from_certificate,
     reach,
 )
-from .errors import ResourceLimitError
+from .errors import DEFAULT_BUDGET, charge
 from .graphical import reduce_to_weakest_link
 from .sync import SyncSolver
-
-DEFAULT_BUDGET = 10**7
 
 
 @dataclass
@@ -86,10 +84,7 @@ def ieseds(game, p, budget=DEFAULT_BUDGET):
     p.validate_cover(game.n)
     cells = p.cells
     cost = _history_cost(cells)
-    if cost > budget:
-        raise ResourceLimitError(
-            f"schedule needs {cost} payoff evaluations (budget {budget})", size=cost
-        )
+    charge(cost, budget, f"schedule needs {cost} payoff evaluations (budget {budget})")
 
     # label[M]: the relabelled profile M in the game's player labels
     label = [0]

@@ -25,12 +25,11 @@ from .core import (
     table_game,
 )
 from .digraph import Digraph, partition_from_certificate, tree_depth
-from .errors import PreconditionError, ResourceLimitError
+from .errors import DEFAULT_BUDGET, PreconditionError, ResourceLimitError, charge
 from .graphical import threshold_game, weakest_link_game
 from .sync import SyncSolver
 
 ENV_BUDGET = "COORDSOLVE_BUDGET"
-DEFAULT_BUDGET = 10**7
 
 
 class ParseError(Exception):
@@ -120,7 +119,7 @@ def _payoff_rows(rows, n, path):
     return parsed
 
 
-def parse_game(doc, path="$", budget=ordered.DEFAULT_CHECK_BUDGET):
+def parse_game(doc, path="$", budget=DEFAULT_BUDGET):
     """Build a StageGame from a document dict.  Its assumption report is
     computed on first read of `game.report`.  A table document parses each
     distinct payoff string once (see _payoff_rows).  An nsg document's
@@ -237,8 +236,8 @@ def _charge_size(doc, key, noun, budget):
     anything is built from it: `Digraph` alone holds two lists of that
     length.  A count that is not an int is left to the parser to report."""
     n = doc.get(key) if isinstance(doc, dict) else None
-    if isinstance(n, int) and not isinstance(n, bool) and n > budget:
-        raise ResourceLimitError(f"{n} {noun} exceed the budget {budget}", size=n)
+    if isinstance(n, int) and not isinstance(n, bool):
+        charge(n, budget, f"{n} {noun} exceed the budget {budget}")
 
 
 def load_game(path, budget):
@@ -254,9 +253,8 @@ def load_table_game(path, budget):
     n never builds 2^n to print it."""
     game = load_game(path, budget)
     if game.n >= budget.bit_length():
-        raise ResourceLimitError(
-            f"incentive table needs 2^{game.n} cells (budget {budget})",
-            size=1 << game.n,
+        charge(
+            1 << game.n, budget, f"incentive table needs 2^{game.n} cells (budget {budget})"
         )
     return game
 
@@ -341,11 +339,11 @@ def _cmd_check(args):
     game = load_game(args.game, args.budget)
     # the report reads every player's payoff at every profile once
     reads = game.n << game.n
-    if reads > args.budget:
-        raise ResourceLimitError(
-            f"assumption check needs {reads} payoff evaluations (budget {args.budget})",
-            size=reads,
-        )
+    charge(
+        reads,
+        args.budget,
+        f"assumption check needs {reads} payoff evaluations (budget {args.budget})",
+    )
     rep = game.report
     lines = [
         f"single-crossing:  {'ok' if rep.single_crossing else 'VIOLATED'}",
@@ -420,6 +418,8 @@ def _cmd_treedepth(args):
 
 def _cmd_design(args):
     game = load_table_game(args.game, args.budget)
+    # the schedule holds T cells, the empty ones after tree-depth included
+    charge(args.t, args.budget, f"schedule needs {args.t} cells (budget {args.budget})")
     p, achieved = asyncgame.design(game, args.t)
     lines = [f"achieved: {_disp(achieved)}"]
     lines += [f"  cell {t + 1}: {_disp(c)}" for t, c in enumerate(p.cells)]

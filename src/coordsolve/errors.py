@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one budget rule every
+capped exponential path follows."""
+
+# The default cap on every budgeted path, in the CLI and in the library.
+DEFAULT_BUDGET = 10**7
 
 
 class PreconditionError(Exception):
@@ -11,3 +15,10 @@ class ResourceLimitError(Exception):
     def __init__(self, message, size=None):
         super().__init__(message)
         self.size = size
+
+
+def charge(cost, budget, message):
+    """Refuse work of `cost` units under `budget`: raise ResourceLimitError
+    with `message` and size `cost` when the cost exceeds the budget."""
+    if cost > budget:
+        raise ResourceLimitError(message, size=cost)

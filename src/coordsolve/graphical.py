@@ -14,7 +14,7 @@ from itertools import combinations, product
 
 from .core import StageGame, bits, gains, mask_of, members, submasks
 from .digraph import Digraph, TreeDepth, reach
-from .errors import PreconditionError, ResourceLimitError
+from .errors import PreconditionError, charge
 from .sync import SyncSolver
 
 
@@ -238,11 +238,7 @@ def horizon_via_graphs(game, targets, limit=10**6):
     size = 1
     for c in choices:
         size *= len(c)
-    if size > limit:
-        raise ResourceLimitError(
-            f"minimal-graph product has {size} combinations (limit {limit})",
-            size=size,
-        )
+    charge(size, limit, f"minimal-graph product has {size} combinations (limit {limit})")
     best = None
     for ins in product(*choices):
         edges = [(j, i) for i, E in enumerate(ins) for j in bits(E)]

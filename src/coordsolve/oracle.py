@@ -16,13 +16,12 @@ some equilibrium value of the deviation subgame.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple
 
 from .core import Context, Partition, bits, members, submasks
-from .errors import PreconditionError, ResourceLimitError
+from .errors import DEFAULT_BUDGET, PreconditionError, charge
 from .sync import SyncSolver
-
-DEFAULT_BUDGET = 5 * 10**6
 
 
 class Sync(NamedTuple):
@@ -91,9 +90,14 @@ class _Budget:
     def spend(self, k=1):
         self.used += k
         if self.used > self.cap:
-            raise ResourceLimitError(
-                f"oracle enumeration exceeded {self.cap} steps", size=self.used
-            )
+            charge(self.used, self.cap, f"oracle enumeration exceeded {self.cap} steps")
+
+    def spend_posets(self, sizes):
+        """Spend, stage by stage and before any history is built, each
+        stage's history count H and the H(H-1)/2 pairs that
+        _sorted_with_predecessors compares."""
+        for h in sizes:
+            self.spend(h * (h + 1) // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +214,9 @@ def _mspne_outcomes(game, stages, moves_of, value_terminal, budget):
 
 def _mspne_sync(game, T, budget):
     full = game.all_players
+    # stage t (from 1) has t^n histories: each player joined at one of the
+    # t - 1 earlier stages, or not yet
+    budget.spend_posets(t**game.n for t in range(1, T + 1))
     stages = _sync_histories(game.n, T)
 
     def moves_of(t, h):
@@ -225,6 +232,9 @@ def _mspne_sync(game, T, budget):
 
 def _mspne_async(game, p, budget):
     cells = p.cells
+    # stage t has one history per move of the earlier cells
+    earlier = accumulate((c.bit_count() for c in cells[:-1]), initial=0)
+    budget.spend_posets(1 << k for k in earlier)
     stages = _async_histories(cells)
 
     def moves_of(t, h):
@@ -313,10 +323,13 @@ def enumerate_equilibria(game, schedule, mode="mspne", budget=DEFAULT_BUDGET):
     outcome set by the value-set recursion.  Returns the set of terminal
     coalition masks.
 
-    `budget` caps the steps spent: for "mspne", every option examined at a
-    node of a stage's monotone-selection search, at each distinct
-    continuation; for "spne", every candidate stage profile of each distinct
-    subgame.  Exceeding it raises ResourceLimitError.
+    `budget` (errors.DEFAULT_BUDGET, the CLI's default too) caps the steps
+    spent.  For "mspne", each stage's history poset is paid for before any
+    of it is built: its H histories and the H(H-1)/2 pairs ordered to find
+    each history's predecessors.  Then every option examined at a node of a
+    stage's monotone-selection search, at each distinct continuation, costs
+    one step.  For "spne", every candidate stage profile of each distinct
+    subgame costs one step.  Exceeding the budget raises ResourceLimitError.
     """
     mode = mode.lower()
     steps = _Budget(budget)

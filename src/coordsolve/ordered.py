@@ -21,10 +21,8 @@ from .core import (
     members,
 )
 from .digraph import Digraph
-from .errors import PreconditionError, ResourceLimitError
+from .errors import DEFAULT_BUDGET, PreconditionError, charge
 from .graphical import threshold_game, weakest_link_game
-
-DEFAULT_CHECK_BUDGET = 10**7
 
 
 @dataclass
@@ -56,7 +54,7 @@ def _chain_reaches(gainers, full, target, seed, base):
     return (coalition >> target) & 1 == 1
 
 
-def classify(game, budget=DEFAULT_CHECK_BUDGET):
+def classify(game, budget=DEFAULT_BUDGET):
     """Exhaustive quantifier checks for the four order properties, read off
     the game's incentive table.
 
@@ -71,20 +69,14 @@ def classify(game, budget=DEFAULT_CHECK_BUDGET):
 
 def _classified(game, budget):
     """classify(game, budget) and the incentive table it read, for callers
-    that go on to the fast path without building the table again."""
-    _check_classify_budget(game.n, budget)
-    table = incentive_table(game)
-    return _classify_table(table[0], game.n), table
-
-
-def _check_classify_budget(n, budget):
-    """Refuse, before any table is built, a classification whose estimated
-    check count exceeds the budget."""
+    that go on to the fast path without building the table again.  An
+    estimated check count over the budget is refused before any table is
+    built."""
+    n = game.n
     steps = n * n * (n + 2) * (1 << max(n - 2, 0))
-    if steps > budget:
-        raise ResourceLimitError(
-            f"classification needs ~{steps} checks (budget {budget})", size=steps
-        )
+    charge(steps, budget, f"classification needs ~{steps} checks (budget {budget})")
+    table = incentive_table(game)
+    return _classify_table(table[0], n), table
 
 
 def _classify_table(gainers, n):
@@ -176,7 +168,7 @@ def ordered_min_horizon(game, targets, flags=None):
     value as an upper bound there."""
     table = None
     if flags is None:
-        flags, table = _classified(game, DEFAULT_CHECK_BUDGET)
+        flags, table = _classified(game, DEFAULT_BUDGET)
     return _ordered_min_horizon(game, targets, flags, table)
 
 
@@ -319,7 +311,7 @@ def _classify_keeping_table(game, budget):
 
 def generate(
     kind, *, c=None, in_starts=None, out_ends=None, k=None, nested=True,
-    budget=DEFAULT_CHECK_BUDGET,
+    budget=DEFAULT_BUDGET,
 ):
     """Structured ordered-game generators.
 

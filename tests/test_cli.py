@@ -709,6 +709,65 @@ def test_spne_oracle_budget_exit_code(tmp_path, capsys):
     assert main(argv + ["--budget", "100000"]) == 0
 
 
+def three_player_cycle_doc():
+    return {"players": 3, "kind": "weakest_link", "edges": [[0, 1], [1, 0], [1, 2]]}
+
+
+def two_player_table_doc():
+    return {"players": 2, "kind": "table", "payoffs": [[0, 1, 0, 2], [0, 0, 1, 2]]}
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_design_charges_its_schedule_cells(tmp_path, monkeypatch, flags):
+    # the schedule pads to T cells: --t 10^9 used to die with a MemoryError
+    # traceback in partition_from_certificate
+    monkeypatch.delenv("COORDSOLVE_BUDGET", raising=False)
+    path = write_game(tmp_path, three_player_cycle_doc())
+    done = run_capped(["design", "--game", path, "--t", "1000000000"] + flags)
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert done.stderr == "resource error: schedule needs 1000000000 cells (budget 10000000)\n"
+
+
+def test_design_within_the_budget_prints_every_cell(tmp_path, capsys):
+    path = write_game(tmp_path, three_player_cycle_doc())
+    assert main(["design", "--game", path, "--t", "5"]) == 0
+    out = capsys.readouterr().out
+    assert [line.split(":")[0].strip() for line in out.splitlines()[1:]] == [
+        f"cell {t}" for t in range(1, 6)
+    ]
+    # the 2^3-cell table fits a budget of 8; nine schedule cells do not
+    assert main(["design", "--game", path, "--t", "8", "--budget", "8"]) == 0
+    capsys.readouterr()
+    assert main(["design", "--game", path, "--t", "9", "--budget", "8"]) == 3
+    assert capsys.readouterr().err == "resource error: schedule needs 9 cells (budget 8)\n"
+
+
+def test_mspne_oracle_pays_for_its_history_poset_first(tmp_path, capsys, monkeypatch):
+    # --t 14 has 14^3 last-stage histories; the poset used to be built, for
+    # about 20 s, before the first budget step was spent
+    from coordsolve import oracle
+
+    def unreached(histories):
+        raise AssertionError("history poset built before the budget was spent")
+
+    monkeypatch.setattr(oracle, "_sorted_with_predecessors", unreached)
+    path = write_game(tmp_path, three_player_cycle_doc())
+    assert main(["oracle", "--game", path, "--t", "14", "--budget", "1000"]) == 3
+    assert capsys.readouterr().err == "resource error: oracle enumeration exceeded 1000 steps\n"
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_huge_mspne_oracle_refused_before_its_histories(tmp_path, monkeypatch, flags):
+    # _sync_histories used to fill memory at --t 3000 on two players
+    monkeypatch.delenv("COORDSOLVE_BUDGET", raising=False)
+    path = write_game(tmp_path, two_player_table_doc())
+    done = run_capped(["oracle", "--game", path, "--mode", "mspne", "--t", "3000"] + flags)
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert done.stderr == "resource error: oracle enumeration exceeded 10000000 steps\n"
+
+
 SUBCOMMANDS = (
     ["check"],
     ["ne"],

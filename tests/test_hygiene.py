@@ -2,8 +2,9 @@
 uses each name it imports (the package `__init__` re-exports, so it is
 exempt), the layers above the incentive table never read raw payoffs or
 payoff rows, the oracle and the assumption report never read the table or
-a family's payoff rows, and every library function the benchmark tracer
-wraps still exists."""
+a family's payoff rows, every library function the benchmark tracer
+wraps still exists, and only errors.py holds a numeric budget default or
+constructs ResourceLimitError."""
 
 import ast
 import importlib.util
@@ -199,3 +200,78 @@ def test_benchmark_tracer_targets_resolve():
     targets = [(module, path) for _, module, path in tracer.SPANNED]
     targets.append(("coordsolve.core", "is_ne"))
     assert [t for t in targets if tracer._resolve(*t) is None] == []
+
+
+# The one budget rule: errors.py holds the default and the refusal routine.
+BUDGET_HOME = "errors.py"
+
+
+def is_number(node):
+    """Is this expression built from numeric literals alone (10**7, 5 * 10**6)?"""
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, (int, float)) and not isinstance(node.value, bool)
+    if isinstance(node, ast.UnaryOp):
+        return is_number(node.operand)
+    if isinstance(node, ast.BinOp):
+        return is_number(node.left) and is_number(node.right)
+    return False
+
+
+def numeric_budget_names(source):
+    """Module-level `*_BUDGET` names bound to a number."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        for t in targets:
+            if isinstance(t, ast.Name) and t.id.endswith("_BUDGET") and is_number(value):
+                out.append(t.id)
+    return out
+
+
+def refusals(source):
+    """Line numbers of every call constructing ResourceLimitError."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+        == "ResourceLimitError"
+    ]
+
+
+def test_detector_finds_numeric_budget_names():
+    source = (
+        'ENV_BUDGET = "COORDSOLVE_BUDGET"\n'
+        "DEFAULT_BUDGET = 10**7\n"
+        "CHECK_BUDGET: int = 5 * 10**6\n"
+        "OTHER = 3\n"
+        "def f():\n"
+        "    LOCAL_BUDGET = 1\n"
+    )
+    assert numeric_budget_names(source) == ["DEFAULT_BUDGET", "CHECK_BUDGET"]
+
+
+def test_detector_finds_refusals():
+    source = (
+        "try:\n"
+        "    raise ResourceLimitError('x', size=1)\n"
+        "except ResourceLimitError:\n"
+        "    raise errors.ResourceLimitError('y')\n"
+    )
+    assert refusals(source) == [2, 4]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != BUDGET_HOME], ids=lambda p: p.name
+)
+def test_one_budget_rule(path):
+    """Every capped path refuses through errors.charge, under the default
+    errors.DEFAULT_BUDGET, and no module keeps a budget number of its own."""
+    source = path.read_text()
+    assert refusals(source) == []
+    assert numeric_budget_names(source) == []

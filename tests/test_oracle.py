@@ -16,7 +16,9 @@ from coordsolve import (
     table_game,
     weakest_link_game,
 )
-from coordsolve.oracle import _sync_histories, _verify_mspne
+from coordsolve import oracle
+from coordsolve.errors import DEFAULT_BUDGET
+from coordsolve.oracle import _async_histories, _sync_histories, _verify_mspne
 from coordsolve.sync import SyncSolver
 
 from util import (
@@ -115,6 +117,37 @@ def test_spne_budget_cap_raises(schedule):
     game = random_game(random.Random(1), 4)
     with pytest.raises(ResourceLimitError):
         enumerate_equilibria(game, schedule, mode="spne", budget=5)
+
+
+def test_default_budget_is_the_cli_default():
+    assert enumerate_equilibria.__defaults__ == ("mspne", DEFAULT_BUDGET)
+
+
+CELLS = [0b011, 0b100, 0b1000]
+
+
+@pytest.mark.parametrize(
+    "n, schedule, stages",
+    [
+        (3, Sync(3), _sync_histories(3, 3)),
+        (4, Async(Partition(CELLS)), _async_histories(CELLS)),
+    ],
+    ids=["sync", "async"],
+)
+def test_mspne_poset_is_paid_for_before_it_is_built(monkeypatch, n, schedule, stages):
+    # each stage's H histories and H(H-1)/2 order pairs, in closed form
+    cost = sum(len(h) * (len(h) + 1) // 2 for h in stages)
+    game = random_game(random.Random(1), n)
+
+    def reached(histories):
+        raise AssertionError("poset reached")
+
+    monkeypatch.setattr(oracle, "_sorted_with_predecessors", reached)
+    with pytest.raises(ResourceLimitError) as exc:
+        enumerate_equilibria(game, schedule, budget=cost - 1)
+    assert exc.value.size == cost
+    with pytest.raises(AssertionError, match="poset reached"):
+        enumerate_equilibria(game, schedule, budget=cost)
 
 
 def test_four_player_three_stage_reach():

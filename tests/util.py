@@ -38,11 +38,12 @@ from coordsolve.core import (
     sorted_coalitions,
     submasks,
 )
-from coordsolve.asyncgame import DEFAULT_BUDGET, IesedsTable, _history_cost
+from coordsolve.asyncgame import IesedsTable, _history_cost
 from coordsolve.cli import ParseError, _rational
 from coordsolve.digraph import _check_mask, _components
 from coordsolve.graphical import SufficientGraph, _first_minimal_satisfying
-from coordsolve.ordered import DEFAULT_CHECK_BUDGET, OrderedFlags, _chain_reaches
+from coordsolve.errors import DEFAULT_BUDGET
+from coordsolve.ordered import OrderedFlags, _chain_reaches
 from coordsolve.sync import PolicyNode, SyncSolver
 from coordsolve.oracle import (
     _Budget,
@@ -754,7 +755,7 @@ def chain_reaches_reference(game, target, seed, base):
     return (coalition >> target) & 1 == 1
 
 
-def classify_reference(game, budget=DEFAULT_CHECK_BUDGET):
+def classify_reference(game, budget=DEFAULT_BUDGET):
     """ordered.classify as it read raw payoffs before it read the incentive
     table, kept verbatim but for its closing assert that strong cost order
     implies the weak one (which needs single crossing; see test_ordered)."""
