@@ -8,15 +8,17 @@ fixed).  A stage's maps depend on the later stages only through the
 continuation, the final outcome each next-stage history leads to, so each
 stage is enumerated once per distinct continuation and its outcome set is
 memoised on it; raw payoffs are still read for every such enumeration.  SPNE
-outcome sets use the exact subgame value-set recursion, where a candidate
-stage profile is supportable iff each unilateral deviation can be punished by
-some equilibrium value of the deviation subgame.
+outcome sets are the exact subgame value sets, solved stage by stage from the
+back, where a candidate stage profile is supportable iff each unilateral
+deviation can be punished by some equilibrium value of the deviation subgame.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate
+from operator import or_
 from typing import NamedTuple
 
 from .core import Context, Partition, bits, members, submasks
@@ -40,29 +42,36 @@ class Async(NamedTuple):
 # history plumbing
 
 
-def _sync_histories(n, T):
-    """Histories per stage: stage t sees a nondecreasing chain of t-1 masks."""
-    full = (1 << n) - 1
-    stages = [[()]]
-    for _ in range(2, T + 1):
-        nxt = []
-        for h in stages[-1]:
-            last = h[-1] if h else 0
-            for sub in submasks(full & ~last):
-                nxt.append(h + (last | sub,))
-        stages.append(nxt)
-    return stages
+def _sync_moves(full):
+    """Synchronous stage moves: at history h, every upgrade of its last
+    profile, moved by the players still at 0."""
+
+    def moves_of(t, h):
+        last = h[-1] if h else 0
+        rest = full & ~last
+        for sub in submasks(rest):
+            yield last | sub, rest
+
+    return moves_of
 
 
-def _async_histories(cells):
+def _async_moves(cells):
+    """Asynchronous stage moves: at any stage-t history, every profile of
+    cell t, moved by its members."""
+
+    def moves_of(t, h):
+        for sub in submasks(cells[t]):
+            yield sub, cells[t]
+
+    return moves_of
+
+
+def _histories(T, moves_of):
+    """Histories per stage: stage t + 1 extends each stage-t history by each
+    move moves_of(t, h) yields, in that order."""
     stages = [[()]]
-    for t in range(1, len(cells)):
-        prev = stages[-1]
-        nxt = []
-        for h in prev:
-            for sub in submasks(cells[t - 1]):
-                nxt.append(h + (sub,))
-        stages.append(nxt)
+    for t in range(T - 1):
+        stages.append([h + (a,) for h in stages[-1] for a, _ in moves_of(t, h)])
     return stages
 
 
@@ -73,7 +82,7 @@ def _leq_history(h1, h2):
 
 def _sorted_with_predecessors(histories):
     """Linear extension plus, per history, the indices of earlier histories
-    it dominates (for monotone-map pruning)."""
+    it dominates (for monotone-map pruning and the witness check)."""
     order = sorted(histories, key=lambda h: (sum(m.bit_count() for m in h), h))
     preds = []
     for idx, h in enumerate(order):
@@ -135,12 +144,13 @@ def _monotone_selections(preds, options, budget):
             idx += 1
 
 
-def _mspne_outcomes(game, stages, moves_of, value_terminal, budget):
+def _mspne_outcomes(game, stages, moves_of, budget):
     """Common MSPNE engine over precomputed history stages.
 
     moves_of(t, h) yields legal stage-t action profiles at history h, with the
-    players who move there; value_terminal(h, a) is the final outcome of
-    choosing a at the last stage.  A continuation is the tuple of final
+    players who move there; choosing a at the last stage ends the game at
+    a | h[0] | h[1] | ..., every player who has played 1 (a itself under
+    Sync, whose profiles only grow).  A continuation is the tuple of final
     outcomes, one per stage-(t+1) history in linear-extension order (per
     last-stage move for t = T-1); the outcome set of stage t under a
     continuation is solved once per call and memoised on (t, continuation).
@@ -163,7 +173,7 @@ def _mspne_outcomes(game, stages, moves_of, value_terminal, budget):
                 src = {}
                 for a, _ in legal:
                     src[a] = len(terminal)
-                    terminal.append(value_terminal(h, a))
+                    terminal.append(reduce(or_, h, a))
             else:
                 src = {a: nxt_pos[h + (a,)] for a, _ in legal}
             moves.append(
@@ -212,100 +222,36 @@ def _mspne_outcomes(game, stages, moves_of, value_terminal, budget):
     return set(run(T - 1, tuple(terminal)))
 
 
-def _mspne_sync(game, T, budget):
-    full = game.all_players
-    # stage t (from 1) has t^n histories: each player joined at one of the
-    # t - 1 earlier stages, or not yet
-    budget.spend_posets(t**game.n for t in range(1, T + 1))
-    stages = _sync_histories(game.n, T)
-
-    def moves_of(t, h):
-        last = h[-1] if h else 0
-        for sub in submasks(full & ~last):
-            yield last | sub, full & ~last
-
-    def terminal(h, a):
-        return a
-
-    return _mspne_outcomes(game, stages, moves_of, terminal, budget)
-
-
-def _mspne_async(game, p, budget):
-    cells = p.cells
-    # stage t has one history per move of the earlier cells
-    earlier = accumulate((c.bit_count() for c in cells[:-1]), initial=0)
-    budget.spend_posets(1 << k for k in earlier)
-    stages = _async_histories(cells)
-
-    def moves_of(t, h):
-        for sub in submasks(cells[t]):
-            yield sub, cells[t]
-
-    def terminal(h, a):
-        out = a
-        for m in h:
-            out |= m
-        return out
-
-    return _mspne_outcomes(game, stages, moves_of, terminal, budget)
-
-
 # ---------------------------------------------------------------------------
-# SPNE: exact value-set recursion (selections at distinct subgames are
-# independent, so a deviation is deterred iff SOME continuation punishes it)
+# SPNE: exact value sets, stage by stage from the back (selections at distinct
+# subgames are independent, so a deviation is deterred iff SOME continuation
+# punishes it)
 
 
-def _spne(game, T, movers, budget):
-    """SPNE outcomes of a T-stage game.  movers(t, state) is the set of players
-    who choose at stage t (0-based) given the committed profile `state`; the
-    stage moves to state | sub for any sub of it.  Each candidate stage
-    profile of each distinct subgame spends one budget step."""
+def _spne(game, T, moves_of, reach):
+    """SPNE outcomes of a T-stage game.  Stage t (0-based) can reach the
+    submasks of reach(t); from committed profile `state` it moves to
+    state | a for each (a, movers) that moves_of yields at a history ending
+    in `state`.  The stages are solved from the last to the first, each from
+    the next one's value sets alone; the caller has paid for every candidate
+    stage profile of every reachable state."""
     pay = game._payoff
-    memo = {}
-
-    def vs(t, state):
-        key = (t, state)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        if t == T:
-            got = frozenset((state,))
-            memo[key] = got
-            return got
-        res = set()
-        free = movers(t, state)
-        for sub in submasks(free):
-            budget.spend()
-            a = state | sub
-            succ = vs(t + 1, a)
-            if not succ:
-                continue
-            deterred = True
-            floors = {}
-            for i in bits(free):
-                alt = vs(t + 1, a ^ (1 << i))
-                if not alt:
-                    deterred = False
-                    break
-                floors[i] = min(pay(i, w) for w in alt)
-            if not deterred:
-                continue
-            for v in succ:
-                if all(pay(i, v) >= floors[i] for i in floors):
-                    res.add(v)
-        got = frozenset(res)
-        memo[key] = got
-        return got
-
-    root = vs(0, 0)
-    # A pure SPNE must induce one on every subgame, including those reached
-    # only by multi-player deviations; if any is empty, none exists at all.
-    states = {0}
-    for t in range(1, T):
-        states = {s | sub for s in states for sub in submasks(movers(t - 1, s))}
-        if not all(vs(t, s) for s in states):
+    nxt = {s: (s,) for s in submasks(reach(T))}
+    for t in reversed(range(T)):
+        cur = {}
+        for state in submasks(reach(t)):
+            res = cur[state] = set()
+            for a, free in moves_of(t, (state,)):
+                a |= state
+                floors = [(i, min(pay(i, w) for w in nxt[a ^ (1 << i)])) for i in bits(free)]
+                res.update(v for v in nxt[a] if all(pay(i, v) >= f for i, f in floors))
+        # A pure SPNE must induce one on every subgame, including those
+        # reached only by multi-player deviations; if any is empty, none
+        # exists at all.  So every value set read above is non-empty.
+        if t and not all(cur.values()):
             return set()
-    return set(root)
+        nxt = cur
+    return nxt[0]
 
 
 # ---------------------------------------------------------------------------
@@ -319,37 +265,55 @@ def enumerate_equilibria(game, schedule, mode="mspne", budget=DEFAULT_BUDGET):
     every history, on-path or not), stage by stage from the back; the profiles
     of a stage are enumerated once per distinct continuation (the final
     outcome each history of the next stage leads to), not once per later
-    profile that yields it.  mode "spne" drops the monotonicity restriction and computes the
-    outcome set by the value-set recursion.  Returns the set of terminal
-    coalition masks.
+    profile that yields it.  mode "spne" drops the monotonicity restriction
+    and solves the value set of every reachable subgame, stage by stage from
+    the back.  Returns the set of terminal coalition masks.
 
     `budget` (errors.DEFAULT_BUDGET, the CLI's default too) caps the steps
     spent.  For "mspne", each stage's history poset is paid for before any
     of it is built: its H histories and the H(H-1)/2 pairs ordered to find
     each history's predecessors.  Then every option examined at a node of a
     stage's monotone-selection search, at each distinct continuation, costs
-    one step.  For "spne", every candidate stage profile of each distinct
-    subgame costs one step.  Exceeding the budget raises ResourceLimitError.
+    one step.  For "spne", every candidate stage profile of every reachable
+    subgame costs one step, all paid before any is solved: 2^n + (T-1) 3^n
+    for Sync(T), and the sum over stages t of 2^(|earlier cells| + |cell t|)
+    for Async.  Exceeding the budget raises ResourceLimitError.
     """
     mode = mode.lower()
-    steps = _Budget(budget)
     if isinstance(schedule, Sync):
-        if schedule.T < 1:
+        T = schedule.T
+        if T < 1:
             raise ValueError("horizon must be positive")
-        if mode == "mspne":
-            return _mspne_sync(game, schedule.T, steps)
-        if mode == "spne":
-            full = game.all_players
-            return _spne(game, schedule.T, lambda t, state: full & ~state, steps)
+        full = game.all_players
+        moves_of = _sync_moves(full)
+        # stage t (from 1) has t^n histories: each player joined at one of
+        # the t - 1 earlier stages, or not yet
+        posets = (t**game.n for t in range(1, T + 1))
+        # stage 0 starts from the empty profile, every later stage from any
+        spne_cost = (1 << game.n) + (T - 1) * 3**game.n
+
+        def reach(t):
+            return full if t else 0
+
     elif isinstance(schedule, Async):
         p = schedule.partition
         p.validate_cover(game.n)
-        if mode == "mspne":
-            return _mspne_async(game, p, steps)
-        if mode == "spne":
-            return _spne(game, p.horizon, lambda t, state: p.cells[t], steps)
+        T = p.horizon
+        moves_of = _async_moves(p.cells)
+        # stage t has one history, and one state, per move of the earlier cells
+        earlier = list(accumulate(p.cells, or_, initial=0))
+        posets = [1 << e.bit_count() for e in earlier[:-1]]
+        spne_cost = sum(1 << e.bit_count() for e in earlier[1:])
+        reach = earlier.__getitem__
     else:
         raise ValueError("schedule must be Sync(T) or Async(partition)")
+    steps = _Budget(budget)
+    if mode == "mspne":
+        steps.spend_posets(posets)
+        return _mspne_outcomes(game, _histories(T, moves_of), moves_of, steps)
+    if mode == "spne":
+        steps.spend(spne_cost)
+        return _spne(game, T, moves_of, reach)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -375,28 +339,27 @@ class StrategyProfile:
 
 
 def _verify_mspne(game, T, profile):
-    """Monotonicity plus one-shot deviations at every history."""
+    """Irreversibility, monotonicity (against each history's predecessors in
+    the stage's poset) and one-shot deviations at every history."""
     pay = game._payoff
     full = game.all_players
-    stages = _sync_histories(game.n, T)
+    moves = profile.moves
 
     def play_out(h):
         while len(h) < T:
-            h = h + (profile.moves[h],)
+            h = h + (moves[h],)
         return h[-1]
 
-    for t in range(T):
-        hs = stages[t]
-        for a_idx, ha in enumerate(hs):
-            ma = profile.moves[ha]
+    for hs in _histories(T, _sync_moves(full)):
+        order, preds = _sorted_with_predecessors(hs)
+        for ha, below in zip(order, preds):
+            ma = moves[ha]
             last = ha[-1] if ha else 0
             if last & ~ma:
                 return False, f"irreversibility violated at {ha}"
-            for hb in hs[a_idx + 1 :]:
-                if _leq_history(ha, hb) and profile.moves[ha] & ~profile.moves[hb]:
-                    return False, f"monotonicity violated between {ha} and {hb}"
-                if _leq_history(hb, ha) and profile.moves[hb] & ~profile.moves[ha]:
-                    return False, f"monotonicity violated between {hb} and {ha}"
+            for j in below:
+                if moves[order[j]] & ~ma:
+                    return False, f"monotonicity violated between {order[j]} and {ha}"
             base = play_out(ha + (ma,))
             for i in bits(full & ~last):
                 dev = ma ^ (1 << i)
@@ -419,7 +382,7 @@ def support_strategy(game, T, X, solver=None):
         raise PreconditionError(f"{members(X)} is not an achievable outcome at T={T}")
     full = game.all_players
     moves = {}
-    stages = _sync_histories(game.n, T)
+    stages = _histories(T, _sync_moves(full))
 
     if X == full:
         for t in range(T):

@@ -1,3 +1,6 @@
+import contextlib
+import copy
+import io
 import json
 import random
 import resource
@@ -5,7 +8,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from coordsolve import Digraph, table_game, weakest_link_horizon
 from coordsolve.cli import ParseError, emit_game, main, parse_game
@@ -768,6 +771,35 @@ def test_huge_mspne_oracle_refused_before_its_histories(tmp_path, monkeypatch, f
     assert done.stderr == "resource error: oracle enumeration exceeded 10000000 steps\n"
 
 
+@pytest.mark.parametrize(
+    "doc, outcome",
+    [(two_player_table_doc(), [1, 2]), ({"players": 1, "kind": "table", "payoffs": [[0, 1]]}, [1])],
+    ids=["2p", "1p"],
+)
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_long_horizon_spne_oracle_answers(tmp_path, capsys, doc, outcome, flags):
+    # the value sets used to recurse once per stage: RecursionError at 3000
+    path = write_game(tmp_path, doc)
+    assert main(["oracle", "--game", path, "--mode", "spne", "--t", "3000"] + flags) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    if flags:
+        assert json.loads(captured.out) == {"mode": "spne", "outcomes": [outcome]}
+    else:
+        assert captured.out == f"spne outcomes (1):\n  {outcome}\n"
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_huge_spne_oracle_refused_up_front(tmp_path, monkeypatch, flags):
+    monkeypatch.delenv("COORDSOLVE_BUDGET", raising=False)
+    path = write_game(tmp_path, two_player_table_doc())
+    argv = ["oracle", "--game", path, "--mode", "spne", "--t", "1000000000000"]
+    done = run_capped(argv + flags)
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert done.stderr == "resource error: oracle enumeration exceeded 10000000 steps\n"
+
+
 SUBCOMMANDS = (
     ["check"],
     ["ne"],
@@ -836,3 +868,72 @@ def test_player_list_errors_name_their_flag(tmp_path, capsys, argv, flag):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {flag}: ")
     assert "invalid literal" not in err
+
+
+# -- mutated documents --------------------------------------------------------------
+
+
+FUZZ_DOCS = [
+    two_player_table_doc(),
+    three_player_cycle_doc(),
+    {"players": 3, "kind": "threshold", "edges": [[0, 1], [1, 2], [2, 0], [0, 2]], "k": [1, 1, 2]},
+    {"players": 2, "kind": "aggregative", "c": [1, 1]},
+    *NSG_DOCS,
+]
+FUZZ_KEYS = ["players", "kind", "payoffs", "edges", "k", "c", "in_starts", "out_ends", "nested"]
+FUZZ_VALUES = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.floats(),
+        st.sampled_from(["1/0", "1e5", "table", "", "x"]),
+        st.integers(-2, 4),
+        st.sampled_from([10**12, -(10**12), 10**100]),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.sampled_from(FUZZ_KEYS), inner, max_size=3),
+    ),
+    max_leaves=6,
+)
+
+
+def _containers(node):
+    """Every dict and list in a document, itself included."""
+    yield node
+    for child in node.values() if isinstance(node, dict) else node:
+        if isinstance(child, (dict, list)):
+            yield from _containers(child)
+
+
+@st.composite
+def mutated_documents(draw):
+    """A valid document with one key or list entry replaced, dropped or added."""
+    doc = copy.deepcopy(draw(st.sampled_from(FUZZ_DOCS)))
+    node = draw(st.sampled_from(list(_containers(doc))))
+    op = draw(st.sampled_from(["replace", "drop", "add"]) if node else st.just("add"))
+    if isinstance(node, dict):
+        key = draw(st.sampled_from(list(node) if op != "add" else FUZZ_KEYS))
+    else:
+        key = draw(st.integers(0, len(node) - (op != "add")))
+    if op == "drop":
+        del node[key]
+    elif op == "add" and isinstance(node, list):
+        node.insert(key, draw(FUZZ_VALUES))
+    else:
+        node[key] = draw(FUZZ_VALUES)
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=mutated_documents())
+def test_mutated_documents_never_raise(tmp_path_factory, doc):
+    # ROADMAP item 1: malformed input exits 1 with a message, never a traceback
+    path = write_game(tmp_path_factory.mktemp("fuzz"), doc)
+    for argv in SUBCOMMANDS:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv + ["--game", path, "--budget", "100000"])
+        assert code in (0, 1, 2, 3), (argv, code)
+        if code == 1:
+            assert err.getvalue().startswith("error: "), (argv, err.getvalue())

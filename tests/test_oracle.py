@@ -18,11 +18,20 @@ from coordsolve import (
 )
 from coordsolve import oracle
 from coordsolve.errors import DEFAULT_BUDGET
-from coordsolve.oracle import _async_histories, _sync_histories, _verify_mspne
+from coordsolve.oracle import (
+    StrategyProfile,
+    _Budget,
+    _async_moves,
+    _histories,
+    _sync_moves,
+    _verify_mspne,
+)
 from coordsolve.sync import SyncSolver
 
 from util import (
     EXACT_PAYOFFS,
+    _async_histories,
+    _sync_histories,
     cross_pairs_game,
     cycle_graph,
     free_rider_game,
@@ -32,8 +41,11 @@ from util import (
     random_digraph,
     random_game,
     random_partition,
+    reference_stages,
     spillover_pair_games,
+    spne_reference,
     two_triangles_game,
+    verify_mspne_reference,
 )
 
 
@@ -98,7 +110,7 @@ def test_async_spne_outside_stage_equilibria():
 
 
 def test_sync_history_counts():
-    stages = _sync_histories(3, 3)
+    stages = _histories(3, _sync_moves(0b111))
     assert [len(s) for s in stages] == [1, 8, 27]
 
 
@@ -148,6 +160,32 @@ def test_mspne_poset_is_paid_for_before_it_is_built(monkeypatch, n, schedule, st
     assert exc.value.size == cost
     with pytest.raises(AssertionError, match="poset reached"):
         enumerate_equilibria(game, schedule, budget=cost)
+
+
+@pytest.mark.parametrize(
+    "n, schedule, cost",
+    [
+        # stage 0 from the empty profile, stages 1 and 2 from any of 2^3
+        (3, Sync(3), 2**3 + 2 * 3**3),
+        # 2^(|earlier cells| + |cell t|) per stage
+        (4, Async(Partition(CELLS)), 2**2 + 2**3 + 2**4),
+    ],
+    ids=["sync", "async"],
+)
+def test_spne_is_paid_for_before_it_is_solved(monkeypatch, n, schedule, cost):
+    game = random_game(random.Random(1), n)
+    want = spne_reference(game, schedule, _Budget(cost))
+    assert enumerate_equilibria(game, schedule, mode="spne", budget=cost) == want
+    with monkeypatch.context() as m:
+
+        def reached(*args):
+            raise AssertionError("SPNE solved")
+
+        m.setattr(oracle, "_spne", reached)
+        with pytest.raises(ResourceLimitError) as exc:
+            enumerate_equilibria(game, schedule, mode="spne", budget=cost - 1)
+    assert exc.value.size == cost
+    assert str(exc.value) == f"oracle enumeration exceeded {cost - 1} steps"
 
 
 def test_four_player_three_stage_reach():
@@ -215,6 +253,100 @@ def test_mspne_matches_reference_engine(n, T, data):
     )
 
 
+# -- the stage walk against the per-schedule builders and the recursion -----------
+
+
+@st.composite
+def schedules(draw, n, max_T=4):
+    """Sync(T) with T <= max_T, or n players dealt into up to n + 1 Async
+    cells, so that a cell is sometimes empty."""
+    if draw(st.booleans()):
+        return Sync(draw(st.integers(1, max_T)))
+    cells = [0] * draw(st.integers(1, n + 1))
+    for i in range(n):
+        cells[draw(st.integers(0, len(cells) - 1))] |= 1 << i
+    return Async(Partition(cells))
+
+
+def differential_games(n, schedule):
+    """oracle_games for the schedule's shape; one player gets an exact table,
+    where ties can leave a subgame with no pure SPNE."""
+    if n == 1:
+        return st.lists(EXACT_PAYOFFS, min_size=2, max_size=2).map(lambda row: table_game([row]))
+    return oracle_games(n, schedule.T if isinstance(schedule, Sync) else None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 3), data=st.data())
+def test_histories_match_the_reference_builders(n, data):
+    schedule = data.draw(schedules(n))
+    if isinstance(schedule, Sync):
+        got = _histories(schedule.T, _sync_moves((1 << n) - 1))
+        assert got == _sync_histories(n, schedule.T)
+    else:
+        cells = schedule.partition.cells
+        assert _histories(len(cells), _async_moves(cells)) == _async_histories(cells)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 3), data=st.data())
+def test_spne_matches_the_recursion(n, data):
+    # equal outcome sets, and equal step totals, so every budget answers or
+    # refuses alike; an SPNE refusal's size is the whole cost
+    schedule = data.draw(schedules(n))
+    game = data.draw(differential_games(n, schedule))
+    spent = _Budget(10**9)
+    want = spne_reference(game, schedule, spent)
+    assert enumerate_equilibria(game, schedule, mode="spne", budget=spent.used) == want
+    with pytest.raises(ResourceLimitError) as exc:
+        enumerate_equilibria(game, schedule, mode="spne", budget=spent.used - 1)
+    assert exc.value.size == spent.used
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 3), data=st.data())
+def test_mspne_steps_match_the_reference_histories(n, data):
+    schedule = data.draw(schedules(n, max_T=3))
+    game = data.draw(differential_games(n, schedule))
+    stages, moves_of, _ = reference_stages(game, schedule)
+    spent = _Budget(10**9)
+    spent.spend_posets(len(hs) for hs in stages)
+    want = oracle._mspne_outcomes(game, stages, moves_of, spent)
+    assert enumerate_equilibria(game, schedule, budget=spent.used) == want
+    with pytest.raises(ResourceLimitError):
+        enumerate_equilibria(game, schedule, budget=spent.used - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 3), T=st.integers(1, 3), data=st.data())
+def test_verify_mspne_matches_the_all_pairs_check(n, T, data):
+    # monotone, irreversible profiles (stage t adds `extra` once a history
+    # holds `k` joins), then a few moves overwritten at random: any mask at
+    # the last stage, an upgrade elsewhere, so that every play-out stays on
+    # a history; on the all-ties table only monotonicity and irreversibility
+    # can fail
+    full = (1 << n) - 1
+    if data.draw(st.booleans()):
+        game = table_game([[0] * (full + 1)] * n)
+    else:
+        game = data.draw(differential_games(n, Sync(T)))
+    base = data.draw(st.lists(st.integers(0, full), min_size=T, max_size=T))
+    extra = data.draw(st.lists(st.integers(0, full), min_size=T, max_size=T))
+    k = data.draw(st.lists(st.integers(0, n * T), min_size=T, max_size=T))
+    moves = {}
+    for t, hs in enumerate(_sync_histories(n, T)):
+        for h in hs:
+            joins = sum(m.bit_count() for m in h)
+            moves[h] = (h[-1] if h else 0) | base[t] | (extra[t] if joins >= k[t] else 0)
+    for h in data.draw(st.lists(st.sampled_from(sorted(moves)), max_size=2)):
+        last = h[-1] if h and len(h) < T - 1 else 0
+        moves[h] = last | data.draw(st.integers(0, full))
+    profile = StrategyProfile(T=T, moves=moves, outcome=0)
+    ok, why = _verify_mspne(game, T, profile)
+    assert ok == verify_mspne_reference(game, T, profile)[0]
+    assert bool(why) != ok
+
+
 # -- invariants -------------------------------------------------------------------
 
 
@@ -280,7 +412,6 @@ def test_every_mspne_has_a_no_pledge_twin():
         found = set()
         from itertools import product
         from coordsolve.core import submasks
-        from coordsolve.oracle import StrategyProfile
 
         final_hists = stages[T - 1]
         per_hist = [

@@ -45,12 +45,7 @@ from coordsolve.graphical import SufficientGraph, _first_minimal_satisfying
 from coordsolve.errors import DEFAULT_BUDGET
 from coordsolve.ordered import OrderedFlags, _chain_reaches
 from coordsolve.sync import PolicyNode, SyncSolver
-from coordsolve.oracle import (
-    _Budget,
-    _async_histories,
-    _sorted_with_predecessors,
-    _sync_histories,
-)
+from coordsolve.oracle import _Budget, _leq_history, _sorted_with_predecessors
 
 
 def bit(X, i):
@@ -1161,6 +1156,134 @@ def cycle_rank(nodes, edge_set):
 
 
 # ---------------------------------------------------------------------------
+# the oracle's per-schedule history builders, its SPNE value-set recursion
+# and its all-pairs witness check (kept verbatim as the references for
+# `oracle._histories`, the back-to-front `oracle._spne` and the
+# predecessor-list `oracle._verify_mspne`)
+
+
+def _sync_histories(n, T):
+    """Histories per stage: stage t sees a nondecreasing chain of t-1 masks."""
+    full = (1 << n) - 1
+    stages = [[()]]
+    for _ in range(2, T + 1):
+        nxt = []
+        for h in stages[-1]:
+            last = h[-1] if h else 0
+            for sub in submasks(full & ~last):
+                nxt.append(h + (last | sub,))
+        stages.append(nxt)
+    return stages
+
+
+def _async_histories(cells):
+    stages = [[()]]
+    for t in range(1, len(cells)):
+        prev = stages[-1]
+        nxt = []
+        for h in prev:
+            for sub in submasks(cells[t - 1]):
+                nxt.append(h + (sub,))
+        stages.append(nxt)
+    return stages
+
+
+def _spne(game, T, movers, budget):
+    """SPNE outcomes of a T-stage game.  movers(t, state) is the set of players
+    who choose at stage t (0-based) given the committed profile `state`; the
+    stage moves to state | sub for any sub of it.  Each candidate stage
+    profile of each distinct subgame spends one budget step."""
+    pay = game._payoff
+    memo = {}
+
+    def vs(t, state):
+        key = (t, state)
+        got = memo.get(key)
+        if got is not None:
+            return got
+        if t == T:
+            got = frozenset((state,))
+            memo[key] = got
+            return got
+        res = set()
+        free = movers(t, state)
+        for sub in submasks(free):
+            budget.spend()
+            a = state | sub
+            succ = vs(t + 1, a)
+            if not succ:
+                continue
+            deterred = True
+            floors = {}
+            for i in bits(free):
+                alt = vs(t + 1, a ^ (1 << i))
+                if not alt:
+                    deterred = False
+                    break
+                floors[i] = min(pay(i, w) for w in alt)
+            if not deterred:
+                continue
+            for v in succ:
+                if all(pay(i, v) >= floors[i] for i in floors):
+                    res.add(v)
+        got = frozenset(res)
+        memo[key] = got
+        return got
+
+    root = vs(0, 0)
+    # A pure SPNE must induce one on every subgame, including those reached
+    # only by multi-player deviations; if any is empty, none exists at all.
+    states = {0}
+    for t in range(1, T):
+        states = {s | sub for s in states for sub in submasks(movers(t - 1, s))}
+        if not all(vs(t, s) for s in states):
+            return set()
+    return set(root)
+
+
+def spne_reference(game, schedule, budget):
+    """SPNE outcomes of a Sync or Async schedule through the recursion, with
+    the movers `enumerate_equilibria` used; spends `budget`, an `_Budget`."""
+    if isinstance(schedule, Sync):
+        full = game.all_players
+        return _spne(game, schedule.T, lambda t, state: full & ~state, budget)
+    p = schedule.partition
+    return _spne(game, p.horizon, lambda t, state: p.cells[t], budget)
+
+
+def verify_mspne_reference(game, T, profile):
+    """Monotonicity plus one-shot deviations at every history."""
+    pay = game._payoff
+    full = game.all_players
+    stages = _sync_histories(game.n, T)
+
+    def play_out(h):
+        while len(h) < T:
+            h = h + (profile.moves[h],)
+        return h[-1]
+
+    for t in range(T):
+        hs = stages[t]
+        for a_idx, ha in enumerate(hs):
+            ma = profile.moves[ha]
+            last = ha[-1] if ha else 0
+            if last & ~ma:
+                return False, f"irreversibility violated at {ha}"
+            for hb in hs[a_idx + 1 :]:
+                if _leq_history(ha, hb) and profile.moves[ha] & ~profile.moves[hb]:
+                    return False, f"monotonicity violated between {ha} and {hb}"
+                if _leq_history(hb, ha) and profile.moves[hb] & ~profile.moves[ha]:
+                    return False, f"monotonicity violated between {hb} and {ha}"
+            base = play_out(ha + (ma,))
+            for i in bits(full & ~last):
+                dev = ma ^ (1 << i)
+                alt = play_out(ha + (dev,))
+                if pay(i, alt) > pay(i, base):
+                    return False, f"player {i} deviates at {ha}"
+    return True, ""
+
+
+# ---------------------------------------------------------------------------
 # MSPNE oracle engine that runs every continuation anew (kept verbatim as the
 # reference for the memoised `oracle._mspne_outcomes`)
 
@@ -1237,9 +1360,10 @@ def _mspne_outcomes(game, stages, moves_of, value_terminal, budget):
     return outcomes
 
 
-def mspne_reference(game, schedule, budget=10**9):
-    """MSPNE outcomes of a Sync or Async schedule through the reference
-    engine, with the stage moves `oracle._mspne_sync`/`_mspne_async` use."""
+def reference_stages(game, schedule):
+    """(stages, moves_of, terminal) of a Sync or Async schedule: the
+    histories of the reference builders, with the stage moves and final
+    outcomes `oracle.enumerate_equilibria` uses."""
     full = game.all_players
     if isinstance(schedule, Sync):
         stages = _sync_histories(game.n, schedule.T)
@@ -1266,7 +1390,13 @@ def mspne_reference(game, schedule, budget=10**9):
                 out |= m
             return out
 
-    return _mspne_outcomes(game, stages, moves_of, terminal, _Budget(budget))
+    return stages, moves_of, terminal
+
+
+def mspne_reference(game, schedule, budget=10**9):
+    """MSPNE outcomes of a Sync or Async schedule through the reference
+    engine."""
+    return _mspne_outcomes(game, *reference_stages(game, schedule), _Budget(budget))
 
 
 # ---------------------------------------------------------------------------
