@@ -14,7 +14,7 @@ from itertools import combinations, product
 
 from .core import StageGame, bits, gains, mask_of, members, submasks
 from .digraph import Digraph, TreeDepth, reach
-from .errors import PreconditionError, charge
+from .errors import DEFAULT_BUDGET, PreconditionError, charge
 from .sync import SyncSolver
 
 
@@ -230,15 +230,15 @@ def reduce_to_weakest_link(game, solver=None):
     return SufficientGraph(Digraph(n, pruned), minimal=True)
 
 
-def horizon_via_graphs(game, targets, limit=10**6):
+def horizon_via_graphs(game, targets, budget=DEFAULT_BUDGET):
     """Minimum, over all minimal sufficient graphs (one minimal satisfying
     in-set per player), of the weakest-link horizon for `targets`.  A
-    verification tool: refuses products beyond `limit` combinations."""
+    verification tool: refuses products beyond `budget` combinations."""
     choices = [minimal_satisfying_sets(game, i) for i in range(game.n)]
     size = 1
     for c in choices:
         size *= len(c)
-    charge(size, limit, f"minimal-graph product has {size} combinations (limit {limit})")
+    charge(size, budget, f"minimal-graph product has {size} combinations (budget {budget})")
     best = None
     for ins in product(*choices):
         edges = [(j, i) for i, E in enumerate(ins) for j in bits(E)]

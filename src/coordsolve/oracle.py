@@ -3,14 +3,16 @@
 Outcome sets are computed from first principles, independent of the solver
 recursions: MSPNE enumeration walks every monotone, irreversibility-respecting
 strategy profile stage-by-stage from the back (joint stage maps assembled over
-the history poset, one-shot deviations rejected as soon as a stage map is
-fixed).  A stage's maps depend on the later stages only through the
-continuation, the final outcome each next-stage history leads to, so each
-stage is enumerated once per distinct continuation and its outcome set is
-memoised on it; raw payoffs are still read for every such enumeration.  SPNE
-outcome sets are the exact subgame value sets, solved stage by stage from the
-back, where a candidate stage profile is supportable iff each unilateral
-deviation can be punished by some equilibrium value of the deviation subgame.
+the history poset, kept as its cover relation, one-shot deviations rejected
+as soon as a stage map is fixed), having paid for everything each stage
+builds before building any history.  A stage's maps depend on the later
+stages only through the continuation, the final outcome each next-stage
+history leads to, so each stage is enumerated once per distinct continuation
+and its outcome set is memoised on it; raw payoffs are still read for every
+such enumeration.  SPNE outcome sets are the exact subgame value sets, solved
+stage by stage from the back, where a candidate stage profile is supportable
+iff each unilateral deviation can be punished by some equilibrium value of
+the deviation subgame.
 """
 
 from __future__ import annotations
@@ -75,20 +77,28 @@ def _histories(T, moves_of):
     return stages
 
 
-def _leq_history(h1, h2):
-    """Componentwise profile order on same-stage histories."""
-    return all(a & ~b == 0 for a, b in zip(h1, h2))
-
-
 def _sorted_with_predecessors(histories):
-    """Linear extension plus, per history, the indices of earlier histories
-    it dominates (for monotone-map pruning and the witness check)."""
+    """Linear extension plus, per history, the indices of the histories it
+    covers: the same history with one player removed from the move where
+    that player first plays 1 (at most n of them, each an earlier index).
+    The componentwise profile order is the transitive closure of these
+    covers, so a floor built along them is the floor of every history
+    below."""
     order = sorted(histories, key=lambda h: (sum(m.bit_count() for m in h), h))
-    preds = []
-    for idx, h in enumerate(order):
-        below = [j for j in range(idx) if _leq_history(order[j], h)]
-        preds.append(below)
-    return order, preds
+    pos = {h: idx for idx, h in enumerate(order)}
+    covers = []
+    for h in order:
+        below = []
+        seen = 0
+        for j, m in enumerate(h):
+            first = m & ~seen
+            seen |= m
+            while first:
+                low = first & -first
+                first ^= low
+                below.append(pos[h[:j] + (m ^ low,) + h[j + 1 :]])
+        covers.append(below)
+    return order, covers
 
 
 class _Budget:
@@ -101,24 +111,18 @@ class _Budget:
         if self.used > self.cap:
             charge(self.used, self.cap, f"oracle enumeration exceeded {self.cap} steps")
 
-    def spend_posets(self, sizes):
-        """Spend, stage by stage and before any history is built, each
-        stage's history count H and the H(H-1)/2 pairs that
-        _sorted_with_predecessors compares."""
-        for h in sizes:
-            self.spend(h * (h + 1) // 2)
-
 
 # ---------------------------------------------------------------------------
 # MSPNE: literal enumeration of monotone profiles, stage-layered
 
 
-def _monotone_selections(preds, options, budget):
+def _monotone_selections(covers, options, budget):
     """All monotone assignments history -> action profile, as tuples over the
     histories in linear-extension order.  options[idx] lists history idx's
-    admissible profiles and preds[idx] the earlier histories it dominates; a
-    profile is allowed iff it contains every profile chosen below it.  Each
-    node of the search spends one budget step per option it examines."""
+    admissible profiles and covers[idx] the earlier histories it covers; a
+    profile is allowed iff it contains every profile chosen at a cover (and
+    so, inductively, every profile chosen below it).  Each node of the
+    search spends one budget step per option it examines."""
     n = len(options)
     chosen = [0] * n
     pending = [None] * n
@@ -129,7 +133,7 @@ def _monotone_selections(preds, options, budget):
             opts = options[idx]
             spend(len(opts))
             floor = 0
-            for j in preds[idx]:
+            for j in covers[idx]:
                 floor |= chosen[j]
             pending[idx] = iter([a for a in opts if floor & ~a == 0])
         a = next(pending[idx], None)
@@ -158,14 +162,14 @@ def _mspne_outcomes(game, stages, moves_of, budget):
     pay = game._payoff
     T = len(stages)
 
-    # layers[t] = (preds, moves): moves[idx] lists (a, src, deviations) for
+    # layers[t] = (covers, moves): moves[idx] lists (a, src, deviations) for
     # history idx, where src and each deviation's index pick the outcome of
     # playing a (resp. a with one mover's bit flipped) out of the continuation.
     layers = [None] * T
     terminal = []  # the last stage's continuation, one outcome per move
     nxt_pos = None
     for t in reversed(range(T)):
-        order, preds = _sorted_with_predecessors(stages[t])
+        order, covers = _sorted_with_predecessors(stages[t])
         moves = []
         for h in order:
             legal = list(moves_of(t, h))
@@ -180,13 +184,13 @@ def _mspne_outcomes(game, stages, moves_of, budget):
                 [(a, src[a], [(i, src[a ^ (1 << i)]) for i in bits(movers)])
                  for a, movers in legal]
             )
-        layers[t] = (preds, moves)
+        layers[t] = (covers, moves)
         nxt_pos = {h: idx for idx, h in enumerate(order)}
 
     memo = {}
 
     def run(t, w):
-        preds, moves = layers[t]
+        covers, moves = layers[t]
         actions = []
         values = []
         for hist in moves:
@@ -206,7 +210,7 @@ def _mspne_outcomes(game, stages, moves_of, budget):
         # found no further selection can add one.
         ceiling = len(set().union(*(vals.values() for vals in values)))
         out = set()
-        for sel in _monotone_selections(preds, actions, budget):
+        for sel in _monotone_selections(covers, actions, budget):
             if t == 0:
                 out.add(values[0][sel[0]])
             else:
@@ -270,11 +274,17 @@ def enumerate_equilibria(game, schedule, mode="mspne", budget=DEFAULT_BUDGET):
     the back.  Returns the set of terminal coalition masks.
 
     `budget` (errors.DEFAULT_BUDGET, the CLI's default too) caps the steps
-    spent.  For "mspne", each stage's history poset is paid for before any
-    of it is built: its H histories and the H(H-1)/2 pairs ordered to find
-    each history's predecessors.  Then every option examined at a node of a
-    stage's monotone-selection search, at each distinct continuation, costs
-    one step.  For "spne", every candidate stage profile of every reachable
+    spent.  For "mspne", each stage's build is paid for, stage by stage,
+    before any history is built: one step per history slot (a stage-s
+    history holds s moves), per cover, per stage move and per one-shot
+    deviation of a move.  For Sync(T), stage s (0-based) costs
+    s (s+1)^n + n s (s+1)^(n-1) + (s+2)^n + 2n (s+2)^(n-1); for Async, a
+    stage with m earlier movers and a cell of k players costs
+    s 2^m + m 2^(m-1) + 2^(m+k) + k 2^(m+k).  The stages are charged
+    lazily, so a long horizon is refused at the first stage that exceeds
+    the budget.  Then every option examined at a node of a stage's
+    monotone-selection search, at each distinct continuation, costs one
+    step.  For "spne", every candidate stage profile of every reachable
     subgame costs one step, all paid before any is solved: 2^n + (T-1) 3^n
     for Sync(T), and the sum over stages t of 2^(|earlier cells| + |cell t|)
     for Async.  Exceeding the budget raises ResourceLimitError.
@@ -284,13 +294,19 @@ def enumerate_equilibria(game, schedule, mode="mspne", budget=DEFAULT_BUDGET):
         T = schedule.T
         if T < 1:
             raise ValueError("horizon must be positive")
+        n = game.n
         full = game.all_players
         moves_of = _sync_moves(full)
-        # stage t (from 1) has t^n histories: each player joined at one of
-        # the t - 1 earlier stages, or not yet
-        posets = (t**game.n for t in range(1, T + 1))
+        # stage s has (s+1)^n histories of s moves (each player joined at one
+        # of the s earlier stages, or not yet) with one cover per joined
+        # player, and (s+2)^n moves (histories one stage longer) with one
+        # deviation per player still at 0, who joins now or not
+        builds = (
+            s * (s + 1) ** (n - 1) * (s + 1 + n) + (s + 2) ** (n - 1) * (s + 2 + 2 * n)
+            for s in range(T)
+        )
         # stage 0 starts from the empty profile, every later stage from any
-        spne_cost = (1 << game.n) + (T - 1) * 3**game.n
+        spne_cost = (1 << n) + (T - 1) * 3**n
 
         def reach(t):
             return full if t else 0
@@ -300,16 +316,22 @@ def enumerate_equilibria(game, schedule, mode="mspne", budget=DEFAULT_BUDGET):
         p.validate_cover(game.n)
         T = p.horizon
         moves_of = _async_moves(p.cells)
-        # stage t has one history, and one state, per move of the earlier cells
+        # stage s has one history, and one state, per move of the m earlier
+        # movers, one cover per earlier mover who played 1, 2^k moves of its
+        # k-player cell per history, and k deviations per move
         earlier = list(accumulate(p.cells, or_, initial=0))
-        posets = [1 << e.bit_count() for e in earlier[:-1]]
+        sizes = [(e.bit_count(), c.bit_count()) for e, c in zip(earlier, p.cells)]
+        builds = (
+            s * 2**m + m * 2**m // 2 + (1 + k) * 2 ** (m + k) for s, (m, k) in enumerate(sizes)
+        )
         spne_cost = sum(1 << e.bit_count() for e in earlier[1:])
         reach = earlier.__getitem__
     else:
         raise ValueError("schedule must be Sync(T) or Async(partition)")
     steps = _Budget(budget)
     if mode == "mspne":
-        steps.spend_posets(posets)
+        for cost in builds:
+            steps.spend(cost)
         return _mspne_outcomes(game, _histories(T, moves_of), moves_of, steps)
     if mode == "spne":
         steps.spend(spne_cost)
@@ -339,8 +361,9 @@ class StrategyProfile:
 
 
 def _verify_mspne(game, T, profile):
-    """Irreversibility, monotonicity (against each history's predecessors in
-    the stage's poset) and one-shot deviations at every history."""
+    """Irreversibility, monotonicity (against the histories each history
+    covers, whose transitive closure is the stage's order) and one-shot
+    deviations at every history."""
     pay = game._payoff
     full = game.all_players
     moves = profile.moves
@@ -351,8 +374,8 @@ def _verify_mspne(game, T, profile):
         return h[-1]
 
     for hs in _histories(T, _sync_moves(full)):
-        order, preds = _sorted_with_predecessors(hs)
-        for ha, below in zip(order, preds):
+        order, covers = _sorted_with_predecessors(hs)
+        for ha, below in zip(order, covers):
             ma = moves[ha]
             last = ha[-1] if ha else 0
             if last & ~ma:

@@ -771,6 +771,36 @@ def test_huge_mspne_oracle_refused_before_its_histories(tmp_path, monkeypatch, f
     assert done.stderr == "resource error: oracle enumeration exceeded 10000000 steps\n"
 
 
+WL20_DOC = {"players": 20, "kind": "weakest_link", "edges": [[0, 1]]}
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_wide_mspne_oracle_refused_before_its_moves(tmp_path, monkeypatch, flags):
+    # stage 0 alone builds 2^20 moves with 20 deviations each: this used to
+    # die with a MemoryError traceback after 11 s
+    monkeypatch.delenv("COORDSOLVE_BUDGET", raising=False)
+    path = write_game(tmp_path, WL20_DOC)
+    done = run_capped(["oracle", "--game", path, "--t", "1"] + flags)
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert done.stderr == "resource error: oracle enumeration exceeded 10000000 steps\n"
+
+
+def test_wide_mspne_oracle_builds_no_history(tmp_path, capsys, monkeypatch):
+    from coordsolve import oracle
+
+    def unreached(T, moves_of):
+        raise AssertionError("histories built before the budget was spent")
+
+    monkeypatch.delenv("COORDSOLVE_BUDGET", raising=False)
+    monkeypatch.setattr(oracle, "_histories", unreached)
+    path = write_game(tmp_path, WL20_DOC)
+    assert main(["oracle", "--game", path, "--t", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "resource error: oracle enumeration exceeded 10000000 steps\n"
+
+
 @pytest.mark.parametrize(
     "doc, outcome",
     [(two_player_table_doc(), [1, 2]), ({"players": 1, "kind": "table", "payoffs": [[0, 1]]}, [1])],
@@ -928,7 +958,8 @@ def mutated_documents(draw):
 @settings(max_examples=150, deadline=None)
 @given(doc=mutated_documents())
 def test_mutated_documents_never_raise(tmp_path_factory, doc):
-    # ROADMAP item 1: malformed input exits 1 with a message, never a traceback
+    # malformed input exits 1 with a message naming the bad path, never a
+    # traceback
     path = write_game(tmp_path_factory.mktemp("fuzz"), doc)
     for argv in SUBCOMMANDS:
         err = io.StringIO()
@@ -936,4 +967,9 @@ def test_mutated_documents_never_raise(tmp_path_factory, doc):
             code = main(argv + ["--game", path, "--budget", "100000"])
         assert code in (0, 1, 2, 3), (argv, code)
         if code == 1:
-            assert err.getvalue().startswith("error: "), (argv, err.getvalue())
+            # a document error names its path from the root `$`, and one in
+            # the --partition argument names the partition
+            assert err.getvalue().startswith(("error: $", "error: partition")), (
+                argv,
+                err.getvalue(),
+            )

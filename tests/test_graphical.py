@@ -244,5 +244,5 @@ def test_via_graphs_two_triangles_full():
 def test_via_graphs_budget():
     game = aggregative_game((2,) * 6)
     with pytest.raises(ResourceLimitError) as info:
-        horizon_via_graphs(game, game.all_players, limit=10)
+        horizon_via_graphs(game, game.all_players, budget=10)
     assert info.value.size == 10**6  # C(5,2)^6

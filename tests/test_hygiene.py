@@ -233,6 +233,23 @@ def numeric_budget_names(source):
     return out
 
 
+BUDGET_PARAMS = ("budget", "limit")
+
+
+def numeric_budget_defaults(source):
+    """Parameters named `budget` or `limit` whose default is a number."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        pairs = list(zip(positional[len(positional) - len(args.defaults) :], args.defaults))
+        pairs += [(a, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        out += [a.arg for a, d in pairs if a.arg in BUDGET_PARAMS and is_number(d)]
+    return out
+
+
 def refusals(source):
     """Line numbers of every call constructing ResourceLimitError."""
     return [
@@ -256,6 +273,17 @@ def test_detector_finds_numeric_budget_names():
     assert numeric_budget_names(source) == ["DEFAULT_BUDGET", "CHECK_BUDGET"]
 
 
+def test_detector_finds_numeric_budget_defaults():
+    source = (
+        "def f(game, budget=DEFAULT_BUDGET, limit=10**6):\n"
+        "    def g(x, *, budget=5 * 10**6, size=3):\n"
+        "        return lambda limit=-1: limit\n"
+        "def h(budget, limit=None):\n"
+        "    pass\n"
+    )
+    assert numeric_budget_defaults(source) == ["limit", "budget", "limit"]
+
+
 def test_detector_finds_refusals():
     source = (
         "try:\n"
@@ -271,7 +299,9 @@ def test_detector_finds_refusals():
 )
 def test_one_budget_rule(path):
     """Every capped path refuses through errors.charge, under the default
-    errors.DEFAULT_BUDGET, and no module keeps a budget number of its own."""
+    errors.DEFAULT_BUDGET, and no module keeps a budget number of its own,
+    as a name or as a parameter's default."""
     source = path.read_text()
     assert refusals(source) == []
     assert numeric_budget_names(source) == []
+    assert numeric_budget_defaults(source) == []

@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,12 +32,15 @@ from coordsolve.sync import SyncSolver
 from util import (
     EXACT_PAYOFFS,
     _async_histories,
+    _sorted_with_predecessors as all_pairs_order,
     _sync_histories,
     cross_pairs_game,
     cycle_graph,
     free_rider_game,
     iesds_reference,
     mixed_two_player_game,
+    mspne_build_costs,
+    mspne_build_counts,
     mspne_reference,
     random_digraph,
     random_game,
@@ -139,16 +143,18 @@ CELLS = [0b011, 0b100, 0b1000]
 
 
 @pytest.mark.parametrize(
-    "n, schedule, stages",
+    "n, schedule, cost",
     [
-        (3, Sync(3), _sync_histories(3, 3)),
-        (4, Async(Partition(CELLS)), _async_histories(CELLS)),
+        # stage s: s (s+1)^3 slots, 3 s (s+1)^2 covers, (s+2)^3 moves and
+        # 6 (s+2)^2 deviations
+        (3, Sync(3), (0 + 0 + 8 + 24) + (8 + 12 + 27 + 54) + (54 + 54 + 64 + 96)),
+        # stage s with m earlier movers and a k-player cell: s 2^m slots,
+        # m 2^(m-1) covers, 2^(m+k) moves and k 2^(m+k) deviations
+        (4, Async(Partition(CELLS)), (0 + 0 + 4 + 8) + (4 + 4 + 8 + 8) + (16 + 12 + 16 + 16)),
     ],
     ids=["sync", "async"],
 )
-def test_mspne_poset_is_paid_for_before_it_is_built(monkeypatch, n, schedule, stages):
-    # each stage's H histories and H(H-1)/2 order pairs, in closed form
-    cost = sum(len(h) * (len(h) + 1) // 2 for h in stages)
+def test_mspne_poset_is_paid_for_before_it_is_built(monkeypatch, n, schedule, cost):
     game = random_game(random.Random(1), n)
 
     def reached(histories):
@@ -310,11 +316,62 @@ def test_mspne_steps_match_the_reference_histories(n, data):
     game = data.draw(differential_games(n, schedule))
     stages, moves_of, _ = reference_stages(game, schedule)
     spent = _Budget(10**9)
-    spent.spend_posets(len(hs) for hs in stages)
+    spent.spend(sum(mspne_build_costs(n, schedule)))
     want = oracle._mspne_outcomes(game, stages, moves_of, spent)
     assert enumerate_equilibria(game, schedule, budget=spent.used) == want
     with pytest.raises(ResourceLimitError):
         enumerate_equilibria(game, schedule, budget=spent.used - 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 4), data=st.data())
+def test_mspne_build_charge_counts_what_is_built(n, data):
+    # the closed forms against what _histories, the covers and moves_of
+    # build, and the charge a refusal reports before any search step
+    schedule = data.draw(schedules(n, max_T=4))
+    if isinstance(schedule, Sync):
+        T, moves_of = schedule.T, _sync_moves((1 << n) - 1)
+    else:
+        T, moves_of = schedule.partition.horizon, _async_moves(schedule.partition.cells)
+    costs = mspne_build_costs(n, schedule)
+    built = mspne_build_counts(_histories(T, moves_of), moves_of, oracle._sorted_with_predecessors)
+    assert built == costs
+    game = table_game([[0] * (1 << n)] * n)
+    with pytest.raises(ResourceLimitError) as exc:
+        enumerate_equilibria(game, schedule, budget=sum(costs) - 1)
+    assert exc.value.size == sum(costs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 4), data=st.data())
+def test_covers_match_the_all_pairs_order(n, data):
+    # the same linear order; the covers' transitive closure is the all-pairs
+    # predecessor sets; the MSPNE engine answers, or runs out of a small
+    # budget, alike and step for step (four players over three stages can
+    # take over 10^8 steps)
+    schedule = data.draw(schedules(n, max_T=3))
+    game = data.draw(differential_games(n, schedule))
+    stages, moves_of, _ = reference_stages(game, schedule)
+    for hs in stages:
+        order, covers = oracle._sorted_with_predecessors(hs)
+        want, preds = all_pairs_order(hs)
+        assert order == want
+        assert max(map(len, covers)) <= n
+        below = []  # covers index earlier histories, so one pass closes them
+        for c in covers:
+            below.append(set(c).union(*(below[j] for j in c)))
+        assert below == [set(p) for p in preds]
+
+    def run():
+        spent = _Budget(10**5)
+        try:
+            return oracle._mspne_outcomes(game, stages, moves_of, spent), spent.used
+        except ResourceLimitError:
+            return None, spent.used
+
+    got = run()
+    with mock.patch.object(oracle, "_sorted_with_predecessors", all_pairs_order):
+        assert run() == got
 
 
 @settings(max_examples=200, deadline=None)

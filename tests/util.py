@@ -45,7 +45,7 @@ from coordsolve.graphical import SufficientGraph, _first_minimal_satisfying
 from coordsolve.errors import DEFAULT_BUDGET
 from coordsolve.ordered import OrderedFlags, _chain_reaches
 from coordsolve.sync import PolicyNode, SyncSolver
-from coordsolve.oracle import _Budget, _leq_history, _sorted_with_predecessors
+from coordsolve.oracle import _Budget
 
 
 def bit(X, i):
@@ -1156,10 +1156,27 @@ def cycle_rank(nodes, edge_set):
 
 
 # ---------------------------------------------------------------------------
-# the oracle's per-schedule history builders, its SPNE value-set recursion
-# and its all-pairs witness check (kept verbatim as the references for
-# `oracle._histories`, the back-to-front `oracle._spne` and the
-# predecessor-list `oracle._verify_mspne`)
+# the oracle's all-pairs history order, its per-schedule history builders,
+# its SPNE value-set recursion and its all-pairs witness check (kept verbatim
+# as the references for the cover-relation `oracle._sorted_with_predecessors`,
+# `oracle._histories`, the back-to-front `oracle._spne` and the cover-list
+# `oracle._verify_mspne`)
+
+
+def _leq_history(h1, h2):
+    """Componentwise profile order on same-stage histories."""
+    return all(a & ~b == 0 for a, b in zip(h1, h2))
+
+
+def _sorted_with_predecessors(histories):
+    """Linear extension plus, per history, the indices of earlier histories
+    it dominates (for monotone-map pruning and the witness check)."""
+    order = sorted(histories, key=lambda h: (sum(m.bit_count() for m in h), h))
+    preds = []
+    for idx, h in enumerate(order):
+        below = [j for j in range(idx) if _leq_history(order[j], h)]
+        preds.append(below)
+    return order, preds
 
 
 def _sync_histories(n, T):
@@ -1391,6 +1408,38 @@ def reference_stages(game, schedule):
             return out
 
     return stages, moves_of, terminal
+
+
+def mspne_build_costs(n, schedule):
+    """Per stage, the closed-form count of what MSPNE builds before its
+    search: history slots (a stage-s history holds s moves), covers, stage
+    moves and one-shot deviations."""
+    if isinstance(schedule, Sync):
+        return [
+            s * (s + 1) ** n + n * s * (s + 1) ** (n - 1) + (s + 2) ** n + 2 * n * (s + 2) ** (n - 1)
+            for s in range(schedule.T)
+        ]
+    costs = []
+    m = 0
+    for s, cell in enumerate(schedule.partition.cells):
+        k = cell.bit_count()
+        costs.append(s * 2**m + m * 2**m // 2 + 2 ** (m + k) + k * 2 ** (m + k))
+        m += k
+    return costs
+
+
+def mspne_build_counts(stages, moves_of, covers_of):
+    """Per stage, the same four counts read off the built lists: the
+    histories' lengths, the covers covers_of(histories) lists, and the moves
+    and movers moves_of(t, h) yields."""
+    counts = []
+    for t, hs in enumerate(stages):
+        slots = sum(len(h) for h in hs)
+        covers = sum(len(c) for c in covers_of(hs)[1])
+        legal = [mv for h in hs for mv in moves_of(t, h)]
+        deviations = sum(movers.bit_count() for _, movers in legal)
+        counts.append(slots + covers + len(legal) + deviations)
+    return counts
 
 
 def mspne_reference(game, schedule, budget=10**9):
