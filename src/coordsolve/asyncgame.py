@@ -4,7 +4,8 @@ design via the weakest-link reduction and tree-depth."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .core import Partition, bits, compare_rows, gains, iesds_scan
 from .digraph import (
@@ -22,19 +23,30 @@ from .sync import SyncSolver
 class IesedsTable:
     """Backward-elimination record for one schedule.
 
-    stage_actions[t] maps each history of stage t to the least action vector
-    of cell t surviving iterated strict elimination in the induced auxiliary
-    game.  A history is keyed by the union of the earlier cells' action
-    masks (an int); the cells are disjoint, so the union fixes each earlier
-    cell's move, and the keys are exactly the submasks of cells[0] | ... |
-    cells[t-1].  on_path replays those choices from the empty history and
-    outcome is their union.  Keys and moves are in the game's own player
-    labels."""
+    on_path replays each stage's least surviving move from the empty
+    history, and outcome is their union, in the game's own player labels.
+    The record itself is kept in move order: label[M] is the relabelled
+    profile M (see ieseds) in the game's labels, and least[t][H] the least
+    action vector of cell t surviving iterated strict elimination in the
+    auxiliary game at relabelled history H, itself relabelled.
+
+    stage_actions, built from them on first read, gives the same record as
+    one dict per stage, in the game's labels: stage_actions[t] maps each
+    history of stage t, keyed by the union of the earlier cells' action
+    masks (the cells are disjoint, so the union fixes each earlier cell's
+    move, and the keys are exactly the submasks of cells[0] | ... |
+    cells[t-1]), to the cell's least surviving move."""
 
     partition: Partition
-    stage_actions: list
     on_path: tuple
     outcome: int
+    least: list = field(repr=False)
+    label: list = field(repr=False)
+
+    @cached_property
+    def stage_actions(self):
+        label = self.label
+        return [dict(zip(label, map(label.__getitem__, least))) for least in self.least]
 
 
 def _history_cost(cells):
@@ -75,7 +87,9 @@ def ieseds(game, p, budget=DEFAULT_BUDGET):
     is iesds_scan(gainers, losers, cell, H).  The history's own final
     outcome is nxt[H | least].  A history's answer depends only on the
     stages after it, so the sweep gives every history the answer a lazy
-    recursion from the empty history would reach it with.
+    recursion from the empty history would reach it with.  The table keeps
+    each stage's least survivors as that list over its relabelled histories;
+    its stage_actions dicts are built only if read.
 
     The budget is charged up front with the exact number of payoff reads
     (_history_cost); a schedule over it raises ResourceLimitError before any
@@ -92,7 +106,7 @@ def ieseds(game, p, budget=DEFAULT_BUDGET):
         for i in bits(c):
             label += [m | 1 << i for m in label]
     row = game.payoff_row
-    tables = [None] * len(cells)
+    stages = [None] * len(cells)
     nxt = label  # after the last stage, a profile is its own outcome
     width = game.n  # |prefix| + |cell| of the stage being solved
     for t in range(len(cells) - 1, -1, -1):
@@ -110,17 +124,17 @@ def ieseds(game, p, budget=DEFAULT_BUDGET):
             rows = ((width + r, row(i, nxt)) for r, i in enumerate(bits(cells[t])))
             gainers, losers = compare_rows(rows, (1 << (width + k)) - 1)
             least = [iesds_scan(gainers, losers, cell, H)[0] for H in range(half)]
-        tables[t] = dict(zip(label, map(label.__getitem__, least)))
+        stages[t] = least
         nxt = [nxt[H | a] for H, a in enumerate(least)]
 
     on_path = []
     h = 0
-    for stage in tables:
-        a = stage[h]
-        on_path.append(a)
+    for least in stages:
+        a = least[h]
+        on_path.append(label[a])
         h |= a
     return IesedsTable(
-        partition=p, stage_actions=tables, on_path=tuple(on_path), outcome=nxt[0]
+        partition=p, on_path=tuple(on_path), outcome=nxt[0], least=stages, label=label
     )
 
 

@@ -408,18 +408,22 @@ def compare_rows(rows, within):
     return gainers, losers
 
 
+def int_row(row):
+    """A row of exact payoffs as ints in the same order: each entry times
+    the least common denominator of the row's entries (a row of ints is
+    returned as it is).  Any two entries compare exactly as before, and int
+    comparisons are much cheaper than Fraction ones."""
+    if type(row[0]) is int and set(map(type, row)) == {int}:
+        return row
+    ratios = [v.as_integer_ratio() for v in row]
+    lcd = math.lcm(*{q for _, q in ratios})
+    return [p * (lcd // q) for p, q in ratios]
+
+
 def _rows_table(rows):
-    """Incentive table of a table game, compared on int rows: each row is
-    scaled by the least common denominator of its entries, which keeps every
-    comparison exact."""
-
-    def scaled(row):
-        ratios = [v.as_integer_ratio() for v in row]
-        lcd = math.lcm(*{q for _, q in ratios})
-        return [p * (lcd // q) for p, q in ratios]
-
+    """Incentive table of a table game, compared on int rows (int_row)."""
     full = (1 << len(rows)) - 1
-    return compare_rows(((i, scaled(row)) for i, row in enumerate(rows)), full)
+    return compare_rows(((i, int_row(row)) for i, row in enumerate(rows)), full)
 
 
 def _aggregative_table(c):

@@ -233,12 +233,20 @@ def reduce_to_weakest_link(game, solver=None):
 def horizon_via_graphs(game, targets, budget=DEFAULT_BUDGET):
     """Minimum, over all minimal sufficient graphs (one minimal satisfying
     in-set per player), of the weakest-link horizon for `targets`.  A
-    verification tool: refuses products beyond `budget` combinations."""
+    verification tool: each combination is a tree-depth solve over up to
+    2^n vertex sets, so it charges 2^n per combination and refuses products
+    beyond `budget` / 2^n combinations."""
     choices = [minimal_satisfying_sets(game, i) for i in range(game.n)]
     size = 1
     for c in choices:
         size *= len(c)
-    charge(size, budget, f"minimal-graph product has {size} combinations (budget {budget})")
+    cost = size << game.n
+    charge(
+        cost,
+        budget,
+        f"minimal-graph product has {size} combinations, {cost} steps at 2^{game.n} each"
+        f" (budget {budget})",
+    )
     best = None
     for ins in product(*choices):
         edges = [(j, i) for i, E in enumerate(ins) for j in bits(E)]

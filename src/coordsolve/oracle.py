@@ -8,11 +8,15 @@ as soon as a stage map is fixed), having paid for everything each stage
 builds before building any history.  A stage's maps depend on the later
 stages only through the continuation, the final outcome each next-stage
 history leads to, so each stage is enumerated once per distinct continuation
-and its outcome set is memoised on it; raw payoffs are still read for every
-such enumeration.  SPNE outcome sets are the exact subgame value sets, solved
-stage by stage from the back, where a candidate stage profile is supportable
-iff each unilateral deviation can be punished by some equilibrium value of
-the deviation subgame.
+and its outcome set is memoised on it, on an explicit stack rather than one
+Python frame per stage.  Within a stage, a profile is not tried where a
+profile inside it with the same outcome is allowed: it could only repeat a
+continuation.  Each MSPNE call reads every player's raw payoff once per
+profile and compares them as exact ints (core.int_row).  Nothing here reads
+the incentive table or a family's payoff rows.  SPNE outcome sets are the exact subgame
+value sets, solved stage by stage from the back, where a candidate stage
+profile is supportable iff each unilateral deviation can be punished by some
+equilibrium value of the deviation subgame.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from itertools import accumulate
 from operator import or_
 from typing import NamedTuple
 
-from .core import Context, Partition, bits, members, submasks
+from .core import Context, Partition, bits, int_row, members, submasks
 from .errors import DEFAULT_BUDGET, PreconditionError, charge
 from .sync import SyncSolver
 
@@ -116,36 +120,107 @@ class _Budget:
 # MSPNE: literal enumeration of monotone profiles, stage-layered
 
 
-def _monotone_selections(covers, options, budget):
-    """All monotone assignments history -> action profile, as tuples over the
-    histories in linear-extension order.  options[idx] lists history idx's
-    admissible profiles and covers[idx] the earlier histories it covers; a
-    profile is allowed iff it contains every profile chosen at a cover (and
-    so, inductively, every profile chosen below it).  Each node of the
-    search spends one budget step per option it examines."""
+def _monotone_selections(covers, options, values, budget):
+    """The continuations of every monotone assignment history -> action
+    profile, over the histories in linear-extension order.  options[idx]
+    lists history idx's admissible profiles in ascending order, values[idx]
+    maps each to its final outcome, and covers[idx] lists the earlier
+    histories it covers; a profile is allowed iff it contains every profile
+    chosen at a cover (the floor), and so, inductively, every profile chosen
+    below it.
+
+    Yields one list, updated in place, of the outcomes chosen per history.
+    Two kinds of option are skipped, without changing the set of lists
+    yielded.  An allowed profile a with an allowed twin, a profile strictly
+    inside a with the same outcome: every completion after a is a completion
+    after the twin, since later floors only shrink, and yields the same list.
+    And at the last history, which nothing covers, a second option with an
+    outcome already tried.  In ascending order the first allowed option has
+    no allowed twin, so a history's twins are looked up only when the search
+    comes back to it and finds a second allowed option.  Each node of the
+    search spends one budget step per option it examines, skipped ones
+    included."""
     n = len(options)
+    last = n - 1
     chosen = [0] * n
+    picked = [0] * n
+    floors = [0] * n
     pending = [None] * n
+    twins = [None] * n
     spend = budget.spend
     idx = 0
     while idx >= 0:
-        if pending[idx] is None:
+        it = pending[idx]
+        if it is None:
             opts = options[idx]
             spend(len(opts))
             floor = 0
             for j in covers[idx]:
                 floor |= chosen[j]
-            pending[idx] = iter([a for a in opts if floor & ~a == 0])
-        a = next(pending[idx], None)
+            if idx == last:
+                vals = values[idx]
+                for v in {vals[a] for a in opts if floor & ~a == 0}:
+                    picked[idx] = v
+                    yield picked
+                idx -= 1
+                continue
+            floors[idx] = floor
+            it = pending[idx] = iter([a for a in opts if floor & ~a == 0])
+            a = next(it, None)
+        else:
+            for a in it:
+                tw = twins[idx]
+                if tw is None:
+                    tw = twins[idx] = _twins(options[idx], values[idx])
+                below = tw.get(a)
+                if below is None or all(floors[idx] & ~b for b in below):
+                    break
+            else:
+                a = None
         if a is None:
             pending[idx] = None
             idx -= 1
-        elif idx == n - 1:
-            chosen[idx] = a
-            yield tuple(chosen)
         else:
             chosen[idx] = a
+            picked[idx] = values[idx][a]
             idx += 1
+
+
+def _twins(options, values):
+    """For each option with any, the options strictly inside it with the
+    same outcome (options ascending, so an option's subsets come first)."""
+    twins = {}
+    same = {}
+    for a in options:
+        seen = same.setdefault(values[a], [])
+        below = [b for b in seen if b & ~a == 0]
+        if below:
+            twins[a] = below
+        seen.append(a)
+    return twins
+
+
+def _stage_options(moves, w):
+    """Per history, the admissible stage profiles under continuation w (no
+    mover gains by flipping its own bit) and their final outcomes; None if
+    some history has none."""
+    options, values = [], []
+    for hist in moves:
+        acts = []
+        vals = {}
+        for a, src, devs in hist:
+            v = w[src]
+            for u, d in devs:
+                if u[v] < u[w[d]]:
+                    break
+            else:
+                acts.append(a)
+                vals[a] = v
+        if not acts:
+            return None
+        options.append(acts)
+        values.append(vals)
+    return options, values
 
 
 def _mspne_outcomes(game, stages, moves_of, budget):
@@ -158,21 +233,28 @@ def _mspne_outcomes(game, stages, moves_of, budget):
     outcomes, one per stage-(t+1) history in linear-extension order (per
     last-stage move for t = T-1); the outcome set of stage t under a
     continuation is solved once per call and memoised on (t, continuation).
+    The continuations are walked depth first on an explicit stack, one frame
+    per stage being searched.  Each player's payoffs are read once, at
+    every profile, and compared as ints (int_row).
     """
     pay = game._payoff
+    rows = [int_row([pay(i, M) for M in range(1 << game.n)]) for i in range(game.n)]
     T = len(stages)
 
     # layers[t] = (covers, moves): moves[idx] lists (a, src, deviations) for
-    # history idx, where src and each deviation's index pick the outcome of
-    # playing a (resp. a with one mover's bit flipped) out of the continuation.
+    # history idx, where src picks the outcome of playing a out of the
+    # continuation, and each deviation (u, d) a mover's int payoff row and
+    # the index of the outcome of playing a with that mover's bit flipped.
     layers = [None] * T
     terminal = []  # the last stage's continuation, one outcome per move
     nxt_pos = None
+    flips = {}  # movers -> (int payoff row, bit) per mover
     for t in reversed(range(T)):
         order, covers = _sorted_with_predecessors(stages[t])
         moves = []
         for h in order:
             legal = list(moves_of(t, h))
+            legal.reverse()  # ascending, as _monotone_selections takes them
             if t == T - 1:
                 src = {}
                 for a, _ in legal:
@@ -180,50 +262,57 @@ def _mspne_outcomes(game, stages, moves_of, budget):
                     terminal.append(reduce(or_, h, a))
             else:
                 src = {a: nxt_pos[h + (a,)] for a, _ in legal}
-            moves.append(
-                [(a, src[a], [(i, src[a ^ (1 << i)]) for i in bits(movers)])
-                 for a, movers in legal]
-            )
+            hist = []
+            for a, movers in legal:
+                pairs = flips.get(movers)
+                if pairs is None:
+                    pairs = flips[movers] = [(rows[i], 1 << i) for i in bits(movers)]
+                hist.append((a, src[a], [(u, src[a ^ b]) for u, b in pairs]))
+            moves.append(hist)
         layers[t] = (covers, moves)
         nxt_pos = {h: idx for idx, h in enumerate(order)}
 
     memo = {}
 
-    def run(t, w):
+    def open_frame(t, w):
+        """Stage t's search under continuation w, as a stack frame: (t, w,
+        selections, outcomes found, ceiling)."""
         covers, moves = layers[t]
-        actions = []
-        values = []
-        for hist in moves:
-            acts = []
-            vals = {}
-            for a, src, devs in hist:
-                v = w[src]
-                if all(pay(i, v) >= pay(i, w[d]) for i, d in devs):
-                    acts.append(a)
-                    vals[a] = v
-            if not acts:
-                return frozenset()  # no admissible stage map here
-            actions.append(acts)
-            values.append(vals)
+        found = _stage_options(moves, w)
+        if found is None:
+            return t, w, (), set(), 0  # no admissible stage map here
+        options, values = found
+        if t == 0:  # one history, the empty one: each option is an outcome
+            budget.spend(len(options[0]))
+            out = set(values[0].values())
+            return t, w, (), out, len(out)
         # Every outcome is one of the stage's admissible values (a stage-t
         # outcome set lies within its continuation), so once all of them are
         # found no further selection can add one.
         ceiling = len(set().union(*(vals.values() for vals in values)))
-        out = set()
-        for sel in _monotone_selections(covers, actions, budget):
-            if t == 0:
-                out.add(values[0][sel[0]])
-            else:
-                key = (t - 1, tuple([vals[a] for vals, a in zip(values, sel)]))
+        return t, w, _monotone_selections(covers, options, values, budget), set(), ceiling
+
+    stack = [open_frame(T - 1, tuple(terminal))]
+    while True:
+        frame = stack[-1]
+        t, w, sels, out, ceiling = frame
+        if len(out) < ceiling:
+            for picked in sels:
+                key = (t - 1, tuple(picked))
                 got = memo.get(key)
                 if got is None:
-                    got = memo[key] = run(t - 1, key[1])
+                    stack.append(open_frame(*key))
+                    break
                 out |= got
-            if len(out) == ceiling:
-                break
-        return frozenset(out)
-
-    return set(run(T - 1, tuple(terminal)))
+                if len(out) == ceiling:
+                    break
+            if stack[-1] is not frame:
+                continue
+        stack.pop()
+        got = memo[t, w] = frozenset(out)
+        if not stack:
+            return set(got)
+        stack[-1][3].update(got)
 
 
 # ---------------------------------------------------------------------------
@@ -269,9 +358,11 @@ def enumerate_equilibria(game, schedule, mode="mspne", budget=DEFAULT_BUDGET):
     every history, on-path or not), stage by stage from the back; the profiles
     of a stage are enumerated once per distinct continuation (the final
     outcome each history of the next stage leads to), not once per later
-    profile that yields it.  mode "spne" drops the monotonicity restriction
-    and solves the value set of every reachable subgame, stage by stage from
-    the back.  Returns the set of terminal coalition masks.
+    profile that yields it, and a stage profile is not tried where one
+    inside it with the same outcome is allowed.  mode "spne" drops the
+    monotonicity restriction and solves the value set of every reachable
+    subgame, stage by stage from the back.  Returns the set of terminal
+    coalition masks.
 
     `budget` (errors.DEFAULT_BUDGET, the CLI's default too) caps the steps
     spent.  For "mspne", each stage's build is paid for, stage by stage,
@@ -284,10 +375,16 @@ def enumerate_equilibria(game, schedule, mode="mspne", budget=DEFAULT_BUDGET):
     lazily, so a long horizon is refused at the first stage that exceeds
     the budget.  Then every option examined at a node of a stage's
     monotone-selection search, at each distinct continuation, costs one
-    step.  For "spne", every candidate stage profile of every reachable
-    subgame costs one step, all paid before any is solved: 2^n + (T-1) 3^n
-    for Sync(T), and the sum over stages t of 2^(|earlier cells| + |cell t|)
-    for Async.  Exceeding the budget raises ResourceLimitError.
+    step.  An option skipped there (one that only repeats a continuation)
+    still costs its step at the node that examines it; the skip saves the
+    nodes below it, so fewer nodes mean fewer steps.  For "spne", every
+    candidate stage profile of every reachable subgame costs one step, all
+    paid before any is solved: 2^n + (T-1) 3^n for Sync(T), and the sum over
+    stages t of 2^(|earlier cells| + |cell t|) for Async.  Exceeding the
+    budget raises ResourceLimitError.  "mspne" reads each player's payoff
+    once per profile, n 2^n reads that are not charged apart: Sync's stage 0
+    alone charges (n+1) 2^n, and an Async schedule's last stage 2^n moves
+    and k 2^n deviations.
     """
     mode = mode.lower()
     if isinstance(schedule, Sync):

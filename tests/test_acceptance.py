@@ -299,7 +299,7 @@ def test_criterion_12_graphical_equivalence():
                     1 << i
                 )
             try:
-                via = horizon_via_graphs(game, game.all_players, budget=20000)
+                via = horizon_via_graphs(game, game.all_players, budget=20000 * 2**5)
             except ResourceLimitError:
                 continue
             assert via == solver.min_horizon(game.all_players)

@@ -21,7 +21,7 @@ from coordsolve import (
     table_game,
     weakest_link_game,
 )
-from coordsolve import oracle
+from coordsolve import asyncgame, oracle
 from coordsolve.asyncgame import _history_cost
 from coordsolve.core import submasks
 from coordsolve.sync import SyncSolver
@@ -31,6 +31,7 @@ from util import (
     cross_pairs_game,
     family_games,
     ieseds_reference,
+    ieseds_record,
     ieseds_sweep_reference,
     random_digraph,
     random_game,
@@ -222,7 +223,7 @@ def test_sweep_matches_lazy_recursion_reference(case):
     the recursion reached."""
     game, p = case
     got = ieseds(game, p)
-    assert got == ieseds_sweep_reference(game, p)
+    assert ieseds_record(got) == ieseds_sweep_reference(game, p)
     want = ieseds_reference(game, p)
     assert got.outcome == want.outcome
     assert got.on_path == want.on_path
@@ -243,9 +244,27 @@ def test_family_rows_give_the_payoff_read_sweep(case):
     outcome equal the lazy recursion's."""
     game, p = case
     got = ieseds(game, p)
-    assert got == ieseds_sweep_reference(game, p)
+    assert ieseds_record(got) == ieseds_sweep_reference(game, p)
     want = ieseds_reference(game, p)
     assert (got.on_path, got.outcome) == (want.on_path, want.outcome)
+
+
+@settings(max_examples=100, deadline=None)
+@given(games_with_schedules())
+def test_stage_actions_are_built_only_when_read(case):
+    """ieseds keeps each stage as a list in move order and builds no dict;
+    stage_actions, built on first read, is the sweep's per-stage dicts."""
+    game, p = case
+    with pytest.MonkeyPatch.context() as m:
+
+        def no_dict(*args, **kwargs):
+            raise AssertionError("ieseds built a dict")
+
+        m.setattr(asyncgame, "dict", no_dict, raising=False)
+        got = ieseds(game, p)
+    assert "stage_actions" not in vars(got)
+    assert got.stage_actions == ieseds_sweep_reference(game, p).stage_actions
+    assert "stage_actions" in vars(got)
 
 
 def test_partition_must_cover():

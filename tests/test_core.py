@@ -25,9 +25,11 @@ from coordsolve import (
 )
 from coordsolve.core import (
     _ctx_pay,
+    _rows_table,
     bits,
     fixed_point_scan,
     iesds_scan,
+    int_row,
     is_monotone,
     iterated_strict_elimination,
     sss_scan,
@@ -50,6 +52,7 @@ from util import (
     ne_set_reference,
     random_game,
     random_rooted_digraph,
+    rows_table_reference,
     sss_set_reference,
     star_graph,
     tables_with_contexts,
@@ -455,6 +458,38 @@ def test_incentive_table_matches_payoffs_cell_by_cell(game):
 def test_family_builders_match_the_payoff_comparison_reference(game):
     assert game._build_table is not None
     assert incentive_table(game) == incentive_table_reference(game)
+
+
+# Exact payoffs with ties, large ints and arbitrary denominators; rows of
+# ints only are drawn too, where int_row takes its shortcut.
+WIDE_PAYOFFS = st.integers(-(10**12), 10**12) | st.fractions() | EXACT_PAYOFFS
+INT_PAYOFFS = st.integers(-3, 3) | st.integers(-(10**12), 10**12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(WIDE_PAYOFFS, min_size=1, max_size=16)
+    | st.lists(INT_PAYOFFS, min_size=1, max_size=16)
+)
+def test_int_row_orders_every_pair_as_the_exact_row(row):
+    got = int_row(row)
+    assert len(got) == len(row)
+    assert all(type(v) is int for v in got)
+    for x, y in zip(row, got):
+        for x2, y2 in zip(row, got):
+            assert (y < y2) == (x < x2)
+            assert (y == y2) == (x == x2)
+
+
+def payoff_rows(n):
+    size = 1 << n
+    return st.lists(st.lists(WIDE_PAYOFFS, min_size=size, max_size=size), min_size=n, max_size=n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4).flatmap(payoff_rows))
+def test_rows_table_matches_the_nested_scaling(rows):
+    assert _rows_table(rows) == rows_table_reference(rows)
 
 
 # A 3-player payoff that belongs to no family (everyone's action 1 is

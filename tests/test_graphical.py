@@ -245,4 +245,4 @@ def test_via_graphs_budget():
     game = aggregative_game((2,) * 6)
     with pytest.raises(ResourceLimitError) as info:
         horizon_via_graphs(game, game.all_players, budget=10)
-    assert info.value.size == 10**6  # C(5,2)^6
+    assert info.value.size == 10**6 * 2**6  # C(5,2)^6 combinations, 2^6 each

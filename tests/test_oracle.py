@@ -1,4 +1,5 @@
 import random
+import sys
 from unittest import mock
 
 import pytest
@@ -24,6 +25,7 @@ from coordsolve.oracle import (
     _Budget,
     _async_moves,
     _histories,
+    _monotone_selections,
     _sync_moves,
     _verify_mspne,
 )
@@ -34,6 +36,7 @@ from util import (
     _async_histories,
     _sorted_with_predecessors as all_pairs_order,
     _sync_histories,
+    _unpruned_selections,
     cross_pairs_game,
     cycle_graph,
     free_rider_game,
@@ -49,6 +52,7 @@ from util import (
     spillover_pair_games,
     spne_reference,
     two_triangles_game,
+    unpruned_mspne_outcomes,
     verify_mspne_reference,
 )
 
@@ -372,6 +376,83 @@ def test_covers_match_the_all_pairs_order(n, data):
     got = run()
     with mock.patch.object(oracle, "_sorted_with_predecessors", all_pairs_order):
         assert run() == got
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 4), data=st.data())
+def test_pruned_mspne_matches_the_unpruned_engine(n, data):
+    # the same outcome sets as the engine before same-outcome pruning, int
+    # payoffs and the explicit stack (memoised, recursive, on Fraction
+    # payoffs), wherever both finish within 10^5 search steps
+    schedule = data.draw(schedules(n, max_T=3))
+    game = data.draw(differential_games(n, schedule))
+    if isinstance(schedule, Sync):
+        T, moves_of = schedule.T, _sync_moves(game.all_players)
+    else:
+        T, moves_of = schedule.partition.horizon, _async_moves(schedule.partition.cells)
+    stages = _histories(T, moves_of)
+
+    def run(engine):
+        try:
+            return engine(game, stages, moves_of, _Budget(10**5))
+        except ResourceLimitError:
+            return None
+
+    want = run(unpruned_mspne_outcomes)
+    got = run(oracle._mspne_outcomes)
+    if want is not None and got is not None:
+        assert got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 3), data=st.data())
+def test_selections_yield_the_unpruned_continuations(n, data):
+    # on a stage's own covers, with drawn admissible options and outcomes
+    # (few, so that they tie), the pruned search yields exactly the
+    # continuations the unpruned one yields, wherever that fits 10^5 steps
+    schedule = data.draw(schedules(n, max_T=3))
+    if isinstance(schedule, Sync):
+        T, moves_of = schedule.T, _sync_moves((1 << n) - 1)
+    else:
+        T, moves_of = schedule.partition.horizon, _async_moves(schedule.partition.cells)
+    t = data.draw(st.integers(0, T - 1))
+    order, covers = oracle._sorted_with_predecessors(_histories(T, moves_of)[t])
+    options, values = [], []
+    for h in order:
+        legal = sorted(a for a, _ in moves_of(t, h))
+        opts = sorted(data.draw(st.sets(st.sampled_from(legal), min_size=1)))
+        options.append(opts)
+        values.append({a: data.draw(st.integers(0, 2)) for a in opts})
+    try:
+        want = {
+            tuple(vals[a] for vals, a in zip(values, sel))
+            for sel in _unpruned_selections(covers, options, _Budget(10**5))
+        }
+    except ResourceLimitError:
+        return
+    got = _monotone_selections(covers, options, values, _Budget(10**5))
+    assert set(map(tuple, got)) == want
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+@pytest.mark.parametrize("row, want", [([0, 1], {1}), ([1, 0], {0}), ([0, 0], {0, 1})])
+def test_long_horizon_mspne_takes_no_frame_per_stage(row, want):
+    # 60 stages with only 40 Python frames to spare: the walk over the
+    # continuations keeps its own stack
+    game = table_game([row])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 40)
+    try:
+        got = enumerate_equilibria(game, Sync(60))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == want
 
 
 @settings(max_examples=200, deadline=None)

@@ -2,9 +2,13 @@
 provably satisfy the stage assumptions, and independent reference
 implementations used to cross-check the solvers."""
 
+import math
 import random
 import sys
 from fractions import Fraction
+from functools import reduce
+from operator import or_
+from typing import NamedTuple
 
 from hypothesis import strategies as st
 
@@ -38,13 +42,14 @@ from coordsolve.core import (
     sorted_coalitions,
     submasks,
 )
-from coordsolve.asyncgame import IesedsTable, _history_cost
+from coordsolve.asyncgame import _history_cost
 from coordsolve.cli import ParseError, _rational
 from coordsolve.digraph import _check_mask, _components
 from coordsolve.graphical import SufficientGraph, _first_minimal_satisfying
 from coordsolve.errors import DEFAULT_BUDGET
 from coordsolve.ordered import OrderedFlags, _chain_reaches
 from coordsolve.sync import PolicyNode, SyncSolver
+from coordsolve import oracle as oracle_module
 from coordsolve.oracle import _Budget
 
 
@@ -1449,9 +1454,158 @@ def mspne_reference(game, schedule, budget=10**9):
 
 
 # ---------------------------------------------------------------------------
+# MSPNE engine memoised per continuation, with no pruning, recursing over the
+# stages and comparing the raw Fraction payoffs (kept verbatim, but for its
+# names, as the reference for the pruned, int-payoff, explicit-stack
+# `oracle._mspne_outcomes`), and the table builder's row scaling as it was
+# written inside `core._rows_table` before `core.int_row`
+
+_cover_order = oracle_module._sorted_with_predecessors
+
+
+def _unpruned_selections(covers, options, budget):
+    """All monotone assignments history -> action profile, as tuples over the
+    histories in linear-extension order.  options[idx] lists history idx's
+    admissible profiles and covers[idx] the earlier histories it covers; a
+    profile is allowed iff it contains every profile chosen at a cover (and
+    so, inductively, every profile chosen below it).  Each node of the
+    search spends one budget step per option it examines."""
+    n = len(options)
+    chosen = [0] * n
+    pending = [None] * n
+    spend = budget.spend
+    idx = 0
+    while idx >= 0:
+        if pending[idx] is None:
+            opts = options[idx]
+            spend(len(opts))
+            floor = 0
+            for j in covers[idx]:
+                floor |= chosen[j]
+            pending[idx] = iter([a for a in opts if floor & ~a == 0])
+        a = next(pending[idx], None)
+        if a is None:
+            pending[idx] = None
+            idx -= 1
+        elif idx == n - 1:
+            chosen[idx] = a
+            yield tuple(chosen)
+        else:
+            chosen[idx] = a
+            idx += 1
+
+
+def unpruned_mspne_outcomes(game, stages, moves_of, budget):
+    """Common MSPNE engine over precomputed history stages.
+
+    moves_of(t, h) yields legal stage-t action profiles at history h, with the
+    players who move there; choosing a at the last stage ends the game at
+    a | h[0] | h[1] | ..., every player who has played 1 (a itself under
+    Sync, whose profiles only grow).  A continuation is the tuple of final
+    outcomes, one per stage-(t+1) history in linear-extension order (per
+    last-stage move for t = T-1); the outcome set of stage t under a
+    continuation is solved once per call and memoised on (t, continuation).
+    """
+    pay = game._payoff
+    T = len(stages)
+
+    # layers[t] = (covers, moves): moves[idx] lists (a, src, deviations) for
+    # history idx, where src and each deviation's index pick the outcome of
+    # playing a (resp. a with one mover's bit flipped) out of the continuation.
+    layers = [None] * T
+    terminal = []  # the last stage's continuation, one outcome per move
+    nxt_pos = None
+    for t in reversed(range(T)):
+        order, covers = _cover_order(stages[t])
+        moves = []
+        for h in order:
+            legal = list(moves_of(t, h))
+            if t == T - 1:
+                src = {}
+                for a, _ in legal:
+                    src[a] = len(terminal)
+                    terminal.append(reduce(or_, h, a))
+            else:
+                src = {a: nxt_pos[h + (a,)] for a, _ in legal}
+            moves.append(
+                [(a, src[a], [(i, src[a ^ (1 << i)]) for i in bits(movers)])
+                 for a, movers in legal]
+            )
+        layers[t] = (covers, moves)
+        nxt_pos = {h: idx for idx, h in enumerate(order)}
+
+    memo = {}
+
+    def run(t, w):
+        covers, moves = layers[t]
+        actions = []
+        values = []
+        for hist in moves:
+            acts = []
+            vals = {}
+            for a, src, devs in hist:
+                v = w[src]
+                if all(pay(i, v) >= pay(i, w[d]) for i, d in devs):
+                    acts.append(a)
+                    vals[a] = v
+            if not acts:
+                return frozenset()  # no admissible stage map here
+            actions.append(acts)
+            values.append(vals)
+        # Every outcome is one of the stage's admissible values (a stage-t
+        # outcome set lies within its continuation), so once all of them are
+        # found no further selection can add one.
+        ceiling = len(set().union(*(vals.values() for vals in values)))
+        out = set()
+        for sel in _unpruned_selections(covers, actions, budget):
+            if t == 0:
+                out.add(values[0][sel[0]])
+            else:
+                key = (t - 1, tuple([vals[a] for vals, a in zip(values, sel)]))
+                got = memo.get(key)
+                if got is None:
+                    got = memo[key] = run(t - 1, key[1])
+                out |= got
+            if len(out) == ceiling:
+                break
+        return frozenset(out)
+
+    return set(run(T - 1, tuple(terminal)))
+
+
+def rows_table_reference(rows):
+    """Incentive table of a table game, compared on int rows: each row is
+    scaled by the least common denominator of its entries, which keeps every
+    comparison exact."""
+
+    def scaled(row):
+        ratios = [v.as_integer_ratio() for v in row]
+        lcd = math.lcm(*{q for _, q in ratios})
+        return [p * (lcd // q) for p, q in ratios]
+
+    full = (1 << len(rows)) - 1
+    return compare_rows(((i, scaled(row)) for i, row in enumerate(rows)), full)
+
+
+# ---------------------------------------------------------------------------
 # IESEDS as a lazy recursion over tuple histories, on the generator-based
 # elimination loop (both kept verbatim as the reference for the bottom-up
 # sweep of `asyncgame.ieseds` and the table-scan `iterated_strict_elimination`)
+
+
+class IesedsRecord(NamedTuple):
+    """What the IESEDS references return: IesedsTable's public fields, with
+    stage_actions a list of dicts."""
+
+    partition: Partition
+    stage_actions: list
+    on_path: tuple
+    outcome: int
+
+
+def ieseds_record(table):
+    """An IesedsTable as the references' IesedsRecord (reads stage_actions)."""
+    return IesedsRecord(table.partition, table.stage_actions, table.on_path, table.outcome)
 
 
 def iterated_strict_elimination_reference(players_mask, pay):
@@ -1544,7 +1698,7 @@ def ieseds_reference(game, p, budget=DEFAULT_BUDGET):
         a = tables[t][h]
         on_path.append(a)
         h = h + (a,)
-    return IesedsTable(
+    return IesedsRecord(
         partition=p, stage_actions=tables, on_path=tuple(on_path), outcome=outcome
     )
 
@@ -1593,7 +1747,7 @@ def ieseds_sweep_reference(game, p, budget=DEFAULT_BUDGET):
         a = stage[h]
         on_path.append(a)
         h |= a
-    return IesedsTable(
+    return IesedsRecord(
         partition=p, stage_actions=tables, on_path=tuple(on_path), outcome=nxt[0]
     )
 
