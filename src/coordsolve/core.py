@@ -84,7 +84,11 @@ class StageGame:
     family's own data, passed by the same constructors; without one,
     payoff_row reads the payoff function once per mask.  Likewise `_graph`
     is the digraph a weakest-link game's payoffs read, set only by
-    graphical.weakest_link_game; SyncSolver solves on it when present.
+    graphical.weakest_link_game; SyncSolver solves on it when present.  And
+    `_monotone` declares that the game's incentive table only grows along
+    inclusion (see is_monotone), so that SyncSolver need not check; the
+    weakest-link, threshold and aggregative constructors set it, and every
+    other game leaves it False.
     """
 
     def __init__(self, n, payoff_fn, kind="table", params=None, table=None, row=None):
@@ -97,6 +101,7 @@ class StageGame:
         self._build_table = table
         self._row = row
         self._graph = None
+        self._monotone = False
 
     @property
     def all_players(self):
@@ -170,7 +175,7 @@ def aggregative_game(c):
         bit, ci = 1 << i, c[i]
         return [(1 if M.bit_count() > ci else -1) if M & bit else 0 for M in masks]
 
-    return StageGame(
+    game = StageGame(
         n,
         pay,
         kind="aggregative",
@@ -178,6 +183,8 @@ def aggregative_game(c):
         table=lambda: _aggregative_table(c),
         row=row,
     )
+    game._monotone = True
+    return game
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +475,8 @@ def fixed_point_scan(gainers, S, O):
     interval with L not inside U holds none, one with L == U holds L, and
     any other splits on the lowest player of U minus L.  On a table that is
     not monotone this misses candidates: on [0, 3, 2, 1] with S = 3, O = 0
-    it returns [] where sss_scan returns [2]."""
+    it returns [] where sss_scan returns [2].  `gainers` is only indexed,
+    so it may compute each entry on demand instead of storing all 2^n."""
     out = []
     stack = [(0, S)]
     while stack:

@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import Context, bits, ne_scan
+from .core import Context, bits
 from .sync import SyncSolver
 
 
@@ -60,12 +60,11 @@ def weak_centrality(game, solver=None):
 def strong_centrality(game, solver=None):
     """Matrix M[i][j]: does i play 1 in every stage-game equilibrium where j
     does?  Reflexive and transitive; implies the weak order.  The stage
-    equilibria are read off the solver's incentive table."""
+    equilibria are the solver's (SyncSolver.equilibria)."""
     solver = solver or SyncSolver(game)
     n = game.n
-    equilibria = ne_scan(solver.gainers, solver.losers, game.all_players, 0)
     matrix = [[True] * n for _ in range(n)]
-    for X in equilibria:
+    for X in solver.equilibria():
         for j in bits(X):
             for i in range(n):
                 if not (X >> i) & 1:

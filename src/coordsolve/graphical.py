@@ -42,6 +42,7 @@ def weakest_link_game(g):
         row=row,
     )
     game._graph = g
+    game._monotone = True
     return game
 
 
@@ -68,7 +69,7 @@ def threshold_game(g, k):
             (1 if (M & need).bit_count() >= ki else -1) if M & bit else 0 for M in masks
         ]
 
-    return StageGame(
+    game = StageGame(
         g.n,
         pay,
         kind="threshold",
@@ -76,6 +77,8 @@ def threshold_game(g, k):
         table=lambda: _neighbour_table(in_masks, k),
         row=row,
     )
+    game._monotone = True
+    return game
 
 
 def _neighbour_table(in_masks, k):

@@ -21,22 +21,24 @@ nonempty fixed points of a monotone map, found by branching on intervals
 (core.fixed_point_scan); otherwise every submask is scanned
 (core.sss_scan).
 
-A weakest-link game skips the recursion in the full context: there the
-horizon of a target set is the directed tree-depth of the subgraph induced
-on everything that reaches it, read from one digraph.TreeDepth memo per
-solver.  Residual contexts and policy trees still take the recursion.
+A weakest-link game skips the recursion and the incentive table in every
+context: its dominance reduction and its Nash profiles are closures and
+fixed points over the players' in-neighbourhoods, and the horizon of a
+target set is the directed tree-depth of the subgraph induced on the
+active players that reach it, read from one digraph.TreeDepth memo per
+solver.  Policy trees still take the recursion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 
 from .core import (
     Context,
     bits,
     fixed_point_scan,
-    full_context,
     iesds_scan,
     incentive_table,
     is_monotone,
@@ -66,22 +68,43 @@ class PolicyNode:
 @dataclass
 class _Reduction:
     """One context after iterated strict dominance: the reduced context, the
-    players forced to 1 and those forced to 0, and the context's per-player
-    horizons once `SyncSolver.horizons` has computed them."""
+    players forced to 1 and those forced to 0, the context's per-player
+    horizons once `SyncSolver.horizons` has computed them, and, for the full
+    game, the reduced context's Nash profiles once `SyncSolver._nash` has
+    listed them."""
 
     reduced: Context
     forced: int
     dropped: int
     taus: MappingProxyType | None = None
+    nash: list | None = None
+
+
+class _InNeighbourGains:
+    """The gainers list of a weakest-link game, computed per coalition
+    instead of stored: index C gives every player of `players` whose
+    in-neighbours all lie in C.  core.fixed_point_scan reads it as a
+    table."""
+
+    def __init__(self, in_masks, players):
+        self.needs = [(1 << i, in_masks[i]) for i in bits(players)]
+
+    def __getitem__(self, C):
+        out = 0
+        for bit, need in self.needs:
+            if need & C == need:
+                out |= bit
+        return out
 
 
 class SyncSolver:
     """Solver instance for one stage game; caches subgame values.
 
-    The game is compiled once into its incentive table (`gainers`, `losers`;
-    see core.incentive_table), and the candidate, dominance and Nash scans
-    read only that.  The table is checked once for monotonicity
-    (core.is_monotone); SSE candidates of a monotone table come from
+    The game is compiled into its incentive table (`gainers`, `losers`; see
+    core.incentive_table) on first read, and the candidate, dominance and
+    Nash scans read only that.  The table is monotone when the game's
+    family declares it so (`StageGame._monotone`) or core.is_monotone finds
+    it so; SSE candidates of a monotone table come from
     core.fixed_point_scan, all others from core.sss_scan, with equal lists.
     Degenerate players (strictly dominant actions, iterated) are stripped
     first and folded into the base context: forced ones join the forced
@@ -91,10 +114,14 @@ class SyncSolver:
 
     For a game built by graphical.weakest_link_game the solver also keeps
     the game's `graph` and one TreeDepth memo on it (`depths`; both None for
-    any other game, whatever its `kind`).  Every full-context horizon is
-    then the tree-depth of the targets' reach set, read from that memo,
-    which `horizons`, `least_outcome` and asyncgame.design share; residual
-    contexts and `policy` use the recursion.  The memo lives as long as the solver.  A
+    any other game, whatever its `kind`).  Every context is then reduced on
+    the graph (a player whose in-neighbours all play 1 is forced in, one
+    with an in-neighbour fixed at 0 drops), every horizon is the tree-depth
+    of the targets' reach set among the active players, read from that
+    memo, and the Nash profiles are fixed points of the in-neighbour map:
+    `min_horizon`, `horizons`, `least_outcome`, `outcome_set`,
+    `equilibria` and asyncgame.design never build the table, and only
+    `policy` and `value` do.  The memo lives as long as the solver.  A
     solver instance is not thread-safe, but distinct instances are
     independent.
     """
@@ -102,30 +129,91 @@ class SyncSolver:
     def __init__(self, game, use_sse=True):
         self.game = game
         self.use_sse = use_sse
-        self.gainers, self.losers = incentive_table(game)
-        self._branch = use_sse and is_monotone(self.gainers)
         self._memo = {}
         self._sss_cache = {}
         self._reduce_cache = {}
         self.graph = game._graph
-        self.depths = None if self.graph is None else TreeDepth(self.graph)
-        top = self._reduce()
-        self.base, self.forced_one, self.dropped = top.reduced, top.forced, top.dropped
+        if self.graph is None:
+            self.depths = None
+        else:
+            self.depths = TreeDepth(self.graph)
+            self._in_masks = [self.graph.in_mask(i) for i in range(game.n)]
+
+    # -- the incentive table, built on first read ---------------------------
+
+    def _table(self):
+        """Build the table once and set both halves as plain attributes."""
+        self.gainers, self.losers = table = incentive_table(self.game)
+        return table
+
+    @cached_property
+    def gainers(self):
+        return self._table()[0]
+
+    @cached_property
+    def losers(self):
+        return self._table()[1]
+
+    @cached_property
+    def _branch(self):
+        return self.use_sse and (self.game._monotone or is_monotone(self.gainers))
 
     # -- context plumbing ---------------------------------------------------
 
     def _reduce(self, ctx=None):
         """Strip iterated strictly dominant actions from a context (the full
         game by default); one cached _Reduction per context."""
-        ctx = ctx or full_context(self.game)
-        key = (ctx.active, ctx.ones)
+        key = (self.game.all_players, 0) if ctx is None else (ctx.active, ctx.ones)
         got = self._reduce_cache.get(key)
         if got is None:
-            least, greatest = iesds_scan(self.gainers, self.losers, ctx.active, ctx.ones)
-            reduced = Context(ctx.active & greatest & ~least, ctx.ones | least)
-            got = _Reduction(reduced, least, ctx.active & ~greatest)
+            S, O = key
+            if self.graph is None:
+                least, greatest = iesds_scan(self.gainers, self.losers, S, O)
+            else:
+                least, greatest = self._graph_iesds(S, O)
+            reduced = Context(S & greatest & ~least, O | least)
+            got = _Reduction(reduced, least, S & ~greatest)
             self._reduce_cache[key] = got
         return got
+
+    def _graph_iesds(self, S, O):
+        """iesds_scan's (least, greatest) for a weakest-link game, read off
+        the in-neighbourhoods: a player of S whose in-neighbours all play 1
+        strictly gains at every profile and is forced in; one with an
+        in-neighbour fixed at 0 strictly loses at every profile and drops.
+        Both repeat until neither changes anything."""
+        in_masks = self._in_masks
+        ones, zeros = O, ~(S | O)
+        undecided = S
+        changed = True
+        while changed:
+            changed = False
+            for i in bits(undecided):
+                need = in_masks[i]
+                if need & ones == need:
+                    ones |= 1 << i
+                elif need & zeros:
+                    zeros |= 1 << i
+                else:
+                    continue
+                undecided ^= 1 << i
+                changed = True
+        return ones & S, S & ~zeros
+
+    @property
+    def base(self):
+        """The full game's context after iterated strict dominance."""
+        return self._reduce().reduced
+
+    @property
+    def forced_one(self):
+        """Players whose action 1 iterated strict dominance forces."""
+        return self._reduce().forced
+
+    @property
+    def dropped(self):
+        """Players whose action 1 is iteratively strictly dominated."""
+        return self._reduce().dropped
 
     def _candidates(self, S, O):
         key = (S, O)
@@ -245,10 +333,10 @@ class SyncSolver:
         want = targets & reduced.active
         if want == 0:
             return 1
-        if reduced is self.base and self.depths is not None:
-            # target players outside `want` are forced to 1 and lie on no
-            # cycle, so leaving them out keeps the reach set's tree-depth
-            return self.depths.value(reach(self.graph, want))
+        if self.depths is not None:
+            # the reduced context is the weakest-link game on the subgraph
+            # induced by its active players
+            return self.depths.value(reach(self.graph, want, reduced.active))
         best = None
         for Y in self._candidates(reduced.active, reduced.ones):
             if Y & want == want:
@@ -288,12 +376,35 @@ class SyncSolver:
                 out |= 1 << i
         return out
 
+    def _nash(self):
+        """The base context's Nash profiles, listed once per solver: for a
+        weakest-link game the fixed points of f(Y) = {i active : in(i) <=
+        Y | ones}, for any other a scan of the incentive table."""
+        r = self._reduce()
+        if r.nash is None:
+            S, O = r.reduced.active, r.reduced.ones
+            if self.graph is None:
+                r.nash = ne_scan(self.gainers, self.losers, S, O)
+            else:
+                gains = _InNeighbourGains(self._in_masks, S)
+                r.nash = fixed_point_scan(gains, S, O)
+                if not gains[O]:
+                    r.nash.insert(0, 0)  # the scan skips the empty profile
+        return r.nash
+
+    def equilibria(self):
+        """The pure Nash profiles of the full stage game.  Iterated strict
+        dominance keeps every one of them, so they are the forced players
+        joined with each Nash profile of the base context."""
+        forced = self.forced_one
+        return [forced | X for X in self._nash()]
+
     def outcome_set(self, T):
         """All monotone-SPNE outcomes at horizon T: Nash outcomes whose
         residual game forces nobody in within the remaining T stages."""
         res = []
         S, O = self.base.active, self.base.ones
-        for X in ne_scan(self.gainers, self.losers, S, O):
+        for X in self._nash():
             residual = Context(S & ~X, O | X)
             if self.least_outcome(T, ctx=residual) == 0:
                 res.append(O | X)

@@ -53,6 +53,7 @@ from util import (
     random_game,
     random_rooted_digraph,
     rows_table_reference,
+    shaped_digraphs,
     sss_set_reference,
     star_graph,
     tables_with_contexts,
@@ -436,6 +437,29 @@ def test_fixed_point_scan_matches_sss_scan_on_monotone_tables(gainers, S, O):
 @example([0, 0, 1, 0])  # out of order across the low bit only
 def test_is_monotone_matches_double_loop(gainers):
     assert is_monotone(gainers) == is_monotone_reference(gainers)
+
+
+@settings(max_examples=150, deadline=None)
+@given(shaped_digraphs(), st.data())
+def test_family_monotone_declarations_hold(g, data):
+    """A family's `_monotone` declaration agrees with is_monotone on the
+    table its builder returns.  The weakest-link graphs include sources; a
+    threshold needs at least one in-neighbour, so the threshold game gives
+    each source an in-edge first.  Table games and bare payoffs declare
+    nothing, even when their table is monotone."""
+    n = g.n
+    games = [weakest_link_game(g)]
+    if n >= 2:
+        fed = Digraph(n, set(g.edges) | {((v + 1) % n, v) for v in range(n) if not g.in_mask(v)})
+        k = [data.draw(st.integers(1, fed.in_mask(i).bit_count())) for i in range(n)]
+        c = data.draw(st.lists(st.integers(1, n - 1), min_size=n, max_size=n))
+        games += [threshold_game(fed, k), aggregative_game(c)]
+    for game in games:
+        assert game._monotone is True
+        assert is_monotone(incentive_table(game)[0])
+        rows = [[game.payoff(i, X) for X in range(1 << n)] for i in range(n)]
+        assert table_game(rows)._monotone is False
+        assert StageGame(n, game._payoff)._monotone is False
 
 
 # -- the incentive table and the scans that read it ---------------------------

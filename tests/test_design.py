@@ -189,6 +189,7 @@ def test_strong_centrality_reads_a_given_solver_table(monkeypatch):
     for _ in range(20):
         game = random_game(rng, rng.randint(2, 5))
         solver = SyncSolver(game)
+        solver.losers  # the solver builds its table on first read
         built.clear()
         M = strong_centrality(game, solver)
         assert built == []

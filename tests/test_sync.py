@@ -18,9 +18,14 @@ from coordsolve import (
     weakest_link_game,
 )
 from coordsolve.asyncgame import design
-from coordsolve.core import bits, sss_scan, submasks
-from coordsolve.design import candidate_horizons, weak_centrality
-from coordsolve.graphical import threshold_game
+from coordsolve.core import bits, sorted_coalitions, sss_scan, submasks
+from coordsolve.design import (
+    candidate_horizons,
+    intervention,
+    strong_centrality,
+    weak_centrality,
+)
+from coordsolve.graphical import threshold_game, weakest_link_horizon
 from coordsolve.sync import SyncSolver
 
 from util import (
@@ -265,19 +270,21 @@ def test_horizons_match_singleton_min_horizon():
                 assert solver.least_outcome(T, ctx=ctx) == least
 
 
-def test_policy_tree_replays_its_value():
-    def replay(node):
-        if node.op == "stop":
-            assert node.children == ()
-            return 1
-        if node.op in ("dominate", "delete"):
-            (child,) = node.children
-            inner = replay(child)
-            return inner + (1 if node.op == "delete" else 0)
-        assert node.op == "divide"
-        left, right = node.children
-        return max(replay(left), replay(right))
+def replay(node):
+    """The horizon a policy tree spends, recomputed from its operations."""
+    if node.op == "stop":
+        assert node.children == ()
+        return 1
+    if node.op in ("dominate", "delete"):
+        (child,) = node.children
+        inner = replay(child)
+        return inner + (1 if node.op == "delete" else 0)
+    assert node.op == "divide"
+    left, right = node.children
+    return max(replay(left), replay(right))
 
+
+def test_policy_tree_replays_its_value():
     rng = random.Random(808)
     for _ in range(15):
         game = random_game(rng, rng.randint(2, 5))
@@ -299,13 +306,6 @@ def test_dominate_chain_matches_raw_payoff_reference(case, use_sse):
         chain.append(node.player)
         node = node.children[0]
     assert chain == dominate_chain_reference(game, ctx.active, ctx.ones)
-
-
-def _horizon_or_error(solver, targets):
-    try:
-        return solver.min_horizon(targets)
-    except PreconditionError as exc:
-        return str(exc)
 
 
 # a 5-player table whose best policy costs 2 through a delete found after
@@ -425,9 +425,97 @@ def test_weakest_link_full_context_solves_no_generic_context():
         assert solver._memo == {} and solver._sss_cache == {}
 
 
-def _horizon_or_error(solver, targets):
+# a source feeding a chain into a 2-cycle, and a vertex outside the context
+# feeding a chain: in the context of everyone but vertex 4, the source
+# cascade forces 0 and 1 in and the drop cascade takes 5 and 6 out
+CASCADES = Digraph(7, [(0, 1), (1, 2), (2, 3), (3, 2), (4, 5), (5, 6)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    shaped_digraphs(),
+    st.booleans(),
+    st.integers(0, 255),
+    st.integers(0, 255),
+    st.integers(0, 255),
+    st.integers(0, 255),
+)
+@example(CASCADES, True, 0b1101111, 0, 0b1000100, 0b1)
+@example(CASCADES, False, 0b1101110, 0b1, 0b1100000, 0b100)
+@example(TRIANGLE_INTO_TWO_CYCLE, True, 0b11011, 0b00100, 0b11000, 0b00001)
+def test_weakest_link_graph_contexts_match_generic_recursion(
+    g, use_sse, active, ones, some, subsidized
+):
+    """In any context, the graph path's reduction, horizons and least
+    outcomes are the generic recursion's, and so are intervention and
+    strong centrality.  Players outside the context's active and forced
+    sets are fixed at 0, so contexts exercise the drop cascade as well as
+    the forced-in cascade from sources."""
+    game = weakest_link_game(g)
+    generic = StageGame(g.n, game._payoff)
+    fast, slow = SyncSolver(game, use_sse), SyncSolver(generic, use_sse)
+    full = game.all_players
+    ctx = Context(active & full, ones & full & ~active)
+    got, want = fast._reduce(ctx), slow._reduce(ctx)
+    assert (got.reduced, got.forced, got.dropped) == (want.reduced, want.forced, want.dropped)
+    for targets in (ctx.active, some & full, 1 << some % g.n):
+        want = _horizon_or_error(slow, targets, ctx)
+        assert _horizon_or_error(fast, targets, ctx) == want
+    assert dict(fast.horizons(ctx)) == dict(slow.horizons(ctx))
+    subsidy = subsidized & full
+    for T in range(1, g.n + 2):
+        assert fast.least_outcome(T, ctx) == slow.least_outcome(T, ctx)
+        assert intervention(game, subsidy, T, fast) == intervention(generic, subsidy, T, slow)
+    assert strong_centrality(game, fast) == strong_centrality(generic, slow)
+    assert sorted_coalitions(fast.equilibria()) == ne_set(generic)
+
+
+def _refuse_table():
+    raise AssertionError("the incentive table was built")
+
+
+def test_weakest_link_queries_build_no_table():
+    rng = random.Random(2323)
+    for _ in range(30):
+        n = rng.randint(1, 8)
+        game = weakest_link_game(random_digraph(rng, n, rng.uniform(0, 0.6)))
+        build, game._build_table = game._build_table, _refuse_table
+        solver = SyncSolver(game)
+        tau = solver.min_horizon(game.all_players)
+        solver.horizons()
+        candidate_horizons(game, solver)
+        weak_centrality(game, solver)
+        strong_centrality(game, solver)
+        for T in range(1, tau + 1):
+            solver.least_outcome(T)
+            solver.outcome_set(T)
+            intervention(game, 1 << rng.randrange(n), T, solver)
+        design(game, tau, solver)
+        # the policy tree still takes the recursion, on the table
+        game._build_table = build
+        node = solver.policy()
+        assert replay(node) == node.value == tau
+
+
+def test_thirty_player_weakest_link_solver_builds_no_table():
+    # a table would have 2^30 cells; the graph path needs tree-depth only
+    rng = random.Random(30)
+    n = 30
+    edges = [(j, i) for i in range(n) for j in rng.sample([v for v in range(n) if v != i], 2)]
+    g = Digraph(n, edges)
+    game = weakest_link_game(g)
+    game._build_table = _refuse_table
+    solver = SyncSolver(game)
+    tau = solver.min_horizon(game.all_players)
+    assert tau == weakest_link_horizon(g, game.all_players) == 5
+    taus = solver.horizons()
+    assert sorted(taus) == list(range(n)) and max(taus.values()) == tau
+    assert taus[0] == weakest_link_horizon(g, 1)
+
+
+def _horizon_or_error(solver, targets, ctx=None):
     try:
-        return solver.min_horizon(targets)
+        return solver.min_horizon(targets, ctx)
     except PreconditionError as exc:
         return str(exc)
 
