@@ -84,11 +84,15 @@ class StageGame:
     family's own data, passed by the same constructors; without one,
     payoff_row reads the payoff function once per mask.  Likewise `_graph`
     is the digraph a weakest-link game's payoffs read, set only by
-    graphical.weakest_link_game; SyncSolver solves on it when present.  And
-    `_monotone` declares that the game's incentive table only grows along
-    inclusion (see is_monotone), so that SyncSolver need not check; the
-    weakest-link, threshold and aggregative constructors set it, and every
-    other game leaves it False.
+    graphical.weakest_link_game; SyncSolver reads its horizons off it as
+    tree-depths.  And `_monotone` promises that the game's incentive table
+    is monotone and tie-free: it only grows along inclusion (see
+    is_monotone), and every player gains or loses at every coalition, so
+    losers[C] is the complement of gainers[C].  SyncSolver then reduces
+    every context with iesds_closure and lists Nash profiles and SSE
+    candidates with fixed_point_scan, and checks neither property; the
+    weakest-link, threshold and aggregative constructors set it (their
+    payoffs are +-1 against 0), and every other game leaves it False.
     """
 
     def __init__(self, n, payoff_fn, kind="table", params=None, table=None, row=None):
@@ -547,6 +551,24 @@ def iesds_scan(gainers, losers, S, O):
         can1 &= ~worse1
         can0 &= ~worse0
     return can1 & ~can0, can1
+
+
+def iesds_closure(gainers, S, O):
+    """iesds_scan's (least, greatest) on a monotone table with no ties (see
+    StageGame._monotone), without visiting profiles.  A player of S gains at
+    every remaining profile when it gains at the lowest, and loses at every
+    one when it does not gain at the highest, so the lowest profile grows
+    from O by gainers[low] & S and the highest shrinks from S | O to the
+    players of S in gainers[high], until both settle: the least and greatest
+    fixed points of f(Y) = O | gainers[Y] & S (Milgrom and Roberts 1990).
+    `gainers` is only indexed, as in fixed_point_scan."""
+    low = O
+    while (grown := low | gainers[low] & S) != low:
+        low = grown
+    high = S | O
+    while (shrunk := high & ~(S & ~gainers[high])) != high:
+        high = shrunk
+    return low & S, high & S
 
 
 def ne_scan(gainers, losers, S, O):

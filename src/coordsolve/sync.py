@@ -21,12 +21,14 @@ nonempty fixed points of a monotone map, found by branching on intervals
 (core.fixed_point_scan); otherwise every submask is scanned
 (core.sss_scan).
 
-A weakest-link game skips the recursion and the incentive table in every
-context: its dominance reduction and its Nash profiles are closures and
-fixed points over the players' in-neighbourhoods, and the horizon of a
-target set is the directed tree-depth of the subgraph induced on the
-active players that reach it, read from one digraph.TreeDepth memo per
-solver.  Policy trees still take the recursion.
+The weakest-link, threshold and aggregative families declare their tables
+monotone and tie-free (StageGame._monotone) and share one path: a
+context's dominance reduction is a closure (core.iesds_closure) and its
+Nash profiles are fixed points (core.fixed_point_scan).  A weakest-link
+game builds no incentive table for any query: its gainers are read off
+the players' in-neighbourhoods, and the horizon of a target set is the
+directed tree-depth of the subgraph induced on the active players that
+reach it, read from one digraph.TreeDepth memo per solver.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .core import (
     Context,
     bits,
     fixed_point_scan,
+    iesds_closure,
     iesds_scan,
     incentive_table,
     is_monotone,
@@ -81,13 +84,13 @@ class _Reduction:
 
 
 class _InNeighbourGains:
-    """The gainers list of a weakest-link game, computed per coalition
-    instead of stored: index C gives every player of `players` whose
-    in-neighbours all lie in C.  core.fixed_point_scan reads it as a
-    table."""
+    """The gainers list of a weakest-link game on `graph`, computed per
+    coalition instead of stored: index C gives every player whose
+    in-neighbours all lie in C.  The solver's scans only index it, so they
+    read it as a table."""
 
-    def __init__(self, in_masks, players):
-        self.needs = [(1 << i, in_masks[i]) for i in bits(players)]
+    def __init__(self, graph):
+        self.needs = [(1 << i, graph.in_mask(i)) for i in range(graph.n)]
 
     def __getitem__(self, C):
         out = 0
@@ -100,30 +103,27 @@ class _InNeighbourGains:
 class SyncSolver:
     """Solver instance for one stage game; caches subgame values.
 
-    The game is compiled into its incentive table (`gainers`, `losers`; see
-    core.incentive_table) on first read, and the candidate, dominance and
-    Nash scans read only that.  The table is monotone when the game's
-    family declares it so (`StageGame._monotone`) or core.is_monotone finds
-    it so; SSE candidates of a monotone table come from
+    Every query reads one gains map, `gainers` (see core.incentive_table):
+    the game's incentive table, built on first read, or for a weakest-link
+    game the in-neighbour view _InNeighbourGains, so that no query on such a
+    game builds a table.  Degenerate players (strictly dominant actions,
+    iterated) are stripped first and folded into the base context: forced
+    ones join the forced set, forced zeros leave the game.  For a game whose
+    family declares its table monotone and tie-free (`StageGame._monotone`)
+    that reduction is core.iesds_closure and the Nash profiles are
+    core.fixed_point_scan's; any other game is scanned with core.iesds_scan
+    and core.ne_scan, which read `losers` too.  SSE candidates of a monotone
+    table, declared or found so by core.is_monotone, come from
     core.fixed_point_scan, all others from core.sss_scan, with equal lists.
-    Degenerate players (strictly dominant actions, iterated) are stripped
-    first and folded into the base context: forced ones join the forced
-    set, forced zeros leave the game.  Subgame values live in an
-    int memo (`_memo`, keyed by context); policy trees are not stored but
-    rebuilt on demand by `value` and `policy`.
+    Subgame values live in an int memo (`_memo`, keyed by context); policy
+    trees are not stored but rebuilt on demand by `value` and `policy`.
 
     For a game built by graphical.weakest_link_game the solver also keeps
     the game's `graph` and one TreeDepth memo on it (`depths`; both None for
-    any other game, whatever its `kind`).  Every context is then reduced on
-    the graph (a player whose in-neighbours all play 1 is forced in, one
-    with an in-neighbour fixed at 0 drops), every horizon is the tree-depth
-    of the targets' reach set among the active players, read from that
-    memo, and the Nash profiles are fixed points of the in-neighbour map:
-    `min_horizon`, `horizons`, `least_outcome`, `outcome_set`,
-    `equilibria` and asyncgame.design never build the table, and only
-    `policy` and `value` do.  The memo lives as long as the solver.  A
-    solver instance is not thread-safe, but distinct instances are
-    independent.
+    any other game, whatever its `kind`): every horizon is the tree-depth of
+    the targets' reach set among the active players, read from that memo,
+    which lives as long as the solver.  A solver instance is not
+    thread-safe, but distinct instances are independent.
     """
 
     def __init__(self, game, use_sse=True):
@@ -133,26 +133,23 @@ class SyncSolver:
         self._sss_cache = {}
         self._reduce_cache = {}
         self.graph = game._graph
-        if self.graph is None:
-            self.depths = None
-        else:
-            self.depths = TreeDepth(self.graph)
-            self._in_masks = [self.graph.in_mask(i) for i in range(game.n)]
+        self.depths = None if self.graph is None else TreeDepth(self.graph)
 
-    # -- the incentive table, built on first read ---------------------------
+    # -- the gains map, built on first read ---------------------------------
 
+    @cached_property
     def _table(self):
-        """Build the table once and set both halves as plain attributes."""
-        self.gainers, self.losers = table = incentive_table(self.game)
-        return table
+        return incentive_table(self.game)
 
     @cached_property
     def gainers(self):
-        return self._table()[0]
+        if self.graph is None:
+            return self._table[0]
+        return _InNeighbourGains(self.graph)
 
     @cached_property
     def losers(self):
-        return self._table()[1]
+        return self._table[1]
 
     @cached_property
     def _branch(self):
@@ -167,38 +164,14 @@ class SyncSolver:
         got = self._reduce_cache.get(key)
         if got is None:
             S, O = key
-            if self.graph is None:
-                least, greatest = iesds_scan(self.gainers, self.losers, S, O)
+            if self.game._monotone:
+                least, greatest = iesds_closure(self.gainers, S, O)
             else:
-                least, greatest = self._graph_iesds(S, O)
+                least, greatest = iesds_scan(self.gainers, self.losers, S, O)
             reduced = Context(S & greatest & ~least, O | least)
             got = _Reduction(reduced, least, S & ~greatest)
             self._reduce_cache[key] = got
         return got
-
-    def _graph_iesds(self, S, O):
-        """iesds_scan's (least, greatest) for a weakest-link game, read off
-        the in-neighbourhoods: a player of S whose in-neighbours all play 1
-        strictly gains at every profile and is forced in; one with an
-        in-neighbour fixed at 0 strictly loses at every profile and drops.
-        Both repeat until neither changes anything."""
-        in_masks = self._in_masks
-        ones, zeros = O, ~(S | O)
-        undecided = S
-        changed = True
-        while changed:
-            changed = False
-            for i in bits(undecided):
-                need = in_masks[i]
-                if need & ones == need:
-                    ones |= 1 << i
-                elif need & zeros:
-                    zeros |= 1 << i
-                else:
-                    continue
-                undecided ^= 1 << i
-                changed = True
-        return ones & S, S & ~zeros
 
     @property
     def base(self):
@@ -378,18 +351,17 @@ class SyncSolver:
 
     def _nash(self):
         """The base context's Nash profiles, listed once per solver: for a
-        weakest-link game the fixed points of f(Y) = {i active : in(i) <=
-        Y | ones}, for any other a scan of the incentive table."""
+        declared family the fixed points of f(Y) = gainers[Y | ones] & active,
+        for any other game a scan of the incentive table."""
         r = self._reduce()
         if r.nash is None:
             S, O = r.reduced.active, r.reduced.ones
-            if self.graph is None:
-                r.nash = ne_scan(self.gainers, self.losers, S, O)
-            else:
-                gains = _InNeighbourGains(self._in_masks, S)
-                r.nash = fixed_point_scan(gains, S, O)
-                if not gains[O]:
+            if self.game._monotone:
+                r.nash = fixed_point_scan(self.gainers, S, O)
+                if not self.gainers[O] & S:
                     r.nash.insert(0, 0)  # the scan skips the empty profile
+            else:
+                r.nash = ne_scan(self.gainers, self.losers, S, O)
         return r.nash
 
     def equilibria(self):

@@ -28,6 +28,7 @@ from coordsolve.core import (
     _rows_table,
     bits,
     fixed_point_scan,
+    iesds_closure,
     iesds_scan,
     int_row,
     is_monotone,
@@ -35,6 +36,7 @@ from coordsolve.core import (
     sss_scan,
     submasks,
 )
+from coordsolve.sync import _InNeighbourGains
 
 from util import (
     EXACT_PAYOFFS,
@@ -43,6 +45,7 @@ from util import (
     cycle_graph,
     family_games,
     flipped_tables,
+    graph_iesds_reference,
     iesds_reference,
     incentive_table_reference,
     is_monotone_reference,
@@ -442,8 +445,9 @@ def test_is_monotone_matches_double_loop(gainers):
 @settings(max_examples=150, deadline=None)
 @given(shaped_digraphs(), st.data())
 def test_family_monotone_declarations_hold(g, data):
-    """A family's `_monotone` declaration agrees with is_monotone on the
-    table its builder returns.  The weakest-link graphs include sources; a
+    """A family's `_monotone` declaration holds on the table its builder
+    returns: is_monotone agrees, and no player ties anywhere, so losers is
+    the complement of gainers.  The weakest-link graphs include sources; a
     threshold needs at least one in-neighbour, so the threshold game gives
     each source an in-edge first.  Table games and bare payoffs declare
     nothing, even when their table is monotone."""
@@ -456,10 +460,38 @@ def test_family_monotone_declarations_hold(g, data):
         games += [threshold_game(fed, k), aggregative_game(c)]
     for game in games:
         assert game._monotone is True
-        assert is_monotone(incentive_table(game)[0])
+        gainers, losers = incentive_table(game)
+        assert is_monotone(gainers)
+        full = game.all_players
+        assert all(losers[C] == full ^ gainers[C] for C in range(full + 1))
         rows = [[game.payoff(i, X) for X in range(1 << n)] for i in range(n)]
         assert table_game(rows)._monotone is False
         assert StageGame(n, game._payoff)._monotone is False
+
+
+@settings(max_examples=300, deadline=None)
+@given(family_games().filter(lambda game: game._monotone), st.data())
+def test_iesds_closure_matches_the_scan(game, data):
+    """On the monotone, tie-free table of every declared family, the
+    closure's (least, greatest) is iesds_scan's, in any context."""
+    gainers, losers = incentive_table(game)
+    full = game.all_players
+    S = data.draw(st.integers(0, full))
+    O = data.draw(st.integers(0, full)) & ~S
+    assert iesds_closure(gainers, S, O) == iesds_scan(gainers, losers, S, O)
+
+
+# a source feeding a chain into a 2-cycle, and a vertex outside the context
+# feeding a chain: the forced-in and the drop cascade each take two rounds
+@settings(max_examples=300, deadline=None)
+@given(shaped_digraphs(), st.integers(0, 255), st.integers(0, 255))
+@example(Digraph(7, [(0, 1), (1, 2), (2, 3), (3, 2), (4, 5), (5, 6)]), 0b1101111, 0)
+def test_iesds_closure_on_the_in_neighbour_view(g, active, ones):
+    full = (1 << g.n) - 1
+    S, O = active & full, ones & full & ~active
+    in_masks = [g.in_mask(i) for i in range(g.n)]
+    want = graph_iesds_reference(in_masks, S, O)
+    assert iesds_closure(_InNeighbourGains(g), S, O) == want
 
 
 # -- the incentive table and the scans that read it ---------------------------

@@ -26,13 +26,14 @@ from coordsolve.design import (
     weak_centrality,
 )
 from coordsolve.graphical import threshold_game, weakest_link_horizon
-from coordsolve.sync import SyncSolver
+from coordsolve.sync import SyncSolver, _InNeighbourGains
 
 from util import (
     PolicyNodeSolverReference,
     cross_pairs_game,
     cycle_graph,
     dominate_chain_reference,
+    family_games,
     hub_intervention_graph,
     iesds_reference,
     monotone_games_with_contexts,
@@ -479,7 +480,7 @@ def test_weakest_link_queries_build_no_table():
     for _ in range(30):
         n = rng.randint(1, 8)
         game = weakest_link_game(random_digraph(rng, n, rng.uniform(0, 0.6)))
-        build, game._build_table = game._build_table, _refuse_table
+        game._build_table = _refuse_table
         solver = SyncSolver(game)
         tau = solver.min_horizon(game.all_players)
         solver.horizons()
@@ -491,10 +492,24 @@ def test_weakest_link_queries_build_no_table():
             solver.outcome_set(T)
             intervention(game, 1 << rng.randrange(n), T, solver)
         design(game, tau, solver)
-        # the policy tree still takes the recursion, on the table
-        game._build_table = build
         node = solver.policy()
         assert replay(node) == node.value == tau
+        S = rng.getrandbits(n)
+        O = rng.getrandbits(n) & ~S
+        generic = SyncSolver(StageGame(n, game._payoff))
+        assert solver.value(S, O) == generic.value(S, O)
+
+
+def test_weakest_link_losers_leave_the_view_in_gainers():
+    # nothing in the package reads losers on a weakest-link solver; a caller
+    # who does gets the table, and the view stays
+    game = weakest_link_game(CASCADES)
+    solver = SyncSolver(game)
+    view = solver.gainers
+    losers = solver.losers
+    assert solver.gainers is view and isinstance(view, _InNeighbourGains)
+    full = game.all_players
+    assert all(losers[C] == full ^ view[C] for C in range(full + 1))
 
 
 def test_thirty_player_weakest_link_solver_builds_no_table():
@@ -514,10 +529,46 @@ def test_thirty_player_weakest_link_solver_builds_no_table():
 
 
 def _horizon_or_error(solver, targets, ctx=None):
+    return _or_error(solver.min_horizon, targets, ctx)
+
+
+def _or_error(query, *args):
     try:
-        return solver.min_horizon(targets, ctx)
+        return query(*args)
     except PreconditionError as exc:
         return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    family_games().filter(lambda game: game.kind in ("threshold", "aggregative")),
+    st.booleans(),
+    st.integers(0, 63),
+    st.integers(0, 63),
+    st.integers(0, 63),
+)
+def test_family_contexts_match_their_table_twin(game, use_sse, active, ones, some):
+    """A threshold or aggregative game, which reduces by closure and lists
+    its Nash profiles as fixed points, answers every query in any context
+    as the table game of the same payoffs, which declares nothing and takes
+    the scans.  The games are unconstrained, so some queries refuse, with
+    the same message on both."""
+    n = game.n
+    twin = table_game([[game.payoff(i, X) for X in range(1 << n)] for i in range(n)])
+    fast, slow = SyncSolver(game, use_sse), SyncSolver(twin, use_sse)
+    full = game.all_players
+    ctx = Context(active & full, ones & full & ~active)
+    got, want = fast._reduce(ctx), slow._reduce(ctx)
+    assert (got.reduced, got.forced, got.dropped) == (want.reduced, want.forced, want.dropped)
+    assert fast.equilibria() == slow.equilibria()
+    for targets in (full, ctx.active, some & full, 1 << some % n):
+        assert _horizon_or_error(fast, targets) == _horizon_or_error(slow, targets)
+        assert _horizon_or_error(fast, targets, ctx) == _horizon_or_error(slow, targets, ctx)
+    horizons = [_or_error(lambda s: dict(s.horizons(ctx)), s) for s in (fast, slow)]
+    assert horizons[0] == horizons[1]
+    for T in range(1, n + 2):
+        assert _or_error(fast.least_outcome, T, ctx) == _or_error(slow.least_outcome, T, ctx)
+        assert _or_error(fast.outcome_set, T) == _or_error(slow.outcome_set, T)
 
 
 # the graph path is chosen by constructor, not by `kind`: a bare payoff

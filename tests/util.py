@@ -566,6 +566,31 @@ def iesds_reference(game, ctx=None):
     return iterated_strict_elimination_reference(ctx.active, _ctx_pay(game, ctx))
 
 
+def graph_iesds_reference(in_masks, S, O):
+    """iesds_scan's (least, greatest) for the weakest-link game with these
+    in-neighbourhoods, as SyncSolver read it off the graph before the three
+    families shared core.iesds_closure: a player of S whose in-neighbours
+    all play 1 strictly gains at every profile and is forced in; one with
+    an in-neighbour fixed at 0 strictly loses at every profile and drops.
+    Both repeat until neither changes anything."""
+    ones, zeros = O, ~(S | O)
+    undecided = S
+    changed = True
+    while changed:
+        changed = False
+        for i in bits(undecided):
+            need = in_masks[i]
+            if need & ones == need:
+                ones |= 1 << i
+            elif need & zeros:
+                zeros |= 1 << i
+            else:
+                continue
+            undecided ^= 1 << i
+            changed = True
+    return ones & S, S & ~zeros
+
+
 class PolicyNodeSolverReference(SyncSolver):
     """SyncSolver with the value recursion it had before the int memo: a
     PolicyNode memoised per context, every divide and delete scanned in
