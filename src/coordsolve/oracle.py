@@ -1,29 +1,26 @@
 """Ground-truth brute force for tiny dynamic games.
 
-Outcome sets are computed from first principles, independent of the solver
-recursions: MSPNE enumeration walks every monotone, irreversibility-respecting
-strategy profile stage-by-stage from the back (joint stage maps assembled over
-the history poset, kept as its cover relation, one-shot deviations rejected
-as soon as a stage map is fixed), having paid for everything each stage
-builds before building any history.  A stage's maps depend on the later
-stages only through the continuation, the final outcome each next-stage
-history leads to, so each stage is enumerated once per distinct continuation
-and its outcome set is memoised on it, on an explicit stack rather than one
-Python frame per stage.  Within a stage, a profile is not tried where a
-profile inside it with the same outcome is allowed: it could only repeat a
-continuation.  Each MSPNE call reads every player's raw payoff once per
-profile and compares them as exact ints (core.int_row).  Nothing here reads
-the incentive table or a family's payoff rows.  SPNE outcome sets are the exact subgame
-value sets, solved stage by stage from the back, where a candidate stage
-profile is supportable iff each unilateral deviation can be punished by some
-equilibrium value of the deviation subgame.
+Both schedules are one model: the players who may move at each stage
+(everyone at every Sync stage, cell t at Async stage t), where a stage-t
+history is each player's entry stage, the stage where it first played 1,
+or t if it has not yet.  MSPNE enumeration walks every monotone strategy
+profile stage by stage from the back, over each stage's history poset
+kept as its cover relation, rejecting one-shot deviations as soon as a
+stage map is fixed, having paid for everything each stage builds first.
+Each stage is enumerated once per distinct continuation (the final outcome
+each next-stage history leads to), memoised on it, on an explicit stack; a
+profile is not tried where one inside it with the same outcome is allowed.
+SPNE outcome sets are the exact subgame value sets, solved stage by stage
+from the back.  Each call reads every player's raw payoffs once and
+compares them as exact ints (core.int_row); nothing here reads the
+incentive table or a family's payoff rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from itertools import accumulate
+from itertools import accumulate, chain, product, repeat
+from math import prod
 from operator import or_
 from typing import NamedTuple
 
@@ -45,64 +42,105 @@ class Async(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# history plumbing
+# schedules as the players who may move at each stage, and histories as each
+# player's entry stage
 
 
-def _sync_moves(full):
-    """Synchronous stage moves: at history h, every upgrade of its last
-    profile, moved by the players still at 0."""
-
-    def moves_of(t, h):
-        last = h[-1] if h else 0
-        rest = full & ~last
-        for sub in submasks(rest):
-            yield last | sub, rest
-
-    return moves_of
-
-
-def _async_moves(cells):
-    """Asynchronous stage moves: at any stage-t history, every profile of
-    cell t, moved by its members."""
-
-    def moves_of(t, h):
-        for sub in submasks(cells[t]):
-            yield sub, cells[t]
-
-    return moves_of
+def _runs(game, schedule):
+    """The players who may move at each stage, as (movers, stages) runs:
+    everyone at each of Sync's T stages, cell t at Async's stage t."""
+    if isinstance(schedule, Sync):
+        if schedule.T < 1:
+            raise ValueError("horizon must be positive")
+        return [(game.all_players, schedule.T)]
+    if isinstance(schedule, Async):
+        schedule.partition.validate_cover(game.n)
+        return [(cell, 1) for cell in schedule.partition.cells]
+    raise ValueError("schedule must be Sync(T) or Async(partition)")
 
 
-def _histories(T, moves_of):
-    """Histories per stage: stage t + 1 extends each stage-t history by each
-    move moves_of(t, h) yields, in that order."""
-    stages = [[()]]
-    for t in range(T - 1):
-        stages.append([h + (a,) for h in stages[-1] for a, _ in moves_of(t, h)])
-    return stages
+def _stages(runs):
+    """The movers of each stage, one stage at a time."""
+    return chain.from_iterable(repeat(m, k) for m, k in runs)
 
 
-def _sorted_with_predecessors(histories):
-    """Linear extension plus, per history, the indices of the histories it
-    covers: the same history with one player removed from the move where
-    that player first plays 1 (at most n of them, each an earlier index).
-    The componentwise profile order is the transitive closure of these
-    covers, so a floor built along them is the floor of every history
-    below."""
-    order = sorted(histories, key=lambda h: (sum(m.bit_count() for m in h), h))
-    pos = {h: idx for idx, h in enumerate(order)}
-    covers = []
-    for h in order:
-        below = []
-        seen = 0
-        for j, m in enumerate(h):
-            first = m & ~seen
-            seen |= m
-            while first:
-                low = first & -first
-                first ^= low
-                below.append(pos[h[:j] + (m ^ low,) + h[j + 1 :]])
-        covers.append(below)
+def _int_rows(game):
+    """Each player's raw payoff at every profile, read once, as ints."""
+    pay = game._payoff
+    return [int_row([pay(i, M) for M in range(1 << game.n)]) for i in range(game.n)]
+
+
+def _chances(n, movers, t):
+    """Per player, the stages before t at which it may move, then t: the
+    entry stages a stage-t history can give it."""
+    return [[s for s in range(t) if movers[s] >> i & 1] + [t] for i in range(n)]
+
+
+def _entered(e, t):
+    """The players who have played 1 at stage-t history e."""
+    return sum([1 << i for i, s in enumerate(e) if s < t])
+
+
+def _after(e, a, t):
+    """The stage-(t+1) history after profile a at stage-t history e."""
+    return tuple([s if s < t else t if a >> i & 1 else t + 1 for i, s in enumerate(e)])
+
+
+def _sorted_with_predecessors(n, movers, t):
+    """Stage t's histories in linear-extension order (by 1-actions played,
+    then by who enters at each stage, the earliest stage first), plus, per
+    history, the indices of the histories it covers: the same history with
+    one player's entry moved to its next chance to move, or to t if there
+    is none.  The componentwise order (no player enters earlier) is the
+    transitive closure of these covers, so a floor built along them is the
+    floor of every history below."""
+    chances = _chances(n, movers, t)
+    # A history's key is the sum of its players' weights: from entry stage
+    # s, the 1-actions played since, above the player's bit in the n-bit
+    # field of stage s.  Keys are distinct, and histories are listed in
+    # product order, where the next chance of player i is `stride[i]` on.
+    weights = [
+        [(len(c) - 1 - j) << n * t | 1 << i + n * (t - 1 - s) for j, s in enumerate(c[:-1])] + [0]
+        for i, c in enumerate(chances)
+    ]
+    stride = [prod(map(len, chances[i + 1 :])) for i in range(n)]
+    hs = list(product(*chances))
+    rank = [r for _, r in sorted(zip(map(sum, product(*weights)), range(len(hs))))]
+    pos = [0] * len(hs)
+    for idx, r in enumerate(rank):
+        pos[r] = idx
+    order = [hs[r] for r in rank]
+    covers = [[pos[r + d] for d, s in zip(stride, hs[r]) if s < t] for r in rank]
     return order, covers
+
+
+def _build_cost(counts, m):
+    """What MSPNE builds at a stage where player i could have moved at
+    counts[i] earlier stages and the players of m may move: n entries per
+    history, one cover per player who has entered, the stage profiles, and
+    one deviation per profile for each player still free to enter."""
+    held = prod(c + 1 for c in counts)
+    ways = [c + 1 + (m >> i & 1) for i, c in enumerate(counts)]
+    profiles = prod(ways)
+    return (
+        len(counts) * held
+        + sum(c * (held // (c + 1)) for c in counts)
+        + profiles
+        + sum(2 * profiles // ways[i] for i in bits(m))
+    )
+
+
+def _spne_cost(n, runs):
+    """SPNE's whole charge: n 2^n payoff reads, and one step per candidate
+    stage profile of every reachable subgame.  A player has three at a
+    stage where it may have entered already and moves (entered; or not,
+    then enters or not), two where only one of those holds, one else."""
+    cost, earlier = n << n, 0
+    for m, k in runs:  # the run's first stage, then its k - 1 others
+        for stages, before in ((1, earlier), (k - 1, earlier | m)):
+            cost += stages * 2 ** (before ^ m).bit_count() * 3 ** (before & m).bit_count()
+        earlier |= m
+    return cost
 
 
 class _Budget:
@@ -223,54 +261,52 @@ def _stage_options(moves, w):
     return options, values
 
 
-def _mspne_outcomes(game, stages, moves_of, budget):
-    """Common MSPNE engine over precomputed history stages.
+def _mspne_outcomes(game, movers, budget):
+    """Common MSPNE engine over the stages' movers.
 
-    moves_of(t, h) yields legal stage-t action profiles at history h, with the
-    players who move there; choosing a at the last stage ends the game at
-    a | h[0] | h[1] | ..., every player who has played 1 (a itself under
-    Sync, whose profiles only grow).  A continuation is the tuple of final
-    outcomes, one per stage-(t+1) history in linear-extension order (per
-    last-stage move for t = T-1); the outcome set of stage t under a
-    continuation is solved once per call and memoised on (t, continuation).
-    The continuations are walked depth first on an explicit stack, one frame
-    per stage being searched.  Each player's payoffs are read once, at
-    every profile, and compared as ints (int_row).
+    At stage-t history e the stage profiles are (entered & movers[t]) | sub
+    for each sub of the movers still free to enter; choosing a at the last
+    stage ends the game at entered | a.  A continuation is the tuple of
+    final outcomes, one per stage-(t+1) history in linear-extension order
+    (per last-stage profile for t = T-1); the outcome set of stage t under
+    a continuation is memoised on (t, continuation).  The continuations
+    are walked depth first on an explicit stack, one frame per stage being
+    searched.
     """
-    pay = game._payoff
-    rows = [int_row([pay(i, M) for M in range(1 << game.n)]) for i in range(game.n)]
-    T = len(stages)
+    n = game.n
+    rows = _int_rows(game)
+    T = len(movers)
 
     # layers[t] = (covers, moves): moves[idx] lists (a, src, deviations) for
     # history idx, where src picks the outcome of playing a out of the
-    # continuation, and each deviation (u, d) a mover's int payoff row and
-    # the index of the outcome of playing a with that mover's bit flipped.
+    # continuation, and each deviation (u, d) a free mover's int payoff row
+    # and the index of the outcome of playing a with that mover's bit flipped.
     layers = [None] * T
-    terminal = []  # the last stage's continuation, one outcome per move
+    terminal = []  # the last stage's continuation, one outcome per profile
     nxt_pos = None
-    flips = {}  # movers -> (int payoff row, bit) per mover
+    flips = {}  # free movers -> (int payoff row, bit) per mover
     for t in reversed(range(T)):
-        order, covers = _sorted_with_predecessors(stages[t])
+        order, covers = _sorted_with_predecessors(n, movers, t)
+        m = movers[t]
         moves = []
-        for h in order:
-            legal = list(moves_of(t, h))
+        for e in order:
+            entered = _entered(e, t)
+            free = m & ~entered
+            legal = [(entered & m) | sub for sub in submasks(free)]
             legal.reverse()  # ascending, as _monotone_selections takes them
             if t == T - 1:
                 src = {}
-                for a, _ in legal:
+                for a in legal:
                     src[a] = len(terminal)
-                    terminal.append(reduce(or_, h, a))
+                    terminal.append(entered | a)
             else:
-                src = {a: nxt_pos[h + (a,)] for a, _ in legal}
-            hist = []
-            for a, movers in legal:
-                pairs = flips.get(movers)
-                if pairs is None:
-                    pairs = flips[movers] = [(rows[i], 1 << i) for i in bits(movers)]
-                hist.append((a, src[a], [(u, src[a ^ b]) for u, b in pairs]))
-            moves.append(hist)
+                src = {a: nxt_pos[_after(e, a, t)] for a in legal}
+            pairs = flips.get(free)
+            if pairs is None:
+                pairs = flips[free] = [(rows[i], 1 << i) for i in bits(free)]
+            moves.append([(a, src[a], [(u, src[a ^ b]) for u, b in pairs]) for a in legal])
         layers[t] = (covers, moves)
-        nxt_pos = {h: idx for idx, h in enumerate(order)}
+        nxt_pos = {e: idx for idx, e in enumerate(order)}
 
     memo = {}
 
@@ -321,23 +357,26 @@ def _mspne_outcomes(game, stages, moves_of, budget):
 # punishes it)
 
 
-def _spne(game, T, moves_of, reach):
-    """SPNE outcomes of a T-stage game.  Stage t (0-based) can reach the
-    submasks of reach(t); from committed profile `state` it moves to
-    state | a for each (a, movers) that moves_of yields at a history ending
-    in `state`.  The stages are solved from the last to the first, each from
-    the next one's value sets alone; the caller has paid for every candidate
-    stage profile of every reachable state."""
-    pay = game._payoff
-    nxt = {s: (s,) for s in submasks(reach(T))}
-    for t in reversed(range(T)):
+def _spne(game, movers):
+    """SPNE outcomes over the stages' movers.  Stage t (0-based) can reach
+    the submasks of the players who could move before it; from committed
+    profile `state` it moves to state | sub for each sub of movers[t] still
+    at 0.  The stages are solved from the last to the first, each from the
+    next one's value sets alone; the caller has paid for the payoff reads
+    and for every candidate stage profile of every reachable state."""
+    rows = _int_rows(game)
+    reach = list(accumulate(movers, or_, initial=0))
+    nxt = {s: (s,) for s in submasks(reach[-1])}
+    for t in reversed(range(len(movers))):
         cur = {}
-        for state in submasks(reach(t)):
+        for state in submasks(reach[t]):
             res = cur[state] = set()
-            for a, free in moves_of(t, (state,)):
-                a |= state
-                floors = [(i, min(pay(i, w) for w in nxt[a ^ (1 << i)])) for i in bits(free)]
-                res.update(v for v in nxt[a] if all(pay(i, v) >= f for i, f in floors))
+            free = movers[t] & ~state
+            pairs = [(rows[i], 1 << i) for i in bits(free)]
+            for sub in submasks(free):
+                a = state | sub
+                floors = [(u, min(u[w] for w in nxt[a ^ b])) for u, b in pairs]
+                res.update(v for v in nxt[a] if all(u[v] >= f for u, f in floors))
         # A pure SPNE must induce one on every subgame, including those
         # reached only by multi-player deviations; if any is empty, none
         # exists at all.  So every value set read above is non-empty.
@@ -354,85 +393,47 @@ def _spne(game, T, moves_of, reach):
 def enumerate_equilibria(game, schedule, mode="mspne", budget=DEFAULT_BUDGET):
     """Exhaustively enumerate pure-strategy equilibrium outcomes.
 
-    mode "mspne" walks every monotone profile (one-shot deviations checked at
-    every history, on-path or not), stage by stage from the back; the profiles
-    of a stage are enumerated once per distinct continuation (the final
-    outcome each history of the next stage leads to), not once per later
-    profile that yields it, and a stage profile is not tried where one
-    inside it with the same outcome is allowed.  mode "spne" drops the
-    monotonicity restriction and solves the value set of every reachable
-    subgame, stage by stage from the back.  Returns the set of terminal
-    coalition masks.
+    The schedule becomes the players who may move at each stage: everyone
+    at each of Sync(T)'s T stages, cell t at Async's stage t.  mode "mspne"
+    walks every monotone profile (one-shot deviations checked at every
+    history, on-path or not), stage by stage from the back, once per
+    distinct continuation of each stage; mode "spne" drops monotonicity and
+    solves the value set of every reachable subgame.  Returns the set of
+    terminal coalition masks.
 
     `budget` (errors.DEFAULT_BUDGET, the CLI's default too) caps the steps
     spent.  For "mspne", each stage's build is paid for, stage by stage,
-    before any history is built: one step per history slot (a stage-s
-    history holds s moves), per cover, per stage move and per one-shot
-    deviation of a move.  For Sync(T), stage s (0-based) costs
-    s (s+1)^n + n s (s+1)^(n-1) + (s+2)^n + 2n (s+2)^(n-1); for Async, a
-    stage with m earlier movers and a cell of k players costs
-    s 2^m + m 2^(m-1) + 2^(m+k) + k 2^(m+k).  The stages are charged
-    lazily, so a long horizon is refused at the first stage that exceeds
-    the budget.  Then every option examined at a node of a stage's
-    monotone-selection search, at each distinct continuation, costs one
-    step.  An option skipped there (one that only repeats a continuation)
-    still costs its step at the node that examines it; the skip saves the
-    nodes below it, so fewer nodes mean fewer steps.  For "spne", every
-    candidate stage profile of every reachable subgame costs one step, all
-    paid before any is solved: 2^n + (T-1) 3^n for Sync(T), and the sum over
-    stages t of 2^(|earlier cells| + |cell t|) for Async.  Exceeding the
-    budget raises ResourceLimitError.  "mspne" reads each player's payoff
-    once per profile, n 2^n reads that are not charged apart: Sync's stage 0
-    alone charges (n+1) 2^n, and an Async schedule's last stage 2^n moves
-    and k 2^n deviations.
+    before any history is built.  With c_i the earlier stages at which
+    player i could have moved and w_i = c_i + 1 + [i moves now], a stage
+    builds H = prod (c_i + 1) histories of n entries, sum c_i H / (c_i + 1)
+    covers, prod w_i stage profiles and, for each player i who moves,
+    2 prod w_i / w_i one-shot deviations: one step each.  A long horizon is
+    refused at the first stage that exceeds the budget.  Then each option
+    examined at a node of a stage's monotone-selection search costs one
+    step; skipping an option that only repeats a continuation saves the
+    nodes below it, not its own step.  The n 2^n payoff reads are not
+    charged apart: a stage where all n players first move charges
+    (n+1) 2^n.  "spne" pays everything before it reads a payoff: n 2^n
+    reads and, per stage, one step per candidate stage profile of every
+    reachable subgame, the product over players of 1 + [i may have entered
+    already] + [i moves now].  Exceeding the budget raises
+    ResourceLimitError.
     """
     mode = mode.lower()
-    if isinstance(schedule, Sync):
-        T = schedule.T
-        if T < 1:
-            raise ValueError("horizon must be positive")
-        n = game.n
-        full = game.all_players
-        moves_of = _sync_moves(full)
-        # stage s has (s+1)^n histories of s moves (each player joined at one
-        # of the s earlier stages, or not yet) with one cover per joined
-        # player, and (s+2)^n moves (histories one stage longer) with one
-        # deviation per player still at 0, who joins now or not
-        builds = (
-            s * (s + 1) ** (n - 1) * (s + 1 + n) + (s + 2) ** (n - 1) * (s + 2 + 2 * n)
-            for s in range(T)
-        )
-        # stage 0 starts from the empty profile, every later stage from any
-        spne_cost = (1 << n) + (T - 1) * 3**n
-
-        def reach(t):
-            return full if t else 0
-
-    elif isinstance(schedule, Async):
-        p = schedule.partition
-        p.validate_cover(game.n)
-        T = p.horizon
-        moves_of = _async_moves(p.cells)
-        # stage s has one history, and one state, per move of the m earlier
-        # movers, one cover per earlier mover who played 1, 2^k moves of its
-        # k-player cell per history, and k deviations per move
-        earlier = list(accumulate(p.cells, or_, initial=0))
-        sizes = [(e.bit_count(), c.bit_count()) for e, c in zip(earlier, p.cells)]
-        builds = (
-            s * 2**m + m * 2**m // 2 + (1 + k) * 2 ** (m + k) for s, (m, k) in enumerate(sizes)
-        )
-        spne_cost = sum(1 << e.bit_count() for e in earlier[1:])
-        reach = earlier.__getitem__
-    else:
-        raise ValueError("schedule must be Sync(T) or Async(partition)")
+    runs = _runs(game, schedule)
     steps = _Budget(budget)
     if mode == "mspne":
-        for cost in builds:
-            steps.spend(cost)
-        return _mspne_outcomes(game, _histories(T, moves_of), moves_of, steps)
+        movers = []
+        counts = [0] * game.n
+        for m in _stages(runs):
+            steps.spend(_build_cost(counts, m))
+            movers.append(m)
+            for i in bits(m):
+                counts[i] += 1
+        return _mspne_outcomes(game, movers, steps)
     if mode == "spne":
-        steps.spend(spne_cost)
-        return _spne(game, T, moves_of, reach)
+        steps.spend(_spne_cost(game.n, runs))
+        return _spne(game, list(_stages(runs)))
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -442,50 +443,52 @@ def enumerate_equilibria(game, schedule, mode="mspne", budget=DEFAULT_BUDGET):
 
 @dataclass
 class StrategyProfile:
-    """Joint pure strategy for a synchronous game, stored as one action-profile
-    mask per (reachable or not) history; replaying from the empty history
-    gives `outcome`."""
+    """Joint pure strategy for a T-stage game, stored as one action-profile
+    mask per (reachable or not) history: moves[t] maps each stage-t history,
+    a tuple of entry stages, to its profile.  Replaying from the stage-0
+    history gives `outcome`."""
 
     T: int
-    moves: dict
+    moves: list
     outcome: int
 
     def replay(self):
-        h = ()
-        for _ in range(self.T):
-            h = h + (self.moves[h],)
-        return h[-1]
+        (e,) = self.moves[0]
+        for t, stage in enumerate(self.moves):
+            e = _after(e, stage[e], t)
+        return _entered(e, self.T)
 
 
-def _verify_mspne(game, T, profile):
+def _verify_mspne(game, movers, profile):
     """Irreversibility, monotonicity (against the histories each history
     covers, whose transitive closure is the stage's order) and one-shot
-    deviations at every history."""
-    pay = game._payoff
-    full = game.all_players
-    moves = profile.moves
-
-    def play_out(h):
-        while len(h) < T:
-            h = h + (moves[h],)
-        return h[-1]
-
-    for hs in _histories(T, _sync_moves(full)):
-        order, covers = _sorted_with_predecessors(hs)
-        for ha, below in zip(order, covers):
-            ma = moves[ha]
-            last = ha[-1] if ha else 0
-            if last & ~ma:
-                return False, f"irreversibility violated at {ha}"
+    deviations at every history, from the last stage to the first, each
+    read off the final outcome of every next-stage history."""
+    n = game.n
+    rows = _int_rows(game)
+    value = None  # the final outcome of each stage-(t+1) history
+    for t in reversed(range(len(movers))):
+        order, covers = _sorted_with_predecessors(n, movers, t)
+        m = movers[t]
+        stage = profile.moves[t]
+        cur = {}
+        for e, below in zip(order, covers):
+            ma = stage[e]
+            entered = _entered(e, t)
+            if entered & m & ~ma:
+                return False, f"irreversibility violated at stage {t}, history {e}"
             for j in below:
-                if moves[order[j]] & ~ma:
-                    return False, f"monotonicity violated between {order[j]} and {ha}"
-            base = play_out(ha + (ma,))
-            for i in bits(full & ~last):
-                dev = ma ^ (1 << i)
-                alt = play_out(ha + (dev,))
-                if pay(i, alt) > pay(i, base):
-                    return False, f"player {i} deviates at {ha}"
+                if stage[order[j]] & ~ma:
+                    return False, f"monotonicity violated at stage {t}, between {order[j]} and {e}"
+
+            def final(a):
+                return entered | a if value is None else value[_after(e, a, t)]
+
+            base = cur[e] = final(ma)
+            for i in bits(m & ~entered):
+                if rows[i][final(ma ^ 1 << i)] > rows[i][base]:
+                    return False, f"player {i} deviates at stage {t}, history {e}"
+        value = cur
     return True, ""
 
 
@@ -500,31 +503,28 @@ def support_strategy(game, T, X, solver=None):
     solver = solver or SyncSolver(game)
     if X not in set(solver.outcome_set(T)):
         raise PreconditionError(f"{members(X)} is not an achievable outcome at T={T}")
+    n = game.n
     full = game.all_players
-    moves = {}
-    stages = _histories(T, _sync_moves(full))
-
+    movers = [full] * T
     if X == full:
-        for t in range(T):
-            for h in stages[t]:
-                moves[h] = full
+        moves = [dict.fromkeys(product(*_chances(n, movers, t)), full) for t in range(T)]
         profile = StrategyProfile(T=T, moves=moves, outcome=full)
     else:
-        forced = {(): X}
-        for t in range(1, T):
-            for h in stages[t]:
-                prev = forced[h[:-1]]
-                locked = prev | h[-1]
-                rest = full & ~locked
-                forced[h] = locked | solver.least_outcome(
-                    T - t, ctx=Context(rest, locked)
-                )
+        moves = []
+        forced = {(0,) * n: X}
         for t in range(T):
-            for h in stages[t]:
-                if t < T - 1:
-                    moves[h] = h[-1] if h else 0
-                else:
-                    moves[h] = X | forced[h]
+            hs = list(product(*_chances(n, movers, t)))
+            if t:
+                prev, forced = forced, {}
+                for e in hs:
+                    # extends the stage-(t-1) history where t-1 entrants had not yet
+                    locked = prev[tuple([min(s, t - 1) for s in e])] | _entered(e, t)
+                    ctx = Context(full & ~locked, locked)
+                    forced[e] = locked | solver.least_outcome(T - t, ctx=ctx)
+            if t < T - 1:
+                moves.append({e: _entered(e, t) for e in hs})
+            else:
+                moves.append({e: X | forced[e] for e in hs})
         profile = StrategyProfile(T=T, moves=moves, outcome=0)
         profile.outcome = profile.replay()
         if profile.outcome != X:
@@ -532,7 +532,7 @@ def support_strategy(game, T, X, solver=None):
                 f"conservative profile realises {members(profile.outcome)} "
                 f"instead of {members(X)}; solver inconsistency"
             )
-    ok, why = _verify_mspne(game, T, profile)
+    ok, why = _verify_mspne(game, movers, profile)
     if not ok:
         raise RuntimeError(f"conservative profile fails verification: {why}")
     return profile

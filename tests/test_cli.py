@@ -752,7 +752,7 @@ def test_mspne_oracle_pays_for_its_history_poset_first(tmp_path, capsys, monkeyp
     # about 20 s, before the first budget step was spent
     from coordsolve import oracle
 
-    def unreached(histories):
+    def unreached(*args):
         raise AssertionError("history poset built before the budget was spent")
 
     monkeypatch.setattr(oracle, "_sorted_with_predecessors", unreached)
@@ -790,11 +790,11 @@ def test_wide_mspne_oracle_refused_before_its_moves(tmp_path, monkeypatch, flags
 def test_wide_mspne_oracle_builds_no_history(tmp_path, capsys, monkeypatch):
     from coordsolve import oracle
 
-    def unreached(T, moves_of):
+    def unreached(*args):
         raise AssertionError("histories built before the budget was spent")
 
     monkeypatch.delenv("COORDSOLVE_BUDGET", raising=False)
-    monkeypatch.setattr(oracle, "_histories", unreached)
+    monkeypatch.setattr(oracle, "_chances", unreached)
     path = write_game(tmp_path, WL20_DOC)
     assert main(["oracle", "--game", path, "--t", "1"]) == 3
     captured = capsys.readouterr()
@@ -802,9 +802,35 @@ def test_wide_mspne_oracle_builds_no_history(tmp_path, capsys, monkeypatch):
     assert captured.err == "resource error: oracle enumeration exceeded 10000000 steps\n"
 
 
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_wide_spne_oracle_refused_before_its_payoff_reads(tmp_path, monkeypatch, flags):
+    # 20 2^20 payoff reads: this used to answer after 25 s, having charged
+    # 2^20 steps
+    monkeypatch.delenv("COORDSOLVE_BUDGET", raising=False)
+    path = write_game(tmp_path, WL20_DOC)
+    done = run_capped(["oracle", "--game", path, "--mode", "spne", "--t", "1"] + flags)
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert done.stderr == "resource error: oracle enumeration exceeded 10000000 steps\n"
+
+
+ONE_PLAYER_DOC = {"players": 1, "kind": "table", "payoffs": [[0, 1]]}
+
+
+def test_long_mspne_oracle_holds_one_entry_per_player(tmp_path):
+    # a stage-t history is each player's entry stage: as a tuple of t
+    # profiles, this died with a MemoryError traceback
+    path = write_game(tmp_path, ONE_PLAYER_DOC)
+    argv = ["oracle", "--game", path, "--mode", "mspne", "--t", "1100", "--budget", "1000000000"]
+    done = run_capped(argv + ["--json"])
+    assert done.returncode == 0
+    assert done.stderr == ""
+    assert json.loads(done.stdout) == {"mode": "mspne", "outcomes": [[1]]}
+
+
 @pytest.mark.parametrize(
     "doc, outcome",
-    [(two_player_table_doc(), [1, 2]), ({"players": 1, "kind": "table", "payoffs": [[0, 1]]}, [1])],
+    [(two_player_table_doc(), [1, 2]), (ONE_PLAYER_DOC, [1])],
     ids=["2p", "1p"],
 )
 @pytest.mark.parametrize("flags", [[], ["--json"]])

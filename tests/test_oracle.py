@@ -21,19 +21,17 @@ from coordsolve import (
 from coordsolve import oracle
 from coordsolve.errors import DEFAULT_BUDGET
 from coordsolve.oracle import (
-    StrategyProfile,
     _Budget,
-    _async_moves,
-    _histories,
     _monotone_selections,
-    _sync_moves,
     _verify_mspne,
 )
 from coordsolve.sync import SyncSolver
 
 from util import (
     EXACT_PAYOFFS,
+    TupleStrategyProfile,
     _async_histories,
+    _histories,
     _sorted_with_predecessors as all_pairs_order,
     _sync_histories,
     _unpruned_selections,
@@ -45,14 +43,24 @@ from util import (
     mspne_build_costs,
     mspne_build_counts,
     mspne_reference,
+    move_tuple,
     random_digraph,
     random_game,
     random_partition,
     reference_stages,
+    schedule_movers,
     spillover_pair_games,
     spne_reference,
+    tuple_engine_outcomes,
+    tuple_mspne_outcomes,
+    tuple_profile,
+    tuple_schedule,
+    tuple_spne_outcomes,
+    tuple_support_strategy,
+    tuple_verify_mspne,
     two_triangles_game,
     unpruned_mspne_outcomes,
+    entry_profile,
     verify_mspne_reference,
 )
 
@@ -118,8 +126,10 @@ def test_async_spne_outside_stage_equilibria():
 
 
 def test_sync_history_counts():
-    stages = _histories(3, _sync_moves(0b111))
+    movers = [0b111] * 3
+    stages = [oracle._sorted_with_predecessors(3, movers, t)[0] for t in range(3)]
     assert [len(s) for s in stages] == [1, 8, 27]
+    assert stages[2][:3] == [(2, 2, 2), (1, 2, 2), (2, 1, 2)]  # nobody, then one late entrant
 
 
 def test_budget_cap_raises():
@@ -149,19 +159,19 @@ CELLS = [0b011, 0b100, 0b1000]
 @pytest.mark.parametrize(
     "n, schedule, cost",
     [
-        # stage s: s (s+1)^3 slots, 3 s (s+1)^2 covers, (s+2)^3 moves and
-        # 6 (s+2)^2 deviations
-        (3, Sync(3), (0 + 0 + 8 + 24) + (8 + 12 + 27 + 54) + (54 + 54 + 64 + 96)),
-        # stage s with m earlier movers and a k-player cell: s 2^m slots,
-        # m 2^(m-1) covers, 2^(m+k) moves and k 2^(m+k) deviations
-        (4, Async(Partition(CELLS)), (0 + 0 + 4 + 8) + (4 + 4 + 8 + 8) + (16 + 12 + 16 + 16)),
+        # stage s: 3 (s+1)^3 entries, 3 s (s+1)^2 covers, (s+2)^3 profiles
+        # and 6 (s+2)^2 deviations
+        (3, Sync(3), (3 + 0 + 8 + 24) + (24 + 12 + 27 + 54) + (81 + 54 + 64 + 96)),
+        # stage s with m earlier movers and a k-player cell: 4 2^m entries,
+        # m 2^(m-1) covers, 2^(m+k) profiles and k 2^(m+k) deviations
+        (4, Async(Partition(CELLS)), (4 + 0 + 4 + 8) + (16 + 4 + 8 + 8) + (32 + 12 + 16 + 16)),
     ],
     ids=["sync", "async"],
 )
 def test_mspne_poset_is_paid_for_before_it_is_built(monkeypatch, n, schedule, cost):
     game = random_game(random.Random(1), n)
 
-    def reached(histories):
+    def reached(*args):
         raise AssertionError("poset reached")
 
     monkeypatch.setattr(oracle, "_sorted_with_predecessors", reached)
@@ -175,10 +185,11 @@ def test_mspne_poset_is_paid_for_before_it_is_built(monkeypatch, n, schedule, co
 @pytest.mark.parametrize(
     "n, schedule, cost",
     [
-        # stage 0 from the empty profile, stages 1 and 2 from any of 2^3
-        (3, Sync(3), 2**3 + 2 * 3**3),
-        # 2^(|earlier cells| + |cell t|) per stage
-        (4, Async(Partition(CELLS)), 2**2 + 2**3 + 2**4),
+        # 3 2^3 payoff reads; stage 0 from the empty profile, stages 1 and
+        # 2 from any of 2^3
+        (3, Sync(3), 3 * 2**3 + 2**3 + 2 * 3**3),
+        # 4 2^4 payoff reads; 2^(|earlier cells| + |cell t|) per stage
+        (4, Async(Partition(CELLS)), 4 * 2**4 + 2**2 + 2**3 + 2**4),
     ],
     ids=["sync", "async"],
 )
@@ -196,6 +207,12 @@ def test_spne_is_paid_for_before_it_is_solved(monkeypatch, n, schedule, cost):
             enumerate_equilibria(game, schedule, mode="spne", budget=cost - 1)
     assert exc.value.size == cost
     assert str(exc.value) == f"oracle enumeration exceeded {cost - 1} steps"
+
+
+def test_long_one_player_horizon_fits_the_default_budget():
+    # a stage-t history is one entry stage, not t profiles: the build
+    # charge used to pass 10^7 here (10,027,260), mostly history slots
+    assert enumerate_equilibria(table_game([[0, 1]]), Sync(400)) == {1}
 
 
 def test_four_player_three_stage_reach():
@@ -289,13 +306,18 @@ def differential_games(n, schedule):
 @settings(max_examples=100, deadline=None)
 @given(n=st.integers(1, 3), data=st.data())
 def test_histories_match_the_reference_builders(n, data):
+    # each stage's entry histories, read as move tuples, are the reference
+    # builders' histories, each once
     schedule = data.draw(schedules(n))
     if isinstance(schedule, Sync):
-        got = _histories(schedule.T, _sync_moves((1 << n) - 1))
-        assert got == _sync_histories(n, schedule.T)
+        want = _sync_histories(n, schedule.T)
     else:
-        cells = schedule.partition.cells
-        assert _histories(len(cells), _async_moves(cells)) == _async_histories(cells)
+        want = _async_histories(schedule.partition.cells)
+    movers = schedule_movers(table_game([[0] * (1 << n)] * n), schedule)
+    for t, hs in enumerate(want):
+        order, _ = oracle._sorted_with_predecessors(n, movers, t)
+        got = [move_tuple(movers, t, e) for e in order]
+        assert sorted(got) == sorted(hs) and len(set(got)) == len(got)
 
 
 @settings(max_examples=200, deadline=None)
@@ -307,10 +329,32 @@ def test_spne_matches_the_recursion(n, data):
     game = data.draw(differential_games(n, schedule))
     spent = _Budget(10**9)
     want = spne_reference(game, schedule, spent)
+    spent.spend(n << n)  # each player's payoff row, read once
     assert enumerate_equilibria(game, schedule, mode="spne", budget=spent.used) == want
     with pytest.raises(ResourceLimitError) as exc:
         enumerate_equilibria(game, schedule, mode="spne", budget=spent.used - 1)
     assert exc.value.size == spent.used
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 4), data=st.data())
+def test_entry_stage_oracle_matches_the_move_tuple_oracle(n, data):
+    # equal MSPNE and SPNE outcome sets, and equal MSPNE search steps once
+    # the build charge is left out: both engines answer, or run out of
+    # 10^5 steps, alike and step for step
+    schedule = data.draw(schedules(n, max_T=3))
+    game = data.draw(differential_games(n, schedule))
+
+    def run(engine, *args):
+        spent = _Budget(10**5)
+        try:
+            return engine(game, *args, spent), spent.used
+        except ResourceLimitError:
+            return None, spent.used
+
+    got = run(oracle._mspne_outcomes, schedule_movers(game, schedule))
+    assert got == run(tuple_engine_outcomes, schedule)
+    assert enumerate_equilibria(game, schedule, mode="spne") == tuple_spne_outcomes(game, schedule)
 
 
 @settings(max_examples=60, deadline=None)
@@ -321,7 +365,7 @@ def test_mspne_steps_match_the_reference_histories(n, data):
     stages, moves_of, _ = reference_stages(game, schedule)
     spent = _Budget(10**9)
     spent.spend(sum(mspne_build_costs(n, schedule)))
-    want = oracle._mspne_outcomes(game, stages, moves_of, spent)
+    want = tuple_mspne_outcomes(game, stages, moves_of, spent)
     assert enumerate_equilibria(game, schedule, budget=spent.used) == want
     with pytest.raises(ResourceLimitError):
         enumerate_equilibria(game, schedule, budget=spent.used - 1)
@@ -330,17 +374,13 @@ def test_mspne_steps_match_the_reference_histories(n, data):
 @settings(max_examples=100, deadline=None)
 @given(n=st.integers(1, 4), data=st.data())
 def test_mspne_build_charge_counts_what_is_built(n, data):
-    # the closed forms against what _histories, the covers and moves_of
-    # build, and the charge a refusal reports before any search step
+    # the closed forms against the entries, covers, stage profiles and
+    # deviations of the histories the oracle builds, and the charge a
+    # refusal reports before any search step
     schedule = data.draw(schedules(n, max_T=4))
-    if isinstance(schedule, Sync):
-        T, moves_of = schedule.T, _sync_moves((1 << n) - 1)
-    else:
-        T, moves_of = schedule.partition.horizon, _async_moves(schedule.partition.cells)
-    costs = mspne_build_costs(n, schedule)
-    built = mspne_build_counts(_histories(T, moves_of), moves_of, oracle._sorted_with_predecessors)
-    assert built == costs
     game = table_game([[0] * (1 << n)] * n)
+    costs = mspne_build_costs(n, schedule)
+    assert mspne_build_counts(n, schedule_movers(game, schedule)) == costs
     with pytest.raises(ResourceLimitError) as exc:
         enumerate_equilibria(game, schedule, budget=sum(costs) - 1)
     assert exc.value.size == sum(costs)
@@ -349,32 +389,39 @@ def test_mspne_build_charge_counts_what_is_built(n, data):
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 4), data=st.data())
 def test_covers_match_the_all_pairs_order(n, data):
-    # the same linear order; the covers' transitive closure is the all-pairs
+    # the order, read as move tuples, is the all-pairs order of the
+    # reference histories; the covers' transitive closure is the all-pairs
     # predecessor sets; the MSPNE engine answers, or runs out of a small
     # budget, alike and step for step (four players over three stages can
     # take over 10^8 steps)
     schedule = data.draw(schedules(n, max_T=3))
     game = data.draw(differential_games(n, schedule))
-    stages, moves_of, _ = reference_stages(game, schedule)
-    for hs in stages:
-        order, covers = oracle._sorted_with_predecessors(hs)
+    stages, _, _ = reference_stages(game, schedule)
+    movers = schedule_movers(game, schedule)
+    cover_order = oracle._sorted_with_predecessors
+    for t, hs in enumerate(stages):
+        order, covers = cover_order(n, movers, t)
         want, preds = all_pairs_order(hs)
-        assert order == want
+        assert [move_tuple(movers, t, e) for e in order] == want
         assert max(map(len, covers)) <= n
         below = []  # covers index earlier histories, so one pass closes them
         for c in covers:
             below.append(set(c).union(*(below[j] for j in c)))
         assert below == [set(p) for p in preds]
 
+    def all_pairs(n, movers, t):
+        order, _ = cover_order(n, movers, t)
+        return order, all_pairs_order([move_tuple(movers, t, e) for e in order])[1]
+
     def run():
         spent = _Budget(10**5)
         try:
-            return oracle._mspne_outcomes(game, stages, moves_of, spent), spent.used
+            return oracle._mspne_outcomes(game, movers, spent), spent.used
         except ResourceLimitError:
             return None, spent.used
 
     got = run()
-    with mock.patch.object(oracle, "_sorted_with_predecessors", all_pairs_order):
+    with mock.patch.object(oracle, "_sorted_with_predecessors", all_pairs):
         assert run() == got
 
 
@@ -386,20 +433,18 @@ def test_pruned_mspne_matches_the_unpruned_engine(n, data):
     # payoffs), wherever both finish within 10^5 search steps
     schedule = data.draw(schedules(n, max_T=3))
     game = data.draw(differential_games(n, schedule))
-    if isinstance(schedule, Sync):
-        T, moves_of = schedule.T, _sync_moves(game.all_players)
-    else:
-        T, moves_of = schedule.partition.horizon, _async_moves(schedule.partition.cells)
+    T, moves_of, _ = tuple_schedule(game, schedule)
     stages = _histories(T, moves_of)
+    movers = schedule_movers(game, schedule)
 
-    def run(engine):
+    def run(engine, *args):
         try:
-            return engine(game, stages, moves_of, _Budget(10**5))
+            return engine(game, *args, _Budget(10**5))
         except ResourceLimitError:
             return None
 
-    want = run(unpruned_mspne_outcomes)
-    got = run(oracle._mspne_outcomes)
+    want = run(unpruned_mspne_outcomes, stages, moves_of)
+    got = run(oracle._mspne_outcomes, movers)
     if want is not None and got is not None:
         assert got == want
 
@@ -411,15 +456,14 @@ def test_selections_yield_the_unpruned_continuations(n, data):
     # (few, so that they tie), the pruned search yields exactly the
     # continuations the unpruned one yields, wherever that fits 10^5 steps
     schedule = data.draw(schedules(n, max_T=3))
-    if isinstance(schedule, Sync):
-        T, moves_of = schedule.T, _sync_moves((1 << n) - 1)
-    else:
-        T, moves_of = schedule.partition.horizon, _async_moves(schedule.partition.cells)
+    game = table_game([[0] * (1 << n)] * n)
+    T, moves_of, _ = tuple_schedule(game, schedule)
+    movers = schedule_movers(game, schedule)
     t = data.draw(st.integers(0, T - 1))
-    order, covers = oracle._sorted_with_predecessors(_histories(T, moves_of)[t])
+    order, covers = oracle._sorted_with_predecessors(n, movers, t)
     options, values = [], []
-    for h in order:
-        legal = sorted(a for a, _ in moves_of(t, h))
+    for e in order:
+        legal = sorted(a for a, _ in moves_of(t, move_tuple(movers, t, e)))
         opts = sorted(data.draw(st.sets(st.sampled_from(legal), min_size=1)))
         options.append(opts)
         values.append({a: data.draw(st.integers(0, 2)) for a in opts})
@@ -479,9 +523,12 @@ def test_verify_mspne_matches_the_all_pairs_check(n, T, data):
     for h in data.draw(st.lists(st.sampled_from(sorted(moves)), max_size=2)):
         last = h[-1] if h and len(h) < T - 1 else 0
         moves[h] = last | data.draw(st.integers(0, full))
-    profile = StrategyProfile(T=T, moves=moves, outcome=0)
-    ok, why = _verify_mspne(game, T, profile)
+    profile = TupleStrategyProfile(T=T, moves=moves, outcome=0)
+    converted = entry_profile(n, profile)
+    assert tuple_profile(converted).moves == moves
+    ok, why = _verify_mspne(game, [full] * T, converted)
     assert ok == verify_mspne_reference(game, T, profile)[0]
+    assert ok == tuple_verify_mspne(game, T, profile)[0]
     assert bool(why) != ok
 
 
@@ -559,9 +606,9 @@ def test_every_mspne_has_a_no_pledge_twin():
             moves = {(): 0}
             for h, a in zip(final_hists, choice):
                 moves[h] = a
-            prof = StrategyProfile(T=T, moves=moves, outcome=0)
+            prof = entry_profile(n, TupleStrategyProfile(T=T, moves=moves, outcome=0))
             prof.outcome = prof.replay()
-            ok, _ = _verify_mspne(game, T, prof)
+            ok, _ = _verify_mspne(game, [full] * T, prof)
             if ok:
                 found.add(prof.outcome)
         assert found == outs
@@ -576,7 +623,7 @@ def test_support_full_set_constant_profile():
     game = two_triangles_game()
     prof = support_strategy(game, 2, game.all_players)
     assert prof.outcome == game.all_players
-    assert all(m == game.all_players for m in prof.moves.values())
+    assert all(m == game.all_players for stage in prof.moves for m in stage.values())
 
 
 def test_support_partial_outcome():
@@ -584,7 +631,7 @@ def test_support_partial_outcome():
     X = mask_of((0, 1, 2))
     prof = support_strategy(game, 2, X)
     assert prof.outcome == X
-    ok, why = _verify_mspne(game, 2, prof)
+    ok, why = _verify_mspne(game, [game.all_players] * 2, prof)
     assert ok, why
 
 
@@ -598,6 +645,19 @@ def test_support_rejects_unachievable():
     game = two_triangles_game()
     with pytest.raises(PreconditionError):
         support_strategy(game, 3, mask_of((0, 1, 2)))  # at T=3 only N remains
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 4), T=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_support_strategy_matches_the_move_tuple_oracle(n, T, seed):
+    # the same witness at every history, read as move tuples
+    game = random_game(random.Random(seed), n)
+    solver = SyncSolver(game)
+    for X in solver.outcome_set(T):
+        got = support_strategy(game, T, X, solver=solver)
+        want = tuple_support_strategy(game, T, X, solver=solver)
+        assert got.outcome == want.outcome == X
+        assert tuple_profile(got).moves == want.moves
 
 
 def test_support_matches_solver_outcomes():

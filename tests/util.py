@@ -5,8 +5,10 @@ implementations used to cross-check the solvers."""
 import math
 import random
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from itertools import accumulate
 from operator import or_
 from typing import NamedTuple
 
@@ -37,6 +39,7 @@ from coordsolve.core import (
     compare_rows,
     gains,
     iesds_scan,
+    int_row,
     is_ne,
     members,
     sorted_coalitions,
@@ -50,7 +53,7 @@ from coordsolve.errors import DEFAULT_BUDGET
 from coordsolve.ordered import OrderedFlags, _chain_reaches
 from coordsolve.sync import PolicyNode, SyncSolver
 from coordsolve import oracle as oracle_module
-from coordsolve.oracle import _Budget
+from coordsolve.oracle import StrategyProfile, _Budget, _stage_options
 
 
 def bit(X, i):
@@ -1188,9 +1191,8 @@ def cycle_rank(nodes, edge_set):
 # ---------------------------------------------------------------------------
 # the oracle's all-pairs history order, its per-schedule history builders,
 # its SPNE value-set recursion and its all-pairs witness check (kept verbatim
-# as the references for the cover-relation `oracle._sorted_with_predecessors`,
-# `oracle._histories`, the back-to-front `oracle._spne` and the cover-list
-# `oracle._verify_mspne`)
+# as the references for the cover-relation `_cover_order`, `_histories`, the
+# back-to-front `tuple_spne` and the cover-list `tuple_verify_mspne` below)
 
 
 def _leq_history(h1, h2):
@@ -1331,6 +1333,348 @@ def verify_mspne_reference(game, T, profile):
 
 
 # ---------------------------------------------------------------------------
+# the oracle on move-tuple histories, its schedules as per-schedule stage
+# moves (kept verbatim, but for its names, as the reference for the oracle
+# on each player's entry stage over the stages' movers)
+
+
+def _sync_moves(full):
+    """Synchronous stage moves: at history h, every upgrade of its last
+    profile, moved by the players still at 0."""
+
+    def moves_of(t, h):
+        last = h[-1] if h else 0
+        rest = full & ~last
+        for sub in submasks(rest):
+            yield last | sub, rest
+
+    return moves_of
+
+
+def _async_moves(cells):
+    """Asynchronous stage moves: at any stage-t history, every profile of
+    cell t, moved by its members."""
+
+    def moves_of(t, h):
+        for sub in submasks(cells[t]):
+            yield sub, cells[t]
+
+    return moves_of
+
+
+def _histories(T, moves_of):
+    """Histories per stage: stage t + 1 extends each stage-t history by each
+    move moves_of(t, h) yields, in that order."""
+    stages = [[()]]
+    for t in range(T - 1):
+        stages.append([h + (a,) for h in stages[-1] for a, _ in moves_of(t, h)])
+    return stages
+
+
+def _cover_order(histories):
+    """Linear extension plus, per history, the indices of the histories it
+    covers: the same history with one player removed from the move where
+    that player first plays 1 (at most n of them, each an earlier index).
+    The componentwise profile order is the transitive closure of these
+    covers, so a floor built along them is the floor of every history
+    below."""
+    order = sorted(histories, key=lambda h: (sum(m.bit_count() for m in h), h))
+    pos = {h: idx for idx, h in enumerate(order)}
+    covers = []
+    for h in order:
+        below = []
+        seen = 0
+        for j, m in enumerate(h):
+            first = m & ~seen
+            seen |= m
+            while first:
+                low = first & -first
+                first ^= low
+                below.append(pos[h[:j] + (m ^ low,) + h[j + 1 :]])
+        covers.append(below)
+    return order, covers
+
+
+def tuple_mspne_outcomes(game, stages, moves_of, budget):
+    """Common MSPNE engine over precomputed history stages.
+
+    moves_of(t, h) yields legal stage-t action profiles at history h, with the
+    players who move there; choosing a at the last stage ends the game at
+    a | h[0] | h[1] | ..., every player who has played 1 (a itself under
+    Sync, whose profiles only grow).  A continuation is the tuple of final
+    outcomes, one per stage-(t+1) history in linear-extension order (per
+    last-stage move for t = T-1); the outcome set of stage t under a
+    continuation is solved once per call and memoised on (t, continuation).
+    The continuations are walked depth first on an explicit stack, one frame
+    per stage being searched.  Each player's payoffs are read once, at
+    every profile, and compared as ints (int_row).
+    """
+    pay = game._payoff
+    rows = [int_row([pay(i, M) for M in range(1 << game.n)]) for i in range(game.n)]
+    T = len(stages)
+
+    # layers[t] = (covers, moves): moves[idx] lists (a, src, deviations) for
+    # history idx, where src picks the outcome of playing a out of the
+    # continuation, and each deviation (u, d) a mover's int payoff row and
+    # the index of the outcome of playing a with that mover's bit flipped.
+    layers = [None] * T
+    terminal = []  # the last stage's continuation, one outcome per move
+    nxt_pos = None
+    flips = {}  # movers -> (int payoff row, bit) per mover
+    for t in reversed(range(T)):
+        order, covers = _cover_order(stages[t])
+        moves = []
+        for h in order:
+            legal = list(moves_of(t, h))
+            legal.reverse()  # ascending, as _monotone_selections takes them
+            if t == T - 1:
+                src = {}
+                for a, _ in legal:
+                    src[a] = len(terminal)
+                    terminal.append(reduce(or_, h, a))
+            else:
+                src = {a: nxt_pos[h + (a,)] for a, _ in legal}
+            hist = []
+            for a, movers in legal:
+                pairs = flips.get(movers)
+                if pairs is None:
+                    pairs = flips[movers] = [(rows[i], 1 << i) for i in bits(movers)]
+                hist.append((a, src[a], [(u, src[a ^ b]) for u, b in pairs]))
+            moves.append(hist)
+        layers[t] = (covers, moves)
+        nxt_pos = {h: idx for idx, h in enumerate(order)}
+
+    memo = {}
+
+    def open_frame(t, w):
+        """Stage t's search under continuation w, as a stack frame: (t, w,
+        selections, outcomes found, ceiling)."""
+        covers, moves = layers[t]
+        found = _stage_options(moves, w)
+        if found is None:
+            return t, w, (), set(), 0  # no admissible stage map here
+        options, values = found
+        if t == 0:  # one history, the empty one: each option is an outcome
+            budget.spend(len(options[0]))
+            out = set(values[0].values())
+            return t, w, (), out, len(out)
+        # Every outcome is one of the stage's admissible values (a stage-t
+        # outcome set lies within its continuation), so once all of them are
+        # found no further selection can add one.
+        ceiling = len(set().union(*(vals.values() for vals in values)))
+        selections = oracle_module._monotone_selections(covers, options, values, budget)
+        return t, w, selections, set(), ceiling
+
+    stack = [open_frame(T - 1, tuple(terminal))]
+    while True:
+        frame = stack[-1]
+        t, w, sels, out, ceiling = frame
+        if len(out) < ceiling:
+            for picked in sels:
+                key = (t - 1, tuple(picked))
+                got = memo.get(key)
+                if got is None:
+                    stack.append(open_frame(*key))
+                    break
+                out |= got
+                if len(out) == ceiling:
+                    break
+            if stack[-1] is not frame:
+                continue
+        stack.pop()
+        got = memo[t, w] = frozenset(out)
+        if not stack:
+            return set(got)
+        stack[-1][3].update(got)
+
+
+def tuple_spne(game, T, moves_of, reach):
+    """SPNE outcomes of a T-stage game.  Stage t (0-based) can reach the
+    submasks of reach(t); from committed profile `state` it moves to
+    state | a for each (a, movers) that moves_of yields at a history ending
+    in `state`.  The stages are solved from the last to the first, each from
+    the next one's value sets alone; the caller has paid for every candidate
+    stage profile of every reachable state."""
+    pay = game._payoff
+    nxt = {s: (s,) for s in submasks(reach(T))}
+    for t in reversed(range(T)):
+        cur = {}
+        for state in submasks(reach(t)):
+            res = cur[state] = set()
+            for a, free in moves_of(t, (state,)):
+                a |= state
+                floors = [(i, min(pay(i, w) for w in nxt[a ^ (1 << i)])) for i in bits(free)]
+                res.update(v for v in nxt[a] if all(pay(i, v) >= f for i, f in floors))
+        # A pure SPNE must induce one on every subgame, including those
+        # reached only by multi-player deviations; if any is empty, none
+        # exists at all.  So every value set read above is non-empty.
+        if t and not all(cur.values()):
+            return set()
+        nxt = cur
+    return nxt[0]
+
+
+@dataclass
+class TupleStrategyProfile:
+    """Joint pure strategy for a synchronous game, stored as one action-profile
+    mask per (reachable or not) history; replaying from the empty history
+    gives `outcome`."""
+
+    T: int
+    moves: dict
+    outcome: int
+
+    def replay(self):
+        h = ()
+        for _ in range(self.T):
+            h = h + (self.moves[h],)
+        return h[-1]
+
+
+def tuple_verify_mspne(game, T, profile):
+    """Irreversibility, monotonicity (against the histories each history
+    covers, whose transitive closure is the stage's order) and one-shot
+    deviations at every history."""
+    pay = game._payoff
+    full = game.all_players
+    moves = profile.moves
+
+    def play_out(h):
+        while len(h) < T:
+            h = h + (moves[h],)
+        return h[-1]
+
+    for hs in _histories(T, _sync_moves(full)):
+        order, covers = _cover_order(hs)
+        for ha, below in zip(order, covers):
+            ma = moves[ha]
+            last = ha[-1] if ha else 0
+            if last & ~ma:
+                return False, f"irreversibility violated at {ha}"
+            for j in below:
+                if moves[order[j]] & ~ma:
+                    return False, f"monotonicity violated between {order[j]} and {ha}"
+            base = play_out(ha + (ma,))
+            for i in bits(full & ~last):
+                dev = ma ^ (1 << i)
+                alt = play_out(ha + (dev,))
+                if pay(i, alt) > pay(i, base):
+                    return False, f"player {i} deviates at {ha}"
+    return True, ""
+
+
+def tuple_support_strategy(game, T, X, solver=None):
+    """The conservative monotone witness carrying outcome X at horizon T.
+
+    Nobody pledges; mid-game moves only echo earlier pledges; the final move
+    plays X plus whatever the accumulated pledges force in (the least outcome
+    of the residual game at the remaining horizon).  The profile is verified
+    to be a monotone equilibrium by one-shot deviation before it is returned.
+    """
+    solver = solver or SyncSolver(game)
+    if X not in set(solver.outcome_set(T)):
+        raise PreconditionError(f"{members(X)} is not an achievable outcome at T={T}")
+    full = game.all_players
+    moves = {}
+    stages = _histories(T, _sync_moves(full))
+
+    if X == full:
+        for t in range(T):
+            for h in stages[t]:
+                moves[h] = full
+        profile = TupleStrategyProfile(T=T, moves=moves, outcome=full)
+    else:
+        forced = {(): X}
+        for t in range(1, T):
+            for h in stages[t]:
+                prev = forced[h[:-1]]
+                locked = prev | h[-1]
+                rest = full & ~locked
+                forced[h] = locked | solver.least_outcome(
+                    T - t, ctx=Context(rest, locked)
+                )
+        for t in range(T):
+            for h in stages[t]:
+                if t < T - 1:
+                    moves[h] = h[-1] if h else 0
+                else:
+                    moves[h] = X | forced[h]
+        profile = TupleStrategyProfile(T=T, moves=moves, outcome=0)
+        profile.outcome = profile.replay()
+        if profile.outcome != X:
+            raise RuntimeError(
+                f"conservative profile realises {members(profile.outcome)} "
+                f"instead of {members(X)}; solver inconsistency"
+            )
+    ok, why = tuple_verify_mspne(game, T, profile)
+    if not ok:
+        raise RuntimeError(f"conservative profile fails verification: {why}")
+    return profile
+
+
+def tuple_schedule(game, schedule):
+    """(T, moves_of, reach) of a Sync or Async schedule, as the move-tuple
+    oracle's `enumerate_equilibria` set them up."""
+    if isinstance(schedule, Sync):
+        full = game.all_players
+
+        def reach(t):
+            return full if t else 0
+
+        return schedule.T, _sync_moves(full), reach
+    p = schedule.partition
+    earlier = list(accumulate(p.cells, or_, initial=0))
+    return p.horizon, _async_moves(p.cells), earlier.__getitem__
+
+
+def tuple_spne_outcomes(game, schedule):
+    """SPNE outcomes through the move-tuple oracle."""
+    return tuple_spne(game, *tuple_schedule(game, schedule))
+
+
+def tuple_engine_outcomes(game, schedule, budget):
+    """MSPNE outcomes through the move-tuple oracle's engine, spending
+    `budget`, an `_Budget`, on its search steps alone."""
+    T, moves_of, _ = tuple_schedule(game, schedule)
+    return tuple_mspne_outcomes(game, _histories(T, moves_of), moves_of, budget)
+
+
+def schedule_movers(game, schedule):
+    """The entry-stage oracle's movers per stage."""
+    return list(oracle_module._stages(oracle_module._runs(game, schedule)))
+
+
+def move_tuple(movers, t, e):
+    """The move-tuple history of stage-t entry history e: per earlier stage,
+    the players who move there and have entered by then."""
+    return tuple(
+        sum(1 << i for i, s in enumerate(e) if s <= r and movers[r] >> i & 1) for r in range(t)
+    )
+
+
+def tuple_profile(profile):
+    """An entry-stage StrategyProfile of a synchronous game as a
+    TupleStrategyProfile (entry_profile converts back)."""
+    n = len(next(iter(profile.moves[0])))
+    movers = [(1 << n) - 1] * profile.T
+    moves = {
+        move_tuple(movers, t, e): a for t, stage in enumerate(profile.moves) for e, a in stage.items()
+    }
+    return TupleStrategyProfile(T=profile.T, moves=moves, outcome=profile.outcome)
+
+
+def entry_profile(n, profile):
+    """A TupleStrategyProfile of an n-player synchronous game as an
+    entry-stage StrategyProfile."""
+    moves = [{} for _ in range(profile.T)]
+    for h, a in profile.moves.items():
+        t = len(h)
+        e = tuple(next((r for r, m in enumerate(h) if m >> i & 1), t) for i in range(n))
+        moves[t][e] = a
+    return StrategyProfile(T=profile.T, moves=moves, outcome=profile.outcome)
+
+
+# ---------------------------------------------------------------------------
 # MSPNE oracle engine that runs every continuation anew (kept verbatim as the
 # reference for the memoised `oracle._mspne_outcomes`)
 
@@ -1442,33 +1786,37 @@ def reference_stages(game, schedule):
 
 def mspne_build_costs(n, schedule):
     """Per stage, the closed-form count of what MSPNE builds before its
-    search: history slots (a stage-s history holds s moves), covers, stage
-    moves and one-shot deviations."""
+    search: history entries (n per history), covers, stage profiles and
+    one-shot deviations."""
     if isinstance(schedule, Sync):
         return [
-            s * (s + 1) ** n + n * s * (s + 1) ** (n - 1) + (s + 2) ** n + 2 * n * (s + 2) ** (n - 1)
+            n * (s + 1) ** n + n * s * (s + 1) ** (n - 1) + (s + 2) ** n + 2 * n * (s + 2) ** (n - 1)
             for s in range(schedule.T)
         ]
     costs = []
     m = 0
-    for s, cell in enumerate(schedule.partition.cells):
+    for cell in schedule.partition.cells:
         k = cell.bit_count()
-        costs.append(s * 2**m + m * 2**m // 2 + 2 ** (m + k) + k * 2 ** (m + k))
+        costs.append(n * 2**m + m * 2**m // 2 + 2 ** (m + k) + k * 2 ** (m + k))
         m += k
     return costs
 
 
-def mspne_build_counts(stages, moves_of, covers_of):
-    """Per stage, the same four counts read off the built lists: the
-    histories' lengths, the covers covers_of(histories) lists, and the moves
-    and movers moves_of(t, h) yields."""
+def mspne_build_counts(n, movers):
+    """Per stage, the same four counts read off what the oracle builds: the
+    entries of the histories and the covers `_sorted_with_predecessors`
+    lists, and at each history the stage profiles, one per subset of the
+    movers free to enter, with one deviation per free mover."""
     counts = []
-    for t, hs in enumerate(stages):
-        slots = sum(len(h) for h in hs)
-        covers = sum(len(c) for c in covers_of(hs)[1])
-        legal = [mv for h in hs for mv in moves_of(t, h)]
-        deviations = sum(movers.bit_count() for _, movers in legal)
-        counts.append(slots + covers + len(legal) + deviations)
+    for t, m in enumerate(movers):
+        order, covers = oracle_module._sorted_with_predecessors(n, movers, t)
+        free = [(m & ~oracle_module._entered(e, t)).bit_count() for e in order]
+        counts.append(
+            sum(map(len, order))
+            + sum(map(len, covers))
+            + sum(2**k for k in free)
+            + sum(k * 2**k for k in free)
+        )
     return counts
 
 
@@ -1484,9 +1832,6 @@ def mspne_reference(game, schedule, budget=10**9):
 # names, as the reference for the pruned, int-payoff, explicit-stack
 # `oracle._mspne_outcomes`), and the table builder's row scaling as it was
 # written inside `core._rows_table` before `core.int_row`
-
-_cover_order = oracle_module._sorted_with_predecessors
-
 
 def _unpruned_selections(covers, options, budget):
     """All monotone assignments history -> action profile, as tuples over the
