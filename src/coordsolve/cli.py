@@ -20,7 +20,6 @@ from .core import (
     aggregative_game,
     least_ne,
     members,
-    ne_set,
     sorted_coalitions,
     table_game,
 )
@@ -371,7 +370,7 @@ def _cmd_check(args):
 
 def _cmd_ne(args):
     game = load_table_game(args.game, args.budget)
-    eqs = ne_set(game)
+    eqs = SyncSolver(game).equilibria()
     least = least_ne(game)
     lines = [f"equilibria ({len(eqs)}):"]
     lines += [f"  {_disp(m)}" for m in eqs]

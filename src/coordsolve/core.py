@@ -77,22 +77,17 @@ class StageGame:
     "table", "weakest_link", "threshold", "aggregative"; `params` keeps the
     construction data so documents can be re-emitted.  `table`, when given,
     is a zero-argument callable returning the game's incentive table
-    (gainers, losers), built from the family's own data; the constructors of
-    each family pass one.  A game built from a bare payoff function has
-    none, and incentive_table compares its payoffs.  `row`, when given,
-    is a callable row(i, masks) returning payoff_row's list from the
-    family's own data, passed by the same constructors; without one,
-    payoff_row reads the payoff function once per mask.  Likewise `_graph`
-    is the digraph a weakest-link game's payoffs read, set only by
-    graphical.weakest_link_game; SyncSolver reads its horizons off it as
-    tree-depths.  And `_monotone` promises that the game's incentive table
-    is monotone and tie-free: it only grows along inclusion (see
-    is_monotone), and every player gains or loses at every coalition, so
-    losers[C] is the complement of gainers[C].  SyncSolver then reduces
-    every context with iesds_closure and lists Nash profiles and SSE
-    candidates with fixed_point_scan, and checks neither property; the
-    weakest-link, threshold and aggregative constructors set it (their
-    payoffs are +-1 against 0), and every other game leaves it False.
+    (gainers, losers); table_game passes one that compares its int rows.
+    `row`, when given, is a callable row(i, masks) returning payoff_row's
+    list from the game's own data; without one, payoff_row reads the
+    payoff function once per mask.
+
+    `_rules` holds one rule per player of a weakest-link, threshold or
+    aggregative game, set only by neighbour_game (None for any other game);
+    every fast view of such a game reads them.  `_graph` is a weakest-link
+    game's digraph, set only by graphical.weakest_link_game; SyncSolver
+    reads its horizons off it as tree-depths.  `_order` is the (flags,
+    table) pair ordered.generate checked, which ordered._classified hands on.
     """
 
     def __init__(self, n, payoff_fn, kind="table", params=None, table=None, row=None):
@@ -104,8 +99,9 @@ class StageGame:
         self.params = params or {}
         self._build_table = table
         self._row = row
+        self._rules = None
         self._graph = None
-        self._monotone = False
+        self._order = None
 
     @property
     def all_players(self):
@@ -161,6 +157,33 @@ def table_game(rows):
     )
 
 
+def neighbour_game(needs, k, kind, params):
+    """Game where player i gains from action 1 exactly when at least k[i]
+    players of the mask needs[i] (which must not hold i) play 1, and loses
+    otherwise: payoff +1 or -1 under action 1, 0 under action 0.  The game
+    keeps one rule (1 << i, needs[i], k[i]) per player (`_rules`), and its
+    payoffs, payoff rows, incentive table and every solver's gains view
+    (RuleGains) read them.  Its incentive table is monotone (see
+    is_monotone) and tie-free, so losers[C] is the complement of
+    gainers[C].  Weakest-link games take k[i] = |needs[i]|, aggregative
+    games the complete digraph."""
+    needs = tuple(needs)
+    k = tuple(k)
+
+    def pay(i, X):
+        if not (X >> i) & 1:
+            return 0
+        return 1 if (X & needs[i]).bit_count() >= k[i] else -1
+
+    def row(i, masks):
+        bit, need, ki = 1 << i, needs[i], k[i]
+        return [(1 if (M & need).bit_count() >= ki else -1) if M & bit else 0 for M in masks]
+
+    game = StageGame(len(needs), pay, kind=kind, params=params, row=row)
+    game._rules = tuple(zip((1 << i for i in range(len(needs))), needs, k))
+    return game
+
+
 def aggregative_game(c):
     """Game where i strictly wants action 1 iff at least c_i others play 1."""
     n = len(c)
@@ -168,27 +191,8 @@ def aggregative_game(c):
     for i, ci in enumerate(c):
         if not 1 <= ci <= n - 1:
             raise ValueError(f"threshold c[{i}]={ci} outside 1..{n - 1}")
-
-    def pay(i, X):
-        if not (X >> i) & 1:
-            return 0
-        return 1 if (X & ~(1 << i)).bit_count() >= c[i] else -1
-
-    def row(i, masks):
-        # i in M plays 1, and then c_i others play 1 iff |M| > c_i
-        bit, ci = 1 << i, c[i]
-        return [(1 if M.bit_count() > ci else -1) if M & bit else 0 for M in masks]
-
-    game = StageGame(
-        n,
-        pay,
-        kind="aggregative",
-        params={"c": c},
-        table=lambda: _aggregative_table(c),
-        row=row,
-    )
-    game._monotone = True
-    return game
+    full = (1 << n) - 1
+    return neighbour_game([full ^ 1 << i for i in range(n)], c, "aggregative", {"c": c})
 
 
 # ---------------------------------------------------------------------------
@@ -378,11 +382,16 @@ def incentive_table(game):
     i itself belongs to C makes no difference, so a context (S, O) reads
     profile X <= S at index X | O.
 
-    A game from a family constructor builds its table from the family's data
-    (see StageGame); any other game reads its n 2^n payoffs once and
-    compares them (compare_rows).  Nothing is cached: each call builds a
-    fresh table.
+    A game with rules (see neighbour_game) lists them at every coalition,
+    and the players they leave out lose; a table game compares its int
+    rows; any other game reads its n 2^n payoffs once and compares them
+    (compare_rows).  Nothing is cached: each call builds a fresh table.
     """
+    rules = game._rules
+    if rules is not None:
+        full = game.all_players
+        gainers = [rule_gainers(rules, C) for C in range(full + 1)]
+        return gainers, [full ^ g for g in gainers]
     if game._build_table is not None:
         return game._build_table()
     pay = game._payoff
@@ -437,19 +446,31 @@ def _rows_table(rows):
     return compare_rows(((i, int_row(row)) for i, row in enumerate(rows)), full)
 
 
-def _aggregative_table(c):
-    """Incentive table of aggregative_game(c) in O(2^n): i gains at C when
-    at least c_i others play 1, that is c_i <= |C| - 1 if i is in C and
-    c_i <= |C| otherwise; every other player loses (+-1 against 0 never
-    ties)."""
-    n = len(c)
-    full = (1 << n) - 1
-    # le[k]: the players with c_i <= k.  At C = 0, le[-1] is masked out by C.
-    le = [sum(1 << i for i in range(n) if c[i] <= k) for k in range(n + 1)]
-    gainers = [
-        (C & le[C.bit_count() - 1]) | (~C & le[C.bit_count()]) for C in range(full + 1)
-    ]
-    return gainers, [full ^ g for g in gainers]
+def rule_gainers(rules, C):
+    """gainers[C] of a game's rules (see neighbour_game): the players with
+    at least k of their `need` in C."""
+    out = 0
+    for bit, need, k in rules:
+        if (C & need).bit_count() >= k:
+            out |= bit
+    return out
+
+
+class RuleGains(dict):
+    """The gainers list of a game's rules, each entry computed on first read
+    (rule_gainers) and kept.  The scans only index it, so they read it as a
+    table.  Each SyncSolver keeps its own, never the game, so it holds only
+    what that solver read."""
+
+    __slots__ = ("rules",)
+
+    def __init__(self, rules):
+        super().__init__()
+        self.rules = rules
+
+    def __missing__(self, C):
+        self[C] = out = rule_gainers(self.rules, C)
+        return out
 
 
 def sss_scan(gainers, S, O, require_ne=False):
@@ -554,14 +575,15 @@ def iesds_scan(gainers, losers, S, O):
 
 
 def iesds_closure(gainers, S, O):
-    """iesds_scan's (least, greatest) on a monotone table with no ties (see
-    StageGame._monotone), without visiting profiles.  A player of S gains at
+    """iesds_scan's (least, greatest) on a monotone table with no ties, such
+    as the gainers of a game with rules (see neighbour_game), without
+    visiting profiles.  A player of S gains at
     every remaining profile when it gains at the lowest, and loses at every
     one when it does not gain at the highest, so the lowest profile grows
     from O by gainers[low] & S and the highest shrinks from S | O to the
     players of S in gainers[high], until both settle: the least and greatest
     fixed points of f(Y) = O | gainers[Y] & S (Milgrom and Roberts 1990).
-    `gainers` is only indexed, as in fixed_point_scan."""
+    `gainers` is only indexed, so it may be a RuleGains view."""
     low = O
     while (grown := low | gainers[low] & S) != low:
         low = grown

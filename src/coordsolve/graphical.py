@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .core import StageGame, bits, gains, mask_of, members, submasks
+from .core import bits, gains, mask_of, members, neighbour_game
 from .digraph import Digraph, TreeDepth, reach
 from .errors import DEFAULT_BUDGET, PreconditionError, charge
 from .sync import SyncSolver
@@ -21,28 +21,10 @@ from .sync import SyncSolver
 def weakest_link_game(g):
     """Stage game on g where i gains from action 1 exactly when all of its
     in-neighbors play 1 (payoff +1/-1, and 0 under action 0)."""
-    in_masks = tuple(g.in_mask(i) for i in range(g.n))
-
-    def pay(i, X):
-        if not (X >> i) & 1:
-            return 0
-        return 1 if in_masks[i] & ~X == 0 else -1
-
-    def row(i, masks):
-        bit, need = 1 << i, in_masks[i]
-        return [(1 if M & need == need else -1) if M & bit else 0 for M in masks]
-
-    degrees = tuple(m.bit_count() for m in in_masks)
-    game = StageGame(
-        g.n,
-        pay,
-        kind="weakest_link",
-        params={"edges": tuple(sorted(g.edges))},
-        table=lambda: _neighbour_table(in_masks, degrees),
-        row=row,
-    )
+    needs = [g.in_mask(i) for i in range(g.n)]
+    params = {"edges": tuple(sorted(g.edges))}
+    game = neighbour_game(needs, [m.bit_count() for m in needs], "weakest_link", params)
     game._graph = g
-    game._monotone = True
     return game
 
 
@@ -51,52 +33,13 @@ def threshold_game(g, k):
     of its in-neighbors play 1."""
     if len(k) != g.n:
         raise ValueError("one threshold per player required")
-    in_masks = tuple(g.in_mask(i) for i in range(g.n))
+    needs = [g.in_mask(i) for i in range(g.n)]
     k = tuple(int(v) for v in k)
     for i, ki in enumerate(k):
-        deg = in_masks[i].bit_count()
+        deg = needs[i].bit_count()
         if not 1 <= ki <= deg:
             raise ValueError(f"threshold k[{i}]={ki} outside 1..{deg}")
-
-    def pay(i, X):
-        if not (X >> i) & 1:
-            return 0
-        return 1 if (in_masks[i] & X).bit_count() >= k[i] else -1
-
-    def row(i, masks):
-        bit, need, ki = 1 << i, in_masks[i], k[i]
-        return [
-            (1 if (M & need).bit_count() >= ki else -1) if M & bit else 0 for M in masks
-        ]
-
-    game = StageGame(
-        g.n,
-        pay,
-        kind="threshold",
-        params={"edges": tuple(sorted(g.edges)), "k": k},
-        table=lambda: _neighbour_table(in_masks, k),
-        row=row,
-    )
-    game._monotone = True
-    return game
-
-
-def _neighbour_table(in_masks, k):
-    """Incentive table of a game where i gains from action 1 exactly when at
-    least k[i] of its in-neighbours play 1, and loses otherwise (+-1 against
-    0 never ties): i joins gainers[A | F] for each A <= in_masks[i] with
-    |A| >= k[i] and each F outside in_masks[i].  With k[i] = deg(i) that is
-    2^(n-deg(i)) writes for player i."""
-    full = (1 << len(in_masks)) - 1
-    gainers = [0] * (full + 1)
-    for i, (need, ki) in enumerate(zip(in_masks, k)):
-        bit = 1 << i
-        outside = list(submasks(full & ~need))
-        for A in submasks(need):
-            if A.bit_count() >= ki:
-                for F in outside:
-                    gainers[A | F] |= bit
-    return gainers, [full ^ g for g in gainers]
+    return neighbour_game(needs, k, "threshold", {"edges": tuple(sorted(g.edges)), "k": k})
 
 
 def weakest_link_horizon(g, targets):

@@ -71,7 +71,10 @@ def _classified(game, budget):
     """classify(game, budget) and the incentive table it read, for callers
     that go on to the fast path without building the table again.  An
     estimated check count over the budget is refused before any table is
-    built."""
+    built.  A game from generate returns the pair its generator checked
+    (StageGame._order), so that it is classified once."""
+    if game._order is not None:
+        return game._order
     n = game.n
     steps = n * n * (n + 2) * (1 << max(n - 2, 0))
     charge(steps, budget, f"classification needs ~{steps} checks (budget {budget})")
@@ -298,17 +301,6 @@ def _check_out_intervals(g, out_ends):
             )
 
 
-def _classify_keeping_table(game, budget):
-    """classify(game, budget), leaving the incentive table it read with the
-    game: the game's first table request gets that table instead of a
-    second build, and later requests get fresh tables as before."""
-    flags, table = _classified(game, budget)
-    held = [table]
-    build = game._build_table
-    game._build_table = lambda: held.pop() if held else build()
-    return flags
-
-
 def generate(
     kind, *, c=None, in_starts=None, out_ends=None, k=None, nested=True,
     budget=DEFAULT_BUDGET,
@@ -335,11 +327,9 @@ def generate(
         if any(c[i] > c[i + 1] for i in range(len(c) - 1)):
             raise ValueError("aggregative thresholds must be nondecreasing")
         game = aggregative_game(c)
-        flags = _classify_keeping_table(game, budget)
-        if not (flags.strongly_cost_ordered and flags.contribution_natural):
-            raise ValueError("thresholds do not make an ordered aggregative game")
-        return game
-    if kind == "aligned_nsg":
+        wanted = ("strongly_cost_ordered", "contribution_natural")
+        problem = "thresholds do not make an ordered aggregative game"
+    elif kind == "aligned_nsg":
         if in_starts is None:
             raise ValueError("aligned_nsg generator needs in_starts")
         if nested and not _nested_in_intervals(in_starts):
@@ -351,19 +341,21 @@ def generate(
         if out_ends is not None:
             _check_out_intervals(g, out_ends)
         game = weakest_link_game(g)
-        flags = _classify_keeping_table(game, budget)
-        if not (flags.cost_ordered and flags.contribution_ordered):
-            raise ValueError("in-intervals do not make an ordered weakest-link game")
-        return game
-    if kind == "opposed_nsg":
+        wanted = ("cost_ordered", "contribution_ordered")
+        problem = "in-intervals do not make an ordered weakest-link game"
+    elif kind == "opposed_nsg":
         if in_starts is None or k is None:
             raise ValueError("opposed_nsg generator needs in_starts and k")
         g = _interval_in_graph(len(in_starts), in_starts)
         if out_ends is not None:
             _check_out_intervals(g, out_ends)
         game = threshold_game(g, k)
-        flags = _classify_keeping_table(game, budget)
-        if not (flags.strongly_cost_ordered and flags.contribution_ordered):
-            raise ValueError("parameters do not make an ordered threshold game")
-        return game
-    raise ValueError(f"unknown generator kind {kind!r}")
+        wanted = ("strongly_cost_ordered", "contribution_ordered")
+        problem = "parameters do not make an ordered threshold game"
+    else:
+        raise ValueError(f"unknown generator kind {kind!r}")
+    # the game keeps the pair it was checked with (see _classified)
+    game._order = _classified(game, budget)
+    if not all(getattr(game._order[0], name) for name in wanted):
+        raise ValueError(problem)
+    return game

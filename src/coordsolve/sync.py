@@ -21,14 +21,16 @@ nonempty fixed points of a monotone map, found by branching on intervals
 (core.fixed_point_scan); otherwise every submask is scanned
 (core.sss_scan).
 
-The weakest-link, threshold and aggregative families declare their tables
-monotone and tie-free (StageGame._monotone) and share one path: a
-context's dominance reduction is a closure (core.iesds_closure) and its
-Nash profiles are fixed points (core.fixed_point_scan).  A weakest-link
-game builds no incentive table for any query: its gainers are read off
-the players' in-neighbourhoods, and the horizon of a target set is the
-directed tree-depth of the subgraph induced on the active players that
-reach it, read from one digraph.TreeDepth memo per solver.
+The weakest-link, threshold and aggregative families keep one rule per
+player (StageGame._rules: gain from action 1 when at least k players of a
+mask play 1) and share one path.  No query on them builds an incentive
+table: each solver reads who gains at a coalition off the rules, through
+one gains view it fills as it reads (core.RuleGains); a context's
+dominance reduction is a closure (core.iesds_closure) and its Nash
+profiles are fixed points (core.fixed_point_scan).  For a weakest-link
+game the horizon of a target set is also the directed tree-depth of the
+subgraph induced on the active players that reach it, read from one
+digraph.TreeDepth memo per solver.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from types import MappingProxyType
 
 from .core import (
     Context,
+    RuleGains,
     bits,
     fixed_point_scan,
     iesds_closure,
@@ -83,40 +86,25 @@ class _Reduction:
     nash: list | None = None
 
 
-class _InNeighbourGains:
-    """The gainers list of a weakest-link game on `graph`, computed per
-    coalition instead of stored: index C gives every player whose
-    in-neighbours all lie in C.  The solver's scans only index it, so they
-    read it as a table."""
-
-    def __init__(self, graph):
-        self.needs = [(1 << i, graph.in_mask(i)) for i in range(graph.n)]
-
-    def __getitem__(self, C):
-        out = 0
-        for bit, need in self.needs:
-            if need & C == need:
-                out |= bit
-        return out
-
-
 class SyncSolver:
     """Solver instance for one stage game; caches subgame values.
 
-    Every query reads one gains map, `gainers` (see core.incentive_table):
-    the game's incentive table, built on first read, or for a weakest-link
-    game the in-neighbour view _InNeighbourGains, so that no query on such a
-    game builds a table.  Degenerate players (strictly dominant actions,
-    iterated) are stripped first and folded into the base context: forced
-    ones join the forced set, forced zeros leave the game.  For a game whose
-    family declares its table monotone and tie-free (`StageGame._monotone`)
-    that reduction is core.iesds_closure and the Nash profiles are
-    core.fixed_point_scan's; any other game is scanned with core.iesds_scan
-    and core.ne_scan, which read `losers` too.  SSE candidates of a monotone
-    table, declared or found so by core.is_monotone, come from
-    core.fixed_point_scan, all others from core.sss_scan, with equal lists.
-    Subgame values live in an int memo (`_memo`, keyed by context); policy
-    trees are not stored but rebuilt on demand by `value` and `policy`.
+    Every query reads one gains map, `gainers` (see core.incentive_table).
+    For a weakest-link, threshold or aggregative game (`StageGame._rules`
+    set) it is the solver's own core.RuleGains view, which computes each
+    coalition's entry from the rules on first read and keeps it as long as
+    the solver, so that no query on such a game builds a table; for any
+    other game it is the game's incentive table, built on first read.
+    Degenerate players (strictly dominant actions, iterated) are stripped
+    first and folded into the base context: forced ones join the forced
+    set, forced zeros leave the game.  For a family game that reduction is
+    core.iesds_closure and the Nash profiles are core.fixed_point_scan's;
+    any other game is scanned with core.iesds_scan and core.ne_scan, which
+    read `losers` too.  SSE candidates of a monotone table, a family's or
+    one core.is_monotone finds so, come from core.fixed_point_scan, all
+    others from core.sss_scan, with equal lists.  Subgame values live in an
+    int memo (`_memo`, keyed by context); policy trees are not stored but
+    rebuilt on demand by `value` and `policy`.
 
     For a game built by graphical.weakest_link_game the solver also keeps
     the game's `graph` and one TreeDepth memo on it (`depths`; both None for
@@ -143,9 +131,9 @@ class SyncSolver:
 
     @cached_property
     def gainers(self):
-        if self.graph is None:
+        if self.game._rules is None:
             return self._table[0]
-        return _InNeighbourGains(self.graph)
+        return RuleGains(self.game._rules)
 
     @cached_property
     def losers(self):
@@ -153,7 +141,7 @@ class SyncSolver:
 
     @cached_property
     def _branch(self):
-        return self.use_sse and (self.game._monotone or is_monotone(self.gainers))
+        return self.use_sse and (self.game._rules is not None or is_monotone(self.gainers))
 
     # -- context plumbing ---------------------------------------------------
 
@@ -164,7 +152,7 @@ class SyncSolver:
         got = self._reduce_cache.get(key)
         if got is None:
             S, O = key
-            if self.game._monotone:
+            if self.game._rules is not None:
                 least, greatest = iesds_closure(self.gainers, S, O)
             else:
                 least, greatest = iesds_scan(self.gainers, self.losers, S, O)
@@ -351,12 +339,12 @@ class SyncSolver:
 
     def _nash(self):
         """The base context's Nash profiles, listed once per solver: for a
-        declared family the fixed points of f(Y) = gainers[Y | ones] & active,
+        family game the fixed points of f(Y) = gainers[Y | ones] & active,
         for any other game a scan of the incentive table."""
         r = self._reduce()
         if r.nash is None:
             S, O = r.reduced.active, r.reduced.ones
-            if self.game._monotone:
+            if self.game._rules is not None:
                 r.nash = fixed_point_scan(self.gainers, S, O)
                 if not self.gainers[O] & S:
                     r.nash.insert(0, 0)  # the scan skips the empty profile

@@ -10,7 +10,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coordsolve import Digraph, table_game, weakest_link_horizon
+from coordsolve import Digraph, members, ordered, table_game, weakest_link_horizon
 from coordsolve.cli import ParseError, emit_game, main, parse_game
 from coordsolve.ordered import classify, ordered_min_horizon
 from coordsolve.sync import SyncSolver
@@ -362,9 +362,20 @@ def test_centrality_builds_one_table(tmp_path, capsys, monkeypatch, doc):
     built = count_table_builds(monkeypatch)
     code, payload = run_json(capsys, ["centrality", "--game", path, "--json"])
     assert code == 0
-    # a weakest-link game is solved on its graph and builds none
-    assert len(built) == (doc["kind"] != "weakest_link")
+    # a family game is solved on its rules and builds none
+    assert len(built) == (doc["kind"] == "table")
     assert payload["strong"] == want
+
+
+@pytest.mark.parametrize("doc", centrality_docs(), ids=lambda d: d["kind"])
+def test_ne_reads_the_solver(tmp_path, capsys, monkeypatch, doc):
+    equilibria = ne_set_reference(parse_game(doc))
+    path = write_game(tmp_path, doc)
+    built = count_table_builds(monkeypatch)
+    code, payload = run_json(capsys, ["ne", "--game", path, "--json"])
+    assert code == 0
+    assert len(built) == (doc["kind"] == "table")
+    assert payload["equilibria"] == [[i + 1 for i in members(X)] for X in equilibria]
 
 
 def test_ordered_subcommand(tmp_path, capsys):
@@ -418,6 +429,24 @@ def test_nsg_document_builds_one_table(tmp_path, capsys, monkeypatch, doc, argv)
     assert len(built) == 1
     if "tau" in payload:
         assert payload["tau"] == SyncSolver(game).min_horizon(0b11)
+
+
+@pytest.mark.parametrize("doc", NSG_DOCS, ids=lambda d: d["kind"])
+def test_nsg_document_is_classified_once(tmp_path, capsys, monkeypatch, doc):
+    # the generator's order check hands its flags on with its table
+    calls = []
+    classify_table = ordered._classify_table
+
+    def counted(gainers, n):
+        calls.append(n)
+        return classify_table(gainers, n)
+
+    monkeypatch.setattr(ordered, "_classify_table", counted)
+    path = write_game(tmp_path, doc)
+    code, payload = run_json(capsys, ["ordered", "--game", path, "--target", "1,2", "--json"])
+    assert code == 0
+    assert calls == [doc["players"]]
+    assert "tau" in payload
 
 
 def test_tau_on_an_18_player_weakest_link_document(tmp_path, capsys):
@@ -587,6 +616,18 @@ def test_huge_incentive_table_refused_before_it_is_built(tmp_path, argv, flags):
     assert done.returncode == 3
     assert done.stdout == ""
     assert done.stderr == "resource error: incentive table needs 2^40 cells (budget 10000000)\n"
+
+
+@pytest.mark.parametrize("argv", TABLE_COMMANDS, ids=lambda a: a[0])
+@pytest.mark.parametrize(
+    "doc", [d for d in centrality_docs() if d["kind"] != "table"], ids=lambda d: d["kind"]
+)
+def test_family_documents_build_no_table(tmp_path, capsys, monkeypatch, doc, argv):
+    path = write_game(tmp_path, doc)
+    built = count_table_builds(monkeypatch)
+    code, _ = run_json(capsys, [argv[0], "--game", path, *argv[1:], "--json"])
+    assert code == 0
+    assert built == []
 
 
 def test_size_charge_is_the_player_count(tmp_path, capsys):

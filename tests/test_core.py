@@ -25,6 +25,7 @@ from coordsolve import (
 )
 from coordsolve.core import (
     _ctx_pay,
+    RuleGains,
     _rows_table,
     bits,
     fixed_point_scan,
@@ -36,7 +37,7 @@ from coordsolve.core import (
     sss_scan,
     submasks,
 )
-from coordsolve.sync import _InNeighbourGains
+from coordsolve.sync import SyncSolver
 
 from util import (
     EXACT_PAYOFFS,
@@ -44,6 +45,7 @@ from util import (
     cross_pairs_game,
     cycle_graph,
     family_games,
+    family_table_reference,
     flipped_tables,
     graph_iesds_reference,
     iesds_reference,
@@ -142,7 +144,7 @@ def games_with_mask_lists(draw):
 @example((aggregative_game((1, 1)), []))
 def test_payoff_row_matches_payoff_reads(case):
     game, masks = case
-    assert (game._row is None) == (game._build_table is None)
+    assert (game._row is None) == (game._build_table is None and game._rules is None)
     for i in range(game.n):
         got = game.payoff_row(i, masks)
         want = [game._payoff(i, M) for M in masks]
@@ -445,12 +447,12 @@ def test_is_monotone_matches_double_loop(gainers):
 @settings(max_examples=150, deadline=None)
 @given(shaped_digraphs(), st.data())
 def test_family_monotone_declarations_hold(g, data):
-    """A family's `_monotone` declaration holds on the table its builder
-    returns: is_monotone agrees, and no player ties anywhere, so losers is
-    the complement of gainers.  The weakest-link graphs include sources; a
+    """A family game's rules promise a monotone, tie-free table, and the
+    table they give is one: is_monotone agrees, and no player ties
+    anywhere, so losers is the complement of gainers.  The weakest-link graphs include sources; a
     threshold needs at least one in-neighbour, so the threshold game gives
-    each source an in-edge first.  Table games and bare payoffs declare
-    nothing, even when their table is monotone."""
+    each source an in-edge first.  Table games and bare payoffs have no
+    rules, even when their table is monotone."""
     n = g.n
     games = [weakest_link_game(g)]
     if n >= 2:
@@ -459,20 +461,20 @@ def test_family_monotone_declarations_hold(g, data):
         c = data.draw(st.lists(st.integers(1, n - 1), min_size=n, max_size=n))
         games += [threshold_game(fed, k), aggregative_game(c)]
     for game in games:
-        assert game._monotone is True
+        assert game._rules is not None
         gainers, losers = incentive_table(game)
         assert is_monotone(gainers)
         full = game.all_players
         assert all(losers[C] == full ^ gainers[C] for C in range(full + 1))
         rows = [[game.payoff(i, X) for X in range(1 << n)] for i in range(n)]
-        assert table_game(rows)._monotone is False
-        assert StageGame(n, game._payoff)._monotone is False
+        assert table_game(rows)._rules is None
+        assert StageGame(n, game._payoff)._rules is None
 
 
 @settings(max_examples=300, deadline=None)
-@given(family_games().filter(lambda game: game._monotone), st.data())
+@given(family_games().filter(lambda game: game._rules is not None), st.data())
 def test_iesds_closure_matches_the_scan(game, data):
-    """On the monotone, tie-free table of every declared family, the
+    """On the monotone, tie-free table of every family game's rules, the
     closure's (least, greatest) is iesds_scan's, in any context."""
     gainers, losers = incentive_table(game)
     full = game.all_players
@@ -491,7 +493,7 @@ def test_iesds_closure_on_the_in_neighbour_view(g, active, ones):
     S, O = active & full, ones & full & ~active
     in_masks = [g.in_mask(i) for i in range(g.n)]
     want = graph_iesds_reference(in_masks, S, O)
-    assert iesds_closure(_InNeighbourGains(g), S, O) == want
+    assert iesds_closure(RuleGains(weakest_link_game(g)._rules), S, O) == want
 
 
 # -- the incentive table and the scans that read it ---------------------------
@@ -512,8 +514,21 @@ def test_incentive_table_matches_payoffs_cell_by_cell(game):
 @settings(max_examples=300, deadline=None)
 @given(family_games())
 def test_family_builders_match_the_payoff_comparison_reference(game):
-    assert game._build_table is not None
     assert incentive_table(game) == incentive_table_reference(game)
+
+
+@settings(max_examples=300, deadline=None)
+@given(family_games().filter(lambda game: game.kind != "table"))
+def test_rule_table_and_view_match_the_family_builders(game):
+    """A family game's rules, listed by incentive_table and read entry by
+    entry through a fresh solver's view, give the table its family's own
+    builder gave, and so do its raw payoffs."""
+    want = family_table_reference(game)
+    assert incentive_table(game) == want
+    view = SyncSolver(game).gainers
+    assert isinstance(view, RuleGains)
+    assert [view[C] for C in range(1 << game.n)] == want[0]
+    assert incentive_table_reference(game) == want
 
 
 # Exact payoffs with ties, large ints and arbitrary denominators; rows of

@@ -125,14 +125,15 @@ def test_no_module_calls_the_payoff_elimination_adapter(path):
 
 
 # Independent ground truth: these read raw payoffs only, so that a wrong
-# family table builder cannot also mislead the checks against it.
+# table builder or family rule cannot also mislead the checks against it.
 GROUND_TRUTH = (
     ("oracle.py", None),
     ("core.py", "check_assumptions"),
     ("core.py", "_check_pairs"),
     ("core.py", "_equal_top_subset"),
 )
-TABLE_ROUTES = {"incentive_table", "_build_table"}
+# The table, its builder, and a family's rules with the gains read off them.
+TABLE_ROUTES = {"incentive_table", "_build_table", "_rules", "rule_gainers", "RuleGains"}
 # The row primitive, and the family row function behind it.
 ROW_ROUTES = {"payoff_row", "_row"}
 

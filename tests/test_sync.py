@@ -26,7 +26,8 @@ from coordsolve.design import (
     weak_centrality,
 )
 from coordsolve.graphical import threshold_game, weakest_link_horizon
-from coordsolve.sync import SyncSolver, _InNeighbourGains
+from coordsolve.core import RuleGains
+from coordsolve.sync import SyncSolver
 
 from util import (
     PolicyNodeSolverReference,
@@ -37,11 +38,13 @@ from util import (
     hub_intervention_graph,
     iesds_reference,
     monotone_games_with_contexts,
+    ne_set_reference,
     planted_game,
     random_digraph,
     random_game,
     random_rooted_digraph,
     random_threshold_vector,
+    refuse_family_table_builds,
     shaped_digraphs,
     star_graph,
     tables_with_contexts,
@@ -471,16 +474,12 @@ def test_weakest_link_graph_contexts_match_generic_recursion(
     assert sorted_coalitions(fast.equilibria()) == ne_set(generic)
 
 
-def _refuse_table():
-    raise AssertionError("the incentive table was built")
-
-
-def test_weakest_link_queries_build_no_table():
+def test_weakest_link_queries_build_no_table(monkeypatch):
     rng = random.Random(2323)
+    refuse_family_table_builds(monkeypatch)
     for _ in range(30):
         n = rng.randint(1, 8)
         game = weakest_link_game(random_digraph(rng, n, rng.uniform(0, 0.6)))
-        game._build_table = _refuse_table
         solver = SyncSolver(game)
         tau = solver.min_horizon(game.all_players)
         solver.horizons()
@@ -501,25 +500,25 @@ def test_weakest_link_queries_build_no_table():
 
 
 def test_weakest_link_losers_leave_the_view_in_gainers():
-    # nothing in the package reads losers on a weakest-link solver; a caller
-    # who does gets the table, and the view stays
+    # nothing in the package reads losers on a family solver; a caller who
+    # does gets the table, and the view stays
     game = weakest_link_game(CASCADES)
     solver = SyncSolver(game)
     view = solver.gainers
     losers = solver.losers
-    assert solver.gainers is view and isinstance(view, _InNeighbourGains)
+    assert solver.gainers is view and isinstance(view, RuleGains)
     full = game.all_players
     assert all(losers[C] == full ^ view[C] for C in range(full + 1))
 
 
-def test_thirty_player_weakest_link_solver_builds_no_table():
+def test_thirty_player_weakest_link_solver_builds_no_table(monkeypatch):
     # a table would have 2^30 cells; the graph path needs tree-depth only
+    refuse_family_table_builds(monkeypatch)
     rng = random.Random(30)
     n = 30
     edges = [(j, i) for i in range(n) for j in rng.sample([v for v in range(n) if v != i], 2)]
     g = Digraph(n, edges)
     game = weakest_link_game(g)
-    game._build_table = _refuse_table
     solver = SyncSolver(game)
     tau = solver.min_horizon(game.all_players)
     assert tau == weakest_link_horizon(g, game.all_players) == 5
@@ -569,6 +568,16 @@ def test_family_contexts_match_their_table_twin(game, use_sse, active, ones, som
     for T in range(1, n + 2):
         assert _or_error(fast.least_outcome, T, ctx) == _or_error(slow.least_outcome, T, ctx)
         assert _or_error(fast.outcome_set, T) == _or_error(slow.outcome_set, T)
+
+
+@settings(max_examples=300, deadline=None)
+@given(family_games())
+def test_equilibria_match_the_payoff_reference_in_order(game):
+    """`coordsolve ne` prints equilibria() as it comes, so it must list
+    every pure Nash profile in ne_set's (cardinality, lexicographic) order,
+    on table games with ties and on family games that break the stage
+    assumptions too."""
+    assert SyncSolver(game).equilibria() == ne_set_reference(game)
 
 
 # the graph path is chosen by constructor, not by `kind`: a bare payoff

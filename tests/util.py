@@ -493,26 +493,40 @@ def flipped_tables(draw):
     return gainers
 
 
+def _route_table_builds(monkeypatch, build):
+    """Route every coordsolve module's incentive_table through `build`."""
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "coordsolve" and hasattr(module, "incentive_table"):
+            monkeypatch.setattr(module, "incentive_table", build)
+
+
 def count_table_builds(monkeypatch):
     """Route every coordsolve module's incentive_table through a counter;
-    returns the list of games a table was built for, in call order.  A call
-    that returns a table some earlier call returned (one handed over by a
-    generator, see ordered.generate) builds nothing and is not listed."""
+    returns the list of games a table was built for, in call order."""
     built = []
-    returned = []
     original = core.incentive_table
 
     def counted(game):
-        table = original(game)
-        if not any(table is seen for seen in returned):
-            returned.append(table)
-            built.append(game)
-        return table
+        built.append(game)
+        return original(game)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "coordsolve" and hasattr(module, "incentive_table"):
-            monkeypatch.setattr(module, "incentive_table", counted)
+    _route_table_builds(monkeypatch, counted)
     return built
+
+
+def refuse_family_table_builds(monkeypatch):
+    """Make every coordsolve module's incentive_table raise on a game with
+    rules (a weakest-link, threshold or aggregative game), so that a test
+    on one too large for its table fails at once instead of building it;
+    any other game still gets its table."""
+    original = core.incentive_table
+
+    def refuse(game):
+        if game._rules is not None:
+            raise AssertionError(f"an incentive table was built for {game!r}")
+        return original(game)
+
+    _route_table_builds(monkeypatch, refuse)
 
 
 def _gains(game, ones, i, X):
@@ -1955,6 +1969,55 @@ def rows_table_reference(rows):
 
     full = (1 << len(rows)) - 1
     return compare_rows(((i, scaled(row)) for i, row in enumerate(rows)), full)
+
+
+# The incentive-table builders of the threshold-style families, kept verbatim
+# from before those families were built from one rule per player
+# (core.neighbour_game) as the references for the rule's table and view.
+
+
+def neighbour_table_reference(in_masks, k):
+    """Incentive table of a game where i gains from action 1 exactly when at
+    least k[i] of its in-neighbours play 1, and loses otherwise (+-1 against
+    0 never ties): i joins gainers[A | F] for each A <= in_masks[i] with
+    |A| >= k[i] and each F outside in_masks[i].  With k[i] = deg(i) that is
+    2^(n-deg(i)) writes for player i."""
+    full = (1 << len(in_masks)) - 1
+    gainers = [0] * (full + 1)
+    for i, (need, ki) in enumerate(zip(in_masks, k)):
+        bit = 1 << i
+        outside = list(submasks(full & ~need))
+        for A in submasks(need):
+            if A.bit_count() >= ki:
+                for F in outside:
+                    gainers[A | F] |= bit
+    return gainers, [full ^ g for g in gainers]
+
+
+def aggregative_table_reference(c):
+    """Incentive table of aggregative_game(c) in O(2^n): i gains at C when
+    at least c_i others play 1, that is c_i <= |C| - 1 if i is in C and
+    c_i <= |C| otherwise; every other player loses (+-1 against 0 never
+    ties)."""
+    n = len(c)
+    full = (1 << n) - 1
+    # le[k]: the players with c_i <= k.  At C = 0, le[-1] is masked out by C.
+    le = [sum(1 << i for i in range(n) if c[i] <= k) for k in range(n + 1)]
+    gainers = [
+        (C & le[C.bit_count() - 1]) | (~C & le[C.bit_count()]) for C in range(full + 1)
+    ]
+    return gainers, [full ^ g for g in gainers]
+
+
+def family_table_reference(game):
+    """The incentive table of a weakest-link, threshold or aggregative game,
+    by the reference builder of its family, from its construction data."""
+    if game.kind == "aggregative":
+        return aggregative_table_reference(game.params["c"])
+    g = Digraph(game.n, game.params["edges"])
+    in_masks = [g.in_mask(i) for i in range(game.n)]
+    k = game.params.get("k") or [m.bit_count() for m in in_masks]
+    return neighbour_table_reference(in_masks, k)
 
 
 # ---------------------------------------------------------------------------
