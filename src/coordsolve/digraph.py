@@ -110,6 +110,22 @@ def _components(succ, pred, mask):
     return comps
 
 
+def _cyclic(pred, mask):
+    """Does the subgraph induced on `mask` have a cycle?  Peels sources
+    (vertices with no in-neighbour left in the mask) until a pass peels
+    none, which leaves a cycle behind, or the mask is empty."""
+    while mask:
+        rest = peeled = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if not pred[low.bit_length() - 1] & mask:
+                mask ^= low
+        if mask == peeled:
+            return True
+    return False
+
+
 def _sources_first(pred, comps, mask):
     """The SCC masks `comps` of the subgraph induced on `mask`, in a
     topological order of its condensation (sources first): by ascending
@@ -151,10 +167,13 @@ class TreeDepth:
     The search carries a limit: `depth(mask, limit)` and `block_depth(block,
     limit)` return the exact value when it is below `limit`, and otherwise a
     lower bound of at least `limit`.  Exact values go to one int memo and
-    cut-off bounds to a second.  A mask split (by bitset closures) into two
-    or more SCCs keeps its split in a third memo, and a mask split into one
-    is a block, so a later search with a higher limit reuses the split and
-    every induced subgraph is split at most once.  A mask's max over its SCCs
+    cut-off bounds to a second.  Every mask split (by bitset closures) into
+    its SCCs keeps the split in a third memo, a block as a one-element list,
+    so a later search with a higher limit reuses the split and every induced
+    subgraph is split at most once.  At limit 2 an unsplit mask only needs to
+    know whether it has a cycle: a peel of sources answers that, and a cyclic
+    mask is bounded by 2 without being split (an acyclic one, rare, is split
+    into its singletons and is exact at 1).  A mask's max over its SCCs
     stops at the first SCC that reaches the limit.  A block's scan tries each
     removal in ascending index under a cap that starts at the caller's limit
     and drops to each new strict best, calling `depth(block - v, cap - 1)`;
@@ -167,8 +186,9 @@ class TreeDepth:
     serve every later query on any vertex mask: `value` searches with limit
     n + 1 and is exact, and `certificate` walks the recorded removals and
     splits, with split nodes listing their blocks in the topological order
-    of `scc`.  The memos live as long as the object; callers that want a
-    bounded footprint make one per query (see tree_depth).
+    of `scc` (a mask with no split, or a split of one, is a block).  The
+    memos live as long as the object; callers that want a bounded footprint
+    make one per query (see tree_depth).
     """
 
     def __init__(self, g):
@@ -176,7 +196,7 @@ class TreeDepth:
         succ, pred = g._succ, g._pred
         memo = {0: 0}
         lower = {}  # mask -> lower bound, for masks cut off so far
-        splits = {}  # mask -> its SCC masks, for masks with two or more
+        splits = {}  # mask -> its SCC masks, for every mask split so far
         removed = {}
 
         def depth(mask, limit):
@@ -184,14 +204,14 @@ class TreeDepth:
             if value is not None:
                 return value
             bound = lower.get(mask)
-            if bound is None:
-                comps = _components(succ, pred, mask)
-                if len(comps) > 1:
-                    splits[mask] = comps
-            elif bound >= limit:
+            if bound is not None and bound >= limit:
                 return bound
-            else:
-                comps = splits.get(mask, (mask,))
+            comps = splits.get(mask)
+            if comps is None:
+                if limit <= 2 and _cyclic(pred, mask):
+                    lower[mask] = 2  # a cycle needs depth 2
+                    return 2
+                comps = splits[mask] = _components(succ, pred, mask)
             value = 0
             for c in comps:
                 d = block_depth(c, limit)
@@ -255,7 +275,7 @@ class TreeDepth:
             if mask == 0:
                 return EliminationTree(0, None, ())
             comps = splits.get(mask)
-            if comps is None:  # a block's split is the block itself
+            if comps is None or len(comps) == 1:  # a block
                 return block_certificate(mask)
             return EliminationTree(
                 mask,

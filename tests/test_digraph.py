@@ -29,6 +29,7 @@ from util import (
     random_digraph,
     tree_depth_reference,
     tree_depth_uncut_reference,
+    tree_depth_unpeeled_reference,
     two_triangles_graph,
 )
 
@@ -372,19 +373,45 @@ def test_tree_depth_with_cutoffs_matches_reference(case):
     assert cert.depth == value
 
 
-def test_cutoffs_split_fewer_subgraphs_than_the_uncut_search():
-    # A cut-off search can split a mask the uncut one only met as a memoised
-    # block, so fewer splits hold in total, not on every graph.
+def split_totals_on_cycle_unions(reference):
+    """The masks `tree_depth` and `reference` (which splits through util's
+    `_components`) split in total on twelve seeded unions of three
+    Hamiltonian cycles, n = 9-11, after checking both give the same value
+    and certificate on each."""
     rng = random.Random(14)
-    ours = uncut = 0
+    ours = theirs = 0
     for n in (9, 10, 11) * 4:
         g = cycle_union_digraph(rng, n, 3)
         got, split = recorded_splits(digraph, tree_depth, g)
-        want, uncut_split = recorded_splits(util, tree_depth_uncut_reference, g)
+        want, reference_split = recorded_splits(util, reference, g)
         assert got == want
         ours += len(split)
-        uncut += len(uncut_split)
+        theirs += len(reference_split)
+    return ours, theirs
+
+
+def test_cutoffs_split_fewer_subgraphs_than_the_uncut_search():
+    # A cut-off search can split a mask the uncut one only met as a memoised
+    # block, so fewer splits hold in total, not on every graph.
+    ours, uncut = split_totals_on_cycle_unions(tree_depth_uncut_reference)
     assert ours < uncut
+
+
+def test_peeling_splits_fewer_subgraphs_than_the_unpeeled_search():
+    # at limit 2 a cyclic mask is bounded by the peel, not split into SCCs
+    ours, unpeeled = split_totals_on_cycle_unions(tree_depth_unpeeled_reference)
+    assert ours < unpeeled
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraphs_with_vertices())
+def test_cyclic_peel_matches_the_tarjan_sccs(case):
+    g, vertices = case
+    masks = [g.all_vertices if vertices is None else vertices, 0]
+    masks += [1 << v for v in range(g.n)]
+    for mask in masks:
+        want = any(c.bit_count() > 1 for c in util.scc_reference(g, mask))
+        assert digraph._cyclic(g._pred, mask) == want
 
 
 def test_out_of_range_masks_name_the_stray_bits():

@@ -47,7 +47,7 @@ from coordsolve.core import (
 )
 from coordsolve.asyncgame import _history_cost
 from coordsolve.cli import ParseError, _rational
-from coordsolve.digraph import _check_mask, _components
+from coordsolve.digraph import _check_mask, _components, _sources_first
 from coordsolve.graphical import SufficientGraph, _first_minimal_satisfying
 from coordsolve.errors import DEFAULT_BUDGET
 from coordsolve.ordered import OrderedFlags, _chain_reaches
@@ -1143,6 +1143,148 @@ def tree_depth_uncut_reference(g, vertices=None):
 
     value = depth(vertices)
     return value, certificate(vertices)
+
+
+class TreeDepthUnpeeledReference:
+    """Exact directed tree-depth of the subgraphs of one digraph, memoised
+    across queries: the search `digraph.TreeDepth` replaced, kept verbatim.
+    It splits every mask it meets, cyclic masks at limit 2 included, through
+    this module's `_components`, so a test can count its splits.
+
+    td(empty)=0, td(singleton)=1; a strongly connected block with >=2 vertices
+    costs 1 plus the best vertex removal; otherwise the value is the max over
+    SCC subgraphs.  Directed tree-depth is cycle rank + 1 (Eggan 1963).
+
+    The search carries a limit: `depth(mask, limit)` and `block_depth(block,
+    limit)` return the exact value when it is below `limit`, and otherwise a
+    lower bound of at least `limit`.  Exact values go to one int memo and
+    cut-off bounds to a second.  A mask split (by bitset closures) into two
+    or more SCCs keeps its split in a third memo, and a mask split into one
+    is a block, so a later search with a higher limit reuses the split and
+    every induced subgraph is split at most once.  A mask's max over its SCCs
+    stops at the first SCC that reaches the limit.  A block's scan tries each
+    removal in ascending index under a cap that starts at the caller's limit
+    and drops to each new strict best, calling `depth(block - v, cap - 1)`;
+    it stops at depth 2, the least a non-singleton block can have.  Cut-off
+    candidates are at least the best so far, so the recorded removal is the
+    first vertex of strictly least depth.
+
+    An exact value, a bound, a split and a recorded removal belong to the
+    induced subgraph alone, not to the query that found them, so the memos
+    serve every later query on any vertex mask: `value` searches with limit
+    n + 1 and is exact, and `certificate` walks the recorded removals and
+    splits, with split nodes listing their blocks in the topological order
+    of `scc`.  The memos live as long as the object; callers that want a
+    bounded footprint make one per query (see tree_depth).
+    """
+
+    def __init__(self, g):
+        self.g = g
+        succ, pred = g._succ, g._pred
+        memo = {0: 0}
+        lower = {}  # mask -> lower bound, for masks cut off so far
+        splits = {}  # mask -> its SCC masks, for masks with two or more
+        removed = {}
+
+        def depth(mask, limit):
+            value = memo.get(mask)
+            if value is not None:
+                return value
+            bound = lower.get(mask)
+            if bound is None:
+                comps = _components(succ, pred, mask)
+                if len(comps) > 1:
+                    splits[mask] = comps
+            elif bound >= limit:
+                return bound
+            else:
+                comps = splits.get(mask, (mask,))
+            value = 0
+            for c in comps:
+                d = block_depth(c, limit)
+                if d >= limit:
+                    lower[mask] = d
+                    return d
+                if d > value:
+                    value = d
+            memo[mask] = value
+            return value
+
+        def block_depth(block, limit):
+            if block.bit_count() == 1:
+                return 1
+            value = memo.get(block)
+            if value is not None:
+                return value
+            if limit <= 2:
+                return 2  # the least depth of a non-singleton block
+            bound = lower.get(block)
+            if bound is not None and bound >= limit:
+                return bound
+            cap = limit
+            rest = block
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                cand = 1 + depth(block ^ low, cap - 1)
+                if cand < cap:
+                    cap = cand
+                    removed[block] = low.bit_length() - 1
+                    if cap == 2:
+                        break
+            if cap < limit:
+                memo[block] = cap
+                return cap
+            lower[block] = limit  # every candidate was >= limit
+            return limit
+
+        self._depth = depth
+        self._splits = splits
+        self._removed = removed
+
+    def value(self, vertices=None):
+        """Exact tree-depth of the subgraph induced on `vertices` (every
+        vertex by default)."""
+        if vertices is None:
+            vertices = self.g.all_vertices
+        _check_mask(self.g, vertices, "vertices")
+        return self._depth(vertices, self.g.n + 1)
+
+    def certificate(self, vertices=None):
+        """EliminationTree certifying `value(vertices)`, built along the
+        recorded removals and splits."""
+        if vertices is None:
+            vertices = self.g.all_vertices
+        self.value(vertices)
+        pred, splits, removed = self.g._pred, self._splits, self._removed
+
+        def certificate(mask):
+            if mask == 0:
+                return EliminationTree(0, None, ())
+            comps = splits.get(mask)
+            if comps is None:  # a block's split is the block itself
+                return block_certificate(mask)
+            return EliminationTree(
+                mask,
+                None,
+                tuple(block_certificate(c) for c in _sources_first(pred, comps, mask)),
+            )
+
+        def block_certificate(block):
+            if block.bit_count() == 1:
+                return EliminationTree(block, block.bit_length() - 1, ())
+            v = removed[block]
+            return EliminationTree(block, v, (certificate(block & ~(1 << v)),))
+
+        return certificate(vertices)
+
+
+def tree_depth_unpeeled_reference(g, vertices=None):
+    """Exact directed tree-depth of the subgraph induced on `vertices` (every
+    vertex by default), with its elimination-tree certificate: one query on a
+    fresh TreeDepthUnpeeledReference, as `digraph.tree_depth` was."""
+    depths = TreeDepthUnpeeledReference(g)
+    return depths.value(vertices), depths.certificate(vertices)
 
 
 def _kosaraju(nodes, succ):
