@@ -593,6 +593,21 @@ def iesds_closure(gainers, S, O):
     return low & S, high & S
 
 
+def settle(gainers, S, O):
+    """The free dominate steps of the context (S, O): while some player of
+    S strictly gains when just O plays 1, the lowest such player joins O.
+    Returns the settled S and O and the players that joined, in order: the
+    policy tree's dominate chain.  `gainers` is only indexed, so it may be
+    a RuleGains view."""
+    joined = []
+    while willing := S & gainers[O]:
+        low = willing & -willing
+        joined.append(low.bit_length() - 1)
+        S ^= low
+        O |= low
+    return S, O, joined
+
+
 def ne_scan(gainers, losers, S, O):
     """Pure Nash profiles X <= S of the context (S, O), read off an incentive
     table: no member of X strictly prefers action 0 and no other member of S
@@ -616,14 +631,14 @@ def least_ne(game, ctx=None):
     """Least pure Nash equilibrium of the contextual game.
 
     Best-response iteration upward from the all-zero profile, breaking ties
-    toward action 0; reaches the fixpoint in at most |S| rounds.  A
-    non-monotone step means the single-crossing condition fails, which is
-    reported as a precondition error.
+    toward action 0; every round returns, raises or grows the profile, so
+    it ends within |S| + 1 rounds.  A non-monotone step means the
+    single-crossing condition fails: a precondition error.
     """
     if ctx is None:
         ctx = full_context(game)
     cur = 0
-    for _ in range(ctx.active.bit_count() + 1):
+    while True:
         nxt = 0
         for i in bits(ctx.active):
             if gains(game, i, (cur | ctx.ones) & ~(1 << i)):
@@ -635,7 +650,6 @@ def least_ne(game, ctx=None):
                 "best-response iteration is not monotone; single-crossing fails"
             )
         cur = nxt
-    raise PreconditionError("best-response iteration failed to converge")
 
 
 def is_ne(game, ctx, X):

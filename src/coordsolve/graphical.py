@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .core import bits, gains, mask_of, members, neighbour_game
+from .core import bits, gains, mask_of, members, neighbour_game, settle
 from .digraph import Digraph, TreeDepth, reach
 from .errors import DEFAULT_BUDGET, PreconditionError, charge
 from .sync import SyncSolver
@@ -130,16 +130,14 @@ def reduce_to_weakest_link(game, solver=None):
     edges = set()
 
     # initially dominant players cascade first, in elimination order
+    stalled, _, cascade = settle(solver.gainers, solver.forced_one, 0)
+    if stalled:
+        raise RuntimeError(f"forced-one cascade stalled before {members(stalled)}")
     remaining = game.all_players
-    done = 0
-    while done != solver.forced_one:
-        willing = solver.forced_one & ~done & solver.gainers[done]
-        assert willing, "forced-one cascade stalled"
-        step = (willing & -willing).bit_length() - 1
+    for step in cascade:
         remaining &= ~(1 << step)
         for j in bits(remaining):
             edges.add((step, j))
-        done |= 1 << step
 
     def walk(node, S):
         while node.op == "dominate" or node.op == "delete":

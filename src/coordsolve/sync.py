@@ -8,10 +8,10 @@ and a replayable policy tree over three operations: dominate a player whose
 action 1 became strictly dominant (free), force a player in at the cost of a
 stage (delete), or split off a strictly sufficient set (divide).
 
-The recursion memoises only each context's value, an int.  Policy trees are
-rebuilt on demand from those values: each node reruns its own scan and
-recurses into the children it chose, so a `policy()` call costs O(n) node
-scans.
+The recursion memoises one int per settled context (core.settle).  Policy
+trees are rebuilt on demand from those values: each node reruns its own
+scan and recurses into the children it chose, so a `policy()` call costs
+O(n) node scans.
 
 A divide splits off a candidate: a strictly sufficient set that is also a
 Nash profile (SSE, the default), or any strictly sufficient set (SSS,
@@ -50,6 +50,7 @@ from .core import (
     is_monotone,
     members,
     ne_scan,
+    settle,
     sorted_coalitions,
     sss_scan,
 )
@@ -103,8 +104,8 @@ class SyncSolver:
     read `losers` too.  SSE candidates of a monotone table, a family's or
     one core.is_monotone finds so, come from core.fixed_point_scan, all
     others from core.sss_scan, with equal lists.  Subgame values live in an
-    int memo (`_memo`, keyed by context); policy trees are not stored but
-    rebuilt on demand by `value` and `policy`.
+    int memo (`_memo`, one entry per settled context); policy trees are not
+    stored but rebuilt on demand by `value` and `policy`.
 
     For a game built by graphical.weakest_link_game the solver also keeps
     the game's `graph` and one TreeDepth memo on it (`depths`; both None for
@@ -191,22 +192,16 @@ class SyncSolver:
 
     def _tau(self, S, O):
         """Minimum number of stages to reach all-ones in the auxiliary game
-        (S active, O forced to 1), memoised as an int per context.  Every
-        reachable context keeps all active players strictly willing at the
-        top profile, so the recursion never meets a strictly dominated
-        action 0."""
-        key = (S, O)
-        got = self._memo.get(key)
+        (S active, O forced to 1), memoised as an int per settled context
+        (core.settle: dominate steps are free).  Every reachable context
+        keeps all active players strictly willing at the top profile, so
+        the recursion never meets a strictly dominated action 0."""
+        S, O, _ = settle(self.gainers, S, O)
+        if not S:
+            return 1
+        got = self._memo.get((S, O))
         if got is None:
-            # dominate, for free, the lowest active player who strictly
-            # gains already when just O plays 1; repeat
-            gainers = self.gainers
-            while willing := S & gainers[O]:
-                low = willing & -willing
-                S ^= low
-                O |= low
-            got = self._scan(S, O)[0] if S else 1
-            self._memo[key] = got
+            got = self._memo[S, O] = self._scan(S, O)[0]
         return got
 
     def _scan(self, S, O):
@@ -248,15 +243,7 @@ class SyncSolver:
         call rebuilds the tree, rerunning each node's scan over the memo and
         recursing into the children it chose, so it costs one scan per node
         (O(n) nodes, as every step removes a player or splits the set)."""
-        # the free dominate steps, as in _tau
-        gainers = self.gainers
-        chain = []
-        while willing := S & gainers[O]:
-            low = willing & -willing
-            chain.append(low.bit_length() - 1)
-            S ^= low
-            O |= low
-
+        S, O, chain = settle(self.gainers, S, O)
         if S == 0:
             node = PolicyNode("stop", None, None, (), 1)
         else:

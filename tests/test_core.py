@@ -34,6 +34,7 @@ from coordsolve.core import (
     int_row,
     is_monotone,
     iterated_strict_elimination,
+    settle,
     sss_scan,
     submasks,
 )
@@ -44,6 +45,7 @@ from util import (
     check_assumptions_reference,
     cross_pairs_game,
     cycle_graph,
+    dominate_chain_reference,
     family_games,
     family_table_reference,
     flipped_tables,
@@ -58,6 +60,7 @@ from util import (
     random_game,
     random_rooted_digraph,
     rows_table_reference,
+    settle_reference,
     shaped_digraphs,
     sss_set_reference,
     star_graph,
@@ -494,6 +497,39 @@ def test_iesds_closure_on_the_in_neighbour_view(g, active, ones):
     in_masks = [g.in_mask(i) for i in range(g.n)]
     want = graph_iesds_reference(in_masks, S, O)
     assert iesds_closure(RuleGains(weakest_link_game(g)._rules), S, O) == want
+
+
+# -- the free dominate steps ----------------------------------------------------
+
+
+# players 0 and 1 both gain from the start: lowest first joins 0 before 1
+@settings(max_examples=300, deadline=None)
+@given(tables_with_contexts())
+@example((table_game([[0, 1, 0, 1], [0, 0, 1, 1]]), Context(3, 0)))
+def test_settle_matches_the_old_loop_on_tables(case):
+    """The settled pair and the join order are those of the loop that
+    SyncSolver wrote out for _tau and value, and the order is the
+    raw-payoff dominate chain, on tables that need not be monotone."""
+    game, ctx = case
+    gainers, _ = incentive_table(game)
+    got = settle(gainers, ctx.active, ctx.ones)
+    assert got == settle_reference(gainers, ctx.active, ctx.ones)
+    assert got[2] == dominate_chain_reference(game, ctx.active, ctx.ones)
+
+
+@settings(max_examples=300, deadline=None)
+@given(family_games().filter(lambda game: game._rules is not None), st.data())
+def test_settle_on_the_rule_view_matches_the_old_loop(game, data):
+    """On a family game's RuleGains view settle gives what the old loop
+    gives on the full table, and on that monotone table the players that
+    join are iesds_closure's least."""
+    table = incentive_table_reference(game)[0]
+    full = game.all_players
+    S = data.draw(st.integers(0, full))
+    O = data.draw(st.integers(0, full)) & ~S
+    got = settle(RuleGains(game._rules), S, O)
+    assert got == settle_reference(table, S, O)
+    assert mask_of(got[2]) == iesds_closure(table, S, O)[0]
 
 
 # -- the incentive table and the scans that read it ---------------------------

@@ -21,10 +21,11 @@ from coordsolve import (
     weakest_link_game,
     weakest_link_horizon,
 )
-from coordsolve.core import gains, submasks
+from coordsolve.core import bits, gains, submasks
 from coordsolve.sync import SyncSolver
 
 from util import (
+    EXACT_PAYOFFS,
     cross_pairs_graph,
     cycle_graph,
     hub_intervention_graph,
@@ -150,6 +151,51 @@ def test_forced_one_cascade_runs_lowest_player_first():
     solver = SyncSolver(game)
     assert solver.forced_one == game.all_players
     assert sorted(reduce_to_weakest_link(game, solver=solver).graph.edges) == [(0, 1), (2, 0)]
+
+
+@st.composite
+def tables_with_forced_players(draw):
+    """An unconstrained exact table game on 1..5 players in which a nonempty
+    set of players gains 10 from action 1 everywhere, so that iterated
+    dominance forces them in and, often, others after them."""
+    n = draw(st.integers(1, 5))
+    rows = [draw(st.lists(EXACT_PAYOFFS, min_size=1 << n, max_size=1 << n)) for _ in range(n)]
+    for i in bits(draw(st.integers(1, (1 << n) - 1))):
+        rows[i] = [v + 10 * (X >> i & 1) for X, v in enumerate(rows[i])]
+    return table_game(rows)
+
+
+def _edges_or_error(reduce, game):
+    try:
+        return sorted(reduce(game, SyncSolver(game)).graph.edges)
+    except PreconditionError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables_with_forced_players())
+def test_forced_one_cascade_matches_the_old_loop(game):
+    """With forced players, on tables that need not satisfy any assumption,
+    the reduction's graph (or refusal) is the one its hand-written cascade
+    gave."""
+    assert SyncSolver(game).forced_one
+    want = _edges_or_error(reduce_to_weakest_link_reference, game)
+    assert _edges_or_error(reduce_to_weakest_link, game) == want
+
+
+class _StalledSolver(SyncSolver):
+    """Claims every player is forced to 1 in a game where nobody is."""
+
+    @property
+    def forced_one(self):
+        return self.game.all_players
+
+
+def test_stalled_forced_one_cascade_raises_even_without_asserts():
+    # two players who each gain only when the other plays 1
+    game = table_game([[0, -1, 0, 1], [0, 0, -1, 1]])
+    with pytest.raises(RuntimeError, match="stalled before"):
+        reduce_to_weakest_link(game, solver=_StalledSolver(game))
 
 
 def test_reduction_idempotent_on_weakest_link():

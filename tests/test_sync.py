@@ -346,6 +346,27 @@ def test_int_memo_recursion_matches_policy_node_reference(case, use_sse):
     assert all(type(v) is int for v in solver._memo.values())
 
 
+@settings(max_examples=200, deadline=None)
+@given(tables_with_contexts() | monotone_games_with_contexts(), st.booleans())
+@example((table_game(CUTOFF_TABLE), Context(0b11111, 0)), True)
+def test_memo_keeps_one_entry_per_settled_context(case, use_sse):
+    """Once min_horizon, horizons() and policy() have run, every memo key
+    is a settled context with players left (no player of S gains when just
+    O plays 1), and its value is still the PolicyNode recursion's, on games
+    that need not satisfy any assumption."""
+    game, ctx = case
+    solver = SyncSolver(game, use_sse=use_sse)
+    ref = PolicyNodeSolverReference(game, use_sse=use_sse)
+    for targets in [game.all_players] + [1 << i for i in range(game.n)]:
+        assert _horizon_or_error(solver, targets) == _horizon_or_error(ref, targets)
+    assert _or_error(lambda: dict(solver.horizons())) == _or_error(lambda: dict(ref.horizons()))
+    assert solver.policy() == ref.policy()
+    assert solver.value(ctx.active, ctx.ones) == ref.value(ctx.active, ctx.ones)
+    for (S, O), v in solver._memo.items():
+        assert S != 0 and S & solver.gainers[O] == 0
+        assert v == ref.value(S, O).value
+
+
 # Tables that are not monotone, where fixed-point branching misses
 # candidates: at (S, O) = (3, 0) it returns [] on both, where the scan finds
 # [2] and [1, 2].  The first is a bare table (the solver reads nothing

@@ -573,6 +573,19 @@ def dominate_chain_reference(game, S, O):
         O |= 1 << dom
 
 
+def settle_reference(gainers, S, O):
+    """The free dominate steps as SyncSolver._tau and SyncSolver.value wrote
+    them out before core.settle: the loop of value, kept verbatim (that of
+    _tau was the same without the chain).  Returns (S, O, chain)."""
+    chain = []
+    while willing := S & gainers[O]:
+        low = willing & -willing
+        chain.append(low.bit_length() - 1)
+        S ^= low
+        O |= low
+    return S, O, chain
+
+
 def iesds_reference(game, ctx=None):
     """Iterated strict dominance on the contextual game, straight from
     payoffs: the core.iesds that SyncSolver called before it read dominance
