@@ -50,10 +50,12 @@ class IesedsTable:
 
 
 def _history_cost(cells):
-    """The payoff reads of ieseds on this schedule: stage t reads each cell
-    member's payoff at every profile of its cell and the cells before it,
-    |cell| 2^(|prefix| + |cell|) reads.  An empty cell reads none and is
-    charged one unit per history."""
+    """The payoff reads that ieseds is charged for on this schedule: stage t
+    reads each cell member's payoff at every profile of its cell and the
+    cells before it, |cell| 2^(|prefix| + |cell|) reads.  An empty cell
+    reads none and is charged one unit per history.  On a game with rules
+    a one-player cell reads no payoffs and makes 2^|prefix| rule tests
+    instead, so there the charge bounds the work from above."""
     total = 0
     prefix = 0
     for c in cells:
@@ -81,19 +83,23 @@ def ieseds(game, p, budget=DEFAULT_BUDGET):
     each member's payoffs as one row, game.payoff_row(i, nxt).  A cell of
     one player has its bit on top, so its least survivor at history H is
     the cell if row[H + 2^|prefix|] > row[H], and nothing otherwise: the
-    row's upper half compared against its lower half.  An empty cell plays
-    nothing and reads nothing.  A larger cell's rows become one incentive
-    table for the stage (compare_rows), and each history's least survivor
-    is iesds_scan(gainers, losers, cell, H).  The history's own final
-    outcome is nxt[H | least].  A history's answer depends only on the
-    stages after it, so the sweep gives every history the answer a lazy
-    recursion from the empty history would reach it with.  The table keeps
+    row's upper half compared against its lower half.  On a game with
+    rules (see core.neighbour_game) the mover pays 0 in the lower half and
+    +1 or -1 in the upper, so it reads no row: it moves iff at least k of
+    its rule's need play 1 in nxt[H + 2^|prefix|].  Either way the
+    history's final outcome is picked from nxt's lower or upper half.  An
+    empty cell plays nothing and reads nothing.  A larger cell's rows
+    become one incentive table for the stage (compare_rows), each
+    history's least survivor is iesds_scan(gainers, losers, cell, H), and
+    its final outcome is nxt[H | least].  A history's answer depends only
+    on the stages after it, so the sweep gives every history the answer a
+    lazy recursion from the empty history would reach it with.  The table keeps
     each stage's least survivors as that list over its relabelled histories;
     its stage_actions dicts are built only if read.
 
-    The budget is charged up front with the exact number of payoff reads
-    (_history_cost); a schedule over it raises ResourceLimitError before any
-    read.
+    The budget is charged up front with the number of payoff reads of the
+    row path (_history_cost), whether or not a stage reads its mover's rule
+    instead; a schedule over it raises ResourceLimitError before any read.
     """
     p.validate_cover(game.n)
     cells = p.cells
@@ -104,8 +110,10 @@ def ieseds(game, p, budget=DEFAULT_BUDGET):
     label = [0]
     for c in cells:
         for i in bits(c):
-            label += [m | 1 << i for m in label]
+            b = 1 << i
+            label += [m | b for m in label]
     row = game.payoff_row
+    rules = game._rules
     stages = [None] * len(cells)
     nxt = label  # after the last stage, a profile is its own outcome
     width = game.n  # |prefix| + |cell| of the stage being solved
@@ -115,17 +123,25 @@ def ieseds(game, p, budget=DEFAULT_BUDGET):
         half = 1 << width  # the stage's histories
         cell = ((1 << k) - 1) << width
         if k == 0:
-            least = [0] * half
+            least = [0] * half  # nxt stays: the stage moves no one
         elif k == 1:
             # the mover's bit is the top one: it plays 1 at H + half, 0 at H
-            u = row(cells[t].bit_length() - 1, nxt)
-            least = [cell if a1 > a0 else 0 for a0, a1 in zip(u, u[half:])]
+            i = cells[t].bit_length() - 1
+            hi = nxt[half:]
+            if rules is not None:
+                # u_i is 0 at H and +1 or -1 at H + half, by i's rule
+                _, need, ki = rules[i]
+                least = [cell if (X & need).bit_count() >= ki else 0 for X in hi]
+            else:
+                u = row(i, nxt)
+                least = [cell if a1 > a0 else 0 for a0, a1 in zip(u, u[half:])]
+            nxt = [h if a else l for l, h, a in zip(nxt, hi, least)]
         else:
             rows = ((width + r, row(i, nxt)) for r, i in enumerate(bits(cells[t])))
             gainers, losers = compare_rows(rows, (1 << (width + k)) - 1)
             least = [iesds_scan(gainers, losers, cell, H)[0] for H in range(half)]
+            nxt = [nxt[H | a] for H, a in enumerate(least)]
         stages[t] = least
-        nxt = [nxt[H | a] for H, a in enumerate(least)]
 
     on_path = []
     h = 0

@@ -75,6 +75,18 @@ def _first_minimal_satisfying(gainers, i, pool):
     return pool  # unreachable: pool itself satisfies
 
 
+def _rule_minimal_satisfying(rule, pool):
+    """_first_minimal_satisfying for a player with a rule (bit, need, k), read
+    off the rule: the k lowest-index players of pool & need, or None when
+    fewer remain.  Both regimes of the table search return exactly this set,
+    the first size-k combination and the greedy drop from the top alike."""
+    _, need, k = rule
+    pool &= need
+    if pool.bit_count() < k:
+        return None
+    return mask_of(members(pool)[:k])
+
+
 def minimal_satisfying_sets(game, i):
     """All inclusion-minimal E <= N\\{i} with u_i(E u {i}) > u_i(E).
 
@@ -113,10 +125,11 @@ def reduce_to_weakest_link(game, solver=None):
 
     Walks the solved policy tree adding edges per operation, prefixes the
     cascade of initially dominant players, then prunes each in-neighborhood
-    to a minimal satisfying subset.  Requires that no player's action 1 is
-    iteratively strictly dominated.  A weakest-link game is its own
-    reduction: each in-neighbourhood is that player's unique minimal
-    satisfying set, so the solver's graph is returned without a walk.
+    to a minimal satisfying subset (read off the player's rule on a game
+    with rules).  Requires that no player's action 1 is iteratively strictly
+    dominated.  A weakest-link game is its own reduction: each
+    in-neighbourhood is that player's unique minimal satisfying set, so the
+    solver's graph is returned without a walk.
     """
     solver = solver or SyncSolver(game)
     if solver.dropped:
@@ -161,9 +174,13 @@ def reduce_to_weakest_link(game, solver=None):
     walk(solver.policy(), solver.base.active)
 
     raw = Digraph(n, edges)
+    rules = game._rules
     pruned = set()
     for i in range(n):
-        E = _first_minimal_satisfying(solver.gainers, i, raw.in_mask(i))
+        if rules is None:
+            E = _first_minimal_satisfying(solver.gainers, i, raw.in_mask(i))
+        else:
+            E = _rule_minimal_satisfying(rules[i], raw.in_mask(i))
         if E is None:
             raise PreconditionError(
                 f"constructed in-neighborhood of player {i} is not satisfying; "

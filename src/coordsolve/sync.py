@@ -195,7 +195,12 @@ class SyncSolver:
         (S active, O forced to 1), memoised as an int per settled context
         (core.settle: dominate steps are free).  Every reachable context
         keeps all active players strictly willing at the top profile, so
-        the recursion never meets a strictly dominated action 0."""
+        the recursion never meets a strictly dominated action 0.  Only
+        settled contexts are keys, so a hit on the call's own pair is its
+        settled context's value, and only a miss pays for settling."""
+        got = self._memo.get((S, O))
+        if got is not None:
+            return got
         S, O, _ = settle(self.gainers, S, O)
         if not S:
             return 1

@@ -126,8 +126,12 @@ def test_history_cost_counts_every_payoff_read(n, seed):
     ids=lambda game: game.kind,
 )
 def test_history_cost_counts_every_row_mask_on_family_games(game):
+    """The charge counts every stage's row masks, 2 + 16 + 16 + 128, but only
+    the two-player cells read rows: the one-player cells test the mover's
+    rule once per history (1 + 8 tests) and read none."""
     p = Partition([1 << 3, mask_of((0, 5)), 1 << 1, mask_of((2, 4))])
     cost = _history_cost(p.cells)
+    assert cost == 162
     want = ieseds(game, p)
     masks = []
     row = game.payoff_row
@@ -142,7 +146,7 @@ def test_history_cost_counts_every_row_mask_on_family_games(game):
     game.payoff_row = counted
     game._payoff = no_raw_read
     assert ieseds(game, p, budget=cost) == want
-    assert len(masks) == cost
+    assert len(masks) == 16 + 128
     masks.clear()
     with pytest.raises(ResourceLimitError) as info:
         ieseds(game, p, budget=cost - 1)
@@ -247,6 +251,22 @@ def test_family_rows_give_the_payoff_read_sweep(case):
     assert ieseds_record(got) == ieseds_sweep_reference(game, p)
     want = ieseds_reference(game, p)
     assert (got.on_path, got.outcome) == (want.on_path, want.outcome)
+
+
+@settings(max_examples=300, deadline=None)
+@given(family_games().filter(lambda game: game._rules is not None), st.randoms())
+def test_rule_games_move_alone_by_the_movers_rule(game, rng):
+    """On a singleton schedule of a game with rules, every stage reads the
+    mover's rule and no payoff: the table equals the sweep that read _payoff
+    into full stage tables."""
+    p = Partition([1 << i for i in rng.sample(range(game.n), game.n)])
+    want = ieseds_sweep_reference(game, p)
+
+    def no_read(*args):
+        raise AssertionError("a one-player stage of a rule game read payoffs")
+
+    game.payoff_row = game._payoff = no_read
+    assert ieseds_record(ieseds(game, p)) == want
 
 
 @settings(max_examples=100, deadline=None)

@@ -28,6 +28,7 @@ from util import (
     EXACT_PAYOFFS,
     cross_pairs_graph,
     cycle_graph,
+    family_games,
     hub_intervention_graph,
     random_digraph,
     random_game,
@@ -179,6 +180,15 @@ def test_forced_one_cascade_matches_the_old_loop(game):
     the reduction's graph (or refusal) is the one its hand-written cascade
     gave."""
     assert SyncSolver(game).forced_one
+    want = _edges_or_error(reduce_to_weakest_link_reference, game)
+    assert _edges_or_error(reduce_to_weakest_link, game) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(family_games())
+def test_rule_games_prune_by_their_rules_as_the_table_search_did(game):
+    """On family games, where each in-set is pruned by the player's rule
+    (tables keep the search), the graph or the refusal is the reference's."""
     want = _edges_or_error(reduce_to_weakest_link_reference, game)
     assert _edges_or_error(reduce_to_weakest_link, game) == want
 
