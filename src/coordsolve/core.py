@@ -383,14 +383,15 @@ def incentive_table(game):
     profile X <= S at index X | O.
 
     A game with rules (see neighbour_game) lists them at every coalition,
-    and the players they leave out lose; a table game compares its int
-    rows; any other game reads its n 2^n payoffs once and compares them
-    (compare_rows).  Nothing is cached: each call builds a fresh table.
+    one rule at a time (_rule_gainers_list), and the players they leave out
+    lose; a table game compares its int rows; any other game reads its
+    n 2^n payoffs once and compares them (compare_rows).  Nothing is
+    cached: each call builds a fresh table.
     """
     rules = game._rules
     if rules is not None:
         full = game.all_players
-        gainers = [rule_gainers(rules, C) for C in range(full + 1)]
+        gainers = _rule_gainers_list(rules, game.n)
         return gainers, [full ^ g for g in gainers]
     if game._build_table is not None:
         return game._build_table()
@@ -454,6 +455,63 @@ def rule_gainers(rules, C):
         if (C & need).bit_count() >= k:
             out |= bit
     return out
+
+
+def member_column(j, size):
+    """The int whose bit C, for each C below `size` (a power of two above
+    2^j), is set when C holds bit j: blocks of 2^j zeros then 2^j ones,
+    built by doubling."""
+    span = 1 << j
+    x = ((1 << span) - 1) << span
+    span <<= 1
+    while span < size:
+        x |= x << span
+        span <<= 1
+    return x
+
+
+def at_least(k, columns, ones):
+    """The bits of `ones` set in at least k of the ints `columns`.  For
+    k = len(columns) that is their AND; otherwise a running count "at least
+    c of the columns read so far", c = 0..k, one AND and one OR per count
+    and column, keeping only the counts that can still reach k."""
+    if k == len(columns):
+        for x in columns:
+            ones &= x
+        return ones
+    at = [ones] + [0] * k
+    left = len(columns)
+    for seen, x in enumerate(columns, 1):
+        left -= 1
+        for c in range(min(k, seen), max(k - left, 1) - 1, -1):
+            at[c] |= at[c - 1] & x
+    return at[k]
+
+
+# bytes.translate tables: a '0' or '1' character to 0 or 1 << r
+_SPREAD = [bytes.maketrans(b"01", bytes((0, 1 << r))) for r in range(8)]
+
+
+def _rule_gainers_list(rules, n):
+    """[rule_gainers(rules, C) for C below 2^n], one rule at a time: the
+    coalitions where player i gains are one bit column (at_least over its
+    need's member columns), spread to one byte per coalition, 1 << (i mod 8)
+    where set; the bytes of up to eight players are ORed into one lane."""
+    size = 1 << n
+    ones = (1 << size) - 1
+    held = [member_column(j, size) for j in range(n)]
+    for lane in range(0, n, 8):
+        acc = 0
+        for bit, need, k in rules[lane : lane + 8]:
+            col = at_least(k, [held[j] for j in bits(need)], ones)
+            spread = _SPREAD[bit.bit_length() - 1 - lane]
+            acc |= int.from_bytes(f"{col:0{size}b}"[::-1].encode().translate(spread), "little")
+        lane_bytes = acc.to_bytes(size, "little")
+        if lane == 0:
+            gainers = list(lane_bytes)
+        else:
+            gainers = [g | b << lane for g, b in zip(gainers, lane_bytes)]
+    return gainers
 
 
 class RuleGains(dict):

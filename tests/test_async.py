@@ -253,20 +253,57 @@ def test_family_rows_give_the_payoff_read_sweep(case):
     assert (got.on_path, got.outcome) == (want.on_path, want.outcome)
 
 
+@st.composite
+def rule_games_on_one_mover_schedules(draw):
+    """A family game with rules on a schedule of its players one at a time,
+    in random order, with up to two empty cells inserted."""
+    game = draw(family_games().filter(lambda game: game._rules is not None))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    cells = [1 << i for i in rng.sample(range(game.n), game.n)]
+    for _ in range(draw(st.integers(0, 2))):
+        cells.insert(draw(st.integers(0, len(cells))), 0)
+    return game, Partition(cells)
+
+
 @settings(max_examples=300, deadline=None)
-@given(family_games().filter(lambda game: game._rules is not None), st.randoms())
-def test_rule_games_move_alone_by_the_movers_rule(game, rng):
-    """On a singleton schedule of a game with rules, every stage reads the
-    mover's rule and no payoff: the table equals the sweep that read _payoff
-    into full stage tables."""
-    p = Partition([1 << i for i in rng.sample(range(game.n), game.n)])
+@given(rule_games_on_one_mover_schedules())
+def test_rule_games_move_alone_by_the_movers_rule(case):
+    """On a schedule of one-player and empty cells of a game with rules,
+    every stage reads the mover's rule and no payoff, and the record is
+    built only when read: then label, least and stage_actions give the
+    sweep that read _payoff into full stage tables."""
+    game, p = case
     want = ieseds_sweep_reference(game, p)
 
     def no_read(*args):
         raise AssertionError("a one-player stage of a rule game read payoffs")
 
     game.payoff_row = game._payoff = no_read
-    assert ieseds_record(ieseds(game, p)) == want
+    got = ieseds(game, p)
+    assert not {"least", "label", "stage_actions"} & vars(got).keys()
+    label = got.label
+    assert [dict(zip(label, map(label.__getitem__, least))) for least in got.least] == (
+        want.stage_actions
+    )
+    assert ieseds_record(got) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(rule_games_on_one_mover_schedules())
+def test_rule_games_give_the_record_of_their_payoff_twin(case):
+    """A game with rules and the game built from its bare payoff function,
+    whose stages read and compare payoff rows, give the same table on the
+    same one-mover schedule."""
+    game, p = case
+    got = ieseds(game, p)
+    want = ieseds(StageGame(game.n, game._payoff), p)
+    assert (got.outcome, got.on_path, got.label, got.least) == (
+        want.outcome,
+        want.on_path,
+        want.label,
+        want.least,
+    )
+    assert got.stage_actions == want.stage_actions
 
 
 @settings(max_examples=100, deadline=None)

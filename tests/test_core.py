@@ -60,6 +60,8 @@ from util import (
     random_game,
     random_rooted_digraph,
     rows_table_reference,
+    rule_games,
+    rule_table_reference,
     settle_reference,
     shaped_digraphs,
     sss_set_reference,
@@ -551,6 +553,15 @@ def test_incentive_table_matches_payoffs_cell_by_cell(game):
 @given(family_games())
 def test_family_builders_match_the_payoff_comparison_reference(game):
     assert incentive_table(game) == incentive_table_reference(game)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rule_games())
+def test_rule_table_matches_the_per_coalition_build(game):
+    """incentive_table builds a game's rules one rule at a time, as bit
+    columns spread into bytes; it lists the table rule_gainers gives
+    coalition by coalition."""
+    assert incentive_table(game) == rule_table_reference(game)
 
 
 @settings(max_examples=300, deadline=None)

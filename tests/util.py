@@ -42,6 +42,7 @@ from coordsolve.core import (
     int_row,
     is_ne,
     members,
+    rule_gainers,
     sorted_coalitions,
     submasks,
 )
@@ -2162,6 +2163,28 @@ def aggregative_table_reference(c):
         (C & le[C.bit_count() - 1]) | (~C & le[C.bit_count()]) for C in range(full + 1)
     ]
     return gainers, [full ^ g for g in gainers]
+
+
+def rule_table_reference(game):
+    """core.incentive_table on a game with rules as it was built before it
+    went one rule at a time, kept verbatim: rule_gainers once per
+    coalition, n 2^n rule tests."""
+    rules = game._rules
+    full = game.all_players
+    gainers = [rule_gainers(rules, C) for C in range(full + 1)]
+    return gainers, [full ^ g for g in gainers]
+
+
+@st.composite
+def rule_games(draw):
+    """A neighbour_game on 1..11 players, past the eight players one byte
+    of the one-rule-at-a-time build holds, with each player's need a random
+    mask of the others and k from 0 to |need| + 1 (never met)."""
+    n = draw(st.integers(1, 11))
+    full = (1 << n) - 1
+    needs = [draw(st.integers(0, full)) & ~(1 << i) for i in range(n)]
+    k = [draw(st.integers(0, need.bit_count() + 1)) for need in needs]
+    return core.neighbour_game(needs, k, "threshold", {})
 
 
 def family_table_reference(game):
