@@ -93,11 +93,11 @@ def _history_cost(cells):
     """The payoff reads that ieseds is charged for on this schedule: stage t
     reads each cell member's payoff at every profile of its cell and the
     cells before it, |cell| 2^(|prefix| + |cell|) reads.  An empty cell
-    reads none and is charged one unit per history.  On a game with rules
-    a one-player cell reads no payoffs: the list sweep makes 2^|prefix|
-    rule tests for it, and a schedule of such cells takes the column sweep,
-    whose 2^|prefix| tests per stage run as whole-column operations; on
-    those inputs the charge bounds the work from above."""
+    reads none and is charged one unit per history.  The list sweep reads
+    exactly these rows.  A game with rules on a schedule of cells of at
+    most one player takes the column sweep instead, which reads no payoffs:
+    its 2^|prefix| rule tests per stage run as whole-column operations, and
+    on those inputs the charge bounds the work from above."""
     total = 0
     prefix = 0
     for c in cells:
@@ -126,9 +126,10 @@ def ieseds(game, p, budget=DEFAULT_BUDGET):
     A game with rules (see core.neighbour_game) on a schedule whose every
     cell holds at most one player takes the column sweep (_column_sweep):
     the continuation is n ints, one bit per profile, and each stage tests
-    its mover's rule at every history at once.  Any other input takes the
-    list sweep (_list_sweep).  Both keep the record that IesedsTable
-    expands on first read.
+    its mover's rule at every history at once, and reads no payoffs.  Any
+    other input takes the list sweep (_list_sweep), which reads every
+    stage's payoff rows, a rule game's one-player stages included.  Both
+    keep the record that IesedsTable expands on first read.
 
     The budget is charged up front with the number of payoff reads of the
     row path (_history_cost), whichever sweep runs; a schedule over it
@@ -152,21 +153,18 @@ def _list_sweep(game, cells):
     With nxt[M] the final outcome reached from stage t + 1 under history M
     (the relabelling itself after the last stage), member i of the cell
     pays u_i(nxt[M]) at profile M, and the stage reads each member's
-    payoffs as one row, game.payoff_row(i, nxt).  A cell of one player has
-    its bit on top, so its least survivor at history H is the cell if
+    payoffs as one row, game.payoff_row(i, nxt); on a game with rules that
+    is the rule's own +1/-1/0 row.  A cell of one player has its bit on
+    top, so its least survivor at history H is the cell if
     row[H + 2^|prefix|] > row[H], and nothing otherwise: the row's upper
-    half compared against its lower half.  On a game with rules the mover
-    pays 0 in the lower half and +1 or -1 in the upper, so it reads no row:
-    it moves iff at least k of its rule's need play 1 in
-    nxt[H + 2^|prefix|].  Either way the history's final outcome is picked
-    from nxt's lower or upper half.  An empty cell plays nothing and reads
-    nothing.  A larger cell's rows become one incentive table for the stage
-    (compare_rows), each history's least survivor is
+    half compared against its lower half, and the history's final outcome
+    is picked from nxt's lower or upper half.  An empty cell plays nothing
+    and reads nothing.  A larger cell's rows become one incentive table for
+    the stage (compare_rows), each history's least survivor is
     iesds_scan(gainers, losers, cell, H), and its final outcome is
     nxt[H | least]."""
     label = _move_order_labels(cells)
     row = game.payoff_row
-    rules = game._rules
     stages = [None] * len(cells)
     nxt = label  # after the last stage, a profile is its own outcome
     width = game.n  # |prefix| + |cell| of the stage being solved
@@ -180,15 +178,9 @@ def _list_sweep(game, cells):
         elif k == 1:
             # the mover's bit is the top one: it plays 1 at H + half, 0 at H
             i = cells[t].bit_length() - 1
-            hi = nxt[half:]
-            if rules is not None:
-                # u_i is 0 at H and +1 or -1 at H + half, by i's rule
-                _, need, ki = rules[i]
-                least = [cell if (X & need).bit_count() >= ki else 0 for X in hi]
-            else:
-                u = row(i, nxt)
-                least = [cell if a1 > a0 else 0 for a0, a1 in zip(u, u[half:])]
-            nxt = [h if a else l for l, h, a in zip(nxt, hi, least)]
+            u = row(i, nxt)
+            least = [cell if a1 > a0 else 0 for a0, a1 in zip(u, u[half:])]
+            nxt = [h if a else l for l, h, a in zip(nxt, nxt[half:], least)]
         else:
             rows = ((width + r, row(i, nxt)) for r, i in enumerate(bits(cells[t])))
             gainers, losers = compare_rows(rows, (1 << (width + k)) - 1)

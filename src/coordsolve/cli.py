@@ -189,24 +189,6 @@ def parse_graph(doc, path="$"):
     return Digraph(n, _edges(doc, n, path))
 
 
-def emit_game(game):
-    """Document dict reproducing the game (payoffs as exact strings/ints)."""
-    doc = {"players": game.n, "kind": game.kind}
-    if game.kind == "table":
-        doc["payoffs"] = [
-            [v if isinstance(v, int) else str(v) for v in row]
-            for row in game.params["rows"]
-        ]
-    elif game.kind == "weakest_link":
-        doc["edges"] = [list(e) for e in game.params["edges"]]
-    elif game.kind == "threshold":
-        doc["edges"] = [list(e) for e in game.params["edges"]]
-        doc["k"] = list(game.params["k"])
-    elif game.kind == "aggregative":
-        doc["c"] = list(game.params["c"])
-    return doc
-
-
 def _read_text(path):
     try:
         with open(path, encoding="utf-8") as fh:

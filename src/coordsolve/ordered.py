@@ -18,6 +18,7 @@ from .core import (
     iesds_scan,
     incentive_table,
     mask_of,
+    member_column,
     members,
 )
 from .digraph import Digraph
@@ -98,14 +99,7 @@ def _classify_table(gainers, n):
     size = 1 << n
     full = size - 1
     every = (1 << size) - 1
-    one = []
-    for b in range(n):
-        pattern = ((1 << (1 << b)) - 1) << (1 << b)
-        period = 2 << b
-        while period < size:
-            pattern |= pattern << period
-            period <<= 1
-        one.append(pattern)
+    one = [member_column(b, size) for b in range(n)]
     zero = [every ^ pattern for pattern in one]
     # column c of the n-digit binary rows, last coalition first, is player n-1-c
     columns = zip(*map(format, reversed(gainers), repeat(f"0{n}b")))

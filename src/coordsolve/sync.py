@@ -8,10 +8,12 @@ and a replayable policy tree over three operations: dominate a player whose
 action 1 became strictly dominant (free), force a player in at the cost of a
 stage (delete), or split off a strictly sufficient set (divide).
 
-The recursion memoises one int per settled context (core.settle).  Policy
-trees are rebuilt on demand from those values: each node reruns its own
-scan and recurses into the children it chose, so a `policy()` call costs
-O(n) node scans.
+The recursion memoises one int per settled context (core.settle) and
+scans each settled context once, so it keeps no candidate list; only a
+queried context, whose candidates every per-player horizon reads, keeps
+them with its dominance reduction.  Policy trees are rebuilt on demand
+from the ints: each node reruns its own scan and recurses into the
+children it chose, so a `policy()` call costs O(n) node scans.
 
 A divide splits off a candidate: a strictly sufficient set that is also a
 Nash profile (SSE, the default), or any strictly sufficient set (SSS,
@@ -76,14 +78,16 @@ class PolicyNode:
 class _Reduction:
     """One context after iterated strict dominance: the reduced context, the
     players forced to 1 and those forced to 0, the context's per-player
-    horizons once `SyncSolver.horizons` has computed them, and, for the full
-    game, the reduced context's Nash profiles once `SyncSolver._nash` has
-    listed them."""
+    horizons once `SyncSolver.horizons` has computed them, the reduced
+    context's candidates once a horizon query has read them (`horizons`
+    reads them once per player), and, for the full game, the reduced
+    context's Nash profiles once `SyncSolver._nash` has listed them."""
 
     reduced: Context
     forced: int
     dropped: int
     taus: MappingProxyType | None = None
+    candidates: list | None = None
     nash: list | None = None
 
 
@@ -103,8 +107,10 @@ class SyncSolver:
     any other game is scanned with core.iesds_scan and core.ne_scan, which
     read `losers` too.  SSE candidates of a monotone table, a family's or
     one core.is_monotone finds so, come from core.fixed_point_scan, all
-    others from core.sss_scan, with equal lists.  Subgame values live in an
-    int memo (`_memo`, one entry per settled context); policy trees are not
+    others from core.sss_scan, with equal lists.  Per-context state lives in
+    two maps: `_memo` keeps one int per settled context, and `_reduce_cache`
+    one _Reduction per queried context, which holds that context's
+    candidates once a horizon query has read them.  Policy trees are not
     stored but rebuilt on demand by `value` and `policy`.
 
     For a game built by graphical.weakest_link_game the solver also keeps
@@ -119,7 +125,6 @@ class SyncSolver:
         self.game = game
         self.use_sse = use_sse
         self._memo = {}
-        self._sss_cache = {}
         self._reduce_cache = {}
         self.graph = game._graph
         self.depths = None if self.graph is None else TreeDepth(self.graph)
@@ -178,15 +183,9 @@ class SyncSolver:
         return self._reduce().dropped
 
     def _candidates(self, S, O):
-        key = (S, O)
-        got = self._sss_cache.get(key)
-        if got is None:
-            if self._branch:
-                got = fixed_point_scan(self.gainers, S, O)
-            else:
-                got = sss_scan(self.gainers, S, O, self.use_sse)
-            self._sss_cache[key] = got
-        return got
+        if self._branch:
+            return fixed_point_scan(self.gainers, S, O)
+        return sss_scan(self.gainers, S, O, self.use_sse)
 
     # -- the recursion ------------------------------------------------------
 
@@ -280,9 +279,10 @@ class SyncSolver:
                 f"players {bad} have a strictly dominated action 1; "
                 "no horizon brings them in"
             )
-        return self._min_horizon_reduced(targets, r.reduced)
+        return self._min_horizon_reduced(targets, r)
 
-    def _min_horizon_reduced(self, targets, reduced):
+    def _min_horizon_reduced(self, targets, r):
+        reduced = r.reduced
         want = targets & reduced.active
         if want == 0:
             return 1
@@ -290,8 +290,10 @@ class SyncSolver:
             # the reduced context is the weakest-link game on the subgraph
             # induced by its active players
             return self.depths.value(reach(self.graph, want, reduced.active))
+        if r.candidates is None:
+            r.candidates = self._candidates(reduced.active, reduced.ones)
         best = None
-        for Y in self._candidates(reduced.active, reduced.ones):
+        for Y in r.candidates:
             if Y & want == want:
                 v = self._tau(Y, reduced.ones)
                 if best is None or v < best:
@@ -315,7 +317,7 @@ class SyncSolver:
             r.taus = MappingProxyType({
                 i: None
                 if r.dropped >> i & 1
-                else self._min_horizon_reduced(1 << i, r.reduced)
+                else self._min_horizon_reduced(1 << i, r)
                 for i in bits(r.reduced.active | r.forced | r.dropped)
             })
         return r.taus

@@ -126,9 +126,10 @@ def test_history_cost_counts_every_payoff_read(n, seed):
     ids=lambda game: game.kind,
 )
 def test_history_cost_counts_every_row_mask_on_family_games(game):
-    """The charge counts every stage's row masks, 2 + 16 + 16 + 128, but only
-    the two-player cells read rows: the one-player cells test the mover's
-    rule once per history (1 + 8 tests) and read none."""
+    """On a schedule mixing one- and two-player cells a family game takes
+    the list sweep, which reads every stage's rows, the one-player stages'
+    rule rows included: the charge is exactly its row masks, 2 + 16 + 16 +
+    128."""
     p = Partition([1 << 3, mask_of((0, 5)), 1 << 1, mask_of((2, 4))])
     cost = _history_cost(p.cells)
     assert cost == 162
@@ -146,7 +147,7 @@ def test_history_cost_counts_every_row_mask_on_family_games(game):
     game.payoff_row = counted
     game._payoff = no_raw_read
     assert ieseds(game, p, budget=cost) == want
-    assert len(masks) == 16 + 128
+    assert len(masks) == cost
     masks.clear()
     with pytest.raises(ResourceLimitError) as info:
         ieseds(game, p, budget=cost - 1)

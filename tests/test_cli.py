@@ -11,13 +11,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coordsolve import Digraph, members, ordered, table_game, weakest_link_horizon
-from coordsolve.cli import ParseError, emit_game, main, parse_game
+from coordsolve.cli import ParseError, main, parse_game
 from coordsolve.ordered import classify, ordered_min_horizon
 from coordsolve.sync import SyncSolver
 
 from util import (
     clique_edges,
     count_table_builds,
+    emit_game,
     hub_intervention_graph,
     ne_set_reference,
     parse_payoff_rows_reference,

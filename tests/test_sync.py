@@ -27,6 +27,7 @@ from coordsolve.design import (
 )
 from coordsolve.graphical import threshold_game, weakest_link_horizon
 from coordsolve.core import RuleGains
+from coordsolve import sync
 from coordsolve.sync import SyncSolver
 
 from util import (
@@ -437,7 +438,23 @@ def test_weakest_link_graph_path_matches_generic_recursion(g, use_sse, some, oth
         assert design(game, T, fast) == design(generic, T, slow)
 
 
-def test_weakest_link_full_context_solves_no_generic_context():
+def _count_scans(mp):
+    """Route coordsolve.sync's two candidate scans, core.fixed_point_scan
+    and core.sss_scan, through a counter; returns the list of contexts
+    (S, O) scanned, in call order."""
+    scanned = []
+    for name in ("fixed_point_scan", "sss_scan"):
+
+        def counted(gainers, S, O, *rest, _scan=getattr(sync, name)):
+            scanned.append((S, O))
+            return _scan(gainers, S, O, *rest)
+
+        mp.setattr(sync, name, counted)
+    return scanned
+
+
+def test_weakest_link_full_context_solves_no_generic_context(monkeypatch):
+    scanned = _count_scans(monkeypatch)
     rng = random.Random(1616)
     for _ in range(30):
         game = weakest_link_game(random_digraph(rng, rng.randint(1, 8), rng.uniform(0, 0.6)))
@@ -447,7 +464,32 @@ def test_weakest_link_full_context_solves_no_generic_context():
         candidate_horizons(game, solver)
         weak_centrality(game, solver)
         design(game, tau, solver)
-        assert solver._memo == {} and solver._sss_cache == {}
+        assert solver._memo == {} and scanned == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables_with_contexts() | monotone_games_with_contexts(), st.booleans())
+def test_each_scan_is_new_work(case, use_sse):
+    """The recursion scans each settled context once and keeps only its
+    int, and a queried context scans its reduced context once, keeping the
+    list on its _Reduction for every per-player horizon: so the scans made
+    by min_horizon and horizons() number the memo's entries plus the
+    reductions holding candidates, on the full game and again once a fresh
+    context has been asked."""
+    game, ctx = case
+    solver = SyncSolver(game, use_sse=use_sse)
+
+    def held():
+        reductions = solver._reduce_cache.values()
+        return len(solver._memo) + sum(r.candidates is not None for r in reductions)
+
+    with pytest.MonkeyPatch.context() as mp:
+        scanned = _count_scans(mp)
+        _horizon_or_error(solver, game.all_players)
+        _or_error(solver.horizons)
+        assert len(scanned) == held()
+        _or_error(solver.horizons, ctx)
+        assert len(scanned) == held()
 
 
 # a source feeding a chain into a 2-cycle, and a vertex outside the context

@@ -625,7 +625,8 @@ def graph_iesds_reference(in_masks, S, O):
 class PolicyNodeSolverReference(SyncSolver):
     """SyncSolver with the value recursion it had before the int memo: a
     PolicyNode memoised per context, every divide and delete scanned in
-    full.  `value` and `_min_horizon_reduced` are kept verbatim, and the
+    full.  `value` and `_min_horizon_reduced` are kept verbatim (the latter
+    reading its reduced context off the _Reduction it is handed), and the
     candidates always come from the full submask scan (core.sss_scan), as
     before monotone tables were branched on; the reduction and public
     operators are inherited."""
@@ -676,7 +677,8 @@ class PolicyNodeSolverReference(SyncSolver):
         self._memo[key] = node
         return node
 
-    def _min_horizon_reduced(self, targets, reduced):
+    def _min_horizon_reduced(self, targets, r):
+        reduced = r.reduced
         want = targets & reduced.active
         if want == 0:
             return 1
@@ -2365,6 +2367,25 @@ def ieseds_sweep_reference(game, p, budget=DEFAULT_BUDGET):
 
 # ---------------------------------------------------------------------------
 # table documents
+
+
+def emit_game(game):
+    """Document dict reproducing the game (payoffs as exact strings/ints),
+    the round-trip writer for cli.parse_game's documents."""
+    doc = {"players": game.n, "kind": game.kind}
+    if game.kind == "table":
+        doc["payoffs"] = [
+            [v if isinstance(v, int) else str(v) for v in row]
+            for row in game.params["rows"]
+        ]
+    elif game.kind == "weakest_link":
+        doc["edges"] = [list(e) for e in game.params["edges"]]
+    elif game.kind == "threshold":
+        doc["edges"] = [list(e) for e in game.params["edges"]]
+        doc["k"] = list(game.params["k"])
+    elif game.kind == "aggregative":
+        doc["c"] = list(game.params["c"])
+    return doc
 
 
 def parse_payoff_rows_reference(rows, n, path="$"):
