@@ -155,23 +155,16 @@ def parse_game(doc, path="$", budget=DEFAULT_BUDGET):
         out_ends = doc.get("out_ends")
         if out_ends is not None:
             out_ends = _int_vector(doc, "out_ends", n, path)
+        k = _int_vector(doc, "k", n, path) if kind == "opposed_nsg" else None
         try:
-            if kind == "aligned_nsg":
-                game = ordered.generate(
-                    "aligned_nsg",
-                    in_starts=in_starts,
-                    out_ends=out_ends,
-                    nested=nested,
-                    budget=budget,
-                )
-            else:
-                game = ordered.generate(
-                    "opposed_nsg",
-                    in_starts=in_starts,
-                    out_ends=out_ends,
-                    k=_int_vector(doc, "k", n, path),
-                    budget=budget,
-                )
+            game = ordered.generate(
+                kind,
+                in_starts=in_starts,
+                out_ends=out_ends,
+                k=k,
+                nested=nested,
+                budget=budget,
+            )
         except ValueError as exc:
             raise ParseError(path, str(exc)) from None
     else:
@@ -490,7 +483,7 @@ def _cmd_intervene(args):
 
 def _cmd_ordered(args):
     game = load_game(args.game, args.budget)
-    flags, table = ordered._classified(game, args.budget)
+    flags = ordered.classify(game, args.budget)
     lines = [
         f"cost-ordered:          {flags.cost_ordered}",
         f"strongly cost-ordered: {flags.strongly_cost_ordered}",
@@ -505,7 +498,7 @@ def _cmd_ordered(args):
     }
     if args.target is not None:
         target = _parse_players(args.target, game.n, "--target")
-        value = ordered._ordered_min_horizon(game, target, flags, table)
+        value = ordered.ordered_min_horizon(game, target, flags)
         lines.append(f"tau: {value}")
         payload["target"] = _disp(target)
         payload["tau"] = value

@@ -87,7 +87,8 @@ class StageGame:
     every fast view of such a game reads them.  `_graph` is a weakest-link
     game's digraph, set only by graphical.weakest_link_game; SyncSolver
     reads its horizons off it as tree-depths.  `_order` is the (flags,
-    table) pair ordered.generate checked, which ordered._classified hands on.
+    table) pair set by the game's first ordered.classify call, which
+    ordered_min_horizon reads its table from; it lives as long as the game.
     """
 
     def __init__(self, n, payoff_fn, kind="table", params=None, table=None, row=None):

@@ -64,23 +64,18 @@ def classify(game, budget=DEFAULT_BUDGET):
     cost order implies the weak one under single crossing, but a game
     without it can be strongly and not weakly cost-ordered.  First witnesses
     are recorded per failed flag.
+
+    An estimated check count over the budget is refused before any table is
+    built.  The game keeps the flags with the table they were read off
+    (StageGame._order), so a second call, and the fast path, build nothing.
     """
-    return _classified(game, budget)[0]
-
-
-def _classified(game, budget):
-    """classify(game, budget) and the incentive table it read, for callers
-    that go on to the fast path without building the table again.  An
-    estimated check count over the budget is refused before any table is
-    built.  A game from generate returns the pair its generator checked
-    (StageGame._order), so that it is classified once."""
-    if game._order is not None:
-        return game._order
-    n = game.n
-    steps = n * n * (n + 2) * (1 << max(n - 2, 0))
-    charge(steps, budget, f"classification needs ~{steps} checks (budget {budget})")
-    table = incentive_table(game)
-    return _classify_table(table[0], n), table
+    if game._order is None:
+        n = game.n
+        steps = n * n * (n + 2) * (1 << max(n - 2, 0))
+        charge(steps, budget, f"classification needs ~{steps} checks (budget {budget})")
+        table = incentive_table(game)
+        game._order = _classify_table(table[0], n), table
+    return game._order[0]
 
 
 def _classify_table(gainers, n):
@@ -158,25 +153,26 @@ def ordered_min_horizon(game, targets, flags=None):
     otherwise pay one stage to force in the highest-indexed player; minimised
     over strictly-sufficient-equilibrium prefixes covering the target.
 
+    Without `flags` the game is classified first (see classify).  The table
+    is the one classify kept on the game, or a fresh one when flags are
+    given for a game that was never classified.
+
     The recursion is exact on strongly-cost-ordered games and on
-    requirement-nested interval families (the structured generators); weakly
-    cost-ordered games outside that class can make delete-highest suboptimal
-    (see the 3-player interval counterexample in the test suite), so treat the
-    value as an upper bound there."""
-    table = None
+    requirement-nested interval families (the structured generators).  On
+    other cost-ordered games whose check_assumptions report is all ok,
+    delete-highest can be suboptimal (see the 3-player interval
+    counterexample in the test suite), so treat the value as an upper bound
+    there.  Outside the stage-game conditions it is not even that: the
+    4-player table in README "Notes and limits", which fails single
+    crossing, common interests and nondegeneracy, gets 1 for all four
+    players, whose horizon is 2."""
     if flags is None:
-        flags, table = _classified(game, DEFAULT_BUDGET)
-    return _ordered_min_horizon(game, targets, flags, table)
-
-
-def _ordered_min_horizon(game, targets, flags, table=None):
-    """ordered_min_horizon on a given incentive table of the game, or on a
-    fresh one built after the order-flag check when `table` is None."""
+        flags = classify(game)
     if not (flags.cost_ordered and flags.contribution_ordered):
         raise PreconditionError(
             "fast path needs a cost-ordered and contribution-ordered game"
         )
-    gainers, losers = table or incentive_table(game)
+    gainers, losers = game._order[1] if game._order else incentive_table(game)
     least, greatest = iesds_scan(gainers, losers, game.all_players, 0)
     dropped = game.all_players & ~greatest
     if targets & dropped:
@@ -348,8 +344,7 @@ def generate(
         problem = "parameters do not make an ordered threshold game"
     else:
         raise ValueError(f"unknown generator kind {kind!r}")
-    # the game keeps the pair it was checked with (see _classified)
-    game._order = _classified(game, budget)
-    if not all(getattr(game._order[0], name) for name in wanted):
+    flags = classify(game, budget)
+    if not all(getattr(flags, name) for name in wanted):
         raise ValueError(problem)
     return game

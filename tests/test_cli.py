@@ -450,6 +450,66 @@ def test_nsg_document_is_classified_once(tmp_path, capsys, monkeypatch, doc):
     assert "tau" in payload
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"players": 2, "kind": "table", "payoffs": [[0, 1, 0, 2], [0, 0, 1, 2]]},
+        {"players": 3, "kind": "aggregative", "c": [1, 1, 2]},
+        *NSG_DOCS,
+    ],
+    ids=lambda d: d["kind"],
+)
+def test_ordered_goes_through_the_public_functions(tmp_path, capsys, monkeypatch, doc):
+    # classify keeps its table on the game, and the fast path reads it
+    calls = {"classify": 0, "ordered_min_horizon": 0}
+    for name in calls:
+        original = getattr(ordered, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(ordered, name, counted)
+    path = write_game(tmp_path, doc)
+    built = count_table_builds(monkeypatch)
+    code, payload = run_json(capsys, ["ordered", "--game", path, "--target", "1,2", "--json"])
+    assert code == 0
+    assert calls["ordered_min_horizon"] == 1
+    # an nsg document is classified by its generator, then by the command
+    assert calls["classify"] == 1 + doc["kind"].endswith("_nsg")
+    assert len(built) == 1
+    assert payload["tau"] == SyncSolver(parse_game(doc)).min_horizon(0b11)
+
+
+def test_fast_path_below_tau_outside_the_stage_game_conditions(tmp_path, capsys):
+    # fails single crossing, common interests and nondegeneracy; cost- and
+    # contribution-ordered, so the fast path runs, and its ascending cascade
+    # passes answer 1 where lowest-gainer-first steps (core.settle) answer 2
+    doc = {
+        "players": 4,
+        "kind": "table",
+        "payoffs": [
+            [0, -1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1],
+            [0, 0, 1, 1, 0, 0, 1, -1, 0, 0, 1, 1, 0, 0, 1, 1],
+            [0, 0, 0, 0, -1, -1, 1, -1, 0, 0, 0, 0, 1, 1, 1, 1],
+            [0, 0, 0, 0, 0, 0, 0, 0, -1, -1, -1, -1, -1, -1, 1, 1],
+        ],
+    }
+    path = write_game(tmp_path, doc)
+    assert main(["ordered", "--game", path, "--target", "1,2,3,4"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "tau: 1"
+    assert main(["tau", "--game", path, "--target", "1,2,3,4"]) == 0
+    assert capsys.readouterr().out == "2\n"
+    code, payload = run_json(capsys, ["oracle", "--game", path, "--t", "1", "--json"])
+    assert code == 0
+    assert payload["outcomes"] == [[1, 2], [1, 2, 3, 4]]
+    code, payload = run_json(capsys, ["check", "--game", path, "--json"])
+    assert code == 0
+    assert [payload[c] for c in ("single_crossing", "common_interests", "nondegenerate")] == [
+        False, False, False,
+    ]
+
+
 def test_tau_on_an_18_player_weakest_link_document(tmp_path, capsys):
     rng = random.Random(18)
     n = 18

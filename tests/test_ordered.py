@@ -225,6 +225,7 @@ def test_fast_path_builds_one_table_without_flags(monkeypatch):
         got = ordered_min_horizon(game, target)
         assert len(built) == 1
         assert got == ordered_min_horizon(game, target, classify(game))
+        assert len(built) == 1
     built.clear()
     with pytest.raises(PreconditionError):
         ordered_min_horizon(cross_pairs_game(), mask_of((0, 1)))
