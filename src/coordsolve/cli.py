@@ -498,7 +498,7 @@ def _cmd_ordered(args):
     }
     if args.target is not None:
         target = _parse_players(args.target, game.n, "--target")
-        value = ordered.ordered_min_horizon(game, target, flags)
+        value = ordered.ordered_min_horizon(game, target)
         lines.append(f"tau: {value}")
         payload["target"] = _disp(target)
         payload["tau"] = value

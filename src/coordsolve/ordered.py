@@ -3,8 +3,9 @@
 A game is ordered when incentives line up along the player index: lower
 players activate more easily (cost order) and higher players help others more
 (contribution order).  On such games the horizon recursion collapses to
-"cascade the dominated prefix, else force in the highest player", and for
-aggregative-style games a linear two-pointer sweep suffices.
+"sweep in the players who gain for free, else force in the highest
+player", and for aggregative-style games a linear two-pointer sweep
+suffices.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from itertools import repeat
 
 from .core import (
     aggregative_game,
-    bits,
     iesds_scan,
     incentive_table,
     mask_of,
@@ -35,24 +35,24 @@ class OrderedFlags:
     witnesses: dict = field(default_factory=dict)
 
 
-def _chain_reaches(gainers, full, target, seed, base):
-    """Closure reachability on the incentive table of a game on players
-    `full`: starting from {seed} on top of `base`, repeatedly admit any
-    player strictly preferring to join the current coalition; does `target`
-    ever join?  Complete for the chain condition under single crossing."""
-    coalition = base | (1 << seed)
-    pool = full & ~coalition
-    grew = True
-    while grew:
-        if (coalition >> target) & 1:
-            return True
-        grew = False
-        for p in bits(pool):
-            if gainers[coalition] >> p & 1:
-                coalition |= 1 << p
-                pool &= ~(1 << p)
-                grew = True
-    return (coalition >> target) & 1 == 1
+def _sweep(gainers, S, O):
+    """Ascending passes over the context (S, O): each pass admits, in index
+    order, every player of S who strictly gains at the current O (it leaves
+    S and joins O); passes repeat until one admits no one.  Returns the
+    final (S, O).
+
+    This is not core.settle, which restarts from the lowest willing player
+    after each admission: on a table that is not monotone the order of
+    admission changes the result (README, Notes and limits)."""
+    while True:
+        above = -1  # a pass admits the lowest willing player above the last
+        while willing := S & gainers[O] & above:
+            low = willing & -willing
+            S ^= low
+            O |= low
+            above = -(low << 1)
+        if above == -1:
+            return S, O
 
 
 def classify(game, budget=DEFAULT_BUDGET):
@@ -60,10 +60,10 @@ def classify(game, budget=DEFAULT_BUDGET):
     the game's incentive table.
 
     The cost-order chain clause is read as strict-improvement closure
-    reachability (see _chain_reaches).  Each flag is its own check: strong
-    cost order implies the weak one under single crossing, but a game
-    without it can be strongly and not weakly cost-ordered.  First witnesses
-    are recorded per failed flag.
+    reachability: does i join when _sweep starts from X | {j}?  Each flag
+    is its own check: strong cost order implies the weak one under single
+    crossing, but a game without it can be strongly and not weakly
+    cost-ordered.  First witnesses are recorded per failed flag.
 
     An estimated check count over the budget is refused before any table is
     built.  The game keeps the flags with the table they were read off
@@ -86,7 +86,7 @@ def _classify_table(gainers, n):
     has bit C set when b is (is not) in C.  A check over the submasks X of a
     pool is then one expression whose set bits are its violations, and the
     first witness in descending submask order is the highest set bit.  The
-    chain clause of cost order alone still runs per X (_chain_reaches), over
+    chain clause of cost order alone still runs per X (one _sweep each), over
     the candidates in the same descending order.  Witnesses are recorded in
     the order a per-X loop over pairs (j, i), then triples (k, j, i), would
     meet them.
@@ -111,7 +111,8 @@ def _classify_table(gainers, n):
             if flags.cost_ordered:
                 while cand:
                     X = cand.bit_length() - 1
-                    if not _chain_reaches(gainers, full, i, j, X):
+                    c = X | 1 << j
+                    if not _sweep(gainers, full & ~c, c)[1] >> i & 1:
                         found.append((X, "cost_ordered"))
                         break
                     cand ^= 1 << X
@@ -146,16 +147,15 @@ def _classify_table(gainers, n):
     return flags
 
 
-def ordered_min_horizon(game, targets, flags=None):
+def ordered_min_horizon(game, targets):
     """Horizon for `targets` on a cost- and contribution-ordered game.
 
-    Prefix recursion: cascade-dominate the maximal activating prefix for free,
+    Prefix recursion: sweep in the players who gain for free (_sweep),
     otherwise pay one stage to force in the highest-indexed player; minimised
     over strictly-sufficient-equilibrium prefixes covering the target.
 
-    Without `flags` the game is classified first (see classify).  The table
-    is the one classify kept on the game, or a fresh one when flags are
-    given for a game that was never classified.
+    The game is classified first (see classify); a classified game returns
+    its kept flags and table without a charge.
 
     The recursion is exact on strongly-cost-ordered games and on
     requirement-nested interval families (the structured generators).  On
@@ -166,13 +166,12 @@ def ordered_min_horizon(game, targets, flags=None):
     4-player table in README "Notes and limits", which fails single
     crossing, common interests and nondegeneracy, gets 1 for all four
     players, whose horizon is 2."""
-    if flags is None:
-        flags = classify(game)
+    flags = classify(game)
     if not (flags.cost_ordered and flags.contribution_ordered):
         raise PreconditionError(
             "fast path needs a cost-ordered and contribution-ordered game"
         )
-    gainers, losers = game._order[1] if game._order else incentive_table(game)
+    gainers, losers = game._order[1]
     least, greatest = iesds_scan(gainers, losers, game.all_players, 0)
     dropped = game.all_players & ~greatest
     if targets & dropped:
@@ -185,23 +184,14 @@ def ordered_min_horizon(game, targets, flags=None):
     if want == 0:
         return 1
 
-    def cascade(S, O):
-        grew = True
-        while grew:
-            grew = False
-            for i in bits(S):
-                if gainers[O] >> i & 1:
-                    S &= ~(1 << i)
-                    O |= 1 << i
-                    grew = True
-        return S, O
-
     def solve(S, O):
-        S, O = cascade(S, O)
-        if S == 0:
-            return 1
-        top = max(members(S))
-        return 1 + solve(S & ~(1 << top), O | (1 << top))
+        stages = 1
+        S, O = _sweep(gainers, S, O)
+        while S:
+            top = 1 << (S.bit_length() - 1)
+            S, O = _sweep(gainers, S ^ top, O | top)
+            stages += 1
+        return stages
 
     order = members(S0)
     best = None

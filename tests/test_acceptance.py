@@ -12,7 +12,6 @@ from coordsolve import (
     aggregative_game,
     aggregative_min_horizon,
     candidate_horizons,
-    classify,
     design_schedule,
     enumerate_equilibria,
     generate,
@@ -231,16 +230,13 @@ def test_criterion_09_ordered_fast_paths():
         assert len(games) == 60
         for game in games:
             n = game.n
-            flags = classify(game)
             solver = SyncSolver(game)
             targets = [game.all_players & ~solver.dropped] + [
                 1 << i for i in range(n) if not (solver.dropped >> i) & 1
             ]
             for X in targets:
                 if X:
-                    assert ordered_min_horizon(game, X, flags=flags) == (
-                        solver.min_horizon(X)
-                    )
+                    assert ordered_min_horizon(game, X) == solver.min_horizon(X)
 
 
 def test_criterion_10_horizon_ledger_bound():

@@ -405,7 +405,7 @@ def test_ordered_subcommand_builds_one_table(tmp_path, capsys, monkeypatch, targ
     assert payload["contribution_natural"] == flags.contribution_natural
     if target is not None:
         mask = sum(1 << (int(p) - 1) for p in target.split(","))
-        assert payload["tau"] == ordered_min_horizon(game, mask, flags)
+        assert payload["tau"] == ordered_min_horizon(game, mask)
 
 
 NSG_DOCS = [
@@ -476,7 +476,8 @@ def test_ordered_goes_through_the_public_functions(tmp_path, capsys, monkeypatch
     assert code == 0
     assert calls["ordered_min_horizon"] == 1
     # an nsg document is classified by its generator, then by the command
-    assert calls["classify"] == 1 + doc["kind"].endswith("_nsg")
+    # and the fast path, which read back the flags the first call kept
+    assert calls["classify"] == 2 + doc["kind"].endswith("_nsg")
     assert len(built) == 1
     assert payload["tau"] == SyncSolver(parse_game(doc)).min_horizon(0b11)
 

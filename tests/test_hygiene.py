@@ -191,15 +191,16 @@ def test_table_readers_read_no_payoff_rows(name):
 
 
 def test_benchmark_tracer_targets_resolve():
-    """Each function the benchmark wraps (SPANNED) and counts (core.is_ne)
-    still resolves, so deleting one fails here and not only in the
-    benchmark's own self-test."""
+    """Each function the benchmark wraps (SPANNED) and counts (core.is_ne,
+    and payoff evaluations through StageGame.__init__) still resolves, so
+    deleting one fails here and not only in the benchmark's own self-test."""
     path = ROOT / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("_perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
     targets = [(module, path) for _, module, path in tracer.SPANNED]
     targets.append(("coordsolve.core", "is_ne"))
+    targets.append(("coordsolve.core", "StageGame.__init__"))
     assert [t for t in targets if tracer._resolve(*t) is None] == []
 
 

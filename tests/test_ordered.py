@@ -16,12 +16,13 @@ from coordsolve import (
     table_game,
     weakest_link_game,
 )
-from coordsolve.core import gains, incentive_table, submasks
+from coordsolve.core import gains, incentive_table, settle, submasks
 from coordsolve import ordered
-from coordsolve.ordered import _chain_reaches
 from coordsolve.sync import SyncSolver
 
 from util import (
+    cascade_reference,
+    chain_reaches_table_reference,
     chain_sequence_reference,
     classify_reference,
     classify_table_reference,
@@ -91,7 +92,7 @@ def test_chain_readings_agree_on_ordered_games():
                 pool = game.all_players & ~(1 << i) & ~(1 << j)
                 for X in submasks(pool):
                     visited += gains(game, j, X)
-                    assert _chain_reaches(
+                    assert chain_reaches_table_reference(
                         gainers, game.all_players, i, j, X
                     ) == chain_sequence_reference(game, i, j, X)
         assert visited
@@ -128,9 +129,9 @@ def raw_tables(draw):
     return table_game([draw(cells) for _ in range(n)])
 
 
-def _horizon_or_error(horizon, game, targets, flags):
+def _horizon_or_error(horizon, game, targets, *flags):
     try:
-        return horizon(game, targets, flags=flags)
+        return horizon(game, targets, *flags)
     except PreconditionError as exc:
         return f"PreconditionError: {exc}"
 
@@ -145,7 +146,7 @@ def _assert_matches_raw_payoff_reference(game, extra_target):
     targets += [1 << i for i in range(game.n)]
     for X in targets:
         assert _horizon_or_error(
-            ordered_min_horizon, game, X, flags
+            ordered_min_horizon, game, X
         ) == _horizon_or_error(ordered_min_horizon_reference, game, X, ref)
 
 
@@ -161,6 +162,33 @@ def test_bitset_classification_matches_the_submask_loops(table):
     ref = classify_table_reference(gainers, n)
     assert flags == ref
     assert list(flags.witnesses.items()) == list(ref.witnesses.items())
+
+
+# README "Notes and limits": cost-ordered, but its table is not monotone
+README_TABLE = ([2, 2, 7, 3, 3, 1, 15, 9, 7, 7, 7, 7, 7, 7, 15, 15], 4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=raw_gainers_tables(), S=st.integers(0, 127), O=st.integers(0, 127))
+@example(table=README_TABLE, S=15, O=0)
+def test_sweep_matches_the_cascade_and_the_chain_clause(table, S, O):
+    """The one closure gives the fast path's former cascade its (S, O) and
+    the former chain clause its answer for every (i, j) on top of O."""
+    gainers, n = table
+    full = (1 << n) - 1
+    S &= full
+    O &= full & ~S
+    swept = ordered._sweep(gainers, S, O)
+    assert swept == cascade_reference(gainers, S, O)
+    if (table, S, O) == (README_TABLE, 15, 0):
+        # settle's lowest-first restarts stop where the ascending passes go on
+        assert swept == (0, 15) and settle(gainers, S, O)[:2] == (12, 3)
+    for j in range(n):
+        c = O | 1 << j
+        reached = ordered._sweep(gainers, full & ~c, c)[1]
+        for i in range(n):
+            want = chain_reaches_table_reference(gainers, full, i, j, O)
+            assert (reached >> i & 1 == 1) == want
 
 
 @pytest.mark.parametrize("family", COMPLIANT)
@@ -224,7 +252,7 @@ def test_fast_path_builds_one_table_without_flags(monkeypatch):
         built.clear()
         got = ordered_min_horizon(game, target)
         assert len(built) == 1
-        assert got == ordered_min_horizon(game, target, classify(game))
+        assert got == ordered_min_horizon(game, target)
         assert len(built) == 1
     built.clear()
     with pytest.raises(PreconditionError):
@@ -250,11 +278,10 @@ def test_fast_path_matches_recursion_on_aggregatives():
         n = rng.randint(2, 8)
         c = sorted(rng.randint(1, n - 1) for _ in range(n))
         game = aggregative_game(c)
-        flags = classify(game)
         solver = SyncSolver(game)
         targets = [game.all_players] + [1 << rng.randrange(n) for _ in range(2)]
         for X in targets:
-            assert ordered_min_horizon(game, X, flags=flags) == solver.min_horizon(X)
+            assert ordered_min_horizon(game, X) == solver.min_horizon(X)
 
 
 def test_fast_path_matches_recursion_on_nsg_games():
@@ -268,19 +295,17 @@ def test_fast_path_matches_recursion_on_nsg_games():
         except ValueError:
             continue
         hits += 1
-        flags = classify(game)
         solver = SyncSolver(game)
         for X in [game.all_players] + [1 << i for i in range(n)]:
             if X & solver.dropped:
                 continue
-            assert ordered_min_horizon(game, X, flags=flags) == solver.min_horizon(X)
+            assert ordered_min_horizon(game, X) == solver.min_horizon(X)
 
 
 def test_fast_path_exact_on_loose_six_player_instance():
     # this loose (non-nested) instance still happens to be exact
     game = generate("aligned_nsg", in_starts=(2, 2, 4, 4, 5, 4), nested=False)
-    flags = classify(game)
-    assert ordered_min_horizon(game, game.all_players, flags=flags) == 2
+    assert ordered_min_horizon(game, game.all_players) == 2
 
 
 def test_delete_highest_counterexample_outside_nested_class():
@@ -296,7 +321,7 @@ def test_delete_highest_counterexample_outside_nested_class():
     game = weakest_link_game(Digraph(3, edges))
     flags = classify(game)
     assert flags.cost_ordered and flags.contribution_ordered
-    assert ordered_min_horizon(game, game.all_players, flags=flags) == 3
+    assert ordered_min_horizon(game, game.all_players) == 3
     assert SyncSolver(game).min_horizon(game.all_players) == 2
 
 

@@ -51,7 +51,7 @@ from coordsolve.cli import ParseError, _rational
 from coordsolve.digraph import _check_mask, _components, _sources_first
 from coordsolve.graphical import SufficientGraph, _first_minimal_satisfying
 from coordsolve.errors import DEFAULT_BUDGET
-from coordsolve.ordered import OrderedFlags, _chain_reaches
+from coordsolve.ordered import OrderedFlags
 from coordsolve.sync import PolicyNode, SyncSolver
 from coordsolve import oracle as oracle_module
 from coordsolve.oracle import StrategyProfile, _Budget, _stage_options
@@ -779,7 +779,7 @@ def shaped_digraphs(draw, max_n=8):
 def chain_sequence_reference(game, target, seed, base):
     """Literal finite-sequence search for the cost-order chain condition:
     the "sequence" reading that ordered.classify once offered beside its
-    closure (ordered._chain_reaches), kept verbatim; equivalent to the
+    closure (chain_reaches_table_reference), kept verbatim; equivalent to the
     closure on single-crossing games."""
     full = game.all_players
 
@@ -796,7 +796,7 @@ def chain_sequence_reference(game, target, seed, base):
 
 
 def chain_reaches_reference(game, target, seed, base):
-    """ordered._chain_reaches as it read raw payoffs before it read the
+    """chain_reaches_table_reference as it read raw payoffs before it read the
     incentive table, kept verbatim."""
     coalition = base | (1 << seed)
     pool = game.all_players & ~coalition
@@ -811,6 +811,40 @@ def chain_reaches_reference(game, target, seed, base):
                 pool &= ~(1 << p)
                 grew = True
     return (coalition >> target) & 1 == 1
+
+
+def chain_reaches_table_reference(gainers, full, target, seed, base):
+    """ordered._chain_reaches, the cost-order chain clause on the incentive
+    table before it ran on ordered._sweep, kept verbatim: starting from
+    {seed} on top of `base`, repeatedly admit any player strictly preferring
+    to join the current coalition; does `target` ever join?"""
+    coalition = base | (1 << seed)
+    pool = full & ~coalition
+    grew = True
+    while grew:
+        if (coalition >> target) & 1:
+            return True
+        grew = False
+        for p in bits(pool):
+            if gainers[coalition] >> p & 1:
+                coalition |= 1 << p
+                pool &= ~(1 << p)
+                grew = True
+    return (coalition >> target) & 1 == 1
+
+
+def cascade_reference(gainers, S, O):
+    """The fast path's inner `cascade` in ordered.ordered_min_horizon before
+    it ran on ordered._sweep, kept verbatim (its table passed in)."""
+    grew = True
+    while grew:
+        grew = False
+        for i in bits(S):
+            if gainers[O] >> i & 1:
+                S &= ~(1 << i)
+                O |= 1 << i
+                grew = True
+    return S, O
 
 
 def classify_reference(game, budget=DEFAULT_BUDGET):
@@ -871,7 +905,9 @@ def classify_table_reference(gainers, n):
                     if flags.strongly_cost_ordered and not gainers[X] >> i & 1:
                         flags.strongly_cost_ordered = False
                         wit.setdefault("strongly_cost_ordered", (i, j, X))
-                    if flags.cost_ordered and not _chain_reaches(gainers, full, i, j, X):
+                    if flags.cost_ordered and not chain_reaches_table_reference(
+                        gainers, full, i, j, X
+                    ):
                         flags.cost_ordered = False
                         wit.setdefault("cost_ordered", (i, j, X))
 
