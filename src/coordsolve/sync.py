@@ -8,12 +8,17 @@ and a replayable policy tree over three operations: dominate a player whose
 action 1 became strictly dominant (free), force a player in at the cost of a
 stage (delete), or split off a strictly sufficient set (divide).
 
-The recursion memoises one int per settled context (core.settle) and
-scans each settled context once, so it keeps no candidate list; only a
-queried context, whose candidates every per-player horizon reads, keeps
-them with its dominance reduction.  Policy trees are rebuilt on demand
-from the ints: each node reruns its own scan and recurses into the
-children it chose, so a `policy()` call costs O(n) node scans.
+The recursion asks with a limit, as digraph.TreeDepth does: below it a
+settled context's value (core.settle) is exact and memoised as an int,
+at or above it the answer is a lower bound, kept in a second dict.  A
+scan lowers its cap to each new best, so a branch that cannot beat the
+best so far is only bounded.  A context is scanned again only when it is
+asked with a limit above its bound, and it keeps no candidate list; only
+a queried context, whose candidates every per-player horizon reads,
+keeps them with its dominance reduction, and its own scan reads them
+from there.  Policy trees are rebuilt on demand from the ints: each node
+reruns its own scan and recurses into the children it chose, so a
+`policy()` call costs O(n) node scans.
 
 A divide splits off a candidate: a strictly sufficient set that is also a
 Nash profile (SSE, the default), or any strictly sufficient set (SSS,
@@ -108,10 +113,12 @@ class SyncSolver:
     read `losers` too.  SSE candidates of a monotone table, a family's or
     one core.is_monotone finds so, come from core.fixed_point_scan, all
     others from core.sss_scan, with equal lists.  Per-context state lives in
-    two maps: `_memo` keeps one int per settled context, and `_reduce_cache`
-    one _Reduction per queried context, which holds that context's
-    candidates once a horizon query has read them.  Policy trees are not
-    stored but rebuilt on demand by `value` and `policy`.
+    three maps: `_memo` keeps the exact value of each settled context
+    solved, `_lower` a lower bound on each one so far only cut off (see
+    _tau), and `_reduce_cache` one _Reduction per queried context, which
+    holds that context's candidates once a horizon query has read them.
+    Policy trees are not stored but rebuilt on demand by `value` and
+    `policy`.
 
     For a game built by graphical.weakest_link_game the solver also keeps
     the game's `graph` and one TreeDepth memo on it (`depths`; both None for
@@ -125,6 +132,7 @@ class SyncSolver:
         self.game = game
         self.use_sse = use_sse
         self._memo = {}
+        self._lower = {}
         self._reduce_cache = {}
         self.graph = game._graph
         self.depths = None if self.graph is None else TreeDepth(self.graph)
@@ -189,57 +197,89 @@ class SyncSolver:
 
     # -- the recursion ------------------------------------------------------
 
-    def _tau(self, S, O):
+    def _tau(self, S, O, limit=None, candidates=None):
         """Minimum number of stages to reach all-ones in the auxiliary game
-        (S active, O forced to 1), memoised as an int per settled context
-        (core.settle: dominate steps are free).  Every reachable context
-        keeps all active players strictly willing at the top profile, so
-        the recursion never meets a strictly dominated action 0.  Only
-        settled contexts are keys, so a hit on the call's own pair is its
-        settled context's value, and only a miss pays for settling."""
+        (S active, O forced to 1): exact when below `limit` (always, with no
+        limit), otherwise a lower bound of at least `limit`.  Every
+        reachable context keeps all active players strictly willing at the
+        top profile, so the recursion never meets a strictly dominated
+        action 0.
+
+        Only settled contexts (core.settle: dominate steps are free) are
+        keys, so a hit on the call's own pair is its settled context's
+        value, and only a miss pays for settling.  Exact values go to
+        `_memo`, cut-off bounds to `_lower`; a bound at or above the limit
+        answers, and a later scan replaces it by its exact value or a
+        higher bound.  A settled context with players left is worth at
+        least 2 (see _scan), so asked with a limit of 2 or less it answers
+        2 unscanned.  `candidates`, when given, is the candidate list of
+        (S, O), which must be settled already."""
         got = self._memo.get((S, O))
         if got is not None:
             return got
         S, O, _ = settle(self.gainers, S, O)
         if not S:
             return 1
-        got = self._memo.get((S, O))
-        if got is None:
-            got = self._memo[S, O] = self._scan(S, O)[0]
+        key = (S, O)
+        got = self._memo.get(key)
+        if got is not None:
+            return got
+        if limit is not None:
+            if limit <= 2:
+                return 2
+            got = self._lower.get(key)
+            if got is not None and got >= limit:
+                return got
+        got = self._scan(S, O, limit, candidates)[0]
+        if limit is None or got < limit:
+            self._memo[key] = got
+            self._lower.pop(key, None)
+        else:
+            self._lower[key] = got
         return got
 
-    def _scan(self, S, O):
+    def _scan(self, S, O, limit=None, candidates=None):
         """(value, op, arg) of the first strict minimum over the divides,
         then the deletes, of a context with S nonempty and no player left to
         dominate; arg is the split set of a divide, the player of a delete.
+        Below `limit` (always, with no limit) the value is exact; otherwise
+        no branch is below it, and the scan returns (limit, None, None).
 
-        Every value here is at least 2: a delete costs 1 more than its
-        child, and a divide's left child (X, O) again has no one to dominate,
-        so by induction on |X| it is at least 2 too.  Hence the scan returns
-        at the first 2 and skips a divide's right child once its left value
-        is no better than the best so far; no skipped branch could be
-        strictly better."""
+        A cap starts at the limit, or with no limit at |S| + 2, above every
+        value (deleting each player in turn costs |S| + 1), and drops to
+        each new best: a divide's two children are asked with the cap and a
+        delete's child with the cap less 1, so a child is exact whenever its
+        branch could beat the best so far, and only a strictly better branch
+        is recorded.  Every value here is at least 2: a delete costs 1 more
+        than its child, and a divide's left child (X, O) again has no one to
+        dominate, so by induction on |X| it is at least 2 too.  Hence the
+        scan returns at the first 2 and skips a divide's right child once
+        its left value reaches the cap; no skipped branch could be strictly
+        better."""
         tau = self._tau
-        best = op = arg = None
-        for X in self._candidates(S, O):
+        cap = S.bit_count() + 2 if limit is None else limit
+        op = arg = None
+        if candidates is None:
+            candidates = self._candidates(S, O)
+        for X in candidates:
             if X == S:
                 continue
-            left = tau(X, O)
-            if best is not None and left >= best:
+            left = tau(X, O, cap)
+            if left >= cap:
                 continue
-            v = max(left, tau(S & ~X, O | X))
-            if best is None or v < best:
-                best, op, arg = v, "divide", X
-                if best == 2:
-                    return best, op, arg
+            v = max(left, tau(S & ~X, O | X, cap))
+            if v < cap:
+                cap, op, arg = v, "divide", X
+                if cap == 2:
+                    return cap, op, arg
         for i in bits(S):
             b = 1 << i
-            v = 1 + tau(S & ~b, O | b)
-            if best is None or v < best:
-                best, op, arg = v, "delete", i
-                if best == 2:
+            v = 1 + tau(S & ~b, O | b, cap - 1)
+            if v < cap:
+                cap, op, arg = v, "delete", i
+                if cap == 2:
                     break
-        return best, op, arg
+        return cap, op, arg
 
     def value(self, S, O):
         """The solved policy of context (S, O) as a PolicyNode tree; its
@@ -290,12 +330,16 @@ class SyncSolver:
             # the reduced context is the weakest-link game on the subgraph
             # induced by its active players
             return self.depths.value(reach(self.graph, want, reduced.active))
+        S, O = reduced.active, reduced.ones
         if r.candidates is None:
-            r.candidates = self._candidates(reduced.active, reduced.ones)
+            r.candidates = self._candidates(S, O)
         best = None
         for Y in r.candidates:
             if Y & want == want:
-                v = self._tau(Y, reduced.ones)
+                # exact only if it beats the best so far; the whole
+                # context, when settled, scans the list in hand
+                own = r.candidates if Y == S and not self.gainers[O] & S else None
+                v = self._tau(Y, O, best, own)
                 if best is None or v < best:
                     best = v
                     if best == 1:

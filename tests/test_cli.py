@@ -173,6 +173,30 @@ def test_tau_json_schema(tmp_path, capsys):
     assert payload == {"target": [5, 6, 7, 8, 9], "tau": 4}
 
 
+def threshold22_doc():
+    """22 players, each with three in-neighbours drawn by random.Random(22)
+    and a threshold of 2 or 3."""
+    rng = random.Random(22)
+    edges = []
+    for v in range(22):
+        edges += [[u, v] for u in rng.sample([u for u in range(22) if u != v], 3)]
+    k = [rng.choice([2, 3]) for _ in range(22)]
+    return {"players": 22, "kind": "threshold", "edges": edges, "k": k}
+
+
+def test_tau_on_22_player_threshold_document(tmp_path, capsys):
+    """The recursion's limits cut this query down to a few dozen contexts
+    (165,863 exact ones without them).  The work is bounded by the entries
+    the solver keeps, not by a time."""
+    doc = threshold22_doc()
+    path = write_game(tmp_path, doc, "th22.json")
+    assert main(["tau", "--game", path, "--target", "1"]) == 0
+    assert capsys.readouterr().out.strip() == "4"
+    solver = SyncSolver(parse_game(doc))
+    assert solver.min_horizon(1) == 4
+    assert len(solver._memo) + len(solver._lower) < 1000
+
+
 def test_outcomes_json_schema(tmp_path, capsys):
     path = write_game(tmp_path, triangles_doc())
     code, payload = run_json(

@@ -32,6 +32,7 @@ from coordsolve.sync import SyncSolver
 
 from util import (
     PolicyNodeSolverReference,
+    UncutSyncSolverReference,
     cross_pairs_game,
     cycle_graph,
     dominate_chain_reference,
@@ -470,26 +471,107 @@ def test_weakest_link_full_context_solves_no_generic_context(monkeypatch):
 @settings(max_examples=200, deadline=None)
 @given(tables_with_contexts() | monotone_games_with_contexts(), st.booleans())
 def test_each_scan_is_new_work(case, use_sse):
-    """The recursion scans each settled context once and keeps only its
-    int, and a queried context scans its reduced context once, keeping the
-    list on its _Reduction for every per-player horizon: so the scans made
-    by min_horizon and horizons() number the memo's entries plus the
-    reductions holding candidates, on the full game and again once a fresh
-    context has been asked."""
+    """_tau scans a context only when it has no exact value in _memo and no
+    bound in _lower at or above the limit asked, so a context cut off
+    earlier is scanned again only when asked with a higher limit; each of
+    those scans writes one exact entry or one bound.  A queried context
+    builds its reduced context's candidates once, keeping them on its
+    _Reduction, and the whole reduced context's own scan reads that list:
+    so the candidate lists built by min_horizon and horizons() number the
+    scans not handed a list plus the reductions holding candidates, on the
+    full game and again once a fresh context has been asked."""
     game, ctx = case
     solver = SyncSolver(game, use_sse=use_sse)
+    bound_writes = []
+    handed = []  # per scan, whether it was handed its candidates
 
-    def held():
+    class Lower(dict):
+        def __setitem__(self, key, value):
+            bound_writes.append(key)
+            super().__setitem__(key, value)
+
+    solver._lower = Lower()
+    scan = solver._scan
+
+    def checked(S, O, limit=None, candidates=None):
+        assert (S, O) not in solver._memo
+        bound = solver._lower.get((S, O))
+        assert bound is None or limit is None or bound < limit
+        handed.append(candidates is not None)
+        return scan(S, O, limit, candidates)
+
+    solver._scan = checked
+
+    def check():
+        assert len(handed) == len(solver._memo) + len(bound_writes)
         reductions = solver._reduce_cache.values()
-        return len(solver._memo) + sum(r.candidates is not None for r in reductions)
+        held = sum(r.candidates is not None for r in reductions)
+        assert len(scanned) == handed.count(False) + held
 
     with pytest.MonkeyPatch.context() as mp:
         scanned = _count_scans(mp)
         _horizon_or_error(solver, game.all_players)
         _or_error(solver.horizons)
-        assert len(scanned) == held()
+        check()
         _or_error(solver.horizons, ctx)
-        assert len(scanned) == held()
+        check()
+
+
+# a 6-player game whose horizon queries, without use_sse, cut the context
+# (25, 6) off at 3; policy() later asks it exactly, and it is 3
+CUT_THEN_EXACT = random_game(random.Random(743), 6)
+# a 6-player game whose horizon queries cut the context (61, 2) off at 3,
+# below its value 4
+BOUND_BELOW_VALUE = random_game(random.Random(16), 6)
+
+
+def test_cut_off_context_is_solved_when_asked_exactly():
+    solver = SyncSolver(CUT_THEN_EXACT, use_sse=False)
+    for targets in [CUT_THEN_EXACT.all_players] + [1 << i for i in range(6)]:
+        _horizon_or_error(solver, targets)
+    assert solver._lower[25, 6] == 3 and (25, 6) not in solver._memo
+    solver.policy()
+    assert solver._memo[25, 6] == 3 and (25, 6) not in solver._lower
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    tables_with_contexts()
+    | monotone_games_with_contexts()
+    | family_games().map(lambda game: (game, Context(game.all_players, 0))),
+    st.booleans(),
+)
+@example((CUT_THEN_EXACT, Context(CUT_THEN_EXACT.all_players, 0)), False)
+@example((BOUND_BELOW_VALUE, Context(BOUND_BELOW_VALUE.all_players, 0)), True)
+def test_limited_recursion_matches_uncut_reference(case, use_sse):
+    """Asked with limits, the recursion gives the values, policies,
+    horizons and errors of the recursion that solved every branch exactly;
+    every _memo value is exact and every _lower value is at most the exact
+    one.  A context cut off so far, asked just above its bound, is exact
+    below that limit and bounded at it otherwise, and asked with no limit
+    it is solved."""
+    game, ctx = case
+    solver = SyncSolver(game, use_sse=use_sse)
+    ref = UncutSyncSolverReference(game, use_sse=use_sse)
+    for targets in [game.all_players] + [1 << i for i in range(game.n)]:
+        assert _horizon_or_error(solver, targets) == _horizon_or_error(ref, targets)
+    for where in (None, ctx):
+        got = _or_error(lambda: dict(solver.horizons(where)))
+        assert got == _or_error(lambda: dict(ref.horizons(where)))
+    assert solver.policy() == ref.policy()
+    assert solver.value(ctx.active, ctx.ones) == ref.value(ctx.active, ctx.ones)
+    for key, v in solver._memo.items():
+        assert v == ref._tau(*key)
+    for key, bound in solver._lower.items():
+        assert key not in solver._memo and bound <= ref._tau(*key)
+    for key in list(solver._lower):
+        exact = ref._tau(*key)
+        bound = solver._lower.get(key)
+        if bound is not None:
+            got = solver._tau(*key, bound + 1)
+            assert got == exact if exact <= bound else bound < got <= exact
+        assert solver._tau(*key) == exact
+        assert key in solver._memo and key not in solver._lower
 
 
 # a source feeding a chain into a 2-cycle, and a vertex outside the context

@@ -43,12 +43,13 @@ from coordsolve.core import (
     is_ne,
     members,
     rule_gainers,
+    settle,
     sorted_coalitions,
     submasks,
 )
 from coordsolve.asyncgame import _history_cost
 from coordsolve.cli import ParseError, _rational
-from coordsolve.digraph import _check_mask, _components, _sources_first
+from coordsolve.digraph import _check_mask, _components, _sources_first, reach
 from coordsolve.graphical import SufficientGraph, _first_minimal_satisfying
 from coordsolve.errors import DEFAULT_BUDGET
 from coordsolve.ordered import OrderedFlags
@@ -688,6 +689,93 @@ class PolicyNodeSolverReference(SyncSolver):
                 v = self.value(Y, reduced.ones).value
                 if best is None or v < best:
                     best = v
+        if best is None:
+            raise PreconditionError(
+                "no strictly sufficient candidate covers the target; "
+                "the game is degenerate beyond repair"
+            )
+        return best
+
+
+class UncutSyncSolverReference(SyncSolver):
+    """SyncSolver with the value recursion it had before its queries
+    carried a limit: `_tau`, `_scan` and `_min_horizon_reduced` kept
+    verbatim.  Every branch is solved exactly, with cutoffs only at 2 and at
+    a divide's left child, and `_memo` keeps every settled context it meets;
+    the whole reduced context is scanned again by `_tau`.  The reduction,
+    `value` and the public operators are inherited."""
+
+    def _tau(self, S, O):
+        """Minimum number of stages to reach all-ones in the auxiliary game
+        (S active, O forced to 1), memoised as an int per settled context
+        (core.settle: dominate steps are free).  Every reachable context
+        keeps all active players strictly willing at the top profile, so
+        the recursion never meets a strictly dominated action 0.  Only
+        settled contexts are keys, so a hit on the call's own pair is its
+        settled context's value, and only a miss pays for settling."""
+        got = self._memo.get((S, O))
+        if got is not None:
+            return got
+        S, O, _ = settle(self.gainers, S, O)
+        if not S:
+            return 1
+        got = self._memo.get((S, O))
+        if got is None:
+            got = self._memo[S, O] = self._scan(S, O)[0]
+        return got
+
+    def _scan(self, S, O):
+        """(value, op, arg) of the first strict minimum over the divides,
+        then the deletes, of a context with S nonempty and no player left to
+        dominate; arg is the split set of a divide, the player of a delete.
+
+        Every value here is at least 2: a delete costs 1 more than its
+        child, and a divide's left child (X, O) again has no one to dominate,
+        so by induction on |X| it is at least 2 too.  Hence the scan returns
+        at the first 2 and skips a divide's right child once its left value
+        is no better than the best so far; no skipped branch could be
+        strictly better."""
+        tau = self._tau
+        best = op = arg = None
+        for X in self._candidates(S, O):
+            if X == S:
+                continue
+            left = tau(X, O)
+            if best is not None and left >= best:
+                continue
+            v = max(left, tau(S & ~X, O | X))
+            if best is None or v < best:
+                best, op, arg = v, "divide", X
+                if best == 2:
+                    return best, op, arg
+        for i in bits(S):
+            b = 1 << i
+            v = 1 + tau(S & ~b, O | b)
+            if best is None or v < best:
+                best, op, arg = v, "delete", i
+                if best == 2:
+                    break
+        return best, op, arg
+
+    def _min_horizon_reduced(self, targets, r):
+        reduced = r.reduced
+        want = targets & reduced.active
+        if want == 0:
+            return 1
+        if self.depths is not None:
+            # the reduced context is the weakest-link game on the subgraph
+            # induced by its active players
+            return self.depths.value(reach(self.graph, want, reduced.active))
+        if r.candidates is None:
+            r.candidates = self._candidates(reduced.active, reduced.ones)
+        best = None
+        for Y in r.candidates:
+            if Y & want == want:
+                v = self._tau(Y, reduced.ones)
+                if best is None or v < best:
+                    best = v
+                    if best == 1:
+                        break
         if best is None:
             raise PreconditionError(
                 "no strictly sufficient candidate covers the target; "
