@@ -41,6 +41,10 @@ class ParseError(Exception):
 # document parsing
 
 
+# the entry types of a payoff row that one dict can map (see _payoff_rows)
+_ROW_TYPES = {int, str}
+
+
 def _rational(value, path):
     if isinstance(value, bool):
         raise ParseError(path, "booleans are not payoffs")
@@ -89,32 +93,30 @@ def _int_vector(doc, key, n, path):
 def _payoff_rows(rows, n, path):
     """The exact payoff rows of a table document, in row-major order.
 
-    A table repeats a few payoff strings many times, so each distinct string
-    is parsed once per call, in a dict local to it; ints are taken as they
-    are.  An entry's path is built only when it is parsed for the first time
-    or rejected, and the first bad entry in row-major order is the one named.
+    A table repeats a few payoffs many times.  A row of ints and strings
+    (its types checked first: a JSON row may hold unhashable lists) is
+    mapped through one dict, local to the call, from each distinct entry to
+    its value: an int to itself, a string parsed once.  Any other row, or
+    one holding a string that does not parse, is read entry by entry
+    instead, so that the first bad entry in row-major order is the one
+    named, with its path.
     """
-    memo = {}
+    values = {}
     parsed = []
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != 1 << n:
             raise ParseError(
                 f"{path}.payoffs[{i}]", f"expected {1 << n} entries (2^n)"
             )
-        out = []
-        for m, v in enumerate(row):
-            kind = type(v)
-            if kind is int:
-                out.append(v)
-            elif kind is str:
-                value = memo.get(v)
-                if value is None:
-                    value = memo[v] = _rational(v, f"{path}.payoffs[{i}][{m}]")
-                out.append(value)
-            else:
-                # a bool, a float or anything else: rejected, or an int subclass
-                out.append(_rational(v, f"{path}.payoffs[{i}][{m}]"))
-        parsed.append(out)
+        if set(map(type, row)) <= _ROW_TYPES:
+            try:
+                for v in set(row).difference(values):
+                    values[v] = _rational(v, path)
+                parsed.append(list(map(values.__getitem__, row)))
+                continue
+            except ParseError:
+                pass  # named below, at its first place in the row
+        parsed.append([_rational(v, f"{path}.payoffs[{i}][{m}]") for m, v in enumerate(row)])
     return parsed
 
 

@@ -67,6 +67,7 @@ def submasks(mask):
 
 
 _EXACT = (int, Fraction)
+_EXACT_TYPES = set(_EXACT)
 
 
 class StageGame:
@@ -142,12 +143,12 @@ def table_game(rows):
     for i, row in enumerate(rows):
         if len(row) != size:
             raise ValueError(f"player {i}: expected {size} payoffs, got {len(row)}")
-        vals = []
-        for v in row:
-            if isinstance(v, bool) or not isinstance(v, _EXACT):
-                raise TypeError(f"player {i}: payoff {v!r} is not an exact rational")
-            vals.append(v)
-        table.append(tuple(vals))
+        if not set(map(type, row)) <= _EXACT_TYPES:
+            # a bool, a float, or a subclass of int or Fraction, which passes
+            for v in row:
+                if isinstance(v, bool) or not isinstance(v, _EXACT):
+                    raise TypeError(f"player {i}: payoff {v!r} is not an exact rational")
+        table.append(tuple(row))
     return StageGame(
         n,
         lambda i, X: table[i][X],
@@ -260,12 +261,16 @@ def check_assumptions(game, ctx=None):
     Nondegeneracy asks that action 1 be strictly best against all-ones
     opponents and strictly worst against all-zeros.
 
-    Each pairwise condition holds at a high set X unless the best value of
-    some payoff quantity over X's proper subsets beats X's own.  One pass
-    over the opponents' coalitions, subsets first, carries those best values
-    with a subset attaining them: O(k 2^k) per player for k opponents,
-    instead of the 3^k pairs.  A failed check records one witness pair per
-    (check, player, high set).
+    Each player's payoffs are scaled to ints first (int_row), which keeps
+    every comparison.  A column test over the 2^k coalitions of i's k
+    opponents then decides whether all pairwise conditions hold
+    (_pairs_hold); only a player who fails one runs the witness pass
+    (_check_pairs), in which each condition holds at a high set X unless the
+    best value of some payoff quantity over X's proper subsets beats X's
+    own.  That pass goes over the opponents' coalitions, subsets first,
+    carrying those best values with a subset attaining them: O(k 2^k) per
+    player, instead of the 3^k pairs.  A failed check records one witness
+    pair per (check, player, high set).
     """
     if ctx is None:
         ctx = full_context(game)
@@ -273,10 +278,11 @@ def check_assumptions(game, ctx=None):
     rep = AssumptionReport()
     wit = rep.witnesses
     # Coalitions of the k opponents by index t < 2^k (bit r of t stands for
-    # the r-th opponent); lower[t] lists the indices of t's maximal proper
-    # subsets.  k is the same for every active player.
-    size = 1 << max(ctx.active.bit_count() - 1, 0)
-    lower = [[t ^ (1 << r) for r in bits(t)] for t in range(size)]
+    # the r-th opponent).  k is the same for every active player.
+    k = max(ctx.active.bit_count() - 1, 0)
+    size = 1 << k
+    columns = [member_column(r, size) for r in range(k)]
+    lower = None  # lower[t]: the indices of t's maximal proper subsets
 
     for i in bits(ctx.active):
         bit = 1 << i
@@ -294,18 +300,77 @@ def check_assumptions(game, ctx=None):
             rep.nondegenerate = False
             wit.append(Violation("nondegenerate", i, 0, 0))
 
-        _check_pairs(rep, i, subs, u0, u1, lower)
+        scaled = int_row(u0 + u1)
+        a0, a1 = scaled[:size], scaled[size:]
+        if not _pairs_hold(a0, a1, columns):
+            if lower is None:
+                lower = [[t ^ (1 << r) for r in bits(t)] for t in range(size)]
+            _check_pairs(rep, i, subs, a0, a1, lower)
     return rep
+
+
+# bytes.translate table: a 0 or 1 byte to the digit '0' or '1'
+_DIGITS = bytes.maketrans(bytes((0, 1)), b"01")
+
+
+def _column(flags):
+    """The int whose bit t is flags[t], for an iterable of bools."""
+    return int(bytes(flags)[::-1].translate(_DIGITS), 2)
+
+
+def _up_set(x, columns):
+    """Is the set of indices t with bit t of x closed under adding any bit
+    r: t in x and t < 2^k without r imply t | 2^r in x?  `columns` holds
+    member_column(r, 2^k) for each r < k; one shift per r."""
+    for r, held in enumerate(columns):
+        if (x & ~held) << (1 << r) & ~x:
+            return False
+    return True
+
+
+def _pairs_hold(a0, a1, columns):
+    """Do all of a player's pairwise conditions hold?  a0[t], a1[t]: the
+    player's payoffs for actions 0 and 1 against the opponents' coalition
+    with index t, as ints; `columns` as in _up_set.  An exact test of the
+    three conditions together, on whole columns and on the covers (t, t |
+    2^r), with no per-pair loop in Python.  With m = max(a0, a1), and D and
+    U the coalitions where a1 <= a0 and a1 >= a0:
+
+    - single crossing holds iff U and [a1 > a0] are up-sets, so D is a
+      down-set;
+    - given that, common interests (m rises along inclusion, and no set
+      of U ties in m with a proper subset in D) holds iff every cover
+      (L, H) has 2 m(L) + [L in D] <= 2 m(H) + [H not in U]: m then rises
+      along every chain, so a chain from a set of D up to a set of U with
+      the same m holds a cover from D to U with the same m;
+    - given both, a0 = m rises on the subsets of a set of D, so the least
+      a0 below any H != 0 of D is a0(0): deviation-proofness holds iff no
+      H != 0 has a1(H) < a0(H) and a1(H) >= a0(0), or a1(H) = a0(H) > a0(0).
+    """
+    ge = _column(map(operator.ge, a1, a0))
+    gt = _column(map(operator.gt, a1, a0))
+    if not (_up_set(ge, columns) and _up_set(gt, columns)):
+        return False
+    m = list(map(max, a0, a1))
+    twice = list(map(operator.add, m, m))
+    low = list(map(operator.add, twice, map(operator.le, a1, a0)))
+    high = list(map(operator.add, twice, map(operator.lt, a1, a0)))
+    if not all(all(map(operator.le, x, y)) for x, y in _cover_slices(low, high)):
+        return False
+    least = a0[0]
+    reach = _column(map(least.__le__, a1)) & ~ge
+    tie = _column(map(least.__lt__, a1)) & ge & ~gt
+    return not (reach | tie) >> 1
 
 
 def _check_pairs(rep, i, subs, u0, u1, lower):
     """The pairwise conditions of player i, one subset-best pass (see
     check_assumptions).  u0[t], u1[t]: i's payoffs for actions 0 and 1
-    against the coalition subs[t]."""
+    against the coalition subs[t], as ints (see int_row)."""
     wit = rep.witnesses
     size = len(subs)
-    # Only order comparisons among i's payoffs matter; ranks keep them exact
-    # and make them int comparisons.
+    # Only order comparisons among i's payoffs matter; ranks keep them and
+    # are small ints.
     rank = {v: r for r, v in enumerate(sorted(set(u0) | set(u1)))}
     r0 = [rank[v] for v in u0]
     r1 = [rank[v] for v in u1]
@@ -583,28 +648,33 @@ def fixed_point_scan(gainers, S, O):
     return sorted_coalitions(out)
 
 
-def is_monotone(gainers):
-    """Does the table only grow along inclusion: gainers[X] <= gainers[Y]
-    whenever X <= Y?  Games with strategic complementarities have such
-    tables.  Reads only the table, one bit b at a time, comparing each
-    coalition without b with the same coalition plus b: as 2^b strided
-    slices when b is low, as contiguous blocks of 2^b entries when b is
-    high, whichever gives fewer, longer slices."""
-    size = len(gainers)
+def _cover_slices(low, high):
+    """Pairs (low[X...], high[Y...]) of equal-length slices of two lists
+    indexed by coalition, which together pair each coalition X with each
+    Y = X plus one bit b, once.  For each b: 2^b strided slices when b is
+    low, contiguous blocks of 2^b entries when b is high, whichever gives
+    fewer, longer slices."""
+    size = len(low)
     step = 1
     while step < size:
         span = 2 * step
         if step * span <= size:
-            pairs = ((gainers[r::span], gainers[r + step :: span]) for r in range(step))
+            for r in range(step):
+                yield low[r::span], high[r + step :: span]
         else:
-            pairs = (
-                (gainers[k : k + step], gainers[k + step : k + span])
-                for k in range(0, size, span)
-            )
-        for low, high in pairs:
-            if list(map(operator.or_, low, high)) != high:
-                return False
+            for k in range(0, size, span):
+                yield low[k : k + step], high[k + step : k + span]
         step = span
+
+
+def is_monotone(gainers):
+    """Does the table only grow along inclusion: gainers[X] <= gainers[Y]
+    whenever X <= Y?  Games with strategic complementarities have such
+    tables.  Reads only the table, comparing each coalition with the same
+    coalition plus one bit, a pair of slices at a time (_cover_slices)."""
+    for low, high in _cover_slices(gainers, gainers):
+        if list(map(operator.or_, low, high)) != high:
+            return False
     return True
 
 

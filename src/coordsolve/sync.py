@@ -86,7 +86,9 @@ class _Reduction:
     horizons once `SyncSolver.horizons` has computed them, the reduced
     context's candidates once a horizon query has read them (`horizons`
     reads them once per player), and, for the full game, the reduced
-    context's Nash profiles once `SyncSolver._nash` has listed them."""
+    context's Nash profiles once `SyncSolver._nash` has listed them (on a
+    family game with SSE candidates, a copy of the candidate list with the
+    empty profile in front, so both read one scan)."""
 
     reduced: Context
     forced: int
@@ -194,6 +196,13 @@ class SyncSolver:
         if self._branch:
             return fixed_point_scan(self.gainers, S, O)
         return sss_scan(self.gainers, S, O, self.use_sse)
+
+    def _held_candidates(self, r):
+        """The candidates of a _Reduction's reduced context, built on first
+        read and kept on it."""
+        if r.candidates is None:
+            r.candidates = self._candidates(r.reduced.active, r.reduced.ones)
+        return r.candidates
 
     # -- the recursion ------------------------------------------------------
 
@@ -331,14 +340,13 @@ class SyncSolver:
             # induced by its active players
             return self.depths.value(reach(self.graph, want, reduced.active))
         S, O = reduced.active, reduced.ones
-        if r.candidates is None:
-            r.candidates = self._candidates(S, O)
+        candidates = self._held_candidates(r)
         best = None
-        for Y in r.candidates:
+        for Y in candidates:
             if Y & want == want:
                 # exact only if it beats the best so far; the whole
                 # context, when settled, scans the list in hand
-                own = r.candidates if Y == S and not self.gainers[O] & S else None
+                own = candidates if Y == S and not self.gainers[O] & S else None
                 v = self._tau(Y, O, best, own)
                 if best is None or v < best:
                     best = v
@@ -378,14 +386,19 @@ class SyncSolver:
     def _nash(self):
         """The base context's Nash profiles, listed once per solver: for a
         family game the fixed points of f(Y) = gainers[Y | ones] & active,
-        for any other game a scan of the incentive table."""
+        which with SSE candidates are the base context's candidates, read
+        from the list the horizon queries keep (_held_candidates); for any
+        other game a scan of the incentive table."""
         r = self._reduce()
         if r.nash is None:
             S, O = r.reduced.active, r.reduced.ones
             if self.game._rules is not None:
-                r.nash = fixed_point_scan(self.gainers, S, O)
-                if not self.gainers[O] & S:
-                    r.nash.insert(0, 0)  # the scan skips the empty profile
+                if self._branch:
+                    found = self._held_candidates(r)
+                else:
+                    found = fixed_point_scan(self.gainers, S, O)
+                # the scan skips the empty profile
+                r.nash = found if self.gainers[O] & S else [0, *found]
             else:
                 r.nash = ne_scan(self.gainers, self.losers, S, O)
         return r.nash

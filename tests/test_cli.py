@@ -16,6 +16,7 @@ from coordsolve.ordered import classify, ordered_min_horizon
 from coordsolve.sync import SyncSolver
 
 from util import (
+    README_TABLE_ROWS,
     clique_edges,
     count_table_builds,
     emit_game,
@@ -513,12 +514,7 @@ def test_fast_path_below_tau_outside_the_stage_game_conditions(tmp_path, capsys)
     doc = {
         "players": 4,
         "kind": "table",
-        "payoffs": [
-            [0, -1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1],
-            [0, 0, 1, 1, 0, 0, 1, -1, 0, 0, 1, 1, 0, 0, 1, 1],
-            [0, 0, 0, 0, -1, -1, 1, -1, 0, 0, 0, 0, 1, 1, 1, 1],
-            [0, 0, 0, 0, 0, 0, 0, 0, -1, -1, -1, -1, -1, -1, 1, 1],
-        ],
+        "payoffs": README_TABLE_ROWS,
     }
     path = write_game(tmp_path, doc)
     assert main(["ordered", "--game", path, "--target", "1,2,3,4"]) == 0
@@ -630,6 +626,51 @@ def test_payoff_memo_matches_one_parse_per_entry(doc):
 
     assert typed(game.params["rows"]) == typed(want)
     assert emit_game(game) == emit_game(table_game(want))
+
+
+def _parse_error(rows, n):
+    with pytest.raises(ParseError) as info:
+        parse_game({"players": n, "kind": "table", "payoffs": rows})
+    return info.value.path, str(info.value)
+
+
+def _reference_error(rows, n):
+    with pytest.raises(ParseError) as info:
+        parse_payoff_rows_reference(rows, n)
+    return info.value.path, str(info.value)
+
+
+def test_first_bad_entry_after_many_good_repeats_is_named():
+    good = ["1/2", "-3/4", "0", 7]
+    rows = [[good[m % 4] for m in range(32)] for _ in range(5)]
+    rows[3][29] = "x"
+    rows[4][2] = "1/0"
+    assert _parse_error(rows, 5) == _reference_error(rows, 5)
+    assert _parse_error(rows, 5)[0] == "$.payoffs[3][29]"
+
+
+def test_bad_string_repeated_in_a_row_names_its_first_place():
+    rows = [["1/2", "1/2", "1e5", "1/2", "1e5", "1e5", "0", "1e5"] for _ in range(3)]
+    assert _parse_error(rows, 3) == _reference_error(rows, 3)
+    assert _parse_error(rows, 3)[0] == "$.payoffs[0][2]"
+
+
+@pytest.mark.parametrize("bad", [True, 1.5, [1, 2]], ids=["bool", "float", "list"])
+def test_non_string_entry_in_a_row_of_strings_is_named(bad):
+    rows = [["1/3"] * 4, ["2/3", "1/3", "2/3", "1/3"]]
+    rows[1][3] = bad
+    assert _parse_error(rows, 2) == _reference_error(rows, 2)
+    assert _parse_error(rows, 2)[0] == "$.payoffs[1][3]"
+
+
+def test_row_of_ints_and_strings_parses_as_one_parse_per_entry():
+    rows = [[0, "1/2", 3, "3", "-0", 3, "1/2", "2/4"], [1, 1, "1", "007", -2, "5/3", 0, "0"],
+            ["3/4", 2, 2, " 3/4", "3/4\n", 2, "+5/3", "1.5"]]
+    want = parse_payoff_rows_reference(rows, 3)
+    got = parse_game({"players": 3, "kind": "table", "payoffs": rows}).params["rows"]
+    assert [[(type(v), v) for v in row] for row in got] == [
+        [(type(v), v) for v in row] for row in want
+    ]
 
 
 def test_huge_exponent_payoff_exits_promptly(tmp_path):

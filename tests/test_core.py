@@ -38,10 +38,12 @@ from coordsolve.core import (
     sss_scan,
     submasks,
 )
+from coordsolve import core
 from coordsolve.sync import SyncSolver
 
 from util import (
     EXACT_PAYOFFS,
+    check_assumptions_pass_reference,
     check_assumptions_reference,
     cross_pairs_game,
     cycle_graph,
@@ -56,6 +58,8 @@ from util import (
     iterated_strict_elimination_reference,
     mixed_two_player_game,
     monotone_tables,
+    near_monotone_tables,
+    README_TABLE_ROWS,
     ne_set_reference,
     random_game,
     random_rooted_digraph,
@@ -261,6 +265,39 @@ def test_check_assumptions_matches_all_pairs_reference(case):
         assert _replay_violation(
             game, Violation(w.check, w.player, w.low | ones, w.high | ones)
         ), w
+
+
+@settings(max_examples=400, deadline=None)
+@given(near_monotone_tables() | tables_with_contexts())
+@example((mixed_two_player_game(), None))
+@example((tie_break_violation_game(), None))
+@example((table_game(README_TABLE_ROWS), None))
+def test_column_test_gives_the_witness_pass_report(case):
+    """check_assumptions, which runs the witness pass only for a player its
+    column test fails, gives the flags and the witness list, in order, of
+    the pass run for every player."""
+    game, ctx = case
+    fast = check_assumptions(game, ctx)
+    ref = check_assumptions_pass_reference(game, ctx)
+    assert _flags(fast) == _flags(ref)
+    assert fast.witnesses == ref.witnesses
+
+
+def test_passing_players_skip_the_witness_pass(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the witness pass ran for a passing player")
+
+    monkeypatch.setattr(core, "_check_pairs", refuse)
+    for c in ([1, 1, 2], [2, 3, 1, 3], [1, 2, 3, 4, 5, 6, 6, 6]):
+        rep = check_assumptions(aggregative_game(c))
+        assert rep.satisfies_assumptions and rep.witnesses == []
+
+
+@pytest.mark.parametrize("bad", [True, 0.5], ids=["bool", "float"])
+def test_table_game_names_the_player_of_an_inexact_payoff(bad):
+    rows = [[0, 1, Fraction(1, 2), 1], [0, Fraction(1, 3), 1, bad]]
+    with pytest.raises(TypeError, match=rf"^player 1: payoff {bad!r} is not an exact rational$"):
+        table_game(rows)
 
 
 # -- least_ne / ne_set --------------------------------------------------------

@@ -180,6 +180,16 @@ def tie_break_violation_game():
     return table_game(rows)
 
 
+# the README's 4-player table ("Notes and limits"): it fails single crossing,
+# common interests and nondegeneracy
+README_TABLE_ROWS = [
+    [0, -1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1],
+    [0, 0, 1, 1, 0, 0, 1, -1, 0, 0, 1, 1, 0, 0, 1, 1],
+    [0, 0, 0, 0, -1, -1, 1, -1, 0, 0, 0, 0, 1, 1, 1, 1],
+    [0, 0, 0, 0, 0, 0, 0, 0, -1, -1, -1, -1, -1, -1, 1, 1],
+]
+
+
 def spillover_pair_games():
     """Five players, a triangle feeding a pair; the second variant adds an
     epsilon spillover from player 3 to player 0 that kills the low outcome."""
@@ -354,6 +364,121 @@ def check_assumptions_reference(game, ctx=None):
     return rep
 
 
+def check_assumptions_pass_reference(game, ctx=None):
+    """check_assumptions as it was before its column test, kept verbatim:
+    every player runs the subset-best witness pass.  Verify the stage-game
+    conditions for every active player.
+
+    Per active player i and coalitions low < high of i's opponents: single
+    crossing, common interests (monotone indirect utility plus the tie-break
+    rule, which we interpret on the indirect utility itself and label
+    "tie-break (interpreted)"), and the deviation-proof condition.
+    Nondegeneracy asks that action 1 be strictly best against all-ones
+    opponents and strictly worst against all-zeros.
+
+    Each pairwise condition holds at a high set X unless the best value of
+    some payoff quantity over X's proper subsets beats X's own.  One pass
+    over the opponents' coalitions, subsets first, carries those best values
+    with a subset attaining them: O(k 2^k) per player for k opponents,
+    instead of the 3^k pairs.  A failed check records one witness pair per
+    (check, player, high set).
+    """
+    if ctx is None:
+        ctx = full_context(game)
+    pay = _ctx_pay(game, ctx)
+    rep = AssumptionReport()
+    wit = rep.witnesses
+    # Coalitions of the k opponents by index t < 2^k (bit r of t stands for
+    # the r-th opponent); lower[t] lists the indices of t's maximal proper
+    # subsets.  k is the same for every active player.
+    size = 1 << max(ctx.active.bit_count() - 1, 0)
+    lower = [[t ^ (1 << r) for r in bits(t)] for t in range(size)]
+
+    for i in bits(ctx.active):
+        bit = 1 << i
+        subs = [0]  # subs[t]: the coalition with index t
+        for j in bits(ctx.active & ~bit):
+            subs += [m | 1 << j for m in subs]
+        u0 = [pay(i, m) for m in subs]
+        u1 = [pay(i, m | bit) for m in subs]
+
+        # Assumption 2 (nondegeneracy): strict preference flips between extremes.
+        if not u1[-1] > u0[-1]:
+            rep.nondegenerate = False
+            wit.append(Violation("nondegenerate", i, subs[-1], subs[-1]))
+        if not u0[0] > u1[0]:
+            rep.nondegenerate = False
+            wit.append(Violation("nondegenerate", i, 0, 0))
+
+        _check_pairs_reference(rep, i, subs, u0, u1, lower)
+    return rep
+
+
+def _check_pairs_reference(rep, i, subs, u0, u1, lower):
+    """The pairwise conditions of player i, one subset-best pass (see
+    check_assumptions).  u0[t], u1[t]: i's payoffs for actions 0 and 1
+    against the coalition subs[t]."""
+    wit = rep.witnesses
+    size = len(subs)
+    # Only order comparisons among i's payoffs matter; ranks keep them exact
+    # and make them int comparisons.
+    rank = {v: r for r, v in enumerate(sorted(set(u0) | set(u1)))}
+    r0 = [rank[v] for v in u0]
+    r1 = [rank[v] for v in u1]
+    # Each table packs value * size + t, so that one max or min over packed
+    # keys yields the best value over a set's subsets (itself included) and
+    # the index t of a subset attaining it.
+    sgn = [0] * size  # max of sign(u1 - u0) + 1
+    top = [0] * size  # max of max(u0, u1)
+    tie = [0] * size  # max of max(u0, u1) over subsets with u1 <= u0, or -1
+    dip = [0] * size  # min of u0
+    ceiling = len(rank) * size  # packed key above every rank, for empty mins
+
+    for t in range(size):
+        a, b = r1[t], r0[t]
+        s = (a > b) - (a < b) + 1
+        m = a if a > b else b
+        below = lower[t]
+        # best over the proper subsets of t
+        ps = max(map(sgn.__getitem__, below), default=-1)
+        pm = max(map(top.__getitem__, below), default=-1)
+        pt = max(map(tie.__getitem__, below), default=-1)
+        pc = min(map(dip.__getitem__, below), default=ceiling)
+        high = subs[t]
+        if ps // size > s:
+            rep.single_crossing = False
+            wit.append(Violation("single_crossing", i, subs[ps % size], high))
+        if pm // size > m:
+            rep.common_interests = False
+            wit.append(Violation("common_interests", i, subs[pm % size], high))
+        if a >= b and pt // size >= m:
+            # Above m, max(u0, u1) already falls somewhere below t, and a
+            # subset tying with t may hide under the larger maximum.
+            low = pt % size if pt // size == m else _equal_top_subset_reference(t, m, r0, r1)
+            if low is not None:
+                rep.common_interests = False
+                wit.append(Violation("tie-break (interpreted)", i, subs[low], high))
+        c = pc // size
+        if (a < b and c <= a) or (a == b and c < a):
+            rep.deviation_proof = False
+            wit.append(Violation("deviation_proof", i, subs[pc % size], high))
+
+        sgn[t] = max(ps, s * size + t)
+        top[t] = max(pm, m * size + t)
+        tie[t] = max(pt, m * size + t) if a <= b else pt
+        dip[t] = min(pc, b * size + t)
+
+
+def _equal_top_subset_reference(t, m, r0, r1):
+    """A proper subset index L of t with u1 <= u0 and max(u0, u1) == m, or None."""
+    low = t
+    while low:
+        low = (low - 1) & t
+        if r1[low] <= r0[low] == m:
+            return low
+    return None
+
+
 # Small ranges so that ties, which strict preferences skip, are common.
 EXACT_PAYOFFS = st.sampled_from(
     [-2, -1, 0, 1, 2, Fraction(-3, 2), Fraction(-1, 2), Fraction(1, 2), Fraction(1), Fraction(4, 3)]
@@ -384,6 +509,40 @@ def monotone_games_with_contexts(draw):
     active = draw(st.integers(0, game.all_players))
     ones = draw(st.integers(0, game.all_players)) & ~active
     return game, Context(active, ones)
+
+
+@st.composite
+def near_monotone_tables(draw):
+    """A table game on 1..5 players built to meet the pairwise stage
+    conditions, with zero to two payoffs then moved, and a random Context
+    of it (or None, the full game).  Player i gains K = 4n from action 1
+    once the others playing 1 hold an enabling set, loses K otherwise, plus
+    a bonus that grows with the others' participation, and earns a
+    spillover that grows with it under either action; K dominates both.  A
+    moved payoff takes another value of its row, which makes ties, or a
+    nearby int, so that the column test both passes and meets each kind of
+    failure."""
+    n = draw(st.integers(1, 5))
+    size = 1 << n
+    K = 4 * n
+    rows = []
+    for i in range(n):
+        others = st.integers(0, size - 1).map(lambda m, i=i: m & ~(1 << i))
+        enabling, bonus, spill = draw(others), draw(others), draw(others)
+        beta, gamma = draw(st.integers(0, 2)), draw(st.integers(0, 1))
+        row = []
+        for X in range(size):
+            Z = X & ~(1 << i)
+            gain = (K if enabling & ~Z == 0 else -K) + beta * (Z & bonus).bit_count()
+            row.append(gamma * (Z & spill).bit_count() + (X >> i & 1) * gain)
+        rows.append(row)
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, n - 1))
+        value = st.sampled_from(rows[i]) | st.integers(-K - 2, K + 2)
+        rows[i][draw(st.integers(0, size - 1))] = draw(value)
+    active = draw(st.integers(0, size - 1))
+    ones = draw(st.integers(0, size - 1)) & ~active
+    return table_game(rows), draw(st.sampled_from([None, Context(active, ones)]))
 
 
 def incentive_table_reference(game):
