@@ -47,6 +47,18 @@ def bits(mask):
         mask ^= low
 
 
+def check_mask(n, mask, name):
+    """Reject a mask with bits beyond indices 0..n-1, naming the stray bits
+    (ValueError)."""
+    if mask < 0:
+        raise ValueError(f"{name} mask {mask} is negative")
+    stray = mask >> n << n
+    if stray:
+        raise ValueError(
+            f"{name} mask has bits {list(members(stray))} outside 0..{n - 1}"
+        )
+
+
 def sorted_coalitions(masks):
     """Coalition masks in (cardinality, lexicographic) order."""
     return sorted(masks, key=lambda m: (m.bit_count(), members(m)))

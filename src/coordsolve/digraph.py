@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Partition, members
+from .core import Partition, check_mask
 from .errors import PreconditionError
 
 
@@ -43,18 +43,6 @@ class Digraph:
 
     def __repr__(self):
         return f"Digraph(n={self.n}, edges={sorted(self.edges)})"
-
-
-def _check_mask(g, mask, name):
-    """Reject a vertex mask with bits beyond g's vertices 0..n-1."""
-    if mask < 0:
-        raise ValueError(f"{name} mask {mask} is negative")
-    stray = mask >> g.n << g.n
-    if stray:
-        raise ValueError(
-            f"{name} mask has bits {list(members(stray))} outside the "
-            f"graph's vertices 0..{g.n - 1}"
-        )
 
 
 @dataclass(frozen=True)
@@ -142,7 +130,7 @@ def scc(g, vertices=None):
     as strongly connected."""
     if vertices is None:
         vertices = g.all_vertices
-    _check_mask(g, vertices, "vertices")
+    check_mask(g.n, vertices, "vertices")
     return _sources_first(g._pred, _components(g._succ, g._pred, vertices), vertices)
 
 
@@ -151,8 +139,8 @@ def reach(g, targets, vertices=None):
     included, so R(X) contains X).  Predecessor closure."""
     if vertices is None:
         vertices = g.all_vertices
-    _check_mask(g, targets, "targets")
-    _check_mask(g, vertices, "vertices")
+    check_mask(g.n, targets, "targets")
+    check_mask(g.n, vertices, "vertices")
     return _closure(g._pred, targets & vertices, vertices)
 
 
@@ -260,7 +248,7 @@ class TreeDepth:
         vertex by default)."""
         if vertices is None:
             vertices = self.g.all_vertices
-        _check_mask(self.g, vertices, "vertices")
+        check_mask(self.g.n, vertices, "vertices")
         return self._depth(vertices, self.g.n + 1)
 
     def certificate(self, vertices=None):
@@ -340,7 +328,7 @@ def check_feasible_partition(g, p, M=None):
     (cells t..T) intersected with M."""
     if M is None:
         M = g.all_vertices
-    _check_mask(g, M, "M")
+    check_mask(g.n, M, "M")
     suffix = p.union() & M
     for cell in p.cells:
         focus = cell & M

@@ -13,12 +13,13 @@ settled context's value (core.settle) is exact and memoised as an int,
 at or above it the answer is a lower bound, kept in a second dict.  A
 scan lowers its cap to each new best, so a branch that cannot beat the
 best so far is only bounded.  A context is scanned again only when it is
-asked with a limit above its bound, and it keeps no candidate list; only
-a queried context, whose candidates every per-player horizon reads,
-keeps them with its dominance reduction, and its own scan reads them
-from there.  Policy trees are rebuilt on demand from the ints: each node
-reruns its own scan and recurses into the children it chose, so a
-`policy()` call costs O(n) node scans.
+asked with a limit above its bound.  Each context's candidate list is
+built once per solver and kept by the one method that builds it
+(SyncSolver._candidates), so a rescan, a horizon query, a policy rebuild
+and the Nash listing all read the same list.  Policy trees are rebuilt on
+demand from the ints: each node reruns its own scan over the kept lists
+and the int memo and recurses into the children it chose, so a `policy()`
+call costs O(n) node scans and no new candidate list.
 
 A divide splits off a candidate: a strictly sufficient set that is also a
 Nash profile (SSE, the default), or any strictly sufficient set (SSS,
@@ -50,6 +51,7 @@ from .core import (
     Context,
     RuleGains,
     bits,
+    check_mask,
     fixed_point_scan,
     iesds_closure,
     iesds_scan,
@@ -82,20 +84,13 @@ class PolicyNode:
 @dataclass
 class _Reduction:
     """One context after iterated strict dominance: the reduced context, the
-    players forced to 1 and those forced to 0, the context's per-player
-    horizons once `SyncSolver.horizons` has computed them, the reduced
-    context's candidates once a horizon query has read them (`horizons`
-    reads them once per player), and, for the full game, the reduced
-    context's Nash profiles once `SyncSolver._nash` has listed them (on a
-    family game with SSE candidates, a copy of the candidate list with the
-    empty profile in front, so both read one scan)."""
+    players forced to 1 and those forced to 0, and the context's per-player
+    horizons once `SyncSolver.horizons` has computed them."""
 
     reduced: Context
     forced: int
     dropped: int
     taus: MappingProxyType | None = None
-    candidates: list | None = None
-    nash: list | None = None
 
 
 class SyncSolver:
@@ -115,12 +110,12 @@ class SyncSolver:
     read `losers` too.  SSE candidates of a monotone table, a family's or
     one core.is_monotone finds so, come from core.fixed_point_scan, all
     others from core.sss_scan, with equal lists.  Per-context state lives in
-    three maps: `_memo` keeps the exact value of each settled context
+    four maps: `_memo` keeps the exact value of each settled context
     solved, `_lower` a lower bound on each one so far only cut off (see
-    _tau), and `_reduce_cache` one _Reduction per queried context, which
-    holds that context's candidates once a horizon query has read them.
-    Policy trees are not stored but rebuilt on demand by `value` and
-    `policy`.
+    _tau), `_reduce_cache` one _Reduction per queried context, and
+    `_candidate_cache` the candidate list of each context `_candidates` was
+    asked for, its only builder.  Policy trees are not stored but rebuilt
+    on demand by `value` and `policy`.
 
     For a game built by graphical.weakest_link_game the solver also keeps
     the game's `graph` and one TreeDepth memo on it (`depths`; both None for
@@ -136,6 +131,7 @@ class SyncSolver:
         self._memo = {}
         self._lower = {}
         self._reduce_cache = {}
+        self._candidate_cache = {}
         self.graph = game._graph
         self.depths = None if self.graph is None else TreeDepth(self.graph)
 
@@ -163,11 +159,14 @@ class SyncSolver:
 
     def _reduce(self, ctx=None):
         """Strip iterated strictly dominant actions from a context (the full
-        game by default); one cached _Reduction per context."""
+        game by default); one cached _Reduction per context.  A context
+        with bits outside the game's players raises ValueError."""
         key = (self.game.all_players, 0) if ctx is None else (ctx.active, ctx.ones)
         got = self._reduce_cache.get(key)
         if got is None:
             S, O = key
+            check_mask(self.game.n, S, "active")
+            check_mask(self.game.n, O, "ones")
             if self.game._rules is not None:
                 least, greatest = iesds_closure(self.gainers, S, O)
             else:
@@ -193,20 +192,20 @@ class SyncSolver:
         return self._reduce().dropped
 
     def _candidates(self, S, O):
-        if self._branch:
-            return fixed_point_scan(self.gainers, S, O)
-        return sss_scan(self.gainers, S, O, self.use_sse)
-
-    def _held_candidates(self, r):
-        """The candidates of a _Reduction's reduced context, built on first
-        read and kept on it."""
-        if r.candidates is None:
-            r.candidates = self._candidates(r.reduced.active, r.reduced.ones)
-        return r.candidates
+        """The candidates of context (S, O), built on first read and kept
+        for the solver's lifetime; callers must not mutate the list."""
+        got = self._candidate_cache.get((S, O))
+        if got is None:
+            if self._branch:
+                got = fixed_point_scan(self.gainers, S, O)
+            else:
+                got = sss_scan(self.gainers, S, O, self.use_sse)
+            self._candidate_cache[S, O] = got
+        return got
 
     # -- the recursion ------------------------------------------------------
 
-    def _tau(self, S, O, limit=None, candidates=None):
+    def _tau(self, S, O, limit=None):
         """Minimum number of stages to reach all-ones in the auxiliary game
         (S active, O forced to 1): exact when below `limit` (always, with no
         limit), otherwise a lower bound of at least `limit`.  Every
@@ -221,8 +220,7 @@ class SyncSolver:
         answers, and a later scan replaces it by its exact value or a
         higher bound.  A settled context with players left is worth at
         least 2 (see _scan), so asked with a limit of 2 or less it answers
-        2 unscanned.  `candidates`, when given, is the candidate list of
-        (S, O), which must be settled already."""
+        2 unscanned."""
         got = self._memo.get((S, O))
         if got is not None:
             return got
@@ -239,7 +237,7 @@ class SyncSolver:
             got = self._lower.get(key)
             if got is not None and got >= limit:
                 return got
-        got = self._scan(S, O, limit, candidates)[0]
+        got = self._scan(S, O, limit)[0]
         if limit is None or got < limit:
             self._memo[key] = got
             self._lower.pop(key, None)
@@ -247,7 +245,7 @@ class SyncSolver:
             self._lower[key] = got
         return got
 
-    def _scan(self, S, O, limit=None, candidates=None):
+    def _scan(self, S, O, limit=None):
         """(value, op, arg) of the first strict minimum over the divides,
         then the deletes, of a context with S nonempty and no player left to
         dominate; arg is the split set of a divide, the player of a delete.
@@ -268,9 +266,7 @@ class SyncSolver:
         tau = self._tau
         cap = S.bit_count() + 2 if limit is None else limit
         op = arg = None
-        if candidates is None:
-            candidates = self._candidates(S, O)
-        for X in candidates:
+        for X in self._candidates(S, O):
             if X == S:
                 continue
             left = tau(X, O, cap)
@@ -292,10 +288,12 @@ class SyncSolver:
 
     def value(self, S, O):
         """The solved policy of context (S, O) as a PolicyNode tree; its
-        root value is `_tau(S, O)`.  Only the int values are memoised: each
-        call rebuilds the tree, rerunning each node's scan over the memo and
-        recursing into the children it chose, so it costs one scan per node
-        (O(n) nodes, as every step removes a player or splits the set)."""
+        root value is `_tau(S, O)`.  Only the int values and the candidate
+        lists are kept: each call rebuilds the tree, rerunning each node's
+        scan over the int memo and the node's kept list and recursing into
+        the children it chose, so it costs one scan per node (O(n) nodes, as
+        every step removes a player or splits the set) and builds a
+        candidate list only for a node no earlier query asked."""
         S, O, chain = settle(self.gainers, S, O)
         if S == 0:
             node = PolicyNode("stop", None, None, (), 1)
@@ -321,6 +319,7 @@ class SyncSolver:
     def min_horizon(self, targets, ctx=None):
         """Smallest horizon T such that every monotone-SPNE outcome of the
         T-stage game (in the given context) contains `targets`."""
+        check_mask(self.game.n, targets, "targets")
         r = self._reduce(ctx)
         if targets & r.dropped:
             bad = members(targets & r.dropped)
@@ -339,15 +338,12 @@ class SyncSolver:
             # the reduced context is the weakest-link game on the subgraph
             # induced by its active players
             return self.depths.value(reach(self.graph, want, reduced.active))
-        S, O = reduced.active, reduced.ones
-        candidates = self._held_candidates(r)
+        O = reduced.ones
         best = None
-        for Y in candidates:
+        for Y in self._candidates(reduced.active, O):
             if Y & want == want:
-                # exact only if it beats the best so far; the whole
-                # context, when settled, scans the list in hand
-                own = candidates if Y == S and not self.gainers[O] & S else None
-                v = self._tau(Y, O, best, own)
+                # exact only if it beats the best so far
+                v = self._tau(Y, O, best)
                 if best is None or v < best:
                     best = v
                     if best == 1:
@@ -383,39 +379,35 @@ class SyncSolver:
                 out |= 1 << i
         return out
 
+    @cached_property
     def _nash(self):
         """The base context's Nash profiles, listed once per solver: for a
         family game the fixed points of f(Y) = gainers[Y | ones] & active,
-        which with SSE candidates are the base context's candidates, read
-        from the list the horizon queries keep (_held_candidates); for any
-        other game a scan of the incentive table."""
-        r = self._reduce()
-        if r.nash is None:
-            S, O = r.reduced.active, r.reduced.ones
-            if self.game._rules is not None:
-                if self._branch:
-                    found = self._held_candidates(r)
-                else:
-                    found = fixed_point_scan(self.gainers, S, O)
-                # the scan skips the empty profile
-                r.nash = found if self.gainers[O] & S else [0, *found]
-            else:
-                r.nash = ne_scan(self.gainers, self.losers, S, O)
-        return r.nash
+        which with SSE candidates are the base context's candidates
+        (_candidates); for any other game a scan of the incentive table."""
+        S, O = self.base.active, self.base.ones
+        if self.game._rules is None:
+            return ne_scan(self.gainers, self.losers, S, O)
+        if self._branch:
+            found = self._candidates(S, O)
+        else:
+            found = fixed_point_scan(self.gainers, S, O)
+        # the scan skips the empty profile
+        return found if self.gainers[O] & S else [0, *found]
 
     def equilibria(self):
         """The pure Nash profiles of the full stage game.  Iterated strict
         dominance keeps every one of them, so they are the forced players
         joined with each Nash profile of the base context."""
         forced = self.forced_one
-        return [forced | X for X in self._nash()]
+        return [forced | X for X in self._nash]
 
     def outcome_set(self, T):
         """All monotone-SPNE outcomes at horizon T: Nash outcomes whose
         residual game forces nobody in within the remaining T stages."""
         res = []
         S, O = self.base.active, self.base.ones
-        for X in self._nash():
+        for X in self._nash:
             residual = Context(S & ~X, O | X)
             if self.least_outcome(T, ctx=residual) == 0:
                 res.append(O | X)

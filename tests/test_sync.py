@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -474,16 +475,15 @@ def test_each_scan_is_new_work(case, use_sse):
     """_tau scans a context only when it has no exact value in _memo and no
     bound in _lower at or above the limit asked, so a context cut off
     earlier is scanned again only when asked with a higher limit; each of
-    those scans writes one exact entry or one bound.  A queried context
-    builds its reduced context's candidates once, keeping them on its
-    _Reduction, and the whole reduced context's own scan reads that list:
-    so the candidate lists built by min_horizon and horizons() number the
-    scans not handed a list plus the reductions holding candidates, on the
-    full game and again once a fresh context has been asked."""
+    those scans writes one exact entry or one bound.  A candidate list is
+    built once per context and solver, whoever asks for it: after horizon
+    queries on the full game and on a fresh context and a policy rebuild,
+    no (S, O) has reached either candidate scan twice, and the contexts
+    scanned are exactly the keys of the solver's candidate cache."""
     game, ctx = case
     solver = SyncSolver(game, use_sse=use_sse)
     bound_writes = []
-    handed = []  # per scan, whether it was handed its candidates
+    tau_scans = []
 
     class Lower(dict):
         def __setitem__(self, key, value):
@@ -493,20 +493,22 @@ def test_each_scan_is_new_work(case, use_sse):
     solver._lower = Lower()
     scan = solver._scan
 
-    def checked(S, O, limit=None, candidates=None):
+    def checked(S, O, limit=None):
         assert (S, O) not in solver._memo
         bound = solver._lower.get((S, O))
         assert bound is None or limit is None or bound < limit
-        handed.append(candidates is not None)
-        return scan(S, O, limit, candidates)
+        tau_scans.append((S, O))
+        return scan(S, O, limit)
 
     solver._scan = checked
 
+    def check_lists():
+        assert len(scanned) == len(set(scanned))
+        assert set(scanned) == solver._candidate_cache.keys()
+
     def check():
-        assert len(handed) == len(solver._memo) + len(bound_writes)
-        reductions = solver._reduce_cache.values()
-        held = sum(r.candidates is not None for r in reductions)
-        assert len(scanned) == handed.count(False) + held
+        assert len(tau_scans) == len(solver._memo) + len(bound_writes)
+        check_lists()
 
     with pytest.MonkeyPatch.context() as mp:
         scanned = _count_scans(mp)
@@ -515,6 +517,58 @@ def test_each_scan_is_new_work(case, use_sse):
         check()
         _or_error(solver.horizons, ctx)
         check()
+        # a policy rebuild reruns the scans of contexts already in _memo
+        del solver._scan
+        solver.policy()
+        check_lists()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    tables_with_contexts()
+    | monotone_games_with_contexts()
+    | family_games().map(lambda game: (game, Context(game.all_players, 0))),
+    st.booleans(),
+)
+def test_kept_candidate_lists_match_a_fresh_scan(case, use_sse):
+    """Once horizon queries, a fresh context, a policy rebuild, the Nash
+    listing and the outcome sets have all read candidate lists, the list
+    kept for each context asked is the full submask scan of that (S, O)."""
+    game, ctx = case
+    solver = SyncSolver(game, use_sse=use_sse)
+    asked = set()
+    candidates = solver._candidates
+
+    def recorded(S, O):
+        asked.add((S, O))
+        return candidates(S, O)
+
+    solver._candidates = recorded
+    _horizon_or_error(solver, game.all_players)
+    _or_error(solver.horizons)
+    _or_error(solver.horizons, ctx)
+    solver.policy()
+    solver.equilibria()
+    _or_error(solver.outcome_set, 1)
+    for S, O in asked:
+        assert candidates(S, O) == sss_scan(solver.gainers, S, O, use_sse)
+
+
+def test_out_of_range_masks_name_the_stray_bits():
+    wl = SyncSolver(weakest_link_game(Digraph(3, [(0, 1), (1, 2), (2, 0)])))
+    table = SyncSolver(random_game(random.Random(0), 3))
+    cases = [
+        (lambda: wl.min_horizon(1 << 5), "[5]"),
+        (lambda: wl.min_horizon(-1), "negative"),
+        (lambda: wl.horizons(Context(0b1011, 0)), "[3]"),
+        (lambda: table.min_horizon(0b1001), "[3]"),
+        (lambda: table.min_horizon(1, Context(0b10111, 0)), "[4]"),
+        (lambda: table.least_outcome(2, Context(1, 0b11000)), "[3, 4]"),
+        (lambda: table.horizons(Context(-2, 0)), "negative"),
+    ]
+    for call, stray in cases:
+        with pytest.raises(ValueError, match=re.escape(stray)):
+            call()
 
 
 # a 6-player game whose horizon queries, without use_sse, cut the context

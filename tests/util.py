@@ -36,6 +36,7 @@ from coordsolve import core
 from coordsolve.core import (
     _ctx_pay,
     bits,
+    check_mask,
     compare_rows,
     gains,
     iesds_scan,
@@ -49,7 +50,7 @@ from coordsolve.core import (
 )
 from coordsolve.asyncgame import _history_cost
 from coordsolve.cli import ParseError, _rational
-from coordsolve.digraph import _check_mask, _components, _sources_first, reach
+from coordsolve.digraph import _components, _sources_first, reach
 from coordsolve.graphical import SufficientGraph, _first_minimal_satisfying
 from coordsolve.errors import DEFAULT_BUDGET
 from coordsolve.ordered import OrderedFlags
@@ -925,10 +926,8 @@ class UncutSyncSolverReference(SyncSolver):
             # the reduced context is the weakest-link game on the subgraph
             # induced by its active players
             return self.depths.value(reach(self.graph, want, reduced.active))
-        if r.candidates is None:
-            r.candidates = self._candidates(reduced.active, reduced.ones)
         best = None
-        for Y in r.candidates:
+        for Y in self._candidates(reduced.active, reduced.ones):
             if Y & want == want:
                 v = self._tau(Y, reduced.ones)
                 if best is None or v < best:
@@ -1247,7 +1246,7 @@ def scc_reference(g, vertices=None):
     `digraph.scc` replaced, kept verbatim."""
     if vertices is None:
         vertices = g.all_vertices
-    _check_mask(g, vertices, "vertices")
+    check_mask(g.n, vertices, "vertices")
     index = {}
     low = {}
     on_stack = 0
@@ -1304,8 +1303,8 @@ def reach_reference(g, targets, vertices=None):
     replaced, kept verbatim."""
     if vertices is None:
         vertices = g.all_vertices
-    _check_mask(g, targets, "targets")
-    _check_mask(g, vertices, "vertices")
+    check_mask(g.n, targets, "targets")
+    check_mask(g.n, vertices, "vertices")
     seen = targets & vertices
     frontier = seen
     pred = g._pred
@@ -1395,7 +1394,7 @@ def tree_depth_uncut_reference(g, vertices=None):
     """
     if vertices is None:
         vertices = g.all_vertices
-    _check_mask(g, vertices, "vertices")
+    check_mask(g.n, vertices, "vertices")
     succ, pred = g._succ, g._pred
     memo = {0: 0}
     removed = {}
@@ -1546,7 +1545,7 @@ class TreeDepthUnpeeledReference:
         vertex by default)."""
         if vertices is None:
             vertices = self.g.all_vertices
-        _check_mask(self.g, vertices, "vertices")
+        check_mask(self.g.n, vertices, "vertices")
         return self._depth(vertices, self.g.n + 1)
 
     def certificate(self, vertices=None):
