@@ -276,6 +276,8 @@ def design(game, T, solver=None):
     weakest-link game the reduction is the solver's own graph, and its
     tree-depth memo, which the horizons already filled, certifies the levels.
     """
+    if T < 1:
+        raise ValueError("horizon must be positive")
     solver = solver or SyncSolver(game)
     achieved = solver.least_outcome(T)
     g = reduce_to_weakest_link(game, solver=solver).graph

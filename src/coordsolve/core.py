@@ -231,6 +231,16 @@ def full_context(game):
     return Context(game.all_players, 0)
 
 
+def _checked(game, ctx):
+    """ctx, or the full context when None; a mask with bits outside the
+    game's players raises ValueError (check_mask)."""
+    if ctx is None:
+        return full_context(game)
+    check_mask(game.n, ctx.active, "active")
+    check_mask(game.n, ctx.ones, "ones")
+    return ctx
+
+
 def _ctx_pay(game, ctx):
     ones = ctx.ones
     pay = game._payoff
@@ -284,8 +294,7 @@ def check_assumptions(game, ctx=None):
     player, instead of the 3^k pairs.  A failed check records one witness
     pair per (check, player, high set).
     """
-    if ctx is None:
-        ctx = full_context(game)
+    ctx = _checked(game, ctx)
     pay = _ctx_pay(game, ctx)
     rep = AssumptionReport()
     wit = rep.witnesses
@@ -776,8 +785,7 @@ def least_ne(game, ctx=None):
     it ends within |S| + 1 rounds.  A non-monotone step means the
     single-crossing condition fails: a precondition error.
     """
-    if ctx is None:
-        ctx = full_context(game)
+    ctx = _checked(game, ctx)
     cur = 0
     while True:
         nxt = 0
@@ -795,6 +803,8 @@ def least_ne(game, ctx=None):
 
 def is_ne(game, ctx, X):
     """Is X <= ctx.active a pure Nash equilibrium of the contextual game?"""
+    ctx = _checked(game, ctx)
+    check_mask(game.n, X, "profile")
     pay = _ctx_pay(game, ctx)
     for i in bits(ctx.active):
         bit = 1 << i
@@ -813,8 +823,7 @@ def ne_set(game, ctx=None):
 
     Returned in (cardinality, lexicographic) order.
     """
-    if ctx is None:
-        ctx = full_context(game)
+    ctx = _checked(game, ctx)
     gainers, losers = incentive_table(game)
     return ne_scan(gainers, losers, ctx.active, ctx.ones)
 
@@ -842,8 +851,7 @@ def sss_set(game, ctx=None, require_ne=False):
     (the equilibrium variant).  Ordered by (cardinality, lexicographic).
     Scans the game's incentive table; see sss_scan.
     """
-    if ctx is None:
-        ctx = full_context(game)
+    ctx = _checked(game, ctx)
     gainers, _ = incentive_table(game)
     return sss_scan(gainers, ctx.active, ctx.ones, require_ne)
 

@@ -78,8 +78,5 @@ def intervention(game, subsidized, T, solver=None):
     solver = solver or SyncSolver(game)
     full = game.all_players
     baseline = solver.least_outcome(T)
-    if subsidized == 0 or subsidized == full:
-        boosted = 0  # nothing subsidised, or nobody left to react
-    else:
-        boosted = solver.least_outcome(T, ctx=Context(full & ~subsidized, subsidized))
+    boosted = solver.least_outcome(T, ctx=Context(full & ~subsidized, subsidized))
     return boosted & ~baseline

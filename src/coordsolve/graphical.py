@@ -52,6 +52,14 @@ def weakest_link_horizon(g, targets):
     return TreeDepth(g).value(scope)
 
 
+def _by_size(pool):
+    """The submasks of `pool` in (cardinality, lexicographic) order."""
+    elems = members(pool)
+    for size in range(len(elems) + 1):
+        for combo in combinations(elems, size):
+            yield mask_of(combo)
+
+
 def _first_minimal_satisfying(gainers, i, pool):
     """Smallest-cardinality (then lexicographic) subset of `pool` whose joint
     action 1 makes i strictly willing, by the table `gainers`; None if even
@@ -59,20 +67,14 @@ def _first_minimal_satisfying(gainers, i, pool):
     from the highest index, which is still inclusion-minimal and deterministic."""
     if not gainers[pool] >> i & 1:
         return None
-    elems = members(pool)
-    if len(elems) > 16:
+    if pool.bit_count() > 16:
         kept = pool
-        for v in reversed(elems):
+        for v in reversed(members(pool)):
             trial = kept & ~(1 << v)
             if gainers[trial] >> i & 1:
                 kept = trial
         return kept
-    for size in range(len(elems) + 1):
-        for combo in combinations(elems, size):
-            E = mask_of(combo)
-            if gainers[E] >> i & 1:
-                return E
-    return pool  # unreachable: pool itself satisfies
+    return next(E for E in _by_size(pool) if gainers[E] >> i & 1)
 
 
 def _rule_minimal_satisfying(rule, pool):
@@ -99,48 +101,41 @@ def minimal_satisfying_sets(game, i):
             f"player {i} never strictly gains from action 1; "
             "no satisfying set exists"
         )
-    elems = members(pool)
     found = []
-    for size in range(len(elems) + 1):
-        for combo in combinations(elems, size):
-            E = mask_of(combo)
-            if any(prev & E == prev for prev in found):
-                continue
-            if gains(game, i, E):
-                found.append(E)
+    for E in _by_size(pool):
+        if not any(prev & E == prev for prev in found) and gains(game, i, E):
+            found.append(E)
     return found
 
 
 @dataclass(frozen=True)
 class SufficientGraph:
-    """Digraph whose in-neighborhoods strictly incentivize every player;
-    minimal if no in-edge can be dropped anywhere."""
+    """Digraph whose in-neighborhoods strictly incentivize every player and
+    are minimal: no in-edge can be dropped anywhere."""
 
     graph: Digraph
-    minimal: bool
 
 
 def reduce_to_weakest_link(game, solver=None):
     """Rewrite the game as a weakest-link instance with identical horizons.
 
-    Walks the solved policy tree adding edges per operation, prefixes the
-    cascade of initially dominant players, then prunes each in-neighborhood
-    to a minimal satisfying subset (read off the player's rule on a game
-    with rules).  Requires that no player's action 1 is iteratively strictly
-    dominated.  A weakest-link game is its own reduction: each
-    in-neighbourhood is that player's unique minimal satisfying set, so the
-    solver's graph is returned without a walk.
+    Walks the solved policy tree collecting each player's in-neighbours per
+    operation, prefixes the cascade of initially dominant players, then
+    prunes each in-neighborhood to a minimal satisfying subset (read off the
+    player's rule on a game with rules).  Requires that no player's action 1
+    is iteratively strictly dominated.  A weakest-link game is its own
+    reduction: each in-neighbourhood is that player's unique minimal
+    satisfying set, so its graph is returned without a solver or a walk.
     """
+    if game._graph is not None:
+        return SufficientGraph(game._graph)
     solver = solver or SyncSolver(game)
     if solver.dropped:
         raise PreconditionError(
             f"players {members(solver.dropped)} are forced to action 0; "
             "no sufficient graph covers them"
         )
-    if solver.graph is not None:
-        return SufficientGraph(solver.graph, minimal=True)
-    n = game.n
-    edges = set()
+    ins = [0] * game.n  # ins[j]: the players with an edge into j
 
     # initially dominant players cascade first, in elimination order
     stalled, _, cascade = settle(solver.gainers, solver.forced_one, 0)
@@ -150,45 +145,40 @@ def reduce_to_weakest_link(game, solver=None):
     for step in cascade:
         remaining &= ~(1 << step)
         for j in bits(remaining):
-            edges.add((step, j))
+            ins[j] |= 1 << step
 
     def walk(node, S):
         while node.op == "dominate" or node.op == "delete":
             i = node.player
-            rest = S & ~(1 << i)
-            for j in bits(rest):
-                edges.add((i, j))
-                if node.op == "delete":
-                    edges.add((j, i))
-            S = rest
+            S &= ~(1 << i)
+            for j in bits(S):
+                ins[j] |= 1 << i
+            if node.op == "delete":
+                ins[i] |= S
             node = node.children[0]
         if node.op == "divide":
             X = node.split
             rest = S & ~X
-            for i in bits(X):
-                for j in bits(rest):
-                    edges.add((i, j))
+            for j in bits(rest):
+                ins[j] |= X
             walk(node.children[0], X)
             walk(node.children[1], rest)
 
     walk(solver.policy(), solver.base.active)
 
-    raw = Digraph(n, edges)
     rules = game._rules
-    pruned = set()
-    for i in range(n):
+    for i, pool in enumerate(ins):
         if rules is None:
-            E = _first_minimal_satisfying(solver.gainers, i, raw.in_mask(i))
+            ins[i] = _first_minimal_satisfying(solver.gainers, i, pool)
         else:
-            E = _rule_minimal_satisfying(rules[i], raw.in_mask(i))
-        if E is None:
+            ins[i] = _rule_minimal_satisfying(rules[i], pool)
+        if ins[i] is None:
             raise PreconditionError(
                 f"constructed in-neighborhood of player {i} is not satisfying; "
                 "the game violates the solver assumptions"
             )
-        for j in bits(E):
-            pruned.add((j, i))
-    return SufficientGraph(Digraph(n, pruned), minimal=True)
+    edges = [(j, i) for i, E in enumerate(ins) for j in bits(E)]
+    return SufficientGraph(Digraph(game.n, edges))
 
 
 def horizon_via_graphs(game, targets, budget=DEFAULT_BUDGET):

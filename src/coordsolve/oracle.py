@@ -500,6 +500,8 @@ def support_strategy(game, T, X, solver=None):
     of the residual game at the remaining horizon).  The profile is verified
     to be a monotone equilibrium by one-shot deviation before it is returned.
     """
+    if T < 1:
+        raise ValueError("horizon must be positive")
     solver = solver or SyncSolver(game)
     if X not in set(solver.outcome_set(T)):
         raise PreconditionError(f"{members(X)} is not an achievable outcome at T={T}")

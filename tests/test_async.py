@@ -393,6 +393,16 @@ def test_design_reproduced_by_ieseds_random():
             assert ieseds(game, p).outcome == achieved
 
 
+@pytest.mark.parametrize("T", [0, -1])
+def test_schedule_builders_refuse_horizons_below_one(T):
+    # a two-player table, and one player forced to 1 outright
+    for game in (table_game([[0, 1, 0, 2], [0, 0, 1, 2]]), table_game([[0, 1]])):
+        with pytest.raises(ValueError, match="horizon must be positive"):
+            design_schedule(game, T)
+        with pytest.raises(ValueError, match="horizon must be positive"):
+            oracle.support_strategy(game, T, 0)
+
+
 def test_splitting_a_cell_never_hurts():
     rng = random.Random(45)
     for _ in range(12):

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,7 @@ from coordsolve.core import (
     iesds_scan,
     int_row,
     is_monotone,
+    is_ne,
     iterated_strict_elimination,
     settle,
     sss_scan,
@@ -316,6 +318,31 @@ def test_cross_pairs_least_ne_with_forced_hub():
 def test_least_ne_empty_context():
     game = cross_pairs_game()
     assert least_ne(game, Context(0, 0)) == 0
+
+
+STRAY_GAMES = {
+    "table": table_game([[0, 1, 0, 2], [0, 0, 1, 2]]),
+    "weakest_link": weakest_link_game(cycle_graph(3)),
+}
+CONTEXT_READERS = {
+    "check_assumptions": check_assumptions,
+    "least_ne": least_ne,
+    "ne_set": ne_set,
+    "sss_set": sss_set,
+    "is_ne": lambda game, ctx: is_ne(game, ctx, 0),
+    # the stray bits go into is_ne's profile instead of its context
+    "is_ne_profile": lambda game, ctx: is_ne(game, full_context(game), ctx.active | ctx.ones),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(STRAY_GAMES))
+@pytest.mark.parametrize("reader", sorted(CONTEXT_READERS))
+def test_contexts_with_stray_bits_are_refused(reader, kind):
+    game = STRAY_GAMES[kind]
+    n = game.n
+    for ctx, stray in [(Context(1 << n | 1, 0), [n]), (Context(1, 0b11 << n + 1), [n + 1, n + 2])]:
+        with pytest.raises(ValueError, match=re.escape(str(stray))):
+            CONTEXT_READERS[reader](game, ctx)
 
 
 def test_cross_pairs_ne_set():

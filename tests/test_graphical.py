@@ -17,10 +17,12 @@ from coordsolve import (
     reach,
     reduce_to_weakest_link,
     table_game,
+    threshold_game,
     tree_depth,
     weakest_link_game,
     weakest_link_horizon,
 )
+from coordsolve import graphical
 from coordsolve.core import bits, gains, submasks
 from coordsolve.sync import SyncSolver
 
@@ -31,8 +33,10 @@ from util import (
     family_games,
     hub_intervention_graph,
     random_digraph,
+    random_aggregative,
     random_game,
     random_rooted_digraph,
+    random_threshold_vector,
     reduce_to_weakest_link_reference,
     shaped_digraphs,
     star_graph,
@@ -125,7 +129,6 @@ def test_never_satisfied_player_rejected():
 def test_two_triangles_reduction_depth_profile():
     game = two_triangles_game()
     sg = reduce_to_weakest_link(game)
-    assert sg.minimal
     from coordsolve import scc
 
     depths = sorted(tree_depth(sg.graph, c)[0] for c in scc(sg.graph))
@@ -225,8 +228,19 @@ def test_weakest_link_game_is_its_own_reduction(g, use_sse):
     game = weakest_link_game(g)
     solver = SyncSolver(game, use_sse)
     sg = reduce_to_weakest_link(game, solver=solver)
-    assert sg.minimal and sg.graph.edges == g.edges
+    assert sg.graph.edges == g.edges
     assert sg.graph.edges == reduce_to_weakest_link_reference(game, solver).graph.edges
+
+
+def test_weakest_link_reduction_builds_no_solver_or_graph(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the reduction built a solver or a digraph")
+
+    g = cycle_graph(3)
+    game = weakest_link_game(g)
+    monkeypatch.setattr(graphical, "SyncSolver", refuse)
+    monkeypatch.setattr(graphical, "Digraph", refuse)
+    assert reduce_to_weakest_link(game).graph is g
 
 
 def test_reduction_matches_recursion_random():
@@ -246,13 +260,17 @@ def test_reduction_matches_recursion_random():
 
 def test_reduction_graph_is_sufficient():
     rng = random.Random(515)
-    for _ in range(10):
-        game = random_game(rng, rng.randint(2, 5))
+    games = [random_game(rng, rng.randint(2, 5)) for _ in range(10)]
+    for _ in range(5):
+        g = random_rooted_digraph(rng, rng.randint(2, 6))
+        games.append(threshold_game(g, random_threshold_vector(rng, g)))
+        games.append(random_aggregative(rng, rng.randint(2, 6))[0])
+    for game in games:
         sg = reduce_to_weakest_link(game)
         for i in range(game.n):
             E = sg.graph.in_mask(i)
             assert game.payoff(i, E | (1 << i)) > game.payoff(i, E)
-            # pruned off the incentive table, minimal by raw payoffs
+            # pruned off the incentive table or the rule, minimal by raw payoffs
             assert gains(game, i, E)
             assert not any(gains(game, i, sub) for sub in submasks(E) if sub != E)
 

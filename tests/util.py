@@ -1005,7 +1005,7 @@ def reduce_to_weakest_link_reference(game, solver=None):
             )
         for j in bits(E):
             pruned.add((j, i))
-    return SufficientGraph(Digraph(n, pruned), minimal=True)
+    return SufficientGraph(Digraph(n, pruned))
 
 
 @st.composite
