@@ -12,7 +12,6 @@ from .digraph import (
     TreeDepth,
     check_feasible_partition,
     partition_from_certificate,
-    reach,
 )
 from .errors import DEFAULT_BUDGET, charge
 from .graphical import reduce_to_weakest_link
@@ -263,6 +262,8 @@ def _column_sweep(game, cells):
 def best_achievable(game, T, solver=None):
     """Greatest set of players that some T-cell schedule brings to action 1 in
     every monotone-SPNE; coincides with the synchronous least outcome at T."""
+    if T < 1:
+        raise ValueError("horizon must be positive")
     solver = solver or SyncSolver(game)
     return solver.least_outcome(T)
 
@@ -281,8 +282,8 @@ def design(game, T, solver=None):
     solver = solver or SyncSolver(game)
     achieved = solver.least_outcome(T)
     g = reduce_to_weakest_link(game, solver=solver).graph
-    scope = reach(g, achieved)
     depths = solver.depths or TreeDepth(g)
+    scope = depths.reach(achieved)
     part = partition_from_certificate(depths.certificate(scope), T)
     rest = game.all_players & ~part.union()
     cells = list(part.cells)

@@ -1,5 +1,10 @@
 """Directed-graph machinery: SCCs, reachability closure, exact directed
-tree-depth with elimination-tree certificates, and schedule extraction."""
+tree-depth with elimination-tree certificates, and schedule extraction.
+
+Every closure steps a whole frontier at a time through a neighbourhood-union
+table (`_union_of`), read one byte of vertices per lookup.  A TreeDepth
+builds its two tables once; the one-shot `scc`, `reach` and
+`check_feasible_partition` build theirs per call."""
 
 from __future__ import annotations
 
@@ -70,57 +75,78 @@ class EliminationTree:
         return max(c.depth for c in self.children)
 
 
-def _closure(adj, start, within):
-    """Vertices of `within` reachable from `start` along `adj` (start
+def _union_of(adj):
+    """The map m -> OR of adj[v] over the vertices v of mask m, read from one
+    table per byte of vertices: entry b of byte k's table is the union over
+    the set bits of b, so a mask costs one lookup per byte instead of one
+    step per vertex.  One table is its own `__getitem__` and two are one
+    lambda; more are read in a loop."""
+    tables = []
+    for base in range(0, len(adj) or 1, 8):
+        table = [0]
+        for a in adj[base : base + 8]:
+            table += [t | a for t in table]
+        tables.append(table)
+    if len(tables) == 1:
+        return tables[0].__getitem__
+    if len(tables) == 2:
+        low, high = tables
+        return lambda m: low[m & 255] | high[m >> 8]
+
+    def union(m):
+        out = 0
+        for table in tables:
+            out |= table[m & 255]
+            m >>= 8
+        return out
+
+    return union
+
+
+def _closure(union, start, within):
+    """Vertices of `within` reachable from `start` by steps of `union` (start
     included, which must lie in `within`)."""
     seen = frontier = start
     while frontier:
-        nxt = 0
-        while frontier:
-            low = frontier & -frontier
-            nxt |= adj[low.bit_length() - 1]
-            frontier ^= low
-        frontier = nxt & within & ~seen
+        frontier = union(frontier) & within & ~seen
         seen |= frontier
     return seen
 
 
-def _components(succ, pred, mask):
-    """SCC masks of the subgraph induced on `mask`, in no particular order."""
+def _components(into, outof, mask):
+    """SCC masks of the subgraph induced on `mask`, in no particular order.
+    `into(m)` holds the heads of the edges leaving m and `outof(m)` the
+    tails of the edges entering it."""
     comps = []
     while mask:
         start = mask & -mask
         # A vertex reachable from `start` that also reaches it has every path
         # back inside the forward closure, so the backward pass stays there.
-        comp = _closure(pred, start, _closure(succ, start, mask))
+        comp = _closure(outof, start, _closure(into, start, mask))
         comps.append(comp)
         mask &= ~comp
     return comps
 
 
-def _cyclic(pred, mask):
-    """Does the subgraph induced on `mask` have a cycle?  Peels sources
-    (vertices with no in-neighbour left in the mask) until a pass peels
-    none, which leaves a cycle behind, or the mask is empty."""
+def _cyclic(into, mask):
+    """Does the subgraph induced on `mask` have a cycle?  Peels every source
+    (a vertex with no in-neighbour left in the mask) at once until a pass
+    peels none, which leaves a cycle behind, or the mask is empty."""
     while mask:
-        rest = peeled = mask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if not pred[low.bit_length() - 1] & mask:
-                mask ^= low
-        if mask == peeled:
+        rest = mask & into(mask)
+        if rest == mask:
             return True
+        mask = rest
     return False
 
 
-def _sources_first(pred, comps, mask):
+def _sources_first(outof, comps, mask):
     """The SCC masks `comps` of the subgraph induced on `mask`, in a
     topological order of its condensation (sources first): by ascending
     ancestor count, as an edge from one block into another gives the second
     strictly more ancestors.  Ties keep the order of `comps`."""
     if len(comps) > 1:
-        comps = sorted(comps, key=lambda c: _closure(pred, c, mask).bit_count())
+        comps = sorted(comps, key=lambda c: _closure(outof, c, mask).bit_count())
     return comps
 
 
@@ -131,17 +157,23 @@ def scc(g, vertices=None):
     if vertices is None:
         vertices = g.all_vertices
     check_mask(g.n, vertices, "vertices")
-    return _sources_first(g._pred, _components(g._succ, g._pred, vertices), vertices)
+    outof = _union_of(g._pred)
+    return _sources_first(outof, _components(_union_of(g._succ), outof, vertices), vertices)
 
 
 def reach(g, targets, vertices=None):
     """R(X): all vertices that can reach some member of X (length-0 paths
-    included, so R(X) contains X).  Predecessor closure."""
+    included, so R(X) contains X).  Predecessor closure.  One call builds its
+    own table; a TreeDepth's `reach` reuses the search's."""
+    return _reach(g, _union_of(g._pred), targets, vertices)
+
+
+def _reach(g, outof, targets, vertices):
     if vertices is None:
         vertices = g.all_vertices
     check_mask(g.n, targets, "targets")
     check_mask(g.n, vertices, "vertices")
-    return _closure(g._pred, targets & vertices, vertices)
+    return _closure(outof, targets & vertices, vertices)
 
 
 class TreeDepth:
@@ -155,13 +187,15 @@ class TreeDepth:
     The search carries a limit: `depth(mask, limit)` and `block_depth(block,
     limit)` return the exact value when it is below `limit`, and otherwise a
     lower bound of at least `limit`.  Exact values go to one int memo and
-    cut-off bounds to a second.  Every mask split (by bitset closures) into
-    its SCCs keeps the split in a third memo, a block as a one-element list,
-    so a later search with a higher limit reuses the split and every induced
-    subgraph is split at most once.  At limit 2 an unsplit mask only needs to
-    know whether it has a cycle: a peel of sources answers that, and a cyclic
-    mask is bounded by 2 without being split (an acyclic one, rare, is split
-    into its singletons and is exact at 1).  A mask's max over its SCCs
+    cut-off bounds to a second.  Every mask split into its SCCs (by
+    closures over the in- and out-neighbourhood union tables the object
+    builds once, see `_union_of`) keeps the split in a third memo, a block
+    as a one-element list, so a later search with a higher limit reuses the
+    split and every induced subgraph is split at most once.  At limit 2 an
+    unsplit mask only needs to know whether it has a cycle: peeling all its
+    sources at once, pass after pass, answers that, and a cyclic mask is
+    bounded by 2 without being split (an acyclic one, rare, is split into
+    its singletons and is exact at 1).  A mask's max over its SCCs
     stops at the first SCC that reaches the limit.  A block's scan tries each
     removal in ascending index under a cap that starts at the caller's limit
     and drops to each new strict best, calling `depth(block - v, cap - 1)`;
@@ -174,14 +208,16 @@ class TreeDepth:
     serve every later query on any vertex mask: `value` searches with limit
     n + 1 and is exact, and `certificate` walks the recorded removals and
     splits, with split nodes listing their blocks in the topological order
-    of `scc` (a mask with no split, or a split of one, is a block).  The
-    memos live as long as the object; callers that want a bounded footprint
-    make one per query (see tree_depth).
+    of `scc` (a mask with no split, or a split of one, is a block); `reach`
+    reads the same tables.  The memos and tables live as long as the
+    object, not the graph; callers that want a bounded footprint make one
+    per query (see tree_depth).
     """
 
     def __init__(self, g):
         self.g = g
-        succ, pred = g._succ, g._pred
+        into = _union_of(g._succ)
+        self._outof = outof = _union_of(g._pred)
         memo = {0: 0}
         lower = {}  # mask -> lower bound, for masks cut off so far
         splits = {}  # mask -> its SCC masks, for every mask split so far
@@ -196,10 +232,10 @@ class TreeDepth:
                 return bound
             comps = splits.get(mask)
             if comps is None:
-                if limit <= 2 and _cyclic(pred, mask):
+                if limit <= 2 and _cyclic(into, mask):
                     lower[mask] = 2  # a cycle needs depth 2
                     return 2
-                comps = splits[mask] = _components(succ, pred, mask)
+                comps = splits[mask] = _components(into, outof, mask)
             value = 0
             for c in comps:
                 d = block_depth(c, limit)
@@ -251,13 +287,17 @@ class TreeDepth:
         check_mask(self.g.n, vertices, "vertices")
         return self._depth(vertices, self.g.n + 1)
 
+    def reach(self, targets, vertices=None):
+        """`reach(g, targets, vertices)` read from this search's tables."""
+        return _reach(self.g, self._outof, targets, vertices)
+
     def certificate(self, vertices=None):
         """EliminationTree certifying `value(vertices)`, built along the
         recorded removals and splits."""
         if vertices is None:
             vertices = self.g.all_vertices
         self.value(vertices)
-        pred, splits, removed = self.g._pred, self._splits, self._removed
+        outof, splits, removed = self._outof, self._splits, self._removed
 
         def certificate(mask):
             if mask == 0:
@@ -268,7 +308,7 @@ class TreeDepth:
             return EliminationTree(
                 mask,
                 None,
-                tuple(block_certificate(c) for c in _sources_first(pred, comps, mask)),
+                tuple(block_certificate(c) for c in _sources_first(outof, comps, mask)),
             )
 
         def block_certificate(block):
@@ -329,11 +369,12 @@ def check_feasible_partition(g, p, M=None):
     if M is None:
         M = g.all_vertices
     check_mask(g.n, M, "M")
+    into, outof = _union_of(g._succ), _union_of(g._pred)
     suffix = p.union() & M
     for cell in p.cells:
         focus = cell & M
         if focus.bit_count() > 1:
-            for comp in _components(g._succ, g._pred, suffix):
+            for comp in _components(into, outof, suffix):
                 if (comp & focus).bit_count() > 1:
                     return False
         suffix &= ~cell

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .core import bits, gains, mask_of, members, neighbour_game, settle
-from .digraph import Digraph, TreeDepth, reach
+from .digraph import Digraph, TreeDepth
 from .errors import DEFAULT_BUDGET, PreconditionError, charge
 from .sync import SyncSolver
 
@@ -46,10 +46,11 @@ def weakest_link_horizon(g, targets):
     """Horizon needed by the weakest-link game on g to guarantee `targets`:
     the tree-depth of the subgraph induced on everything that reaches them.
     The empty target is degenerate and costs the single mandatory stage."""
-    scope = reach(g, targets)
+    depths = TreeDepth(g)
+    scope = depths.reach(targets)
     if scope == 0:
         return 1
-    return TreeDepth(g).value(scope)
+    return depths.value(scope)
 
 
 def _by_size(pool):

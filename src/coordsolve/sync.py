@@ -63,7 +63,7 @@ from .core import (
     sorted_coalitions,
     sss_scan,
 )
-from .digraph import TreeDepth, reach
+from .digraph import TreeDepth
 from .errors import PreconditionError
 
 
@@ -120,9 +120,10 @@ class SyncSolver:
     For a game built by graphical.weakest_link_game the solver also keeps
     the game's `graph` and one TreeDepth memo on it (`depths`; both None for
     any other game, whatever its `kind`): every horizon is the tree-depth of
-    the targets' reach set among the active players, read from that memo,
-    which lives as long as the solver.  A solver instance is not
-    thread-safe, but distinct instances are independent.
+    the targets' reach set among the active players, both read from that
+    memo (`depths.reach`, `depths.value`), which lives as long as the
+    solver.  A solver instance is not thread-safe, but distinct instances
+    are independent.
     """
 
     def __init__(self, game, use_sse=True):
@@ -337,7 +338,7 @@ class SyncSolver:
         if self.depths is not None:
             # the reduced context is the weakest-link game on the subgraph
             # induced by its active players
-            return self.depths.value(reach(self.graph, want, reduced.active))
+            return self.depths.value(self.depths.reach(want, reduced.active))
         O = reduced.ones
         best = None
         for Y in self._candidates(reduced.active, O):

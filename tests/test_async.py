@@ -401,6 +401,8 @@ def test_schedule_builders_refuse_horizons_below_one(T):
             design_schedule(game, T)
         with pytest.raises(ValueError, match="horizon must be positive"):
             oracle.support_strategy(game, T, 0)
+        with pytest.raises(ValueError, match="horizon must be positive"):
+            best_achievable(game, T)
 
 
 def test_splitting_a_cell_never_hurts():

@@ -1,5 +1,7 @@
 import random
 import re
+from functools import reduce
+from operator import or_
 from unittest.mock import patch
 
 import pytest
@@ -218,16 +220,21 @@ def digraphs_with_vertices(draw):
 
 def recorded_splits(module, search, g, vertices=None):
     """Run `search(g, vertices)` and list the masks it hands to `module`'s
-    `_components`, in call order."""
+    `_components`, in call order.  A fresh search of a vertex set with a
+    cycle splits that set at least, so an empty list there means the search
+    no longer splits through `module._components` and records nothing."""
     split = []
     components = module._components
 
-    def recording(succ, pred, mask):
+    def recording(into, outof, mask):
         split.append(mask)
-        return components(succ, pred, mask)
+        return components(into, outof, mask)
 
     with patch.object(module, "_components", recording):
         result = search(g, vertices)
+    searched = g.all_vertices if vertices is None else vertices
+    if any(c.bit_count() > 1 for c in util.scc_reference(g, searched)):
+        assert split, f"no split recorded through {module.__name__}._components"
     return result, split
 
 
@@ -313,7 +320,9 @@ def assert_queries_match_fresh_searches(g, masks):
     def queries(g, _):
         return [(depths.value(m), depths.certificate(m)) for m in masks]
 
-    answers, split = recorded_splits(digraph, queries, g)
+    # the searched vertices are the masks' union: a fresh search splits
+    # its first nonzero mask, and a cyclic union has one
+    answers, split = recorded_splits(digraph, queries, g, reduce(or_, masks, 0))
     assert len(split) == len(set(split))
     for mask, answer in zip(masks, answers):
         assert answer == tree_depth(g, mask)
@@ -411,7 +420,73 @@ def test_cyclic_peel_matches_the_tarjan_sccs(case):
     masks += [1 << v for v in range(g.n)]
     for mask in masks:
         want = any(c.bit_count() > 1 for c in util.scc_reference(g, mask))
-        assert digraph._cyclic(g._pred, mask) == want
+        assert digraph._cyclic(digraph._union_of(g._succ), mask) == want
+
+
+def recorded_peels_and_splits(module, search):
+    """Run `search()` and list, in call order, each mask it hands to
+    `module`'s `_cyclic` or `_components`, tagged with the function."""
+    calls = []
+
+    def recording(name):
+        inner = getattr(module, name)
+
+        def record(adj, *rest):
+            calls.append((name, rest[-1]))
+            return inner(adj, *rest)
+
+        return record
+
+    with patch.object(module, "_cyclic", recording("_cyclic")), patch.object(
+        module, "_components", recording("_components")
+    ):
+        result = search()
+    return result, calls
+
+
+def table_shape_graphs(shape):
+    """Seeded graphs whose union tables take one shape: one table (n <= 8),
+    two (n = 9-16) or the loop over three (unions of three Hamiltonian
+    cycles, n = 17-20)."""
+    rng = random.Random(38)
+    if shape == "one table":
+        graphs = [Digraph(0, []), random_digraph(rng, 5, 0.5), DENSE_SIX]
+        graphs += [cycle_union_digraph(rng, 8, 3), random_digraph(rng, 8, 0.4)]
+    elif shape == "two tables":
+        graphs = [cycle_union_digraph(rng, n, 3) for n in (9, 12)]
+        graphs += [random_digraph(rng, 11, 0.3), cycle_union_digraph(rng, 16, 2)]
+    else:
+        graphs = [cycle_union_digraph(rng, n, 3) for n in (17, 20)]
+    return rng, graphs
+
+
+@pytest.mark.parametrize("shape", ["one table", "two tables", "looped tables"])
+def test_union_tables_match_the_per_vertex_search(shape):
+    rng, graphs = table_shape_graphs(shape)
+    for g in graphs:
+        full = g.all_vertices
+        masks = [full, rng.randint(0, full), rng.randint(0, full)]
+        for adj in (g._succ, g._pred):
+            union = digraph._union_of(adj)
+            for m in masks + [0]:
+                assert union(m) == reduce(or_, (adj[v] for v in bits(m)), 0)
+        depths = digraph.TreeDepth(g)
+        reference = util.TreeDepthPerVertexReference(g)
+
+        def queries(search):
+            return lambda: [(search.value(m), search.certificate(m)) for m in masks]
+
+        answers, calls = recorded_peels_and_splits(digraph, queries(depths))
+        want, reference_calls = recorded_peels_and_splits(util, queries(reference))
+        assert answers == want
+        assert calls == reference_calls
+        assert depths._splits == reference._splits
+        assert depths._removed == reference._removed
+        for _ in range(4):
+            targets = rng.randint(0, full)
+            vertices = rng.choice([None, rng.randint(0, full)])
+            want_reach = util.reach_reference(g, targets, vertices)
+            assert depths.reach(targets, vertices) == want_reach
 
 
 def test_out_of_range_masks_name_the_stray_bits():

@@ -50,7 +50,7 @@ from coordsolve.core import (
 )
 from coordsolve.asyncgame import _history_cost
 from coordsolve.cli import ParseError, _rational
-from coordsolve.digraph import _components, _sources_first, reach
+from coordsolve.digraph import reach
 from coordsolve.graphical import SufficientGraph, _first_minimal_satisfying
 from coordsolve.errors import DEFAULT_BUDGET
 from coordsolve.ordered import OrderedFlags
@@ -1374,6 +1374,204 @@ def tree_depth_reference(g, vertices=None):
 
     cert = solve(vertices)
     return cert.depth, cert
+
+
+# ---------------------------------------------------------------------------
+# the per-vertex closures `digraph` read before its neighbourhood-union
+# tables, kept verbatim: adjacency lists in, one vertex per loop turn
+
+
+def _closure(adj, start, within):
+    """Vertices of `within` reachable from `start` along `adj` (start
+    included, which must lie in `within`)."""
+    seen = frontier = start
+    while frontier:
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            nxt |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = nxt & within & ~seen
+        seen |= frontier
+    return seen
+
+
+def _components(succ, pred, mask):
+    """SCC masks of the subgraph induced on `mask`, in no particular order."""
+    comps = []
+    while mask:
+        start = mask & -mask
+        # A vertex reachable from `start` that also reaches it has every path
+        # back inside the forward closure, so the backward pass stays there.
+        comp = _closure(pred, start, _closure(succ, start, mask))
+        comps.append(comp)
+        mask &= ~comp
+    return comps
+
+
+def _cyclic(pred, mask):
+    """Does the subgraph induced on `mask` have a cycle?  Peels sources
+    (vertices with no in-neighbour left in the mask) until a pass peels
+    none, which leaves a cycle behind, or the mask is empty."""
+    while mask:
+        rest = peeled = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if not pred[low.bit_length() - 1] & mask:
+                mask ^= low
+        if mask == peeled:
+            return True
+    return False
+
+
+def _sources_first(pred, comps, mask):
+    """The SCC masks `comps` of the subgraph induced on `mask`, in a
+    topological order of its condensation (sources first): by ascending
+    ancestor count, as an edge from one block into another gives the second
+    strictly more ancestors.  Ties keep the order of `comps`."""
+    if len(comps) > 1:
+        comps = sorted(comps, key=lambda c: _closure(pred, c, mask).bit_count())
+    return comps
+
+
+class TreeDepthPerVertexReference:
+    """Exact directed tree-depth of the subgraphs of one digraph, memoised
+    across queries: the search `digraph.TreeDepth` ran before its closures
+    read byte-indexed neighbourhood-union tables, kept verbatim.  It peels
+    and splits through this module's per-vertex `_cyclic` and `_components`,
+    so a test can count both and compare them with the table search's.
+
+    td(empty)=0, td(singleton)=1; a strongly connected block with >=2 vertices
+    costs 1 plus the best vertex removal; otherwise the value is the max over
+    SCC subgraphs.  Directed tree-depth is cycle rank + 1 (Eggan 1963).
+
+    The search carries a limit: `depth(mask, limit)` and `block_depth(block,
+    limit)` return the exact value when it is below `limit`, and otherwise a
+    lower bound of at least `limit`.  Exact values go to one int memo and
+    cut-off bounds to a second.  Every mask split (by bitset closures) into
+    its SCCs keeps the split in a third memo, a block as a one-element list,
+    so a later search with a higher limit reuses the split and every induced
+    subgraph is split at most once.  At limit 2 an unsplit mask only needs to
+    know whether it has a cycle: a peel of sources answers that, and a cyclic
+    mask is bounded by 2 without being split (an acyclic one, rare, is split
+    into its singletons and is exact at 1).  A mask's max over its SCCs
+    stops at the first SCC that reaches the limit.  A block's scan tries each
+    removal in ascending index under a cap that starts at the caller's limit
+    and drops to each new strict best, calling `depth(block - v, cap - 1)`;
+    it stops at depth 2, the least a non-singleton block can have.  Cut-off
+    candidates are at least the best so far, so the recorded removal is the
+    first vertex of strictly least depth.
+
+    An exact value, a bound, a split and a recorded removal belong to the
+    induced subgraph alone, not to the query that found them, so the memos
+    serve every later query on any vertex mask: `value` searches with limit
+    n + 1 and is exact, and `certificate` walks the recorded removals and
+    splits, with split nodes listing their blocks in the topological order
+    of `scc` (a mask with no split, or a split of one, is a block).  The
+    memos live as long as the object; callers that want a bounded footprint
+    make one per query (see tree_depth).
+    """
+
+    def __init__(self, g):
+        self.g = g
+        succ, pred = g._succ, g._pred
+        memo = {0: 0}
+        lower = {}  # mask -> lower bound, for masks cut off so far
+        splits = {}  # mask -> its SCC masks, for every mask split so far
+        removed = {}
+
+        def depth(mask, limit):
+            value = memo.get(mask)
+            if value is not None:
+                return value
+            bound = lower.get(mask)
+            if bound is not None and bound >= limit:
+                return bound
+            comps = splits.get(mask)
+            if comps is None:
+                if limit <= 2 and _cyclic(pred, mask):
+                    lower[mask] = 2  # a cycle needs depth 2
+                    return 2
+                comps = splits[mask] = _components(succ, pred, mask)
+            value = 0
+            for c in comps:
+                d = block_depth(c, limit)
+                if d >= limit:
+                    lower[mask] = d
+                    return d
+                if d > value:
+                    value = d
+            memo[mask] = value
+            return value
+
+        def block_depth(block, limit):
+            if block.bit_count() == 1:
+                return 1
+            value = memo.get(block)
+            if value is not None:
+                return value
+            if limit <= 2:
+                return 2  # the least depth of a non-singleton block
+            bound = lower.get(block)
+            if bound is not None and bound >= limit:
+                return bound
+            cap = limit
+            rest = block
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                cand = 1 + depth(block ^ low, cap - 1)
+                if cand < cap:
+                    cap = cand
+                    removed[block] = low.bit_length() - 1
+                    if cap == 2:
+                        break
+            if cap < limit:
+                memo[block] = cap
+                return cap
+            lower[block] = limit  # every candidate was >= limit
+            return limit
+
+        self._depth = depth
+        self._splits = splits
+        self._removed = removed
+
+    def value(self, vertices=None):
+        """Exact tree-depth of the subgraph induced on `vertices` (every
+        vertex by default)."""
+        if vertices is None:
+            vertices = self.g.all_vertices
+        check_mask(self.g.n, vertices, "vertices")
+        return self._depth(vertices, self.g.n + 1)
+
+    def certificate(self, vertices=None):
+        """EliminationTree certifying `value(vertices)`, built along the
+        recorded removals and splits."""
+        if vertices is None:
+            vertices = self.g.all_vertices
+        self.value(vertices)
+        pred, splits, removed = self.g._pred, self._splits, self._removed
+
+        def certificate(mask):
+            if mask == 0:
+                return EliminationTree(0, None, ())
+            comps = splits.get(mask)
+            if comps is None or len(comps) == 1:  # a block
+                return block_certificate(mask)
+            return EliminationTree(
+                mask,
+                None,
+                tuple(block_certificate(c) for c in _sources_first(pred, comps, mask)),
+            )
+
+        def block_certificate(block):
+            if block.bit_count() == 1:
+                return EliminationTree(block, block.bit_length() - 1, ())
+            v = removed[block]
+            return EliminationTree(block, v, (certificate(block & ~(1 << v)),))
+
+        return certificate(vertices)
 
 
 def tree_depth_uncut_reference(g, vertices=None):
