@@ -127,8 +127,9 @@ def ieseds(game, p, budget=DEFAULT_BUDGET):
     the continuation is n ints, one bit per profile, and each stage tests
     its mover's rule at every history at once, and reads no payoffs.  Any
     other input takes the list sweep (_list_sweep), which reads every
-    stage's payoff rows, a rule game's one-player stages included.  Both
-    keep the record that IesedsTable expands on first read.
+    stage's payoff rows through the game's payoff function, a rule game's
+    one-player stages included.  Both keep the record that IesedsTable
+    expands on first read.
 
     The budget is charged up front with the number of payoff reads of the
     row path (_history_cost), whichever sweep runs; a schedule over it
@@ -152,8 +153,8 @@ def _list_sweep(game, cells):
     With nxt[M] the final outcome reached from stage t + 1 under history M
     (the relabelling itself after the last stage), member i of the cell
     pays u_i(nxt[M]) at profile M, and the stage reads each member's
-    payoffs as one row, game.payoff_row(i, nxt); on a game with rules that
-    is the rule's own +1/-1/0 row.  A cell of one player has its bit on
+    payoffs as one row, game.payoff_row(i, nxt), one payoff read per
+    mask whatever the game's kind.  A cell of one player has its bit on
     top, so its least survivor at history H is the cell if
     row[H + 2^|prefix|] > row[H], and nothing otherwise: the row's upper
     half compared against its lower half, and the history's final outcome
@@ -262,8 +263,6 @@ def _column_sweep(game, cells):
 def best_achievable(game, T, solver=None):
     """Greatest set of players that some T-cell schedule brings to action 1 in
     every monotone-SPNE; coincides with the synchronous least outcome at T."""
-    if T < 1:
-        raise ValueError("horizon must be positive")
     solver = solver or SyncSolver(game)
     return solver.least_outcome(T)
 
@@ -277,8 +276,6 @@ def design(game, T, solver=None):
     weakest-link game the reduction is the solver's own graph, and its
     tree-depth memo, which the horizons already filled, certifies the levels.
     """
-    if T < 1:
-        raise ValueError("horizon must be positive")
     solver = solver or SyncSolver(game)
     achieved = solver.least_outcome(T)
     g = reduce_to_weakest_link(game, solver=solver).graph

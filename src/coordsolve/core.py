@@ -91,9 +91,8 @@ class StageGame:
     construction data so documents can be re-emitted.  `table`, when given,
     is a zero-argument callable returning the game's incentive table
     (gainers, losers); table_game passes one that compares its int rows.
-    `row`, when given, is a callable row(i, masks) returning payoff_row's
-    list from the game's own data; without one, payoff_row reads the
-    payoff function once per mask.
+    Every payoff read, payoff_row's included, goes through the payoff
+    function.
 
     `_rules` holds one rule per player of a weakest-link, threshold or
     aggregative game, set only by neighbour_game (None for any other game);
@@ -104,7 +103,7 @@ class StageGame:
     ordered_min_horizon reads its table from; it lives as long as the game.
     """
 
-    def __init__(self, n, payoff_fn, kind="table", params=None, table=None, row=None):
+    def __init__(self, n, payoff_fn, kind="table", params=None, table=None):
         if n <= 0:
             raise ValueError("need at least one player")
         self.n = n
@@ -112,7 +111,6 @@ class StageGame:
         self.kind = kind
         self.params = params or {}
         self._build_table = table
-        self._row = row
         self._rules = None
         self._graph = None
         self._order = None
@@ -138,8 +136,6 @@ class StageGame:
         same order: [payoff(i, M) for M in masks], read in one call.  The
         masks may repeat and come in any order; like _payoff, neither i nor
         the masks are range-checked."""
-        if self._row is not None:
-            return self._row(i, masks)
         pay = self._payoff
         return [pay(i, M) for M in masks]
 
@@ -167,7 +163,6 @@ def table_game(rows):
         kind="table",
         params={"rows": table},
         table=lambda: _rows_table(table),
-        row=lambda i, masks: list(map(table[i].__getitem__, masks)),
     )
 
 
@@ -176,11 +171,10 @@ def neighbour_game(needs, k, kind, params):
     players of the mask needs[i] (which must not hold i) play 1, and loses
     otherwise: payoff +1 or -1 under action 1, 0 under action 0.  The game
     keeps one rule (1 << i, needs[i], k[i]) per player (`_rules`), and its
-    payoffs, payoff rows, incentive table and every solver's gains view
-    (RuleGains) read them.  Its incentive table is monotone (see
-    is_monotone) and tie-free, so losers[C] is the complement of
-    gainers[C].  Weakest-link games take k[i] = |needs[i]|, aggregative
-    games the complete digraph."""
+    payoffs, incentive table and every solver's gains view (RuleGains) read
+    them.  Its incentive table is monotone (see is_monotone) and tie-free,
+    so losers[C] is the complement of gainers[C].  Weakest-link games take
+    k[i] = |needs[i]|, aggregative games the complete digraph."""
     needs = tuple(needs)
     k = tuple(k)
 
@@ -189,11 +183,7 @@ def neighbour_game(needs, k, kind, params):
             return 0
         return 1 if (X & needs[i]).bit_count() >= k[i] else -1
 
-    def row(i, masks):
-        bit, need, ki = 1 << i, needs[i], k[i]
-        return [(1 if (M & need).bit_count() >= ki else -1) if M & bit else 0 for M in masks]
-
-    game = StageGame(len(needs), pay, kind=kind, params=params, row=row)
+    game = StageGame(len(needs), pay, kind=kind, params=params)
     game._rules = tuple(zip((1 << i for i in range(len(needs))), needs, k))
     return game
 

@@ -64,25 +64,17 @@ def _by_size(pool):
 def _first_minimal_satisfying(gainers, i, pool):
     """Smallest-cardinality (then lexicographic) subset of `pool` whose joint
     action 1 makes i strictly willing, by the table `gainers`; None if even
-    `pool` does not.  Pools too large to enumerate fall back to a greedy drop
-    from the highest index, which is still inclusion-minimal and deterministic."""
+    `pool` does not.  Searches the subsets of `pool` by size, at most
+    2^|pool| of them."""
     if not gainers[pool] >> i & 1:
         return None
-    if pool.bit_count() > 16:
-        kept = pool
-        for v in reversed(members(pool)):
-            trial = kept & ~(1 << v)
-            if gainers[trial] >> i & 1:
-                kept = trial
-        return kept
     return next(E for E in _by_size(pool) if gainers[E] >> i & 1)
 
 
 def _rule_minimal_satisfying(rule, pool):
     """_first_minimal_satisfying for a player with a rule (bit, need, k), read
     off the rule: the k lowest-index players of pool & need, or None when
-    fewer remain.  Both regimes of the table search return exactly this set,
-    the first size-k combination and the greedy drop from the top alike."""
+    fewer remain: the table search's first size-k combination."""
     _, need, k = rule
     pool &= need
     if pool.bit_count() < k:

@@ -13,7 +13,7 @@ profile is not tried where one inside it with the same outcome is allowed.
 SPNE outcome sets are the exact subgame value sets, solved stage by stage
 from the back.  Each call reads every player's raw payoffs once and
 compares them as exact ints (core.int_row); nothing here reads the
-incentive table or a family's payoff rows.
+incentive table or payoff_row.
 """
 
 from __future__ import annotations
@@ -500,8 +500,6 @@ def support_strategy(game, T, X, solver=None):
     of the residual game at the remaining horizon).  The profile is verified
     to be a monotone equilibrium by one-shot deviation before it is returned.
     """
-    if T < 1:
-        raise ValueError("horizon must be positive")
     solver = solver or SyncSolver(game)
     if X not in set(solver.outcome_set(T)):
         raise PreconditionError(f"{members(X)} is not an achievable outcome at T={T}")

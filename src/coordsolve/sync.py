@@ -373,7 +373,10 @@ class SyncSolver:
 
     def least_outcome(self, T, ctx=None):
         """Players taking action 1 in every monotone-SPNE of the T-stage game:
-        the least equilibrium outcome, forced | {i : tau_i <= T}."""
+        the least equilibrium outcome, forced | {i : tau_i <= T}.  A horizon
+        below 1 raises ValueError."""
+        if T < 1:
+            raise ValueError("horizon must be positive")
         out = self._reduce(ctx).forced
         for i, tau in self.horizons(ctx).items():
             if tau is not None and tau <= T:
@@ -405,7 +408,10 @@ class SyncSolver:
 
     def outcome_set(self, T):
         """All monotone-SPNE outcomes at horizon T: Nash outcomes whose
-        residual game forces nobody in within the remaining T stages."""
+        residual game forces nobody in within the remaining T stages.  A
+        horizon below 1 raises ValueError."""
+        if T < 1:
+            raise ValueError("horizon must be positive")
         res = []
         S, O = self.base.active, self.base.ones
         for X in self._nash:

@@ -13,6 +13,7 @@ from coordsolve import (
     check_sufficient_feasible,
     design_schedule,
     ieseds,
+    intervention,
     least_ne,
     mask_of,
     members,
@@ -128,8 +129,7 @@ def test_history_cost_counts_every_payoff_read(n, seed):
 def test_history_cost_counts_every_row_mask_on_family_games(game):
     """On a schedule mixing one- and two-player cells a family game takes
     the list sweep, which reads every stage's rows, the one-player stages'
-    rule rows included: the charge is exactly its row masks, 2 + 16 + 16 +
-    128."""
+    included: the charge is exactly its row masks, 2 + 16 + 16 + 128."""
     p = Partition([1 << 3, mask_of((0, 5)), 1 << 1, mask_of((2, 4))])
     cost = _history_cost(p.cells)
     assert cost == 162
@@ -141,11 +141,7 @@ def test_history_cost_counts_every_row_mask_on_family_games(game):
         masks.extend(ms)
         return row(i, ms)
 
-    def no_raw_read(i, X):
-        raise AssertionError("a family game's stage read _payoff")
-
     game.payoff_row = counted
-    game._payoff = no_raw_read
     assert ieseds(game, p, budget=cost) == want
     assert len(masks) == cost
     masks.clear()
@@ -393,10 +389,17 @@ def test_design_reproduced_by_ieseds_random():
             assert ieseds(game, p).outcome == achieved
 
 
-@pytest.mark.parametrize("T", [0, -1])
+@pytest.mark.parametrize("T", [0, -1, -3])
 def test_schedule_builders_refuse_horizons_below_one(T):
     # a two-player table, and one player forced to 1 outright
     for game in (table_game([[0, 1, 0, 2], [0, 0, 1, 2]]), table_game([[0, 1]])):
+        solver = SyncSolver(game)
+        with pytest.raises(ValueError, match="horizon must be positive"):
+            solver.least_outcome(T)
+        with pytest.raises(ValueError, match="horizon must be positive"):
+            solver.outcome_set(T)
+        with pytest.raises(ValueError, match="horizon must be positive"):
+            intervention(game, 1, T)
         with pytest.raises(ValueError, match="horizon must be positive"):
             design_schedule(game, T)
         with pytest.raises(ValueError, match="horizon must be positive"):

@@ -446,7 +446,8 @@ NSG_DOCS = [
     ids=lambda a: a[0],
 )
 def test_nsg_document_builds_one_table(tmp_path, capsys, monkeypatch, doc, argv):
-    # the generator's order check hands its table on to the command
+    # the generator's order check builds the one table: ordered reads the
+    # kept one, and the family solvers behind tau and centrality build none
     game = parse_game(doc)
     path = write_game(tmp_path, doc)
     built = count_table_builds(monkeypatch)
@@ -841,6 +842,41 @@ def test_precondition_exit_code(tmp_path, capsys):
     }
     path = write_game(tmp_path, doc)
     assert main(["tau", "--game", path, "--target", "2"]) == 2
+
+
+def test_ne_refuses_a_nonmonotone_best_response_iteration(tmp_path, capsys):
+    # from the all-zero profile both players join; at both, player 2 leaves
+    doc = {"players": 2, "kind": "table", "payoffs": [[0, 1, 0, 1], [0, 0, 1, -1]]}
+    path = write_game(tmp_path, doc)
+    assert main(["ne", "--game", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "precondition error: best-response iteration is not monotone; "
+        "single-crossing fails\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "doc, problem",
+    [
+        (
+            {"players": 3, "kind": "opposed_nsg", "in_starts": [0, 0, 0], "k": [1, 2, 1]},
+            "parameters do not make an ordered threshold game",
+        ),
+        (
+            {"players": 3, "kind": "aligned_nsg", "in_starts": [0, 0, 2], "nested": False},
+            "in-intervals do not make an ordered weakest-link game",
+        ),
+    ],
+    ids=lambda v: v["kind"] if isinstance(v, dict) else None,
+)
+def test_ordered_refuses_an_unordered_generator_document(tmp_path, capsys, doc, problem):
+    path = write_game(tmp_path, doc)
+    assert main(["ordered", "--game", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: $: {problem}\n"
 
 
 def test_resource_exit_code(tmp_path, capsys):

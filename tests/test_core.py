@@ -155,7 +155,6 @@ def games_with_mask_lists(draw):
 @example((aggregative_game((1, 1)), []))
 def test_payoff_row_matches_payoff_reads(case):
     game, masks = case
-    assert (game._row is None) == (game._build_table is None and game._rules is None)
     for i in range(game.n):
         got = game.payoff_row(i, masks)
         want = [game._payoff(i, M) for M in masks]

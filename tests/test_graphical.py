@@ -196,6 +196,23 @@ def test_rule_games_prune_by_their_rules_as_the_table_search_did(game):
     assert _edges_or_error(reduce_to_weakest_link, game) == want
 
 
+class _TwoWays:
+    """A gains view over 18 players: player 17 gains exactly when {0, 1, 2}
+    or {15, 16} plays 1, and nobody else ever gains."""
+
+    def __getitem__(self, C):
+        wins = C & 0b111 == 0b111 or C >> 15 & 0b11 == 0b11
+        return wins << 17
+
+
+def test_table_search_returns_the_smallest_set_on_any_pool():
+    # 17 players in the pool, and 16 with player 3 left out: {0, 1, 2} is
+    # inclusion-minimal too, but {15, 16} is smaller
+    for pool in ((1 << 17) - 1, (1 << 17) - 1 & ~(1 << 3)):
+        found = graphical._first_minimal_satisfying(_TwoWays(), 17, pool)
+        assert members(found) == (15, 16)
+
+
 class _StalledSolver(SyncSolver):
     """Claims every player is forced to 1 in a game where nobody is."""
 

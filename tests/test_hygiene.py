@@ -134,8 +134,8 @@ GROUND_TRUTH = (
 )
 # The table, its builder, and a family's rules with the gains read off them.
 TABLE_ROUTES = {"incentive_table", "_build_table", "_rules", "rule_gainers", "RuleGains"}
-# The row primitive, and the family row function behind it.
-ROW_ROUTES = {"payoff_row", "_row"}
+# The row primitive.
+ROW_ROUTES = {"payoff_row"}
 
 
 def references(source, routes):
@@ -167,7 +167,7 @@ def test_detector_finds_row_references():
         "rows = game._rows\n"
         "r = payoff_row\n"
     )
-    assert references(source, ROW_ROUTES) == [1, 3, 5]
+    assert references(source, ROW_ROUTES) == [1, 5]
 
 
 def ground_truth_source(path, name):

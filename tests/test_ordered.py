@@ -404,6 +404,27 @@ def test_generate_rejects_inconsistent_out_intervals():
         )
 
 
+@pytest.mark.parametrize(
+    "kind, params, problem",
+    [
+        (
+            "opposed_nsg",
+            {"in_starts": [0, 0, 0], "k": [1, 2, 1]},
+            "parameters do not make an ordered threshold game",
+        ),
+        (
+            "aligned_nsg",
+            {"in_starts": [0, 0, 2], "nested": False},
+            "in-intervals do not make an ordered weakest-link game",
+        ),
+    ],
+    ids=["opposed_nsg", "aligned_nsg"],
+)
+def test_generate_rejects_parameters_that_classify_unordered(kind, params, problem):
+    with pytest.raises(ValueError, match=f"^{problem}$"):
+        generate(kind, **params)
+
+
 def test_generate_opposed_complete():
     n = 4
     game = generate("opposed_nsg", in_starts=(0,) * n, k=(1, 1, 2, 2))

@@ -269,7 +269,7 @@ def test_horizons_match_singleton_min_horizon():
                 for i in bits(scope)
             }
             assert solver.horizons(ctx) == want
-            for T in range(game.n + 1):
+            for T in range(1, game.n + 1):
                 least = forced
                 for i, tau in want.items():
                     if tau is not None and tau <= T:
