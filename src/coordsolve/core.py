@@ -188,10 +188,23 @@ def neighbour_game(needs, k, kind, params):
     return game
 
 
+def thresholds(values, name):
+    """The threshold vector `values` as a tuple of ints.  An entry must be
+    what operator.index accepts, other than a bool; any other entry (a float,
+    a string) raises TypeError naming it as name[idx], rather than being
+    truncated or parsed."""
+    out = []
+    for idx, v in enumerate(values):
+        if isinstance(v, bool) or not hasattr(type(v), "__index__"):
+            raise TypeError(f"threshold {name}[{idx}]={v!r} is not an int")
+        out.append(operator.index(v))
+    return tuple(out)
+
+
 def aggregative_game(c):
     """Game where i strictly wants action 1 iff at least c_i others play 1."""
     n = len(c)
-    c = tuple(int(v) for v in c)
+    c = thresholds(c, "c")
     for i, ci in enumerate(c):
         if not 1 <= ci <= n - 1:
             raise ValueError(f"threshold c[{i}]={ci} outside 1..{n - 1}")

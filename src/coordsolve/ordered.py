@@ -10,16 +10,19 @@ suffices.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import accumulate, repeat
 
 from .core import (
     aggregative_game,
+    check_mask,
     iesds_scan,
     incentive_table,
     mask_of,
     member_column,
     members,
+    thresholds,
 )
 from .digraph import Digraph
 from .errors import DEFAULT_BUDGET, PreconditionError, charge
@@ -78,29 +81,51 @@ def classify(game, budget=DEFAULT_BUDGET):
     return game._order[0]
 
 
+# bytes.translate tables: a byte to the '0' or '1' digit of its bit r
+_DIGIT = [bytes(b"01"[b >> r & 1] for b in range(256)) for r in range(8)]
+
+
+def _gain_columns(gainers, n):
+    """The bit columns of `gainers`, one per player i below n: bit C of
+    column i is set when gainers[C] holds i.  The entries are read one byte lane
+    (eight players) at a time, shifted down to the lane and masked to a
+    byte; each player of the lane translates the lane's bytes to the digits
+    of its bit (_DIGIT), read as one binary number, coalition 0 last.  This
+    inverts core._rule_gainers_list's spread."""
+    gain = []
+    for lane in range(0, n, 8):
+        shifted = map(operator.rshift, gainers, repeat(lane))
+        lane_bytes = bytes(map(operator.and_, shifted, repeat(255)))
+        for r in range(min(8, n - lane)):
+            gain.append(int(lane_bytes.translate(_DIGIT[r])[::-1], 2))
+    return gain
+
+
 def _classify_table(gainers, n):
     """The four order flags of classify, read off a game's `gainers` table.
 
     The quantifier checks run on bitsets over the 2^n coalitions: gain[k]
-    has bit C set when player k strictly gains at C, and one[b] (zero[b])
-    has bit C set when b is (is not) in C.  A check over the submasks X of a
-    pool is then one expression whose set bits are its violations, and the
-    first witness in descending submask order is the highest set bit.  The
-    chain clause of cost order alone still runs per X (one _sweep each), over
-    the candidates in the same descending order.  Witnesses are recorded in
-    the order a per-X loop over pairs (j, i), then triples (k, j, i), would
-    meet them.
+    has bit C set when player k strictly gains at C (_gain_columns), and
+    one[b] (zero[b]) has bit C set when b is (is not) in C.  A check over
+    the submasks X of a pool is then one expression whose set bits are its
+    violations, and the first witness in descending submask order is the
+    highest set bit.  The chain clause of cost order runs per X, over the
+    candidates in the same descending order, but sweeps each start
+    X | {j} once: the players a start's _sweep ends with are kept for the
+    call, since other pairs (i, j) meet the same start.  A contribution pair
+    (k, j) whose lost coalitions no other player's shifted column meets (a
+    prefix and a suffix OR) is skipped.  Witnesses are recorded in the order
+    a per-X loop over pairs (j, i), then triples (k, j, i), would meet them.
     """
     size = 1 << n
     full = size - 1
     every = (1 << size) - 1
     one = [member_column(b, size) for b in range(n)]
     zero = [every ^ pattern for pattern in one]
-    # column c of the n-digit binary rows, last coalition first, is player n-1-c
-    columns = zip(*map(format, reversed(gainers), repeat(f"0{n}b")))
-    gain = [int("".join(column), 2) for column in columns][::-1]
+    gain = _gain_columns(gainers, n)
     flags = OrderedFlags()
     wit = flags.witnesses
+    reached = {}  # start c -> the players _sweep(gainers, full & ~c, c) ends with
 
     for j in range(n):
         for i in range(j):
@@ -112,7 +137,10 @@ def _classify_table(gainers, n):
                 while cand:
                     X = cand.bit_length() - 1
                     c = X | 1 << j
-                    if not _sweep(gainers, full & ~c, c)[1] >> i & 1:
+                    O = reached.get(c)
+                    if O is None:
+                        O = reached[c] = _sweep(gainers, full & ~c, c)[1]
+                    if not O >> i & 1:
                         found.append((X, "cost_ordered"))
                         break
                     cand ^= 1 << X
@@ -125,10 +153,15 @@ def _classify_table(gainers, n):
         # shifted[b]: X without b and k such that k gains at X | b
         row = gain[k] & zero[k]
         shifted = [(row & one[b]) >> (1 << b) for b in range(n)]
+        # before[b] | after[b + 1]: the union of shifted over players other than b
+        before = list(accumulate(shifted, operator.or_, initial=0))
+        after = list(accumulate(reversed(shifted), operator.or_, initial=0))[::-1]
         for j in range(n):
             if j == k:
                 continue
             lost = zero[j] & ~shifted[j]
+            if not (before[j] | after[j + 1]) & lost:
+                continue
             for i in range(n):
                 if k == i or i == j:
                     continue
@@ -154,7 +187,8 @@ def ordered_min_horizon(game, targets):
     otherwise pay one stage to force in the highest-indexed player; minimised
     over strictly-sufficient-equilibrium prefixes covering the target.
 
-    The game is classified first (see classify); a classified game returns
+    Targets with bits outside the game raise ValueError (core.check_mask),
+    before the game is classified (see classify); a classified game returns
     its kept flags and table without a charge.
 
     The recursion is exact on strongly-cost-ordered games and on
@@ -166,6 +200,7 @@ def ordered_min_horizon(game, targets):
     4-player table in README "Notes and limits", which fails single
     crossing, common interests and nondegeneracy, gets 1 for all four
     players, whose horizon is 2."""
+    check_mask(game.n, targets, "targets")
     flags = classify(game)
     if not (flags.cost_ordered and flags.contribution_ordered):
         raise PreconditionError(
@@ -213,7 +248,7 @@ def aggregative_min_horizon(c, n):
     """Accelerated sweep for a nondecreasing threshold vector: either the next
     cheapest player cascades in, or the most expensive remaining player is
     forced in at the cost of a stage."""
-    c = tuple(int(v) for v in c)
+    c = thresholds(c, "c")
     if len(c) != n:
         raise ValueError("need one threshold per player")
     for idx in range(n):
@@ -303,7 +338,7 @@ def generate(
     if kind == "aggregative":
         if c is None:
             raise ValueError("aggregative generator needs thresholds c")
-        c = tuple(int(v) for v in c)
+        c = thresholds(c, "c")
         if any(c[i] > c[i + 1] for i in range(len(c) - 1)):
             raise ValueError("aggregative thresholds must be nondecreasing")
         game = aggregative_game(c)

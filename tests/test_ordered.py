@@ -14,6 +14,7 @@ from coordsolve import (
     mask_of,
     ordered_min_horizon,
     table_game,
+    threshold_game,
     weakest_link_game,
 )
 from coordsolve.core import gains, incentive_table, settle, submasks
@@ -21,6 +22,7 @@ from coordsolve import ordered
 from coordsolve.sync import SyncSolver
 
 from util import (
+    aggregative_table_reference,
     cascade_reference,
     chain_reaches_table_reference,
     chain_sequence_reference,
@@ -164,6 +166,85 @@ def test_bitset_classification_matches_the_submask_loops(table):
     assert list(flags.witnesses.items()) == list(ref.witnesses.items())
 
 
+def test_gain_columns_match_a_per_coalition_read():
+    """One, two and three byte lanes: bit C of column i is i in gainers[C]."""
+    rng = random.Random(17)
+    for n in range(1, 18):
+        full = (1 << n) - 1
+        gainers = [rng.choice((0, full, rng.randint(0, full))) for _ in range(1 << n)]
+        want = [
+            int("".join("1" if g >> i & 1 else "0" for g in reversed(gainers)), 2)
+            for i in range(n)
+        ]
+        assert ordered._gain_columns(gainers, n) == want
+
+
+def test_two_lane_classification_matches_the_submask_loops():
+    """Seeded raw tables on 9..11 players, plus aggregative tables with and
+    without a few flipped cells: the same flags and witnesses as the per-X
+    loops, inserted in the same order, with every flag failing somewhere."""
+    failed = set()
+    for n in (9, 10, 11):
+        rng = random.Random(n)
+        full = (1 << n) - 1
+        tables = [[rng.randint(0, full) for _ in range(1 << n)]]
+        c = sorted(rng.randint(1, n - 1) for _ in range(n))
+        tables.append(aggregative_table_reference(c)[0])
+        for _ in range(3):
+            flipped = list(tables[1])
+            for _ in range(rng.randint(1, 4)):
+                flipped[rng.randrange(1 << n)] ^= 1 << rng.randrange(n)
+            tables.append(flipped)
+        for gainers in tables:
+            flags = ordered._classify_table(gainers, n)
+            ref = classify_table_reference(gainers, n)
+            assert flags == ref
+            assert list(flags.witnesses.items()) == list(ref.witnesses.items())
+            failed.update(flags.witnesses)
+    assert failed == {
+        "cost_ordered", "strongly_cost_ordered", "contribution_ordered", "contribution_natural"
+    }
+
+
+def _chain_starts_reference(gainers, n):
+    """The starts X | {j} the per-X chain clause of classify_table_reference
+    reads, up to and including its first failure."""
+    full = (1 << n) - 1
+    starts = set()
+    for j in range(n):
+        for i in range(j):
+            for X in submasks(full & ~(1 << i) & ~(1 << j)):
+                if gainers[X] >> j & 1:
+                    starts.add(X | 1 << j)
+                    if not chain_reaches_table_reference(gainers, full, i, j, X):
+                        return starts
+    return starts
+
+
+@pytest.mark.parametrize(
+    "params, sweeps",
+    [
+        (dict(kind="aligned_nsg", in_starts=(9, 9, 7, 7, 5, 5, 3, 3, 1, 1)), 193),
+        (dict(kind="opposed_nsg", in_starts=(0,) * 10, k=(1, 2, 2, 3, 4, 5, 6, 7, 8, 9)), 784),
+    ],
+    ids=["aligned_nsg", "opposed_nsg"],
+)
+def test_chain_clause_sweeps_each_start_once(monkeypatch, params, sweeps):
+    game = generate(**params)
+    gainers = game._order[1][0]
+    starts = []
+    sweep = ordered._sweep
+
+    def counted(table, S, O):
+        starts.append(O)
+        return sweep(table, S, O)
+
+    monkeypatch.setattr(ordered, "_sweep", counted)
+    ordered._classify_table(gainers, game.n)
+    assert len(starts) == len(set(starts)) == sweeps
+    assert set(starts) == _chain_starts_reference(gainers, game.n)
+
+
 # README "Notes and limits": cost-ordered, but its table is not monotone
 README_TABLE = ([2, 2, 7, 3, 3, 1, 15, 9, 7, 7, 7, 7, 7, 7, 15, 15], 4)
 
@@ -235,6 +316,52 @@ def test_heterogeneous_small_case():
 def test_fast_path_needs_order_flags():
     with pytest.raises(PreconditionError):
         ordered_min_horizon(cross_pairs_game(), mask_of((0, 1)))
+
+
+@pytest.mark.parametrize(
+    "targets, message",
+    [
+        (1 << 3, r"bits \[3\] outside 0\.\.2"),
+        ((1 << 3) | 1, r"bits \[3\] outside 0\.\.2"),
+        (-1, "negative"),
+    ],
+    ids=["stray_bit", "stray_and_player_bit", "negative"],
+)
+def test_fast_path_refuses_targets_outside_the_game(targets, message):
+    # as SyncSolver.min_horizon does, instead of dropping the stray bits
+    game = aggregative_game((1, 2, 2))
+    with pytest.raises(ValueError, match=message):
+        ordered_min_horizon(game, targets)
+    with pytest.raises(ValueError, match=message):
+        SyncSolver(game).min_horizon(targets)
+
+
+THRESHOLD_ENTRY_POINTS = {
+    "aggregative_game": lambda v: aggregative_game((1, v, 2)).params["c"],
+    "threshold_game": lambda v: threshold_game(
+        Digraph(3, [(a, b) for a in range(3) for b in range(3) if a != b]), [1, v, 2]
+    ).params["k"],
+    "aggregative_min_horizon": lambda v: aggregative_min_horizon((1, v, 2), 3),
+    "generate": lambda v: generate("aggregative", c=(1, v, 2)).params["c"],
+}
+
+
+class _Two:
+    def __index__(self):
+        return 2
+
+
+@pytest.mark.parametrize("entry", THRESHOLD_ENTRY_POINTS)
+@pytest.mark.parametrize("value", [1.9, True, "1"], ids=["float", "bool", "str"])
+def test_thresholds_refuse_non_int_entries(entry, value):
+    with pytest.raises(TypeError, match=r"\[1\]=" + repr(value).replace(".", r"\.")):
+        THRESHOLD_ENTRY_POINTS[entry](value)
+
+
+@pytest.mark.parametrize("entry", THRESHOLD_ENTRY_POINTS)
+def test_thresholds_accept_an_index_object(entry):
+    build = THRESHOLD_ENTRY_POINTS[entry]
+    assert build(_Two()) == build(2)
 
 
 def test_fast_path_builds_one_table_without_flags(monkeypatch):
