@@ -80,13 +80,16 @@ def _edges(doc, n, path):
     return out
 
 
-def _int_vector(doc, key, n, path):
+def _int_vector(doc, key, n, path, top=None):
+    """The list of n ints at doc[key]; each in 0..top when `top` is given."""
     vec = doc.get(key)
     if not isinstance(vec, list) or len(vec) != n:
         raise ParseError(f"{path}.{key}", f"expected a list of {n} ints")
     for idx, v in enumerate(vec):
         if not isinstance(v, int) or isinstance(v, bool):
             raise ParseError(f"{path}.{key}[{idx}]", f"expected an int, got {v!r}")
+        if top is not None and not 0 <= v <= top:
+            raise ParseError(f"{path}.{key}[{idx}]", f"expected an int in 0..{top}, got {v}")
     return vec
 
 
@@ -153,10 +156,10 @@ def parse_game(doc, path="$", budget=DEFAULT_BUDGET):
         nested = doc.get("nested", True)
         if not isinstance(nested, bool):
             raise ParseError(path + ".nested", "expected a boolean")
-        in_starts = _int_vector(doc, "in_starts", n, path)
+        in_starts = _int_vector(doc, "in_starts", n, path, n)
         out_ends = doc.get("out_ends")
         if out_ends is not None:
-            out_ends = _int_vector(doc, "out_ends", n, path)
+            out_ends = _int_vector(doc, "out_ends", n, path, n)
         k = _int_vector(doc, "k", n, path) if kind == "opposed_nsg" else None
         try:
             game = ordered.generate(
@@ -358,21 +361,21 @@ def _cmd_ne(args):
 def _cmd_tau(args):
     game = load_table_game(args.game, args.budget)
     target = _parse_players(args.target, game.n, "--target")
-    solver = SyncSolver(game, use_sse=not args.sss)
+    solver = SyncSolver(game)
     value = solver.min_horizon(target)
     _emit(args, [str(value)], {"target": _disp(target), "tau": value})
 
 
 def _cmd_phi(args):
     game = load_table_game(args.game, args.budget)
-    solver = SyncSolver(game, use_sse=not args.sss)
+    solver = SyncSolver(game)
     out = solver.least_outcome(args.t)
     _emit(args, [f"{_disp(out)}"], {"t": args.t, "phi": _disp(out)})
 
 
 def _cmd_outcomes(args):
     game = load_table_game(args.game, args.budget)
-    solver = SyncSolver(game, use_sse=not args.sss)
+    solver = SyncSolver(game)
     outs = solver.outcome_set(args.t)
     lines = [f"outcomes at T={args.t} ({len(outs)}):"]
     lines += [f"  {_disp(m)}" for m in outs]
@@ -561,7 +564,7 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command")
 
-    def common(p, game=True, sse=False):
+    def common(p, game=True):
         if game:
             p.add_argument("--game", required=True, help="game document (JSON)")
         p.add_argument("--json", action="store_true", help="machine-readable output")
@@ -573,20 +576,15 @@ def build_parser():
             f"${ENV_BUDGET}, else {DEFAULT_BUDGET})",
         )
         p.set_defaults(subparser=p)
-        if sse:
-            p.add_argument("--sse", dest="sss", action="store_false", default=False,
-                           help="use equilibrium candidates in the recursion (default)")
-            p.add_argument("--sss", dest="sss", action="store_true",
-                           help="use raw strictly sufficient sets instead")
         return p
 
     common(sub.add_parser("check", help="verify the stage-game conditions"))
     common(sub.add_parser("ne", help="pure Nash equilibria and the least one"))
-    p = common(sub.add_parser("tau", help="minimum horizon guaranteeing a target"), sse=True)
+    p = common(sub.add_parser("tau", help="minimum horizon guaranteeing a target"))
     p.add_argument("--target", required=True, help="1-based players, e.g. 5,6,7")
-    p = common(sub.add_parser("phi", help="least equilibrium outcome at a horizon"), sse=True)
+    p = common(sub.add_parser("phi", help="least equilibrium outcome at a horizon"))
     p.add_argument("--t", type=_horizon, required=True)
-    p = common(sub.add_parser("outcomes", help="all equilibrium outcomes at a horizon"), sse=True)
+    p = common(sub.add_parser("outcomes", help="all equilibrium outcomes at a horizon"))
     p.add_argument("--t", type=_horizon, required=True)
     p = common(sub.add_parser("treedepth", help="directed tree-depth of a graph"), game=False)
     p.add_argument("--graph", required=True, help="graph document (JSON)")

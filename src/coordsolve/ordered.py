@@ -275,16 +275,33 @@ def aggregative_min_horizon(c, n):
 # structured generators
 
 
-def _interval_in_graph(n, in_starts):
-    """Digraph whose in-neighborhoods are upward intervals {s_i..n-1}\\{i}."""
-    edges = []
-    for i, s in enumerate(in_starts):
-        if not 0 <= s <= n:
-            raise ValueError(f"in-start {s} for player {i} outside 0..{n}")
-        for j in range(s, n):
-            if j != i:
-                edges.append((j, i))
-    return Digraph(n, edges)
+def _interval_graph(in_starts, out_ends, nested):
+    """Digraph whose in-neighborhoods are upward intervals {s_i..n-1}\\{i},
+    n = len(in_starts).  Every entry of `in_starts` and `out_ends` is
+    checked against 0..n first (`out_ends`, when given, has n entries),
+    then requirement nesting when `nested`, then each declared
+    out-interval {0..e_i-1}\\{i} against the graph."""
+    n = len(in_starts)
+    if out_ends is not None and len(out_ends) != n:
+        raise ValueError(f"out_ends has {len(out_ends)} entries for {n} players")
+    for name, ends in (("in_starts", in_starts), ("out_ends", out_ends or ())):
+        for i, e in enumerate(ends):
+            if not 0 <= e <= n:
+                raise ValueError(f"{name}[{i}]={e} outside 0..{n}")
+    if nested and not _nested_in_intervals(in_starts):
+        raise ValueError(
+            "in-intervals are not requirement-nested; pass nested=False "
+            "for the loose variant (no fast-path guarantee)"
+        )
+    g = Digraph(n, [(j, i) for i, s in enumerate(in_starts) for j in range(s, n) if j != i])
+    for i, e in enumerate(out_ends or ()):
+        want = mask_of(j for j in range(e) if j != i)
+        if g.out_mask(i) != want:
+            raise ValueError(
+                f"out-neighborhood of player {i} is {members(g.out_mask(i))}, "
+                f"inconsistent with the declared interval end {e}"
+            )
+    return g
 
 
 def _nested_in_intervals(in_starts):
@@ -292,28 +309,16 @@ def _nested_in_intervals(in_starts):
     higher player's (plus that player himself).  This is the side condition
     under which the delete-highest recursion is provably safe; interval
     vectors violating it can be cost- and contribution-ordered yet still trip
-    the fast path."""
+    the fast path.  For i < j with s_i < s_j, the gap [s_i, s_j) may hold
+    only i and j, so its length is the count of them inside it."""
     n = len(in_starts)
     for i in range(n):
+        si = in_starts[i]
         for j in range(i + 1, n):
-            if in_starts[i] >= in_starts[j]:
-                continue
-            gap = set(range(in_starts[i], in_starts[j])) - {i}
-            if not gap <= {j}:
+            sj = in_starts[j]
+            if si < sj and sj - si != (si <= i < sj) + (si <= j < sj):
                 return False
     return True
-
-
-def _check_out_intervals(g, out_ends):
-    for i, e in enumerate(out_ends):
-        if not 0 <= e <= g.n:
-            raise ValueError(f"out-end {e} for player {i} outside 0..{g.n}")
-        want = mask_of(j for j in range(e) if j != i)
-        if g.out_mask(i) != want:
-            raise ValueError(
-                f"out-neighborhood of player {i} is {members(g.out_mask(i))}, "
-                f"inconsistent with the declared interval end {e}"
-            )
 
 
 def generate(
@@ -332,7 +337,10 @@ def generate(
     Parameters that fail to produce the advertised order flags are rejected;
     aligned vectors must additionally satisfy the requirement-nesting side
     condition unless `nested=False` (the loose variant still classifies as
-    ordered but is no longer covered by the fast-path guarantee).  The
+    ordered but is no longer covered by the fast-path guarantee).  For
+    both nsg kinds every `in_starts` and `out_ends` entry must lie in
+    0..n, and `out_ends` must have n entries, checked before anything else
+    reads the vectors.  The
     classification runs under `budget` (see classify).
     """
     if kind == "aggregative":
@@ -347,24 +355,13 @@ def generate(
     elif kind == "aligned_nsg":
         if in_starts is None:
             raise ValueError("aligned_nsg generator needs in_starts")
-        if nested and not _nested_in_intervals(in_starts):
-            raise ValueError(
-                "in-intervals are not requirement-nested; pass nested=False "
-                "for the loose variant (no fast-path guarantee)"
-            )
-        g = _interval_in_graph(len(in_starts), in_starts)
-        if out_ends is not None:
-            _check_out_intervals(g, out_ends)
-        game = weakest_link_game(g)
+        game = weakest_link_game(_interval_graph(in_starts, out_ends, nested))
         wanted = ("cost_ordered", "contribution_ordered")
         problem = "in-intervals do not make an ordered weakest-link game"
     elif kind == "opposed_nsg":
         if in_starts is None or k is None:
             raise ValueError("opposed_nsg generator needs in_starts and k")
-        g = _interval_in_graph(len(in_starts), in_starts)
-        if out_ends is not None:
-            _check_out_intervals(g, out_ends)
-        game = threshold_game(g, k)
+        game = threshold_game(_interval_graph(in_starts, out_ends, False), k)
         wanted = ("strongly_cost_ordered", "contribution_ordered")
         problem = "parameters do not make an ordered threshold game"
     else:

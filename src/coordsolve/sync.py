@@ -22,12 +22,11 @@ and the int memo and recurses into the children it chose, so a `policy()`
 call costs O(n) node scans and no new candidate list.
 
 A divide splits off a candidate: a strictly sufficient set that is also a
-Nash profile (SSE, the default), or any strictly sufficient set (SSS,
-`use_sse=False`).  On a game with strategic complementarities the
-incentive table is monotone, and the SSE candidates of a context are the
-nonempty fixed points of a monotone map, found by branching on intervals
-(core.fixed_point_scan); otherwise every submask is scanned
-(core.sss_scan).
+Nash profile (SSE).  On a game with strategic complementarities the
+incentive table is monotone, and the candidates of a context are the
+nonempty fixed points of a monotone map (Milgrom and Roberts 1990), found
+by branching on intervals (core.fixed_point_scan); on a table that is not
+monotone every submask is scanned (core.sss_scan).
 
 The weakest-link, threshold and aggregative families keep one rule per
 player (StageGame._rules: gain from action 1 when at least k players of a
@@ -107,12 +106,13 @@ class SyncSolver:
     set, forced zeros leave the game.  For a family game that reduction is
     core.iesds_closure and the Nash profiles are core.fixed_point_scan's;
     any other game is scanned with core.iesds_scan and core.ne_scan, which
-    read `losers` too.  SSE candidates of a monotone table, a family's or
-    one core.is_monotone finds so, come from core.fixed_point_scan, all
-    others from core.sss_scan, with equal lists.  Per-context state lives in
-    four maps: `_memo` keeps the exact value of each settled context
-    solved, `_lower` a lower bound on each one so far only cut off (see
-    _tau), `_reduce_cache` one _Reduction per queried context, and
+    read `losers` too.  A divide splits off an SSE candidate: the candidates
+    of a monotone table, a family's or one core.is_monotone finds so, come
+    from core.fixed_point_scan, those of any other table from
+    core.sss_scan, with equal lists.  Per-context state lives in four maps:
+    `_memo` keeps the exact value of each settled context solved, `_lower`
+    a lower bound on each one so far only cut off (see _tau),
+    `_reduce_cache` one _Reduction per queried context, and
     `_candidate_cache` the candidate list of each context `_candidates` was
     asked for, its only builder.  Policy trees are not stored but rebuilt
     on demand by `value` and `policy`.
@@ -126,9 +126,8 @@ class SyncSolver:
     are independent.
     """
 
-    def __init__(self, game, use_sse=True):
+    def __init__(self, game):
         self.game = game
-        self.use_sse = use_sse
         self._memo = {}
         self._lower = {}
         self._reduce_cache = {}
@@ -154,7 +153,7 @@ class SyncSolver:
 
     @cached_property
     def _branch(self):
-        return self.use_sse and (self.game._rules is not None or is_monotone(self.gainers))
+        return self.game._rules is not None or is_monotone(self.gainers)
 
     # -- context plumbing ---------------------------------------------------
 
@@ -200,7 +199,7 @@ class SyncSolver:
             if self._branch:
                 got = fixed_point_scan(self.gainers, S, O)
             else:
-                got = sss_scan(self.gainers, S, O, self.use_sse)
+                got = sss_scan(self.gainers, S, O, True)
             self._candidate_cache[S, O] = got
         return got
 
@@ -387,15 +386,12 @@ class SyncSolver:
     def _nash(self):
         """The base context's Nash profiles, listed once per solver: for a
         family game the fixed points of f(Y) = gainers[Y | ones] & active,
-        which with SSE candidates are the base context's candidates
-        (_candidates); for any other game a scan of the incentive table."""
+        which are the base context's candidates (_candidates); for any
+        other game a scan of the incentive table."""
         S, O = self.base.active, self.base.ones
         if self.game._rules is None:
             return ne_scan(self.gainers, self.losers, S, O)
-        if self._branch:
-            found = self._candidates(S, O)
-        else:
-            found = fixed_point_scan(self.gainers, S, O)
+        found = self._candidates(S, O)
         # the scan skips the empty profile
         return found if self.gainers[O] & S else [0, *found]
 

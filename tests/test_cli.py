@@ -226,21 +226,29 @@ def test_phi_degenerate_all_dominant(tmp_path, capsys):
     assert payload == {"t": 1, "phi": [1, 2]}
 
 
-def test_tau_sss_matches_sse(tmp_path, capsys):
+def test_candidate_flags_are_usage_errors(tmp_path, capsys):
+    # the τ recursion has one candidate rule, so no subcommand takes one
     path = write_game(tmp_path, triangles_doc())
-    for target in ("1,2,3", "7", "1,2,3,4,5,6,7,8"):
-        argv = ["tau", "--game", path, "--target", target]
-        assert main(argv) == 0
-        sse = capsys.readouterr().out
-        assert main(argv + ["--sss"]) == 0
-        assert capsys.readouterr().out == sse
+    for argv in (
+        ["tau", "--target", "1,2,3"],
+        ["phi", "--t", "2"],
+        ["outcomes", "--t", "2"],
+        ["horizons"],
+        ["check"],
+    ):
+        assert main(argv + ["--game", path]) == 0
+        capsys.readouterr()
+        for flag in ("--sss", "--sse"):
+            assert main(argv + ["--game", path, flag]) == 1
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
-def test_candidate_flags_only_where_read(tmp_path, capsys):
-    path = write_game(tmp_path, triangles_doc())
-    assert main(["check", "--game", path, "--sss"]) == 1
-    assert main(["horizons", "--game", path, "--sse"]) == 1
-    assert main(["phi", "--game", path, "--t", "2", "--sss"]) == 0
+def test_tau_refuses_a_target_outside_every_candidate(tmp_path, capsys):
+    # the README's table fails single crossing; no SSE candidate holds
+    # player 1 (see test_sync's test_readme_crossing_table_leaves_player_one_out)
+    doc = {"players": 2, "kind": "table", "payoffs": [[1, 3, 3, 3], [-3, -1, -3, 0]]}
+    assert main(["tau", "--game", write_game(tmp_path, doc), "--target", "1"]) == 2
+    assert "no strictly sufficient candidate covers the target" in capsys.readouterr().err
 
 
 def test_check_json_schema(tmp_path, capsys):
@@ -974,6 +982,20 @@ def test_huge_mspne_oracle_refused_before_its_histories(tmp_path, monkeypatch, f
     assert done.returncode == 3
     assert done.stdout == ""
     assert done.stderr == "resource error: oracle enumeration exceeded 10000000 steps\n"
+
+
+@pytest.mark.parametrize("kind", ["aligned_nsg", "opposed_nsg"])
+@pytest.mark.parametrize("start", [3000000, 1 << 40])
+def test_in_start_outside_the_players_names_its_entry(tmp_path, kind, start):
+    # the nesting check once built the set of range(2, start) first: 365 MB
+    # at 3,000,000 and a MemoryError traceback at 2^40
+    doc = {"players": 3, "kind": kind, "in_starts": [2, start, 0]}
+    if kind == "opposed_nsg":
+        doc["k"] = [1, 1, 1]
+    done = run_capped(["tau", "--game", write_game(tmp_path, doc), "--target", "1"], 1000 << 20)
+    assert done.returncode == 1
+    assert done.stderr == f"error: $.in_starts[1]: expected an int in 0..3, got {start}\n"
+    assert "Traceback" not in done.stderr
 
 
 WL20_DOC = {"players": 20, "kind": "weakest_link", "edges": [[0, 1]]}

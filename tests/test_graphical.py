@@ -240,10 +240,10 @@ def test_reduction_idempotent_on_weakest_link():
 
 
 @settings(max_examples=300, deadline=None)
-@given(shaped_digraphs(), st.booleans())
-def test_weakest_link_game_is_its_own_reduction(g, use_sse):
+@given(shaped_digraphs())
+def test_weakest_link_game_is_its_own_reduction(g):
     game = weakest_link_game(g)
-    solver = SyncSolver(game, use_sse)
+    solver = SyncSolver(game)
     sg = reduce_to_weakest_link(game, solver=solver)
     assert sg.graph.edges == g.edges
     assert sg.graph.edges == reduce_to_weakest_link_reference(game, solver).graph.edges

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -29,6 +30,7 @@ from util import (
     classify_reference,
     classify_table_reference,
     cross_pairs_game,
+    nested_in_intervals_reference,
     ordered_min_horizon_reference,
     random_aggregative,
     random_digraph,
@@ -529,6 +531,34 @@ def test_generate_rejects_inconsistent_out_intervals():
             out_ends=(6,) * 6,
             nested=False,
         )
+
+
+@pytest.mark.parametrize("kind", ["aligned_nsg", "opposed_nsg"])
+@pytest.mark.parametrize(
+    "vectors, entry",
+    [
+        ({"in_starts": (2, 1 << 40, 0)}, r"in_starts\[1\]=1099511627776 outside 0\.\.3"),
+        ({"in_starts": (2, -1, 0)}, r"in_starts\[1\]=-1 outside 0\.\.3"),
+        ({"in_starts": (2, 1, 0), "out_ends": (0, 4, 0)}, r"out_ends\[1\]=4 outside 0\.\.3"),
+        ({"in_starts": (2, 1, 0), "out_ends": (0, 0)}, "out_ends has 2 entries for 3 players"),
+        ({"in_starts": (3, 3, 3), "out_ends": (0,) * 4}, "out_ends has 4 entries for 3 players"),
+    ],
+    ids=["huge_start", "negative_start", "huge_end", "short_ends", "long_ends"],
+)
+def test_generate_checks_interval_entries_before_nesting(monkeypatch, kind, vectors, entry):
+    def unreached(in_starts):
+        raise AssertionError("nesting checked before the range check")
+
+    monkeypatch.setattr(ordered, "_nested_in_intervals", unreached)
+    with pytest.raises(ValueError, match=f"^{entry}$"):
+        generate(kind, k=(1, 1, 1), **vectors)
+
+
+def test_nesting_count_matches_the_gap_sets():
+    for n in range(6):
+        for starts in itertools.product(range(n + 1), repeat=n):
+            want = nested_in_intervals_reference(starts)
+            assert ordered._nested_in_intervals(starts) == want, starts
 
 
 @pytest.mark.parametrize(

@@ -41,6 +41,7 @@ from util import (
     hub_intervention_graph,
     iesds_reference,
     monotone_games_with_contexts,
+    near_monotone_tables,
     ne_set_reference,
     planted_game,
     random_digraph,
@@ -206,14 +207,45 @@ def test_monotone_comparative_statics_thresholds():
             assert weaker & ~stronger == 0
 
 
-def test_sss_and_sse_recursions_agree():
-    rng = random.Random(6060)
-    for _ in range(12):
-        game = random_game(rng, rng.randint(2, 5))
-        a = SyncSolver(game, use_sse=True)
-        b = SyncSolver(game, use_sse=False)
-        for X in range(1 << game.n):
-            assert a.min_horizon(X) == b.min_horizon(X)
+# random, weakest-link, threshold, aggregative and near-monotone table games
+# on up to six players whose assumption report holds the three conditions
+GAMES_MEETING_THE_CONDITIONS = (
+    st.builds(random_game, st.integers(0, 2**32 - 1).map(random.Random), st.integers(2, 6))
+    | family_games().filter(lambda game: game.kind != "table")
+    | near_monotone_tables().map(lambda case: case[0])
+).filter(lambda game: game.report.satisfies_assumptions)
+
+
+@settings(max_examples=300, deadline=None)
+@given(GAMES_MEETING_THE_CONDITIONS)
+@example(random_game(random.Random(1404), 6))
+@example(two_triangles_game())
+@example(weakest_link_game(hub_intervention_graph()))
+def test_sss_and_sse_recursions_agree(game):
+    """Within the stage conditions the candidate rule does not change an
+    answer: splitting off only SSE candidates gives the tau of every target
+    and the outcome set at every horizon up to n that the recursion
+    splitting off any strictly sufficient set (SSS) gives."""
+    solver = SyncSolver(game)
+    ref = PolicyNodeSolverReference(game, use_sse=False)
+    for X in range(1 << game.n):
+        assert _horizon_or_error(solver, X) == _horizon_or_error(ref, X)
+    for T in range(1, game.n + 1):
+        assert _or_error(solver.outcome_set, T) == _or_error(ref.outcome_set, T)
+
+
+def test_readme_crossing_table_leaves_player_one_out():
+    """Outside the conditions neither rule is exact.  The README's table
+    fails single crossing: no SSE candidate covers player 1, so tau refuses
+    the target, and the SSS rule's answer of 1 is wrong too, since at
+    T = 1, 2 and 3 the MSPNE oracle lists the outcome {2} without player 1."""
+    game = table_game([[1, 3, 3, 3], [-3, -1, -3, 0]])
+    assert not game.report.single_crossing
+    with pytest.raises(PreconditionError, match="no strictly sufficient candidate"):
+        SyncSolver(game).min_horizon(1)
+    assert PolicyNodeSolverReference(game, use_sse=False).min_horizon(1) == 1
+    for T in (1, 2, 3):
+        assert 0b10 in enumerate_equilibria(game, Sync(T), mode="mspne")
 
 
 def test_degenerate_players_folded_into_context():
@@ -301,13 +333,13 @@ def test_policy_tree_replays_its_value():
 
 
 @settings(max_examples=200, deadline=None)
-@given(tables_with_contexts(), st.booleans())
-def test_dominate_chain_matches_raw_payoff_reference(case, use_sse):
+@given(tables_with_contexts())
+def test_dominate_chain_matches_raw_payoff_reference(case):
     """The free dominate steps at the head of value(S, O), read off the
     incentive table, are the raw-payoff cascade, on games that need not
     satisfy any assumption."""
     game, ctx = case
-    node = SyncSolver(game, use_sse=use_sse).value(ctx.active, ctx.ones)
+    node = SyncSolver(game).value(ctx.active, ctx.ones)
     chain = []
     while node.op == "dominate":
         chain.append(node.player)
@@ -327,9 +359,9 @@ CUTOFF_TABLE = [
 
 
 @settings(max_examples=300, deadline=None)
-@given(tables_with_contexts() | monotone_games_with_contexts(), st.booleans())
-@example((table_game(CUTOFF_TABLE), Context(0b11111, 0)), True)
-def test_int_memo_recursion_matches_policy_node_reference(case, use_sse):
+@given(tables_with_contexts() | monotone_games_with_contexts())
+@example((table_game(CUTOFF_TABLE), Context(0b11111, 0)))
+def test_int_memo_recursion_matches_policy_node_reference(case):
     """The int-memo recursion with its cutoffs, and the trees rebuilt from
     it, equal the PolicyNode recursion that scans every branch and every
     submask for candidates, on games that need not satisfy any assumption
@@ -337,8 +369,8 @@ def test_int_memo_recursion_matches_policy_node_reference(case, use_sse):
     points): cold, and again once the memo is warm from the horizon
     queries."""
     game, ctx = case
-    solver = SyncSolver(game, use_sse=use_sse)
-    ref = PolicyNodeSolverReference(game, use_sse=use_sse)
+    solver = SyncSolver(game)
+    ref = PolicyNodeSolverReference(game)
     want = ref.value(ctx.active, ctx.ones)
     got = solver.value(ctx.active, ctx.ones)
     assert got == want and got.value == want.value
@@ -350,16 +382,16 @@ def test_int_memo_recursion_matches_policy_node_reference(case, use_sse):
 
 
 @settings(max_examples=200, deadline=None)
-@given(tables_with_contexts() | monotone_games_with_contexts(), st.booleans())
-@example((table_game(CUTOFF_TABLE), Context(0b11111, 0)), True)
-def test_memo_keeps_one_entry_per_settled_context(case, use_sse):
+@given(tables_with_contexts() | monotone_games_with_contexts())
+@example((table_game(CUTOFF_TABLE), Context(0b11111, 0)))
+def test_memo_keeps_one_entry_per_settled_context(case):
     """Once min_horizon, horizons() and policy() have run, every memo key
     is a settled context with players left (no player of S gains when just
     O plays 1), and its value is still the PolicyNode recursion's, on games
     that need not satisfy any assumption."""
     game, ctx = case
-    solver = SyncSolver(game, use_sse=use_sse)
-    ref = PolicyNodeSolverReference(game, use_sse=use_sse)
+    solver = SyncSolver(game)
+    ref = PolicyNodeSolverReference(game)
     for targets in [game.all_players] + [1 << i for i in range(game.n)]:
         assert _horizon_or_error(solver, targets) == _horizon_or_error(ref, targets)
     assert _or_error(lambda: dict(solver.horizons())) == _or_error(lambda: dict(ref.horizons()))
@@ -381,13 +413,12 @@ NON_MONOTONE_GAMES = [
 
 
 @pytest.mark.parametrize("game", NON_MONOTONE_GAMES)
-@pytest.mark.parametrize("use_sse", [True, False])
-def test_non_monotone_tables_keep_the_scan(game, use_sse):
-    solver = SyncSolver(game, use_sse=use_sse)
-    ref = PolicyNodeSolverReference(game, use_sse=use_sse)
+def test_non_monotone_tables_keep_the_scan(game):
+    solver = SyncSolver(game)
+    ref = PolicyNodeSolverReference(game)
     for S in range(4):
         for O in submasks(3 & ~S):
-            want = sss_scan(solver.gainers, S, O, use_sse)
+            want = sss_scan(solver.gainers, S, O, True)
             assert solver._candidates(S, O) == want
             assert solver.value(S, O) == ref.value(S, O)
     for targets in (1, 2, 3):
@@ -395,13 +426,13 @@ def test_non_monotone_tables_keep_the_scan(game, use_sse):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(2, 4), st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
-def test_outcome_sets_match_oracle(n, seed, spillovers, use_sse):
+@given(st.integers(2, 4), st.integers(0, 2**32 - 1), st.booleans())
+def test_outcome_sets_match_oracle(n, seed, spillovers):
     """outcome_set(T) is the brute-force MSPNE outcome set of the T-stage
     game, and least_outcome(T) its least element (T = 3 only up to three
     players, where the oracle stays fast)."""
     game = random_game(random.Random(seed), n, spillovers=spillovers)
-    solver = SyncSolver(game, use_sse=use_sse)
+    solver = SyncSolver(game)
     for T in (1, 2, 3) if n <= 3 else (1, 2):
         want = enumerate_equilibria(game, Sync(T), mode="mspne")
         assert set(solver.outcome_set(T)) == want
@@ -421,13 +452,13 @@ TRIANGLE_INTO_TWO_CYCLE = Digraph(5, [
 
 
 @settings(max_examples=300, deadline=None)
-@given(shaped_digraphs(), st.booleans(), st.integers(0, 255), st.integers(0, 255))
-@example(TRIANGLE_INTO_TWO_CYCLE, True, 0b11000, 0b00100)
-def test_weakest_link_graph_path_matches_generic_recursion(g, use_sse, some, other):
+@given(shaped_digraphs(), st.integers(0, 255), st.integers(0, 255))
+@example(TRIANGLE_INTO_TWO_CYCLE, 0b11000, 0b00100)
+def test_weakest_link_graph_path_matches_generic_recursion(g, some, other):
     game = weakest_link_game(g)
     # the same payoffs under the default kind take the generic recursion
     generic = StageGame(g.n, game._payoff)
-    fast, slow = SyncSolver(game, use_sse), SyncSolver(generic, use_sse)
+    fast, slow = SyncSolver(game), SyncSolver(generic)
     assert fast.graph is not None and slow.graph is None
     full = game.all_players
     for targets in (full, some & full, other & full):
@@ -470,8 +501,8 @@ def test_weakest_link_full_context_solves_no_generic_context(monkeypatch):
 
 
 @settings(max_examples=200, deadline=None)
-@given(tables_with_contexts() | monotone_games_with_contexts(), st.booleans())
-def test_each_scan_is_new_work(case, use_sse):
+@given(tables_with_contexts() | monotone_games_with_contexts())
+def test_each_scan_is_new_work(case):
     """_tau scans a context only when it has no exact value in _memo and no
     bound in _lower at or above the limit asked, so a context cut off
     earlier is scanned again only when asked with a higher limit; each of
@@ -481,7 +512,7 @@ def test_each_scan_is_new_work(case, use_sse):
     no (S, O) has reached either candidate scan twice, and the contexts
     scanned are exactly the keys of the solver's candidate cache."""
     game, ctx = case
-    solver = SyncSolver(game, use_sse=use_sse)
+    solver = SyncSolver(game)
     bound_writes = []
     tau_scans = []
 
@@ -528,14 +559,13 @@ def test_each_scan_is_new_work(case, use_sse):
     tables_with_contexts()
     | monotone_games_with_contexts()
     | family_games().map(lambda game: (game, Context(game.all_players, 0))),
-    st.booleans(),
 )
-def test_kept_candidate_lists_match_a_fresh_scan(case, use_sse):
+def test_kept_candidate_lists_match_a_fresh_scan(case):
     """Once horizon queries, a fresh context, a policy rebuild, the Nash
     listing and the outcome sets have all read candidate lists, the list
     kept for each context asked is the full submask scan of that (S, O)."""
     game, ctx = case
-    solver = SyncSolver(game, use_sse=use_sse)
+    solver = SyncSolver(game)
     asked = set()
     candidates = solver._candidates
 
@@ -551,7 +581,7 @@ def test_kept_candidate_lists_match_a_fresh_scan(case, use_sse):
     solver.equilibria()
     _or_error(solver.outcome_set, 1)
     for S, O in asked:
-        assert candidates(S, O) == sss_scan(solver.gainers, S, O, use_sse)
+        assert candidates(S, O) == sss_scan(solver.gainers, S, O, True)
 
 
 def test_out_of_range_masks_name_the_stray_bits():
@@ -571,21 +601,22 @@ def test_out_of_range_masks_name_the_stray_bits():
             call()
 
 
-# a 6-player game whose horizon queries, without use_sse, cut the context
-# (25, 6) off at 3; policy() later asks it exactly, and it is 3
-CUT_THEN_EXACT = random_game(random.Random(743), 6)
+# a 6-player game meeting the stage conditions whose horizon queries cut
+# the context (58, 5) off at 3; policy() later asks it exactly, and it is 3
+CUT_THEN_EXACT = random_game(random.Random(1404), 6)
 # a 6-player game whose horizon queries cut the context (61, 2) off at 3,
 # below its value 4
 BOUND_BELOW_VALUE = random_game(random.Random(16), 6)
 
 
 def test_cut_off_context_is_solved_when_asked_exactly():
-    solver = SyncSolver(CUT_THEN_EXACT, use_sse=False)
+    assert CUT_THEN_EXACT.report.satisfies_assumptions
+    solver = SyncSolver(CUT_THEN_EXACT)
     for targets in [CUT_THEN_EXACT.all_players] + [1 << i for i in range(6)]:
         _horizon_or_error(solver, targets)
-    assert solver._lower[25, 6] == 3 and (25, 6) not in solver._memo
+    assert solver._lower[58, 5] == 3 and (58, 5) not in solver._memo
     solver.policy()
-    assert solver._memo[25, 6] == 3 and (25, 6) not in solver._lower
+    assert solver._memo[58, 5] == 3 and (58, 5) not in solver._lower
 
 
 @settings(max_examples=200, deadline=None)
@@ -593,11 +624,10 @@ def test_cut_off_context_is_solved_when_asked_exactly():
     tables_with_contexts()
     | monotone_games_with_contexts()
     | family_games().map(lambda game: (game, Context(game.all_players, 0))),
-    st.booleans(),
 )
-@example((CUT_THEN_EXACT, Context(CUT_THEN_EXACT.all_players, 0)), False)
-@example((BOUND_BELOW_VALUE, Context(BOUND_BELOW_VALUE.all_players, 0)), True)
-def test_limited_recursion_matches_uncut_reference(case, use_sse):
+@example((CUT_THEN_EXACT, Context(CUT_THEN_EXACT.all_players, 0)))
+@example((BOUND_BELOW_VALUE, Context(BOUND_BELOW_VALUE.all_players, 0)))
+def test_limited_recursion_matches_uncut_reference(case):
     """Asked with limits, the recursion gives the values, policies,
     horizons and errors of the recursion that solved every branch exactly;
     every _memo value is exact and every _lower value is at most the exact
@@ -605,8 +635,8 @@ def test_limited_recursion_matches_uncut_reference(case, use_sse):
     below that limit and bounded at it otherwise, and asked with no limit
     it is solved."""
     game, ctx = case
-    solver = SyncSolver(game, use_sse=use_sse)
-    ref = UncutSyncSolverReference(game, use_sse=use_sse)
+    solver = SyncSolver(game)
+    ref = UncutSyncSolverReference(game)
     for targets in [game.all_players] + [1 << i for i in range(game.n)]:
         assert _horizon_or_error(solver, targets) == _horizon_or_error(ref, targets)
     for where in (None, ctx):
@@ -637,17 +667,16 @@ CASCADES = Digraph(7, [(0, 1), (1, 2), (2, 3), (3, 2), (4, 5), (5, 6)])
 @settings(max_examples=300, deadline=None)
 @given(
     shaped_digraphs(),
-    st.booleans(),
     st.integers(0, 255),
     st.integers(0, 255),
     st.integers(0, 255),
     st.integers(0, 255),
 )
-@example(CASCADES, True, 0b1101111, 0, 0b1000100, 0b1)
-@example(CASCADES, False, 0b1101110, 0b1, 0b1100000, 0b100)
-@example(TRIANGLE_INTO_TWO_CYCLE, True, 0b11011, 0b00100, 0b11000, 0b00001)
+@example(CASCADES, 0b1101111, 0, 0b1000100, 0b1)
+@example(CASCADES, 0b1101110, 0b1, 0b1100000, 0b100)
+@example(TRIANGLE_INTO_TWO_CYCLE, 0b11011, 0b00100, 0b11000, 0b00001)
 def test_weakest_link_graph_contexts_match_generic_recursion(
-    g, use_sse, active, ones, some, subsidized
+    g, active, ones, some, subsidized
 ):
     """In any context, the graph path's reduction, horizons and least
     outcomes are the generic recursion's, and so are intervention and
@@ -656,7 +685,7 @@ def test_weakest_link_graph_contexts_match_generic_recursion(
     the forced-in cascade from sources."""
     game = weakest_link_game(g)
     generic = StageGame(g.n, game._payoff)
-    fast, slow = SyncSolver(game, use_sse), SyncSolver(generic, use_sse)
+    fast, slow = SyncSolver(game), SyncSolver(generic)
     full = game.all_players
     ctx = Context(active & full, ones & full & ~active)
     got, want = fast._reduce(ctx), slow._reduce(ctx)
@@ -740,12 +769,11 @@ def _or_error(query, *args):
 @settings(max_examples=300, deadline=None)
 @given(
     family_games().filter(lambda game: game.kind in ("threshold", "aggregative")),
-    st.booleans(),
     st.integers(0, 63),
     st.integers(0, 63),
     st.integers(0, 63),
 )
-def test_family_contexts_match_their_table_twin(game, use_sse, active, ones, some):
+def test_family_contexts_match_their_table_twin(game, active, ones, some):
     """A threshold or aggregative game, which reduces by closure and lists
     its Nash profiles as fixed points, answers every query in any context
     as the table game of the same payoffs, which declares nothing and takes
@@ -753,7 +781,7 @@ def test_family_contexts_match_their_table_twin(game, use_sse, active, ones, som
     the same message on both."""
     n = game.n
     twin = table_game([[game.payoff(i, X) for X in range(1 << n)] for i in range(n)])
-    fast, slow = SyncSolver(game, use_sse), SyncSolver(twin, use_sse)
+    fast, slow = SyncSolver(game), SyncSolver(twin)
     full = game.all_players
     ctx = Context(active & full, ones & full & ~active)
     got, want = fast._reduce(ctx), slow._reduce(ctx)

@@ -7,7 +7,7 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import accumulate
 from operator import or_
 from typing import NamedTuple
@@ -790,10 +790,28 @@ class PolicyNodeSolverReference(SyncSolver):
     reading its reduced context off the _Reduction it is handed), and the
     candidates always come from the full submask scan (core.sss_scan), as
     before monotone tables were branched on; the reduction and public
-    operators are inherited."""
+    operators are inherited.
+
+    It also keeps the candidate rule SyncSolver once had as an option:
+    with `use_sse=False` a divide may split off any strictly sufficient
+    set (SSS), not only one that is also a Nash profile, and a family
+    game's Nash profiles are then listed as fixed points apart from the
+    candidates."""
+
+    def __init__(self, game, use_sse=True):
+        super().__init__(game)
+        self.use_sse = use_sse
 
     def _candidates(self, S, O):
         return core.sss_scan(self.gainers, S, O, self.use_sse)
+
+    @cached_property
+    def _nash(self):
+        S, O = self.base.active, self.base.ones
+        if self.game._rules is None:
+            return core.ne_scan(self.gainers, self.losers, S, O)
+        found = core.fixed_point_scan(self.gainers, S, O)
+        return found if self.gainers[O] & S else [0, *found]
 
     def value(self, S, O):
         """Minimum number of stages to reach all-ones in the auxiliary game
@@ -1238,6 +1256,20 @@ def ordered_min_horizon_reference(game, targets, flags=None):
     if best is None:
         raise PreconditionError("no sufficient prefix covers the target")
     return best
+
+
+def nested_in_intervals_reference(in_starts):
+    """ordered._nested_in_intervals as it read each gap [s_i, s_j) as a set
+    before the nesting test counted it, kept verbatim."""
+    n = len(in_starts)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if in_starts[i] >= in_starts[j]:
+                continue
+            gap = set(range(in_starts[i], in_starts[j])) - {i}
+            if not gap <= {j}:
+                return False
+    return True
 
 
 def scc_reference(g, vertices=None):
