@@ -24,17 +24,23 @@ from .core import (
     table_game,
 )
 from .digraph import Digraph, partition_from_certificate, tree_depth
-from .errors import DEFAULT_BUDGET, PreconditionError, ResourceLimitError, charge
+from .errors import DEFAULT_BUDGET, FieldError, PreconditionError, ResourceLimitError, charge
 from .graphical import threshold_game, weakest_link_game
 from .sync import SyncSolver
-
-ENV_BUDGET = "COORDSOLVE_BUDGET"
 
 
 class ParseError(Exception):
     def __init__(self, path, message):
         super().__init__(f"{path}: {message}")
         self.path = path
+
+
+def _at(path, exc):
+    """A constructor's ValueError as a ParseError at `path`, or below it at
+    the field and entry that a FieldError names."""
+    if isinstance(exc, FieldError):
+        path += f".{exc.field}" if exc.index is None else f".{exc.field}[{exc.index}]"
+    return ParseError(path, str(exc))
 
 
 # ---------------------------------------------------------------------------
@@ -61,35 +67,29 @@ def _rational(value, path):
     raise ParseError(path, f"payoff must be an int or 'p/q' string, got {value!r}")
 
 
-def _edges(doc, n, path):
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _edges(doc, path):
+    """The [i, j] int pairs at doc["edges"]; Digraph checks their range."""
     edges = doc.get("edges")
     if not isinstance(edges, list):
         raise ParseError(path + ".edges", "expected a list of [i, j] pairs")
-    out = []
     for idx, e in enumerate(edges):
-        if (
-            not isinstance(e, list)
-            or len(e) != 2
-            or not all(isinstance(v, int) for v in e)
-        ):
+        if not isinstance(e, list) or len(e) != 2 or not all(map(_is_int, e)):
             raise ParseError(f"{path}.edges[{idx}]", "expected an [i, j] pair of ints")
-        i, j = e
-        if not (0 <= i < n and 0 <= j < n) or i == j:
-            raise ParseError(f"{path}.edges[{idx}]", f"bad edge ({i},{j}) for n={n}")
-        out.append((i, j))
-    return out
+    return edges
 
 
-def _int_vector(doc, key, n, path, top=None):
-    """The list of n ints at doc[key]; each in 0..top when `top` is given."""
+def _int_vector(doc, key, n, path):
+    """The list of n ints at doc[key]."""
     vec = doc.get(key)
     if not isinstance(vec, list) or len(vec) != n:
         raise ParseError(f"{path}.{key}", f"expected a list of {n} ints")
     for idx, v in enumerate(vec):
-        if not isinstance(v, int) or isinstance(v, bool):
+        if not _is_int(v):
             raise ParseError(f"{path}.{key}[{idx}]", f"expected an int, got {v!r}")
-        if top is not None and not 0 <= v <= top:
-            raise ParseError(f"{path}.{key}[{idx}]", f"expected an int in 0..{top}, got {v}")
     return vec
 
 
@@ -127,54 +127,42 @@ def parse_game(doc, path="$", budget=DEFAULT_BUDGET):
     """Build a StageGame from a document dict.  Its assumption report is
     computed on first read of `game.report`.  A table document parses each
     distinct payoff string once (see _payoff_rows).  An nsg document's
-    order classification runs under `budget` (see ordered.generate)."""
+    order classification runs under `budget` (see ordered.generate).  The
+    constructors check each value's range; see _at for the paths."""
     if not isinstance(doc, dict):
         raise ParseError(path, "document must be an object")
     n = doc.get("players")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ParseError(path + ".players", "positive player count required")
     kind = doc.get("kind")
-    if kind == "table":
-        rows = doc.get("payoffs")
-        if not isinstance(rows, list) or len(rows) != n:
-            raise ParseError(path + ".payoffs", f"expected {n} payoff rows")
-        game = table_game(_payoff_rows(rows, n, path))
-    elif kind == "weakest_link":
-        game = weakest_link_game(Digraph(n, _edges(doc, n, path)))
-    elif kind == "threshold":
-        g = Digraph(n, _edges(doc, n, path))
-        try:
-            game = threshold_game(g, _int_vector(doc, "k", n, path))
-        except ValueError as exc:
-            raise ParseError(path + ".k", str(exc)) from None
-    elif kind == "aggregative":
-        try:
-            game = aggregative_game(_int_vector(doc, "c", n, path))
-        except ValueError as exc:
-            raise ParseError(path + ".c", str(exc)) from None
-    elif kind in ("aligned_nsg", "opposed_nsg"):
-        nested = doc.get("nested", True)
-        if not isinstance(nested, bool):
-            raise ParseError(path + ".nested", "expected a boolean")
-        in_starts = _int_vector(doc, "in_starts", n, path, n)
-        out_ends = doc.get("out_ends")
-        if out_ends is not None:
-            out_ends = _int_vector(doc, "out_ends", n, path, n)
-        k = _int_vector(doc, "k", n, path) if kind == "opposed_nsg" else None
-        try:
-            game = ordered.generate(
-                kind,
-                in_starts=in_starts,
-                out_ends=out_ends,
-                k=k,
-                nested=nested,
-                budget=budget,
+    try:
+        if kind == "table":
+            rows = doc.get("payoffs")
+            if not isinstance(rows, list) or len(rows) != n:
+                raise ParseError(path + ".payoffs", f"expected {n} payoff rows")
+            return table_game(_payoff_rows(rows, n, path))
+        if kind == "weakest_link":
+            return weakest_link_game(Digraph(n, _edges(doc, path)))
+        if kind == "threshold":
+            g = Digraph(n, _edges(doc, path))
+            return threshold_game(g, _int_vector(doc, "k", n, path))
+        if kind == "aggregative":
+            return aggregative_game(_int_vector(doc, "c", n, path))
+        if kind in ("aligned_nsg", "opposed_nsg"):
+            nested = doc.get("nested", True)
+            if not isinstance(nested, bool):
+                raise ParseError(path + ".nested", "expected a boolean")
+            in_starts = _int_vector(doc, "in_starts", n, path)
+            out_ends = doc.get("out_ends")
+            if out_ends is not None:
+                out_ends = _int_vector(doc, "out_ends", n, path)
+            k = _int_vector(doc, "k", n, path) if kind == "opposed_nsg" else None
+            return ordered.generate(
+                kind, in_starts=in_starts, out_ends=out_ends, k=k, nested=nested, budget=budget
             )
-        except ValueError as exc:
-            raise ParseError(path, str(exc)) from None
-    else:
-        raise ParseError(path + ".kind", f"unknown kind {kind!r}")
-    return game
+    except ValueError as exc:
+        raise _at(path, exc) from None
+    raise ParseError(path + ".kind", f"unknown kind {kind!r}")
 
 
 def parse_graph(doc, path="$"):
@@ -182,9 +170,12 @@ def parse_graph(doc, path="$"):
     if not isinstance(doc, dict):
         raise ParseError(path, "document must be an object")
     n = doc.get("n")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+    if not _is_int(n) or n < 0:
         raise ParseError(path + ".n", "non-negative vertex count required")
-    return Digraph(n, _edges(doc, n, path))
+    try:
+        return Digraph(n, _edges(doc, path))
+    except ValueError as exc:
+        raise _at(path, exc) from None
 
 
 def _read_text(path):
@@ -211,12 +202,13 @@ def _load_json(path):
 
 
 def _charge_size(doc, key, noun, budget):
-    """Charge a document's player or vertex count against the budget before
-    anything is built from it: `Digraph` alone holds two lists of that
-    length.  A count that is not an int is left to the parser to report."""
+    """Charge n² for a document's player or vertex count n against the
+    budget before anything is built from it: the constructors build n masks
+    of up to n bits each.  A count that is not an int is left to the parser
+    to report."""
     n = doc.get(key) if isinstance(doc, dict) else None
-    if isinstance(n, int) and not isinstance(n, bool):
-        charge(n, budget, f"{n} {noun} exceed the budget {budget}")
+    if _is_int(n):
+        charge(n * n, budget, f"{n} {noun} exceed the budget {budget}")
 
 
 def load_game(path, budget):
@@ -278,27 +270,25 @@ def _parse_partition(text, n):
     if not isinstance(doc, list):
         raise ParseError("partition", "expected {\"cells\": [[...], ...]}")
     cells = []
-    seen = 0
     for idx, cell in enumerate(doc):
         path = f"partition.cells[{idx}]"
         if not isinstance(cell, list):
             raise ParseError(path, "expected 0-based player list")
         mask = 0
         for v in cell:
-            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
+            if not _is_int(v) or not 0 <= v < n:
                 got = json.dumps(v)
                 raise ParseError(path, f"expected a 0-based player below {n}, got {got}")
             if mask >> v & 1:
                 raise ParseError(path, f"lists player {v} twice")
             mask |= 1 << v
-        if mask & seen:
-            raise ParseError(path, f"players {list(members(mask & seen))} are in an earlier cell")
-        seen |= mask
         cells.append(mask)
-    missing = ((1 << n) - 1) & ~seen
-    if missing:
-        raise ParseError("partition.cells", f"players {list(members(missing))} are in no cell")
-    return Partition(cells)
+    try:
+        p = Partition(cells)
+        p.validate_cover(n)
+    except ValueError as exc:
+        raise _at("partition", exc) from None
+    return p
 
 
 def _emit(args, human_lines, payload):
@@ -551,9 +541,8 @@ def _int_at_least(low, rule):
     return parse
 
 
-# every --t; --budget, or the environment's COORDSOLVE_BUDGET in its place
 _horizon = _int_at_least(1, "horizon must be a positive integer")
-_budget = _int_at_least(0, f"--budget or {ENV_BUDGET} must be a non-negative integer")
+_budget = _int_at_least(0, "--budget must be a non-negative integer")
 
 
 def build_parser():
@@ -564,63 +553,46 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command")
 
-    def common(p, game=True):
+    def common(p, handler, game=True):
         if game:
             p.add_argument("--game", required=True, help="game document (JSON)")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument(
             "--budget",
             type=_budget,
-            default=None,
-            help=f"evaluation budget for heavy enumerations (default: "
-            f"${ENV_BUDGET}, else {DEFAULT_BUDGET})",
+            default=DEFAULT_BUDGET,
+            help=f"evaluation budget for heavy enumerations (default: {DEFAULT_BUDGET})",
         )
-        p.set_defaults(subparser=p)
+        p.set_defaults(handler=handler)
         return p
 
-    common(sub.add_parser("check", help="verify the stage-game conditions"))
-    common(sub.add_parser("ne", help="pure Nash equilibria and the least one"))
-    p = common(sub.add_parser("tau", help="minimum horizon guaranteeing a target"))
+    add = sub.add_parser
+    common(add("check", help="verify the stage-game conditions"), _cmd_check)
+    common(add("ne", help="pure Nash equilibria and the least one"), _cmd_ne)
+    p = common(add("tau", help="minimum horizon guaranteeing a target"), _cmd_tau)
     p.add_argument("--target", required=True, help="1-based players, e.g. 5,6,7")
-    p = common(sub.add_parser("phi", help="least equilibrium outcome at a horizon"))
+    p = common(add("phi", help="least equilibrium outcome at a horizon"), _cmd_phi)
     p.add_argument("--t", type=_horizon, required=True)
-    p = common(sub.add_parser("outcomes", help="all equilibrium outcomes at a horizon"))
+    p = common(add("outcomes", help="all equilibrium outcomes at a horizon"), _cmd_outcomes)
     p.add_argument("--t", type=_horizon, required=True)
-    p = common(sub.add_parser("treedepth", help="directed tree-depth of a graph"), game=False)
+    p = common(add("treedepth", help="directed tree-depth of a graph"), _cmd_treedepth, False)
     p.add_argument("--graph", required=True, help="graph document (JSON)")
-    p = common(sub.add_parser("design", help="optimal asynchronous schedule"))
+    p = common(add("design", help="optimal asynchronous schedule"), _cmd_design)
     p.add_argument("--t", type=_horizon, required=True)
-    p = common(sub.add_parser("async-solve", help="backward elimination on a schedule"))
+    p = common(add("async-solve", help="backward elimination on a schedule"), _cmd_async_solve)
     p.add_argument("--partition", required=True, help="JSON cells or file path")
-    common(sub.add_parser("centrality", help="weak and strong centrality"))
-    common(sub.add_parser("horizons", help="candidate horizons for a principal"))
-    p = common(sub.add_parser("intervene", help="marginal gain from subsidising players"))
+    common(add("centrality", help="weak and strong centrality"), _cmd_centrality)
+    common(add("horizons", help="candidate horizons for a principal"), _cmd_horizons)
+    p = common(add("intervene", help="marginal gain from subsidising players"), _cmd_intervene)
     p.add_argument("--subsidized", required=True, help="1-based players")
     p.add_argument("--t", type=_horizon, required=True)
-    p = common(sub.add_parser("ordered", help="order classification and fast horizon"))
+    p = common(add("ordered", help="order classification and fast horizon"), _cmd_ordered)
     p.add_argument("--target", default=None, help="1-based players (optional)")
-    p = common(sub.add_parser("oracle", help="brute-force equilibrium outcomes"))
+    p = common(add("oracle", help="brute-force equilibrium outcomes"), _cmd_oracle)
     p.add_argument("--mode", choices=["spne", "mspne"], default="mspne")
     p.add_argument("--t", type=_horizon, default=None, help="synchronous horizon")
     p.add_argument("--partition", default=None, help="asynchronous cells")
     return parser
-
-
-_HANDLERS = {
-    "check": _cmd_check,
-    "ne": _cmd_ne,
-    "tau": _cmd_tau,
-    "phi": _cmd_phi,
-    "outcomes": _cmd_outcomes,
-    "treedepth": _cmd_treedepth,
-    "design": _cmd_design,
-    "async-solve": _cmd_async_solve,
-    "centrality": _cmd_centrality,
-    "horizons": _cmd_horizons,
-    "intervene": _cmd_intervene,
-    "ordered": _cmd_ordered,
-    "oracle": _cmd_oracle,
-}
 
 
 @functools.cache
@@ -633,13 +605,6 @@ def main(argv=None):
     parser = _parser()
     try:
         args = parser.parse_args(argv)
-        if args.command is not None and args.budget is None:
-            # read on every call, so the environment may change in between
-            text = os.environ.get(ENV_BUDGET, str(DEFAULT_BUDGET))
-            try:
-                args.budget = _budget(text)
-            except argparse.ArgumentTypeError as exc:
-                args.subparser.error(f"argument --budget: {exc}")
     except SystemExit as exc:
         # argparse exits 2 on usage errors; the contract is exit 1 (0 for -h)
         return 0 if exc.code in (0, None) else 1
@@ -647,7 +612,7 @@ def main(argv=None):
         parser.print_usage(sys.stderr)
         return 1
     try:
-        _HANDLERS[args.command](args)
+        args.handler(args)
     except (ParseError, ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

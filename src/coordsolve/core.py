@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import PreconditionError
+from .errors import FieldError, PreconditionError
 
 
 # ---------------------------------------------------------------------------
@@ -202,12 +202,13 @@ def thresholds(values, name):
 
 
 def aggregative_game(c):
-    """Game where i strictly wants action 1 iff at least c_i others play 1."""
+    """Game where i strictly wants action 1 iff at least c_i others play 1.
+    An entry outside 1..n-1 raises FieldError("c", i)."""
     n = len(c)
     c = thresholds(c, "c")
     for i, ci in enumerate(c):
         if not 1 <= ci <= n - 1:
-            raise ValueError(f"threshold c[{i}]={ci} outside 1..{n - 1}")
+            raise FieldError("c", i, f"threshold c[{i}]={ci} outside 1..{n - 1}")
     full = (1 << n) - 1
     return neighbour_game([full ^ 1 << i for i in range(n)], c, "aggregative", {"c": c})
 
@@ -865,16 +866,22 @@ def sss_set(game, ctx=None, require_ne=False):
 
 @dataclass(frozen=True)
 class Partition:
-    """Ordered disjoint cells of players; the cell index is the move stage."""
+    """Ordered disjoint cells of players; the cell index is the move stage.
+    A negative cell, or one that shares players with an earlier cell,
+    raises FieldError("cells", its index)."""
 
     cells: tuple
 
     def __init__(self, cells):
         masks = tuple(int(c) for c in cells)
         seen = 0
-        for c in masks:
+        for idx, c in enumerate(masks):
+            if c < 0:
+                raise FieldError("cells", idx, f"cell mask {c} is negative")
             if c & seen:
-                raise ValueError("partition cells overlap")
+                raise FieldError(
+                    "cells", idx, f"players {list(members(c & seen))} are in an earlier cell"
+                )
             seen |= c
         object.__setattr__(self, "cells", masks)
 
@@ -889,5 +896,12 @@ class Partition:
         return m
 
     def validate_cover(self, n):
-        if self.union() != (1 << n) - 1:
-            raise ValueError("partition does not cover all players")
+        """Raise FieldError("cells", None) unless the cells hold exactly the
+        players 0..n-1."""
+        full = (1 << n) - 1
+        union = self.union()
+        missing = list(members(full & ~union))
+        if missing:
+            raise FieldError("cells", None, f"players {missing} are in no cell")
+        if union != full:
+            raise FieldError("cells", None, f"a cell holds a player outside 0..{n - 1}")

@@ -11,22 +11,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import Partition, check_mask
-from .errors import PreconditionError
+from .errors import FieldError, PreconditionError
 
 
 class Digraph:
-    """Directed graph on vertices 0..n-1, no self-loops."""
+    """Directed graph on vertices 0..n-1, no self-loops.  A self-loop or an
+    endpoint outside 0..n-1 raises FieldError("edges", its index)."""
 
     def __init__(self, n, edges):
         if n < 0:
             raise ValueError("negative vertex count")
         self.n = n
         es = set()
-        for i, j in edges:
+        for idx, (i, j) in enumerate(edges):
             if i == j:
-                raise ValueError(f"self-loop at vertex {i}")
+                raise FieldError("edges", idx, f"self-loop at vertex {i}")
             if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"edge ({i},{j}) out of range")
+                raise FieldError("edges", idx, f"edge ({i},{j}) out of range")
             es.add((i, j))
         self.edges = frozenset(es)
         self._succ = [0] * n

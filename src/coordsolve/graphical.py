@@ -14,7 +14,7 @@ from itertools import combinations, product
 
 from .core import bits, gains, mask_of, members, neighbour_game, settle, thresholds
 from .digraph import Digraph, TreeDepth
-from .errors import DEFAULT_BUDGET, PreconditionError, charge
+from .errors import DEFAULT_BUDGET, FieldError, PreconditionError, charge
 from .sync import SyncSolver
 
 
@@ -30,15 +30,16 @@ def weakest_link_game(g):
 
 def threshold_game(g, k):
     """Stage game on g where i gains from action 1 exactly when at least k_i
-    of its in-neighbors play 1."""
+    of its in-neighbors play 1.  A vector k of the wrong length raises
+    FieldError("k", None), an entry outside 1..|N_i| FieldError("k", i)."""
     if len(k) != g.n:
-        raise ValueError("one threshold per player required")
+        raise FieldError("k", None, "one threshold per player required")
     needs = [g.in_mask(i) for i in range(g.n)]
     k = thresholds(k, "k")
     for i, ki in enumerate(k):
         deg = needs[i].bit_count()
         if not 1 <= ki <= deg:
-            raise ValueError(f"threshold k[{i}]={ki} outside 1..{deg}")
+            raise FieldError("k", i, f"threshold k[{i}]={ki} outside 1..{deg}")
     return neighbour_game(needs, k, "threshold", {"edges": tuple(sorted(g.edges)), "k": k})
 
 

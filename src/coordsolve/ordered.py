@@ -25,7 +25,7 @@ from .core import (
     thresholds,
 )
 from .digraph import Digraph
-from .errors import DEFAULT_BUDGET, PreconditionError, charge
+from .errors import DEFAULT_BUDGET, FieldError, PreconditionError, charge
 from .graphical import threshold_game, weakest_link_game
 
 
@@ -280,14 +280,15 @@ def _interval_graph(in_starts, out_ends, nested):
     n = len(in_starts).  Every entry of `in_starts` and `out_ends` is
     checked against 0..n first (`out_ends`, when given, has n entries),
     then requirement nesting when `nested`, then each declared
-    out-interval {0..e_i-1}\\{i} against the graph."""
+    out-interval {0..e_i-1}\\{i} against the graph.  Each of these but
+    nesting raises FieldError naming its vector and entry (None: length)."""
     n = len(in_starts)
     if out_ends is not None and len(out_ends) != n:
-        raise ValueError(f"out_ends has {len(out_ends)} entries for {n} players")
+        raise FieldError("out_ends", None, f"out_ends has {len(out_ends)} entries for {n} players")
     for name, ends in (("in_starts", in_starts), ("out_ends", out_ends or ())):
         for i, e in enumerate(ends):
             if not 0 <= e <= n:
-                raise ValueError(f"{name}[{i}]={e} outside 0..{n}")
+                raise FieldError(name, i, f"{name}[{i}]={e} outside 0..{n}")
     if nested and not _nested_in_intervals(in_starts):
         raise ValueError(
             "in-intervals are not requirement-nested; pass nested=False "
@@ -297,9 +298,11 @@ def _interval_graph(in_starts, out_ends, nested):
     for i, e in enumerate(out_ends or ()):
         want = mask_of(j for j in range(e) if j != i)
         if g.out_mask(i) != want:
-            raise ValueError(
+            raise FieldError(
+                "out_ends",
+                i,
                 f"out-neighborhood of player {i} is {members(g.out_mask(i))}, "
-                f"inconsistent with the declared interval end {e}"
+                f"inconsistent with the declared interval end {e}",
             )
     return g
 
@@ -340,8 +343,8 @@ def generate(
     ordered but is no longer covered by the fast-path guarantee).  For
     both nsg kinds every `in_starts` and `out_ends` entry must lie in
     0..n, and `out_ends` must have n entries, checked before anything else
-    reads the vectors.  The
-    classification runs under `budget` (see classify).
+    reads the vectors; an argument out of range raises FieldError naming it.
+    The classification runs under `budget` (see classify).
     """
     if kind == "aggregative":
         if c is None:

@@ -8,7 +8,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from coordsolve import Digraph, members, ordered, table_game, weakest_link_horizon
 from coordsolve.cli import ParseError, main, parse_game
@@ -359,6 +359,72 @@ def test_malformed_partition_names_its_cell(tmp_path, capsys, cells, where):
     assert captured.err.strip() == f"error: {where}"
 
 
+BOOL = [[True, 2]]
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (["tau", "--target", "1", "--game"], {"players": 3, "kind": "weakest_link", "edges": BOOL}),
+        (["treedepth", "--graph"], {"n": 3, "edges": [[True, 2], [False, 1]]}),
+    ],
+    ids=["game", "graph"],
+)
+def test_boolean_vertices_are_refused(tmp_path, capsys, argv, doc):
+    # JSON true and false were read as vertices 1 and 0
+    assert main(argv + [write_game(tmp_path, doc)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: $.edges[0]: expected an [i, j] pair of ints\n"
+
+
+CYCLE3 = [[0, 1], [1, 2], [2, 0]]
+AGG3 = {"players": 3, "kind": "aggregative", "c": [1, 1, 2]}
+
+
+@pytest.mark.parametrize(
+    "doc, cells, where",
+    [
+        ({"players": 3, "kind": "threshold", "edges": CYCLE3, "k": [1, 2, 1]}, None, "$.k[1]"),
+        (
+            {"players": 3, "kind": "opposed_nsg", "in_starts": [0, 0, 0], "k": [1, 1 << 40, 1]},
+            None,
+            "$.k[1]",
+        ),
+        ({"players": 3, "kind": "aggregative", "c": [1, 1, 3]}, None, "$.c[2]"),
+        ({"players": 3, "kind": "weakest_link", "edges": [[1, 1], [0, 1]]}, None, "$.edges[0]"),
+        ({"players": 3, "kind": "weakest_link", "edges": [[0, 3], [0, 1]]}, None, "$.edges[0]"),
+        ({"players": 3, "kind": "aligned_nsg", "in_starts": [2, 4, 0]}, None, "$.in_starts[1]"),
+        (
+            {"players": 3, "kind": "aligned_nsg", "in_starts": [2, 1, 0], "out_ends": [0, 0, -1]},
+            None,
+            "$.out_ends[2]",
+        ),
+        # every in-interval is empty, so no player has the out-interval {0}
+        (
+            {"players": 3, "kind": "aligned_nsg", "in_starts": [3, 3, 3], "out_ends": [0, 2, 0]},
+            None,
+            "$.out_ends[1]",
+        ),
+        (AGG3, [[0, 1], [1, 2]], "partition.cells[1]"),
+        (AGG3, [[0], [2]], "partition.cells"),
+        ({"players": 3, "kind": "opposed_nsg", "in_starts": [0, 0, 0], "k": [1, 2, 1]}, None, "$"),
+    ],
+    ids=[
+        "threshold_k", "opposed_nsg_k", "aggregative_c", "self_loop", "endpoint", "in_start",
+        "out_end", "out_interval", "overlap", "cover", "unordered",
+    ],
+)
+def test_constructor_errors_name_their_document_path(tmp_path, capsys, doc, cells, where):
+    argv = ["check", "--game", write_game(tmp_path, doc)]
+    if cells is not None:
+        argv = ["async-solve", "--partition", json.dumps({"cells": cells})] + argv[1:]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {where}: ")
+
+
 def test_centrality_horizons_intervene(tmp_path, capsys):
     path = write_game(tmp_path, hub_doc())
     code, payload = run_json(capsys, ["centrality", "--game", path, "--json"])
@@ -696,15 +762,16 @@ def test_huge_exponent_payoff_exits_promptly(tmp_path):
     assert done.stderr.startswith("error: $.payoffs[0][0]: not an int or 'p/q' string")
 
 
-def run_capped(argv, limit=1536 << 20):
-    """Run the CLI in a child process with its address space capped, so a
-    document that would fill memory fails fast instead."""
+def run_capped(argv, limit=1536 << 20, program=("-m", "coordsolve.cli")):
+    """Run the CLI (or another Python `program`) in a child process with its
+    address space capped, so a document that would fill memory fails fast
+    instead."""
 
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
     return subprocess.run(
-        [sys.executable, "-m", "coordsolve.cli", *argv],
+        [sys.executable, *program, *argv],
         capture_output=True,
         text=True,
         timeout=60,
@@ -767,24 +834,55 @@ def test_family_documents_build_no_table(tmp_path, capsys, monkeypatch, doc, arg
 
 
 def test_size_charge_is_the_player_count(tmp_path, capsys):
-    # 8 players pass at --budget 8; the paths with budgets of their own
-    # then spend it (IESEDS and the SPNE oracle refuse), and tau, which
-    # charges its 2^8-cell table, answers at --budget 256
+    # the count charge is n^2: 8 players pass at --budget 64; the paths
+    # with budgets of their own then spend it (IESEDS and the SPNE oracle
+    # refuse), and tau, which charges its 2^8-cell table, answers at
+    # --budget 256
     path = write_game(tmp_path, triangles_doc())
     cells = json.dumps({"cells": [[i] for i in range(8)]})
-    assert main(["async-solve", "--game", path, "--partition", cells, "--budget", "7"]) == 3
-    assert "8 players exceed the budget 7" in capsys.readouterr().err
-    assert main(["async-solve", "--game", path, "--partition", cells, "--budget", "8"]) == 3
+    assert main(["async-solve", "--game", path, "--partition", cells, "--budget", "63"]) == 3
+    assert "8 players exceed the budget 63" in capsys.readouterr().err
+    assert main(["async-solve", "--game", path, "--partition", cells, "--budget", "64"]) == 3
     assert "8 players" not in capsys.readouterr().err
-    argv = ["oracle", "--game", path, "--mode", "spne", "--t", "2", "--budget", "8"]
+    argv = ["oracle", "--game", path, "--mode", "spne", "--t", "2", "--budget", "64"]
     assert main(argv) == 3
     assert "8 players" not in capsys.readouterr().err
     assert main(["tau", "--game", path, "--target", "1", "--budget", "255"]) == 3
     assert "incentive table needs 2^8 cells (budget 255)" in capsys.readouterr().err
     assert main(["tau", "--game", path, "--target", "1", "--budget", "256"]) == 0
     graph = write_game(tmp_path, {"n": 3, "edges": [[0, 1], [1, 0]]}, "graph.json")
-    assert main(["treedepth", "--graph", graph, "--budget", "2"]) == 3
-    assert main(["treedepth", "--graph", graph, "--budget", "3"]) == 0
+    assert main(["treedepth", "--graph", graph, "--budget", "8"]) == 3
+    assert main(["treedepth", "--graph", graph, "--budget", "9"]) == 0
+
+
+def test_count_charge_boundary_at_the_default_budget(tmp_path, capsys):
+    # 3162^2 <= 10^7 < 3163^2: the larger document is refused by its count,
+    # the smaller one only by the assumption check's n 2^n payoff reads
+    for n, refusal in [(3163, "3163 players exceed the budget"), (3162, "assumption check")]:
+        path = write_game(tmp_path, {"players": n, "kind": "weakest_link", "edges": []})
+        assert main(["check", "--game", path]) == 3
+        assert capsys.readouterr().err.startswith(f"resource error: {refusal}")
+
+
+WL1E7 = {"players": 10**7, "kind": "weakest_link", "edges": []}
+
+
+@pytest.mark.parametrize(
+    "argv, doc, noun",
+    [
+        (["check", "--game"], WL1E7, "players"),
+        (["tau", "--target", "1", "--game"], WL1E7, "players"),
+        (["treedepth", "--graph"], {"n": 10**7, "edges": []}, "vertices"),
+    ],
+    ids=["check", "tau", "treedepth"],
+)
+def test_count_charge_bounds_memory_at_the_default_budget(tmp_path, argv, doc, noun):
+    # 10^7 passed a charge of n: a weakest-link game's rule masks alone take
+    # about n^2/16 bytes, and each run died with a MemoryError traceback
+    done = run_capped(argv + [write_game(tmp_path, doc)])
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert done.stderr == f"resource error: {10**7} {noun} exceed the budget 10000000\n"
 
 
 def test_oracle_subcommand(tmp_path, capsys):
@@ -906,9 +1004,8 @@ def test_check_charges_its_payoff_reads_to_the_budget(tmp_path, capsys):
     assert err == f"resource error: assumption check needs {9 << 9} payoff evaluations (budget {(9 << 9) - 1})\n"
 
 
-def test_large_check_refused_before_any_read(tmp_path, capsys, monkeypatch):
+def test_large_check_refused_before_any_read(tmp_path, capsys):
     # a 2^39-entry report list used to die with a MemoryError traceback
-    monkeypatch.delenv("COORDSOLVE_BUDGET", raising=False)
     path = write_game(tmp_path, {"players": 40, "kind": "weakest_link", "edges": [[0, 1]]})
     assert main(["check", "--game", path]) == 3
     assert main(["check", "--game", path, "--json"]) == 3
@@ -934,10 +1031,9 @@ def two_player_table_doc():
 
 
 @pytest.mark.parametrize("flags", [[], ["--json"]])
-def test_design_charges_its_schedule_cells(tmp_path, monkeypatch, flags):
+def test_design_charges_its_schedule_cells(tmp_path, flags):
     # the schedule pads to T cells: --t 10^9 used to die with a MemoryError
     # traceback in partition_from_certificate
-    monkeypatch.delenv("COORDSOLVE_BUDGET", raising=False)
     path = write_game(tmp_path, three_player_cycle_doc())
     done = run_capped(["design", "--game", path, "--t", "1000000000"] + flags)
     assert done.returncode == 3
@@ -952,11 +1048,12 @@ def test_design_within_the_budget_prints_every_cell(tmp_path, capsys):
     assert [line.split(":")[0].strip() for line in out.splitlines()[1:]] == [
         f"cell {t}" for t in range(1, 6)
     ]
-    # the 2^3-cell table fits a budget of 8; nine schedule cells do not
-    assert main(["design", "--game", path, "--t", "8", "--budget", "8"]) == 0
+    # the 3^2 count charge and the 2^3-cell table fit a budget of 9; ten
+    # schedule cells do not
+    assert main(["design", "--game", path, "--t", "9", "--budget", "9"]) == 0
     capsys.readouterr()
-    assert main(["design", "--game", path, "--t", "9", "--budget", "8"]) == 3
-    assert capsys.readouterr().err == "resource error: schedule needs 9 cells (budget 8)\n"
+    assert main(["design", "--game", path, "--t", "10", "--budget", "9"]) == 3
+    assert capsys.readouterr().err == "resource error: schedule needs 10 cells (budget 9)\n"
 
 
 def test_mspne_oracle_pays_for_its_history_poset_first(tmp_path, capsys, monkeypatch):
@@ -974,9 +1071,8 @@ def test_mspne_oracle_pays_for_its_history_poset_first(tmp_path, capsys, monkeyp
 
 
 @pytest.mark.parametrize("flags", [[], ["--json"]])
-def test_huge_mspne_oracle_refused_before_its_histories(tmp_path, monkeypatch, flags):
+def test_huge_mspne_oracle_refused_before_its_histories(tmp_path, flags):
     # _sync_histories used to fill memory at --t 3000 on two players
-    monkeypatch.delenv("COORDSOLVE_BUDGET", raising=False)
     path = write_game(tmp_path, two_player_table_doc())
     done = run_capped(["oracle", "--game", path, "--mode", "mspne", "--t", "3000"] + flags)
     assert done.returncode == 3
@@ -994,7 +1090,7 @@ def test_in_start_outside_the_players_names_its_entry(tmp_path, kind, start):
         doc["k"] = [1, 1, 1]
     done = run_capped(["tau", "--game", write_game(tmp_path, doc), "--target", "1"], 1000 << 20)
     assert done.returncode == 1
-    assert done.stderr == f"error: $.in_starts[1]: expected an int in 0..3, got {start}\n"
+    assert done.stderr == f"error: $.in_starts[1]: in_starts[1]={start} outside 0..3\n"
     assert "Traceback" not in done.stderr
 
 
@@ -1002,10 +1098,9 @@ WL20_DOC = {"players": 20, "kind": "weakest_link", "edges": [[0, 1]]}
 
 
 @pytest.mark.parametrize("flags", [[], ["--json"]])
-def test_wide_mspne_oracle_refused_before_its_moves(tmp_path, monkeypatch, flags):
+def test_wide_mspne_oracle_refused_before_its_moves(tmp_path, flags):
     # stage 0 alone builds 2^20 moves with 20 deviations each: this used to
     # die with a MemoryError traceback after 11 s
-    monkeypatch.delenv("COORDSOLVE_BUDGET", raising=False)
     path = write_game(tmp_path, WL20_DOC)
     done = run_capped(["oracle", "--game", path, "--t", "1"] + flags)
     assert done.returncode == 3
@@ -1019,7 +1114,6 @@ def test_wide_mspne_oracle_builds_no_history(tmp_path, capsys, monkeypatch):
     def unreached(*args):
         raise AssertionError("histories built before the budget was spent")
 
-    monkeypatch.delenv("COORDSOLVE_BUDGET", raising=False)
     monkeypatch.setattr(oracle, "_chances", unreached)
     path = write_game(tmp_path, WL20_DOC)
     assert main(["oracle", "--game", path, "--t", "1"]) == 3
@@ -1029,10 +1123,9 @@ def test_wide_mspne_oracle_builds_no_history(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("flags", [[], ["--json"]])
-def test_wide_spne_oracle_refused_before_its_payoff_reads(tmp_path, monkeypatch, flags):
+def test_wide_spne_oracle_refused_before_its_payoff_reads(tmp_path, flags):
     # 20 2^20 payoff reads: this used to answer after 25 s, having charged
     # 2^20 steps
-    monkeypatch.delenv("COORDSOLVE_BUDGET", raising=False)
     path = write_game(tmp_path, WL20_DOC)
     done = run_capped(["oracle", "--game", path, "--mode", "spne", "--t", "1"] + flags)
     assert done.returncode == 3
@@ -1073,8 +1166,7 @@ def test_long_horizon_spne_oracle_answers(tmp_path, capsys, doc, outcome, flags)
 
 
 @pytest.mark.parametrize("flags", [[], ["--json"]])
-def test_huge_spne_oracle_refused_up_front(tmp_path, monkeypatch, flags):
-    monkeypatch.delenv("COORDSOLVE_BUDGET", raising=False)
+def test_huge_spne_oracle_refused_up_front(tmp_path, flags):
     path = write_game(tmp_path, two_player_table_doc())
     argv = ["oracle", "--game", path, "--mode", "spne", "--t", "1000000000000"]
     done = run_capped(argv + flags)
@@ -1097,35 +1189,6 @@ SUBCOMMANDS = (
     ["ordered"],
     ["oracle", "--t", "1"],
 )
-
-
-@pytest.mark.parametrize("value", ["abc", "-1", "1.5"])
-def test_malformed_budget_from_environment_names_it(tmp_path, capsys, monkeypatch, value):
-    path = write_game(tmp_path, {"players": 2, "kind": "aggregative", "c": [1, 1]})
-    monkeypatch.setenv("COORDSOLVE_BUDGET", value)
-    for argv in SUBCOMMANDS:
-        assert main(argv + ["--game", path]) == 1
-        err = capsys.readouterr().err
-        assert "--budget or COORDSOLVE_BUDGET must be a non-negative integer" in err
-        assert err.rstrip().endswith(f"got {value}")
-    assert main(["treedepth", "--graph", path]) == 1
-    # an explicit flag overrides the environment (check reads 2 * 2^2 payoffs)
-    assert main(["check", "--game", path, "--budget", "8"]) == 0
-
-
-def test_budget_from_environment_is_read_on_every_call(tmp_path, capsys, monkeypatch):
-    # the parser is built once per process; the environment is not frozen in it
-    path = write_game(tmp_path, triangles_doc())
-    argv = ["oracle", "--game", path, "--mode", "spne", "--t", "2"]
-    monkeypatch.setenv("COORDSOLVE_BUDGET", "5")
-    assert main(argv) == 3
-    monkeypatch.setenv("COORDSOLVE_BUDGET", "100000")
-    assert main(argv) == 0
-    monkeypatch.setenv("COORDSOLVE_BUDGET", "5")
-    assert main(argv) == 3
-    assert main(argv + ["--budget", "100000"]) == 0
-    monkeypatch.delenv("COORDSOLVE_BUDGET")
-    assert main(argv) == 0
 
 
 @pytest.mark.parametrize("value", ["abc", "-1"])
@@ -1190,21 +1253,23 @@ def _containers(node):
 
 
 @st.composite
-def mutated_documents(draw):
-    """A valid document with one key or list entry replaced, dropped or added."""
-    doc = copy.deepcopy(draw(st.sampled_from(FUZZ_DOCS)))
-    node = draw(st.sampled_from(list(_containers(doc))))
-    op = draw(st.sampled_from(["replace", "drop", "add"]) if node else st.just("add"))
-    if isinstance(node, dict):
-        key = draw(st.sampled_from(list(node) if op != "add" else FUZZ_KEYS))
-    else:
-        key = draw(st.integers(0, len(node) - (op != "add")))
-    if op == "drop":
-        del node[key]
-    elif op == "add" and isinstance(node, list):
-        node.insert(key, draw(FUZZ_VALUES))
-    else:
-        node[key] = draw(FUZZ_VALUES)
+def mutated_documents(draw, docs=FUZZ_DOCS, values=FUZZ_VALUES, mutations=1):
+    """A valid document from `docs` with `mutations` times one key or list
+    entry replaced, dropped or added (new values drawn from `values`)."""
+    doc = copy.deepcopy(draw(st.sampled_from(docs)))
+    for _ in range(mutations):
+        node = draw(st.sampled_from(list(_containers(doc))))
+        op = draw(st.sampled_from(["replace", "drop", "add"]) if node else st.just("add"))
+        if isinstance(node, dict):
+            key = draw(st.sampled_from(list(node) if op != "add" else FUZZ_KEYS))
+        else:
+            key = draw(st.integers(0, len(node) - (op != "add")))
+        if op == "drop":
+            del node[key]
+        elif op == "add" and isinstance(node, list):
+            node.insert(key, draw(values))
+        else:
+            node[key] = draw(values)
     return doc
 
 
@@ -1226,3 +1291,53 @@ def test_mutated_documents_never_raise(tmp_path_factory, doc):
                 argv,
                 err.getvalue(),
             )
+
+
+# the nesting check runs only on an aligned document without "nested"
+ALIGNED5 = {"players": 5, "kind": "aligned_nsg", "in_starts": [3, 2, 2, 1, 1]}
+BOUNDED_FUZZ_DOCS = FUZZ_DOCS + [ALIGNED5]
+# counts that size work: 10^5 passed a count charge of n at --budget 100000
+BOUNDED_FUZZ_VALUES = st.one_of(FUZZ_VALUES, st.sampled_from([10**5, 10**7]))
+
+FUZZ_CHILD = """
+import contextlib, io, json, os, sys
+from coordsolve.cli import main
+
+workdir = sys.argv[1]
+with open(os.path.join(workdir, "fuzz.json")) as fh:
+    fuzz = json.load(fh)
+failures = []
+for n, doc in enumerate(fuzz["docs"]):
+    path = os.path.join(workdir, f"doc{n}.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    for argv in fuzz["commands"]:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv + ["--game", path, "--budget", "100000"])
+        named = err.getvalue().startswith(("error: $", "error: partition"))
+        if code not in (0, 1, 2, 3) or code == 1 and not named:
+            failures.append([doc, argv, code, err.getvalue()])
+print(json.dumps(failures))
+"""
+
+
+def test_twice_mutated_documents_stay_bounded(tmp_path):
+    # one child process under a 512 MiB address-space cap runs every
+    # subcommand on every document, so a blow-up fails this test instead of
+    # exhausting the runner; a traceback fails it too
+    docs = []
+
+    @example(doc={"players": 10**5, "kind": "weakest_link", "edges": [[0, 1]]})
+    @example(doc={**ALIGNED5, "players": 10**7})
+    @example(doc={"players": 5, "kind": "aligned_nsg", "in_starts": [3, 2, 10**7, 1, 1]})
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(doc=mutated_documents(BOUNDED_FUZZ_DOCS, BOUNDED_FUZZ_VALUES, mutations=2))
+    def draw(doc):
+        docs.append(doc)
+
+    draw()
+    (tmp_path / "fuzz.json").write_text(json.dumps({"docs": docs, "commands": SUBCOMMANDS}))
+    done = run_capped([str(tmp_path)], 512 << 20, program=("-c", FUZZ_CHILD))
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert json.loads(done.stdout) == []

@@ -25,6 +25,7 @@ from coordsolve import (
     weakest_link_game,
 )
 from coordsolve.core import (
+    Partition,
     _ctx_pay,
     RuleGains,
     _rows_table,
@@ -40,7 +41,8 @@ from coordsolve.core import (
     sss_scan,
     submasks,
 )
-from coordsolve import core
+from coordsolve import core, ordered
+from coordsolve.errors import FieldError
 from coordsolve.sync import SyncSolver
 
 from util import (
@@ -718,3 +720,37 @@ def test_ne_set_matches_raw_payoff_reference(case):
     assert ne_set(game, ctx) == want
     if ctx.active == game.all_players:
         assert ne_set(game) == want
+
+
+def _two_cycle():
+    return Digraph(2, [(0, 1), (1, 0)])
+
+
+@pytest.mark.parametrize(
+    "build, field, index",
+    [
+        (lambda: Digraph(3, [(0, 1), (2, 2)]), "edges", 1),
+        (lambda: Digraph(3, [(0, 3)]), "edges", 0),
+        (lambda: threshold_game(_two_cycle(), [1, 2]), "k", 1),
+        (lambda: threshold_game(_two_cycle(), [1]), "k", None),
+        (lambda: aggregative_game([1, 1, 3]), "c", 2),
+        (lambda: ordered._interval_graph([2, 4, 0], None, True), "in_starts", 1),
+        (lambda: ordered._interval_graph([2, 1, 0], [0, 0, 4], True), "out_ends", 2),
+        (lambda: ordered._interval_graph([2, 1, 0], [0, 0], True), "out_ends", None),
+        # in-intervals all empty, so player 1's declared out-interval {0} is not its own
+        (lambda: ordered._interval_graph([3, 3, 3], [0, 2, 0], True), "out_ends", 1),
+        (lambda: Partition([1, 2, 3]), "cells", 2),
+        (lambda: Partition([1, -1]), "cells", 1),
+        (lambda: Partition([1, 4]).validate_cover(3), "cells", None),
+        (lambda: Partition([1, 2, 8]).validate_cover(3), "cells", None),
+    ],
+    ids=[
+        "self_loop", "endpoint", "k_entry", "k_length", "c_entry", "in_start", "out_end",
+        "out_ends_length", "out_interval", "overlap", "negative_cell", "cover", "stray_player",
+    ],
+)
+def test_constructor_range_errors_name_their_field(build, field, index):
+    with pytest.raises(FieldError) as info:
+        build()
+    assert isinstance(info.value, ValueError)
+    assert (info.value.field, info.value.index) == (field, index)
