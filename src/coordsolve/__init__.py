@@ -11,7 +11,6 @@ from .core import (
     Violation,
     aggregative_game,
     check_assumptions,
-    full_context,
     incentive_table,
     least_ne,
     mask_of,
@@ -25,7 +24,6 @@ from .digraph import (
     EliminationTree,
     check_feasible_partition,
     partition_from_treedepth,
-    reach,
     scc,
     tree_depth,
 )

@@ -188,15 +188,15 @@ def neighbour_game(needs, k, kind, params):
     return game
 
 
-def thresholds(values, name):
-    """The threshold vector `values` as a tuple of ints.  An entry must be
-    what operator.index accepts, other than a bool; any other entry (a float,
-    a string) raises TypeError naming it as name[idx], rather than being
+def int_entries(values, name):
+    """The entries of `values` as a tuple of ints.  An entry must be what
+    operator.index accepts, other than a bool; any other entry (a float, a
+    string, None) raises TypeError naming it as name[idx], rather than being
     truncated or parsed."""
     out = []
     for idx, v in enumerate(values):
         if isinstance(v, bool) or not hasattr(type(v), "__index__"):
-            raise TypeError(f"threshold {name}[{idx}]={v!r} is not an int")
+            raise TypeError(f"{name}[{idx}]={v!r} is not an int")
         out.append(operator.index(v))
     return tuple(out)
 
@@ -205,7 +205,7 @@ def aggregative_game(c):
     """Game where i strictly wants action 1 iff at least c_i others play 1.
     An entry outside 1..n-1 raises FieldError("c", i)."""
     n = len(c)
-    c = thresholds(c, "c")
+    c = int_entries(c, "c")
     for i, ci in enumerate(c):
         if not 1 <= ci <= n - 1:
             raise FieldError("c", i, f"threshold c[{i}]={ci} outside 1..{n - 1}")
@@ -231,15 +231,11 @@ class Context:
             raise ValueError("active and forced-one sets overlap")
 
 
-def full_context(game):
-    return Context(game.all_players, 0)
-
-
 def _checked(game, ctx):
     """ctx, or the full context when None; a mask with bits outside the
     game's players raises ValueError (check_mask)."""
     if ctx is None:
-        return full_context(game)
+        return Context(game.all_players, 0)
     check_mask(game.n, ctx.active, "active")
     check_mask(game.n, ctx.ones, "ones")
     return ctx
@@ -867,13 +863,14 @@ def sss_set(game, ctx=None, require_ne=False):
 @dataclass(frozen=True)
 class Partition:
     """Ordered disjoint cells of players; the cell index is the move stage.
-    A negative cell, or one that shares players with an earlier cell,
-    raises FieldError("cells", its index)."""
+    A cell that is not an int raises TypeError (see int_entries); a
+    negative cell, or one that shares players with an earlier cell, raises
+    FieldError("cells", its index)."""
 
     cells: tuple
 
     def __init__(self, cells):
-        masks = tuple(int(c) for c in cells)
+        masks = int_entries(cells, "cells")
         seen = 0
         for idx, c in enumerate(masks):
             if c < 0:
@@ -884,10 +881,6 @@ class Partition:
                 )
             seen |= c
         object.__setattr__(self, "cells", masks)
-
-    @property
-    def horizon(self):
-        return len(self.cells)
 
     def union(self):
         m = 0

@@ -3,19 +3,20 @@ tree-depth with elimination-tree certificates, and schedule extraction.
 
 Every closure steps a whole frontier at a time through a neighbourhood-union
 table (`_union_of`), read one byte of vertices per lookup.  A TreeDepth
-builds its two tables once; the one-shot `scc`, `reach` and
-`check_feasible_partition` build theirs per call."""
+builds its two tables once, and its `reach` reads the search's own; the
+one-shot `scc` and `check_feasible_partition` build theirs per call."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Partition, check_mask
+from .core import Partition, check_mask, int_entries
 from .errors import FieldError, PreconditionError
 
 
 class Digraph:
-    """Directed graph on vertices 0..n-1, no self-loops.  A self-loop or an
+    """Directed graph on vertices 0..n-1, no self-loops.  An endpoint that
+    is not an int raises TypeError (see core.int_entries); a self-loop or an
     endpoint outside 0..n-1 raises FieldError("edges", its index)."""
 
     def __init__(self, n, edges):
@@ -24,6 +25,8 @@ class Digraph:
         self.n = n
         es = set()
         for idx, (i, j) in enumerate(edges):
+            if type(i) is not int or type(j) is not int:
+                i, j = int_entries((i, j), f"edges[{idx}]")
             if i == j:
                 raise FieldError("edges", idx, f"self-loop at vertex {i}")
             if not (0 <= i < n and 0 <= j < n):
@@ -162,21 +165,6 @@ def scc(g, vertices=None):
     return _sources_first(outof, _components(_union_of(g._succ), outof, vertices), vertices)
 
 
-def reach(g, targets, vertices=None):
-    """R(X): all vertices that can reach some member of X (length-0 paths
-    included, so R(X) contains X).  Predecessor closure.  One call builds its
-    own table; a TreeDepth's `reach` reuses the search's."""
-    return _reach(g, _union_of(g._pred), targets, vertices)
-
-
-def _reach(g, outof, targets, vertices):
-    if vertices is None:
-        vertices = g.all_vertices
-    check_mask(g.n, targets, "targets")
-    check_mask(g.n, vertices, "vertices")
-    return _closure(outof, targets & vertices, vertices)
-
-
 class TreeDepth:
     """Exact directed tree-depth of the subgraphs of one digraph, memoised
     across queries.
@@ -196,7 +184,11 @@ class TreeDepth:
     unsplit mask only needs to know whether it has a cycle: peeling all its
     sources at once, pass after pass, answers that, and a cyclic mask is
     bounded by 2 without being split (an acyclic one, rare, is split into
-    its singletons and is exact at 1).  A mask's max over its SCCs
+    its singletons and is exact at 1).  So a non-singleton block is only
+    scanned at a limit of 3 or more: every limit is at least 2, a mask
+    asked at limit 2 either splits into singletons or was split by an
+    earlier query, which left it an exact value or a bound of at least 2,
+    and a nested query only asks strict subsets.  A mask's max over its SCCs
     stops at the first SCC that reaches the limit.  A block's scan tries each
     removal in ascending index under a cap that starts at the caller's limit
     and drops to each new strict best, calling `depth(block - v, cap - 1)`;
@@ -210,9 +202,9 @@ class TreeDepth:
     n + 1 and is exact, and `certificate` walks the recorded removals and
     splits, with split nodes listing their blocks in the topological order
     of `scc` (a mask with no split, or a split of one, is a block); `reach`
-    reads the same tables.  The memos and tables live as long as the
-    object, not the graph; callers that want a bounded footprint make one
-    per query (see tree_depth).
+    reads the search's in-neighbourhood table.  The memos and tables live
+    as long as the object, not the graph; callers that want a bounded
+    footprint make one per query (see tree_depth).
     """
 
     def __init__(self, g):
@@ -254,8 +246,6 @@ class TreeDepth:
             value = memo.get(block)
             if value is not None:
                 return value
-            if limit <= 2:
-                return 2  # the least depth of a non-singleton block
             bound = lower.get(block)
             if bound is not None and bound >= limit:
                 return bound
@@ -289,8 +279,14 @@ class TreeDepth:
         return self._depth(vertices, self.g.n + 1)
 
     def reach(self, targets, vertices=None):
-        """`reach(g, targets, vertices)` read from this search's tables."""
-        return _reach(self.g, self._outof, targets, vertices)
+        """R(X) within `vertices` (every vertex by default): the vertices
+        that reach some member of X there, X's own included.  A predecessor
+        closure over the search's in-neighbourhood union table."""
+        if vertices is None:
+            vertices = self.g.all_vertices
+        check_mask(self.g.n, targets, "targets")
+        check_mask(self.g.n, vertices, "vertices")
+        return _closure(self._outof, targets & vertices, vertices)
 
     def certificate(self, vertices=None):
         """EliminationTree certifying `value(vertices)`, built along the

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .core import bits, gains, mask_of, members, neighbour_game, settle, thresholds
+from .core import bits, gains, int_entries, mask_of, members, neighbour_game, settle
 from .digraph import Digraph, TreeDepth
 from .errors import DEFAULT_BUDGET, FieldError, PreconditionError, charge
 from .sync import SyncSolver
@@ -35,7 +35,7 @@ def threshold_game(g, k):
     if len(k) != g.n:
         raise FieldError("k", None, "one threshold per player required")
     needs = [g.in_mask(i) for i in range(g.n)]
-    k = thresholds(k, "k")
+    k = int_entries(k, "k")
     for i, ki in enumerate(k):
         deg = needs[i].bit_count()
         if not 1 <= ki <= deg:

@@ -19,10 +19,10 @@ from .core import (
     check_mask,
     iesds_scan,
     incentive_table,
+    int_entries,
     mask_of,
     member_column,
     members,
-    thresholds,
 )
 from .digraph import Digraph
 from .errors import DEFAULT_BUDGET, FieldError, PreconditionError, charge
@@ -247,13 +247,14 @@ def ordered_min_horizon(game, targets):
 def aggregative_min_horizon(c, n):
     """Accelerated sweep for a nondecreasing threshold vector: either the next
     cheapest player cascades in, or the most expensive remaining player is
-    forced in at the cost of a stage."""
-    c = thresholds(c, "c")
+    forced in at the cost of a stage.  An entry outside 1..n-1 raises
+    FieldError("c", its index), as in core.aggregative_game."""
+    c = int_entries(c, "c")
     if len(c) != n:
         raise ValueError("need one threshold per player")
     for idx in range(n):
         if not 1 <= c[idx] <= n - 1:
-            raise ValueError(f"threshold c[{idx}]={c[idx]} outside 1..{n - 1}")
+            raise FieldError("c", idx, f"threshold c[{idx}]={c[idx]} outside 1..{n - 1}")
         if idx and c[idx] < c[idx - 1]:
             raise ValueError("thresholds must be nondecreasing")
     t = 0
@@ -277,14 +278,20 @@ def aggregative_min_horizon(c, n):
 
 def _interval_graph(in_starts, out_ends, nested):
     """Digraph whose in-neighborhoods are upward intervals {s_i..n-1}\\{i},
-    n = len(in_starts).  Every entry of `in_starts` and `out_ends` is
-    checked against 0..n first (`out_ends`, when given, has n entries),
-    then requirement nesting when `nested`, then each declared
-    out-interval {0..e_i-1}\\{i} against the graph.  Each of these but
-    nesting raises FieldError naming its vector and entry (None: length)."""
+    n = len(in_starts).  Every entry of `in_starts` and `out_ends` must be
+    an int (else TypeError, see core.int_entries) in 0..n, checked first
+    (`out_ends`, when given, has n entries), then requirement nesting when
+    `nested`, then each declared out-interval {0..e_i-1}\\{i} against the
+    graph.  Each of these but the int check and nesting raises FieldError
+    naming its vector and entry (None: length)."""
     n = len(in_starts)
-    if out_ends is not None and len(out_ends) != n:
-        raise FieldError("out_ends", None, f"out_ends has {len(out_ends)} entries for {n} players")
+    in_starts = int_entries(in_starts, "in_starts")
+    if out_ends is not None:
+        out_ends = int_entries(out_ends, "out_ends")
+        if len(out_ends) != n:
+            raise FieldError(
+                "out_ends", None, f"out_ends has {len(out_ends)} entries for {n} players"
+            )
     for name, ends in (("in_starts", in_starts), ("out_ends", out_ends or ())):
         for i, e in enumerate(ends):
             if not 0 <= e <= n:
@@ -349,7 +356,7 @@ def generate(
     if kind == "aggregative":
         if c is None:
             raise ValueError("aggregative generator needs thresholds c")
-        c = thresholds(c, "c")
+        c = int_entries(c, "c")
         if any(c[i] > c[i + 1] for i in range(len(c) - 1)):
             raise ValueError("aggregative thresholds must be nondecreasing")
         game = aggregative_game(c)

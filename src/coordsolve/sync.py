@@ -118,12 +118,12 @@ class SyncSolver:
     on demand by `value` and `policy`.
 
     For a game built by graphical.weakest_link_game the solver also keeps
-    the game's `graph` and one TreeDepth memo on it (`depths`; both None for
-    any other game, whatever its `kind`): every horizon is the tree-depth of
-    the targets' reach set among the active players, both read from that
-    memo (`depths.reach`, `depths.value`), which lives as long as the
-    solver.  A solver instance is not thread-safe, but distinct instances
-    are independent.
+    one TreeDepth memo on the game's digraph (`depths`; None for any other
+    game, whatever its `kind`): every horizon is the tree-depth of the
+    targets' reach set among the active players, both read from that memo
+    (`depths.reach`, `depths.value`), which lives as long as the solver.
+    A solver instance is not thread-safe, but distinct instances are
+    independent.
     """
 
     def __init__(self, game):
@@ -132,8 +132,7 @@ class SyncSolver:
         self._lower = {}
         self._reduce_cache = {}
         self._candidate_cache = {}
-        self.graph = game._graph
-        self.depths = None if self.graph is None else TreeDepth(self.graph)
+        self.depths = None if game._graph is None else TreeDepth(game._graph)
 
     # -- the gains map, built on first read ---------------------------------
 
@@ -372,11 +371,12 @@ class SyncSolver:
 
     def least_outcome(self, T, ctx=None):
         """Players taking action 1 in every monotone-SPNE of the T-stage game:
-        the least equilibrium outcome, forced | {i : tau_i <= T}.  A horizon
-        below 1 raises ValueError."""
+        the least equilibrium outcome, {i : tau_i <= T} over `horizons`,
+        which gives a player forced in by iterated dominance tau_i = 1.  A
+        horizon below 1 raises ValueError."""
         if T < 1:
             raise ValueError("horizon must be positive")
-        out = self._reduce(ctx).forced
+        out = 0
         for i, tau in self.horizons(ctx).items():
             if tau is not None and tau <= T:
                 out |= 1 << i

@@ -347,8 +347,10 @@ def test_async_solve_subcommand(tmp_path, capsys):
         ([[0, 0], [1, 2]], "partition.cells[0]: lists player 0 twice"),
         ([[0, 1], [1, 2]], "partition.cells[1]: players [1] are in an earlier cell"),
         ([[0], [2]], "partition.cells: players [1] are in no cell"),
+        (5, 'partition: expected {"cells": [[...], ...]}'),
+        ([0, 1, 2], "partition.cells[0]: expected 0-based player list"),
     ],
-    ids=["boolean", "duplicate", "overlap", "cover"],
+    ids=["boolean", "duplicate", "overlap", "cover", "cells_not_a_list", "cell_not_a_list"],
 )
 def test_malformed_partition_names_its_cell(tmp_path, capsys, cells, where):
     path = write_game(tmp_path, {"players": 3, "kind": "aggregative", "c": [1, 1, 2]})
@@ -357,6 +359,28 @@ def test_malformed_partition_names_its_cell(tmp_path, capsys, cells, where):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.strip() == f"error: {where}"
+
+
+@pytest.mark.parametrize(
+    "argv, doc, where",
+    [
+        (["tau", "--target", "1", "--game"], [], "$: document must be an object"),
+        (["treedepth", "--graph"], [], "$: document must be an object"),
+        (["treedepth", "--graph"], {"n": -1, "edges": []}, "$.n: non-negative vertex count required"),
+        (["treedepth", "--graph"], {"n": "2", "edges": []}, "$.n: non-negative vertex count required"),
+        (
+            ["treedepth", "--graph"],
+            {"n": 2, "edges": [[0, 1], [0, 2]]},
+            "$.edges[1]: edge (0,2) out of range",
+        ),
+    ],
+    ids=["game_not_an_object", "graph_not_an_object", "negative_n", "string_n", "edge_range"],
+)
+def test_malformed_document_names_its_path(tmp_path, capsys, argv, doc, where):
+    assert main(argv + [write_game(tmp_path, doc)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {where}\n"
 
 
 BOOL = [[True, 2]]
@@ -895,6 +919,20 @@ def test_oracle_subcommand(tmp_path, capsys):
     )
     assert code == 0
     assert payload == {"mode": "mspne", "outcomes": [[1, 2]]}
+
+
+@pytest.mark.parametrize(
+    "schedule", [["--t", "2", "--partition", '{"cells": [[0], [1]]}'], []], ids=["both", "neither"]
+)
+def test_oracle_takes_exactly_one_schedule(tmp_path, capsys, schedule):
+    path = write_game(
+        tmp_path,
+        {"players": 2, "kind": "table", "payoffs": [[1, 0, 3, 2], [1, 2, 0, 3]]},
+    )
+    assert main(["oracle", "--game", path] + schedule) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: oracle: give exactly one of --t or --partition\n"
 
 
 # -- exit codes -------------------------------------------------------------------

@@ -13,7 +13,6 @@ from coordsolve import (
     Violation,
     aggregative_game,
     check_assumptions,
-    full_context,
     incentive_table,
     least_ne,
     mask_of,
@@ -332,7 +331,9 @@ CONTEXT_READERS = {
     "sss_set": sss_set,
     "is_ne": lambda game, ctx: is_ne(game, ctx, 0),
     # the stray bits go into is_ne's profile instead of its context
-    "is_ne_profile": lambda game, ctx: is_ne(game, full_context(game), ctx.active | ctx.ones),
+    "is_ne_profile": lambda game, ctx: is_ne(
+        game, Context(game.all_players, 0), ctx.active | ctx.ones
+    ),
 }
 
 
@@ -742,11 +743,13 @@ def _two_cycle():
         (lambda: Partition([1, 2, 3]), "cells", 2),
         (lambda: Partition([1, -1]), "cells", 1),
         (lambda: Partition([1, 4]).validate_cover(3), "cells", None),
-        (lambda: Partition([1, 2, 8]).validate_cover(3), "cells", None),
+        (lambda: Partition([1, 2, 4, 8]).validate_cover(3), "cells", None),
+        (lambda: ordered.aggregative_min_horizon([1, 2, 3], 3), "c", 2),
     ],
     ids=[
         "self_loop", "endpoint", "k_entry", "k_length", "c_entry", "in_start", "out_end",
         "out_ends_length", "out_interval", "overlap", "negative_cell", "cover", "stray_player",
+        "min_horizon_c_entry",
     ],
 )
 def test_constructor_range_errors_name_their_field(build, field, index):
@@ -754,3 +757,95 @@ def test_constructor_range_errors_name_their_field(build, field, index):
         build()
     assert isinstance(info.value, ValueError)
     assert (info.value.field, info.value.index) == (field, index)
+
+
+@pytest.mark.parametrize(
+    "build, entry",
+    [
+        (lambda: Partition([1.9, 2]), "cells[0]=1.9"),
+        (lambda: Partition([1, "2"]), "cells[1]='2'"),
+        (lambda: Partition([None]), "cells[0]=None"),
+        (lambda: Digraph(3, [(True, 2)]), "edges[0][0]=True"),
+        (lambda: Digraph(3, [(0, 1), (0.5, 1)]), "edges[1][0]=0.5"),
+        (lambda: Digraph(3, [(0, "1")]), "edges[0][1]='1'"),
+        (lambda: ordered.generate("aligned_nsg", in_starts=[True, 0, 0]), "in_starts[0]=True"),
+        (lambda: ordered.generate("aligned_nsg", in_starts=[1.5, 0, 0]), "in_starts[0]=1.5"),
+        (
+            lambda: ordered.generate("aligned_nsg", in_starts=[2, 1, 0], out_ends=[0, 0, 2.0]),
+            "out_ends[2]=2.0",
+        ),
+        (
+            lambda: ordered.generate("opposed_nsg", in_starts=[0, 0, False], k=[1, 1, 1]),
+            "in_starts[2]=False",
+        ),
+    ],
+    ids=[
+        "cell_float", "cell_str", "cell_none", "tail_bool", "tail_float", "head_str",
+        "in_start_bool", "in_start_float", "out_end_float", "opposed_in_start_bool",
+    ],
+)
+def test_constructors_refuse_non_int_entries(build, entry):
+    with pytest.raises(TypeError, match=f"^{re.escape(entry)} is not an int$"):
+        build()
+
+
+class _Two:
+    def __index__(self):
+        return 2
+
+
+def test_constructors_accept_index_objects():
+    assert Partition([_Two(), 1]).cells == (2, 1)
+    assert Digraph(3, [(_Two(), 0)]).edges == {(2, 0)}
+    two = ordered.generate("aligned_nsg", in_starts=[_Two(), 1, 0])
+    assert two.params == ordered.generate("aligned_nsg", in_starts=[2, 1, 0]).params
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: StageGame(0, lambda i, X: 0), ValueError, "need at least one player"),
+        (
+            lambda: table_game([[0, 1, 0, 1], [0, 1, 0]]),
+            ValueError,
+            "player 1: expected 4 payoffs, got 3",
+        ),
+        (lambda: Context(0b11, 0b10), ValueError, "active and forced-one sets overlap"),
+        (
+            lambda: Partition([1, 2, 4, 8]).validate_cover(3),
+            FieldError,
+            "a cell holds a player outside 0..2",
+        ),
+        (lambda: Digraph(-1, []), ValueError, "negative vertex count"),
+        (
+            lambda: ordered.aggregative_min_horizon([2, 1, 2], 3),
+            ValueError,
+            "thresholds must be nondecreasing",
+        ),
+        (
+            lambda: ordered.generate("aggregative"),
+            ValueError,
+            "aggregative generator needs thresholds c",
+        ),
+        (lambda: ordered.generate("aligned_nsg"), ValueError, "aligned_nsg generator needs in_starts"),
+        (
+            lambda: ordered.generate("opposed_nsg", in_starts=[0, 0, 0]),
+            ValueError,
+            "opposed_nsg generator needs in_starts and k",
+        ),
+        (
+            lambda: ordered.generate("opposed_nsg", k=[1, 1, 1]),
+            ValueError,
+            "opposed_nsg generator needs in_starts and k",
+        ),
+        (lambda: ordered.generate("sudoku"), ValueError, "unknown generator kind 'sudoku'"),
+    ],
+    ids=[
+        "no_players", "short_row", "overlapping_context", "stray_player", "negative_n",
+        "decreasing_c", "aggregative_without_c", "aligned_without_in_starts",
+        "opposed_without_k", "opposed_without_in_starts", "unknown_kind",
+    ],
+)
+def test_argument_errors_say_what_is_wrong(build, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build()

@@ -14,7 +14,6 @@ from coordsolve import (
     mask_of,
     members,
     partition_from_treedepth,
-    reach,
     scc,
     tree_depth,
 )
@@ -98,17 +97,17 @@ def test_scc_topological_order_random():
 
 def test_reach_hub_graph():
     g = hub_intervention_graph()
-    assert reach(g, 1 << 4) == mask_of((0, 1, 2, 3, 4))
+    assert digraph.TreeDepth(g).reach(1 << 4) == mask_of((0, 1, 2, 3, 4))
 
 
 def test_reach_empty():
-    assert reach(two_triangles_graph(), 0) == 0
+    assert digraph.TreeDepth(two_triangles_graph()).reach(0) == 0
 
 
 def test_reach_strongly_connected():
     g = cycle_graph(6)
     for i in range(6):
-        assert reach(g, 1 << i) == g.all_vertices
+        assert digraph.TreeDepth(g).reach(1 << i) == g.all_vertices
 
 
 def test_reach_is_a_closure_operator():
@@ -118,11 +117,12 @@ def test_reach_is_a_closure_operator():
         g = random_digraph(rng, n)
         X = rng.randrange(1 << n)
         Y = rng.randrange(1 << n)
-        rx = reach(g, X)
+        reach = digraph.TreeDepth(g).reach
+        rx = reach(X)
         assert rx & X == X  # extensive
-        assert reach(g, rx) == rx  # idempotent
+        assert reach(rx) == rx  # idempotent
         if X & ~Y == 0:
-            assert rx & ~reach(g, Y) == 0  # monotone
+            assert rx & ~reach(Y) == 0  # monotone
 
 
 # -- tree_depth ---------------------------------------------------------------
@@ -284,7 +284,8 @@ def test_closures_match_the_tarjan_references(case):
     assert sorted(comps) == sorted(util.scc_reference(g, vertices))
     place = {v: k for k, c in enumerate(comps) for v in members(c)}
     assert all(place[i] <= place[j] for i, j in g.edges if i in place and j in place)
-    assert reach(g, targets, vertices) == util.reach_reference(g, targets, vertices)
+    want_reach = util.reach_reference(g, targets, vertices)
+    assert digraph.TreeDepth(g).reach(targets, vertices) == want_reach
     value, cert = tree_depth(g, vertices)
     # the search as it was, splitting each certificate node by Tarjan's DFS
     with patch.object(util, "scc", util.scc_reference):
@@ -494,8 +495,8 @@ def test_out_of_range_masks_name_the_stray_bits():
     cases = [
         (lambda: tree_depth(g, 0b1000), "[3]"),
         (lambda: scc(g, 0b11000), "[3, 4]"),
-        (lambda: reach(g, 0b1000), "[3]"),
-        (lambda: reach(g, 1, 0b10001), "[4]"),
+        (lambda: digraph.TreeDepth(g).reach(0b1000), "[3]"),
+        (lambda: digraph.TreeDepth(g).reach(1, 0b10001), "[4]"),
         (lambda: partition_from_treedepth(g, 3, 0b1001), "[3]"),
         (lambda: scc(g, -1), "negative"),
         (lambda: check_feasible_partition(g, Partition([0b1001]), 0b1001), "[3]"),

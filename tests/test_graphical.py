@@ -14,7 +14,6 @@ from coordsolve import (
     members,
     minimal_satisfying_sets,
     ne_set,
-    reach,
     reduce_to_weakest_link,
     table_game,
     threshold_game,

@@ -459,7 +459,7 @@ def test_weakest_link_graph_path_matches_generic_recursion(g, some, other):
     # the same payoffs under the default kind take the generic recursion
     generic = StageGame(g.n, game._payoff)
     fast, slow = SyncSolver(game), SyncSolver(generic)
-    assert fast.graph is not None and slow.graph is None
+    assert fast.depths is not None and slow.depths is None
     full = game.all_players
     for targets in (full, some & full, other & full):
         assert fast.min_horizon(targets) == slow.min_horizon(targets)
@@ -826,7 +826,7 @@ def test_weakest_link_label_alone_keeps_the_generic_recursion(pay, params):
     labelled = StageGame(3, pay, kind="weakest_link", params=params)
     plain = StageGame(3, pay)
     a, b = SyncSolver(labelled), SyncSolver(plain)
-    assert a.graph is None and a.depths is None
+    assert a.depths is None
     horizons = [_horizon_or_error(b, X) for X in range(8)]
     assert [_horizon_or_error(a, X) for X in range(8)] == horizons
     assert any(isinstance(h, str) for h in horizons) or horizons[7] == 1

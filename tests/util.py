@@ -25,7 +25,6 @@ from coordsolve import (
     Sync,
     Violation,
     aggregative_game,
-    full_context,
     mask_of,
     scc,
     table_game,
@@ -50,7 +49,6 @@ from coordsolve.core import (
 )
 from coordsolve.asyncgame import _history_cost
 from coordsolve.cli import ParseError, _rational
-from coordsolve.digraph import reach
 from coordsolve.graphical import SufficientGraph, _first_minimal_satisfying
 from coordsolve.errors import DEFAULT_BUDGET
 from coordsolve.ordered import OrderedFlags
@@ -315,7 +313,7 @@ def check_assumptions_reference(game, ctx=None):
     of opponents' coalitions, straight from the payoff oracle.  Lists every
     violating pair, where check_assumptions keeps one per high set."""
     if ctx is None:
-        ctx = full_context(game)
+        ctx = Context(game.all_players, 0)
     pay = game.payoff
     rep = AssumptionReport()
     wit = rep.witnesses
@@ -385,7 +383,7 @@ def check_assumptions_pass_reference(game, ctx=None):
     (check, player, high set).
     """
     if ctx is None:
-        ctx = full_context(game)
+        ctx = Context(game.all_players, 0)
     pay = _ctx_pay(game, ctx)
     rep = AssumptionReport()
     wit = rep.witnesses
@@ -701,7 +699,7 @@ def _gains(game, ones, i, X):
 def ne_set_reference(game, ctx=None):
     """Pure Nash profiles of the contextual game, straight from payoffs."""
     if ctx is None:
-        ctx = full_context(game)
+        ctx = Context(game.all_players, 0)
     return sorted_coalitions(X for X in submasks(ctx.active) if is_ne(game, ctx, X))
 
 
@@ -710,7 +708,7 @@ def sss_set_reference(game, ctx=None, require_ne=False):
     payoffs: nonempty X whose members all gain at X, Nash ones only when
     require_ne."""
     if ctx is None:
-        ctx = full_context(game)
+        ctx = Context(game.all_players, 0)
     out = []
     for X in submasks(ctx.active):
         if X == 0:
@@ -754,7 +752,7 @@ def iesds_reference(game, ctx=None):
     off the incentive table (core.iesds_scan), on the per-player loop
     iterated_strict_elimination ran before it became a table scan."""
     if ctx is None:
-        ctx = full_context(game)
+        ctx = Context(game.all_players, 0)
     return iterated_strict_elimination_reference(ctx.active, _ctx_pay(game, ctx))
 
 
@@ -943,7 +941,7 @@ class UncutSyncSolverReference(SyncSolver):
         if self.depths is not None:
             # the reduced context is the weakest-link game on the subgraph
             # induced by its active players
-            return self.depths.value(reach(self.graph, want, reduced.active))
+            return self.depths.value(self.depths.reach(want, reduced.active))
         best = None
         for Y in self._candidates(reduced.active, reduced.ones):
             if Y & want == want:
@@ -1981,7 +1979,7 @@ def spne_reference(game, schedule, budget):
         full = game.all_players
         return _spne(game, schedule.T, lambda t, state: full & ~state, budget)
     p = schedule.partition
-    return _spne(game, p.horizon, lambda t, state: p.cells[t], budget)
+    return _spne(game, len(p.cells), lambda t, state: p.cells[t], budget)
 
 
 def verify_mspne_reference(game, T, profile):
@@ -2308,7 +2306,7 @@ def tuple_schedule(game, schedule):
         return schedule.T, _sync_moves(full), reach
     p = schedule.partition
     earlier = list(accumulate(p.cells, or_, initial=0))
-    return p.horizon, _async_moves(p.cells), earlier.__getitem__
+    return len(p.cells), _async_moves(p.cells), earlier.__getitem__
 
 
 def tuple_spne_outcomes(game, schedule):
